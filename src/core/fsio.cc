@@ -19,7 +19,7 @@
 
 namespace critter::core {
 
-using util::fnv1a;  // the publish-manifest checksum
+using util::checksum64;  // the publish-manifest checksum
 
 bool file_exists(const std::string& path) {
   struct stat st;
@@ -125,8 +125,8 @@ void write_file_atomic(const std::string& path, const std::string& content) {
 
 std::string publish_manifest(const std::string& payload) {
   std::ostringstream manifest;
-  manifest << "bytes=" << payload.size() << "\nfnv=" << std::hex
-           << fnv1a(payload.data(), payload.size()) << "\n";
+  manifest << "bytes=" << payload.size() << "\nxxh64=" << std::hex
+           << checksum64(payload.data(), payload.size()) << "\n";
   return manifest.str();
 }
 
@@ -135,7 +135,7 @@ void check_publish_manifest(const std::string& manifest,
                             const std::string& what) {
   std::size_t bytes = 0;
   unsigned long long sum = 0;
-  const int parsed = std::sscanf(manifest.c_str(), "bytes=%zu\nfnv=%llx",
+  const int parsed = std::sscanf(manifest.c_str(), "bytes=%zu\nxxh64=%llx",
                                  &bytes, &sum);
   CRITTER_CHECK(parsed == 2,
                 "stale manifest " + what + ": unparsable content");
@@ -143,7 +143,7 @@ void check_publish_manifest(const std::string& manifest,
                 "stale manifest " + what + ": payload has " +
                     std::to_string(payload.size()) + " bytes, manifest "
                     "declares " + std::to_string(bytes));
-  CRITTER_CHECK(fnv1a(payload.data(), payload.size()) == sum,
+  CRITTER_CHECK(checksum64(payload.data(), payload.size()) == sum,
                 "stale manifest " + what +
                     ": payload checksum mismatch (torn or corrupt publish)");
 }

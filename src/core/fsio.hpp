@@ -6,8 +6,9 @@
 // one implementation of the two-step publish instead of re-implementing it:
 //
 //   1. the payload is written to `<name>.tmp` and renamed to `<name>`;
-//   2. a manifest `<name>.ok` (payload byte count + FNV-1a checksum) is
-//      written the same way.
+//   2. a manifest `<name>.ok` (payload byte count + util::checksum64 under
+//      the key `xxh64=`) is written the same way.  A manifest with another
+//      checksum key is unparsable, hence stale — never mis-verified.
 //
 // A reader polls for the manifest only: once `<name>.ok` is visible the
 // payload rename has already happened (same directory, program order), so a
@@ -47,7 +48,7 @@ std::string make_temp_dir(const std::string& prefix);
 /// Best-effort recursive removal (shallow directory trees); never throws.
 void remove_dir_tree(const std::string& path);
 
-/// Render the publish manifest for a payload (the size/FNV stamp readers
+/// Render the publish manifest for a payload (the size/checksum stamp readers
 /// verify).  One implementation so the file protocol, the net blob store,
 /// and any future transport agree byte-for-byte on what "published" means.
 std::string publish_manifest(const std::string& payload);

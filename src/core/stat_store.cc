@@ -283,15 +283,18 @@ bool StatSnapshot::same_statistics(const StatSnapshot& other) const {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'R', 'S', 'T', 'A', 'T', '0', '\n'};
-// Version 2: per-rank length-prefixed + FNV-checksummed chunks, and the
-// delta pending-tombstone list is serialized (file-borne exchange deltas).
-// Version 1 (the previous release) loads through the registered upgrade
+// Version 3: per-rank length-prefixed chunks checksummed with
+// util::checksum64 (XXH64), and the delta pending-tombstone list is
+// serialized (file-borne exchange deltas).  Version 2 had the same layout
+// under a byte-serial chunk checksum this build no longer computes, so it
+// is rejected by version before any checksum is consulted.  Version
+// 1 (no chunk framing, no checksums) loads through the registered upgrade
 // hook; see register_snapshot_upgrade().
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kLegacyVersion = 1;
 constexpr char kJsonFormatTag[] = "critter-stat-snapshot";
 
-using util::fnv1a;  // the rank-chunk checksum
+using util::checksum64;  // the rank-chunk checksum
 
 bool table_has_tombstones(const StatSnapshot& snap) {
   for (const KernelTable& t : snap.ranks)
@@ -421,9 +424,9 @@ constexpr std::uint64_t kMaxRanks = 1u << 16;
 constexpr std::uint64_t kMaxRecords = 1ull << 32;
 constexpr std::uint64_t kMaxChunkBytes = 1ull << 33;
 
-/// One rank table's records, without framing.  Both binary versions share
-/// this body; version 2 appends the pending-tombstone list after the
-/// pending-eager records.
+/// One rank table's records, without framing.  Every binary version shares
+/// this body; version 2 and later append the pending-tombstone list after
+/// the pending-eager records.
 void write_rank_binary(BinWriter& w, const KernelTable& t,
                        std::uint32_t version) {
   w.i64(t.epoch);
@@ -470,35 +473,37 @@ void write_rank_binary(BinWriter& w, const KernelTable& t,
   });
 }
 
-void read_rank_binary(BinReader& r, KernelTable& t, std::uint32_t version,
-                      std::uint32_t nranks) {
-  t.init_world(static_cast<int>(nranks));
-  t.epoch = r.i64();
+/// The one reader of a rank chunk's record layout — the mirror of
+/// write_rank_binary.  Every decoded record goes to `sink`: TableSink
+/// builds a KernelTable from them, NullSink drops them, so a validate-only
+/// walk makes exactly the structural checks a full decode makes (record
+/// counts, bounds, channel shapes) without building any table.
+template <class Sink>
+void walk_rank_binary(BinReader& r, std::uint32_t version, Sink&& sink) {
+  sink.epoch(r.i64());
   const std::uint64_t nk = r.u64();
   CRITTER_CHECK(nk <= kMaxRecords, "stat snapshot: implausible kernel count");
   for (std::uint64_t i = 0; i < nk; ++i) {
-    KernelKey key = read_key_binary(r);
-    t.K.emplace(key, read_stats_binary(r));
+    const KernelKey key = read_key_binary(r);
+    sink.kernel(key, read_stats_binary(r));
   }
   const std::uint64_t nh = r.u64();
   CRITTER_CHECK(nh <= kMaxRecords, "stat snapshot: implausible key count");
   for (std::uint64_t i = 0; i < nh; ++i) {
     const std::uint64_t h = r.u64();
-    t.key_of_hash.emplace(h, read_key_binary(r));
+    sink.key(h, read_key_binary(r));
   }
   const std::uint64_t np = r.u64();
   CRITTER_CHECK(np <= kMaxRecords, "stat snapshot: implausible pending count");
   for (std::uint64_t i = 0; i < np; ++i) {
     const std::uint64_t h = r.u64();
-    t.pending_eager.emplace(h, read_stats_binary(r));
+    sink.pending(h, read_stats_binary(r));
   }
   if (version >= 2) {
     const std::uint64_t nt = r.u64();
     CRITTER_CHECK(nt <= kMaxRecords,
                   "stat snapshot: implausible tombstone count");
-    t.pending_tombstones.reserve(static_cast<std::size_t>(nt));
-    for (std::uint64_t i = 0; i < nt; ++i)
-      t.pending_tombstones.push_back(r.u64());
+    for (std::uint64_t i = 0; i < nt; ++i) sink.tombstone(r.u64());
   }
   const std::uint64_t nc = r.u64();
   CRITTER_CHECK(nc <= kMaxRecords, "stat snapshot: implausible channel count");
@@ -508,12 +513,14 @@ void read_rank_binary(BinReader& r, KernelTable& t, std::uint32_t version,
     ch.lattice = r.u8() != 0;
     const std::uint64_t nd = r.u64();
     CRITTER_CHECK(nd <= (1u << 20), "stat snapshot: implausible channel");
+    CRITTER_CHECK(nd <= r.remaining() / 16,
+                  "stat snapshot: truncated binary input");
     ch.dims.resize(nd);
     for (ChannelDim& d : ch.dims) {
       d.stride = r.i64();
       d.size = r.i64();
     }
-    t.channels.insert_raw(ch);
+    sink.channel(ch);
   }
   const std::uint64_t nb = r.u64();
   CRITTER_CHECK(nb <= kMaxRecords, "stat snapshot: implausible bucket count");
@@ -528,8 +535,47 @@ void read_rank_binary(BinReader& r, KernelTable& t, std::uint32_t version,
     b.syy = r.f64();
     b.min_x = r.f64();
     b.max_x = r.f64();
+    sink.bucket(id, b);
+  }
+}
+
+struct TableSink {
+  KernelTable& t;
+  void epoch(std::int64_t e) { t.epoch = e; }
+  void kernel(const KernelKey& k, const KernelStats& s) { t.K.emplace(k, s); }
+  void key(std::uint64_t h, const KernelKey& k) { t.key_of_hash.emplace(h, k); }
+  void pending(std::uint64_t h, const KernelStats& s) {
+    t.pending_eager.emplace(h, s);
+  }
+  void tombstone(std::uint64_t h) { t.pending_tombstones.push_back(h); }
+  void channel(const Channel& ch) { t.channels.insert_raw(ch); }
+  void bucket(std::uint64_t id, const SizeModelBucket& b) {
     t.size_model.set_bucket(id, b);
   }
+};
+
+struct NullSink {
+  void epoch(std::int64_t) {}
+  void kernel(const KernelKey&, const KernelStats&) {}
+  void key(std::uint64_t, const KernelKey&) {}
+  void pending(std::uint64_t, const KernelStats&) {}
+  void tombstone(std::uint64_t) {}
+  void channel(const Channel&) {}
+  void bucket(std::uint64_t, const SizeModelBucket&) {}
+};
+
+void read_rank_binary(BinReader& r, KernelTable& t, std::uint32_t version,
+                      std::uint32_t nranks) {
+  t.init_world(static_cast<int>(nranks));
+  walk_rank_binary(r, version, TableSink{t});
+}
+
+/// Structural check of one current-version chunk body, building nothing:
+/// the decoder's own walk plus its no-trailing-bytes rule.
+void check_rank_chunk(const char* body, std::uint64_t len) {
+  BinReader cr{body, body + len};
+  walk_rank_binary(cr, kVersion, NullSink{});
+  CRITTER_CHECK(cr.p == cr.end, "stat snapshot: trailing bytes in rank chunk");
 }
 
 std::string save_binary_string(const StatSnapshot& snap,
@@ -544,18 +590,18 @@ std::string save_binary_string(const StatSnapshot& snap,
       write_rank_binary(w, t, version);
       continue;
     }
-    // Version 2: each rank chunk is framed with its byte length and FNV
-    // checksum so a reader rejects truncation and corruption before
-    // decoding a single record.  The records are serialized straight into
-    // the output buffer; the frame header is backpatched once the chunk's
-    // extent is known — no scratch stream, no chunk copy.
+    // Each rank chunk is framed with its byte length and checksum so a
+    // reader rejects truncation and corruption before decoding a single
+    // record.  The records are serialized straight into the output buffer;
+    // the frame header is backpatched once the chunk's extent is known —
+    // no scratch stream, no chunk copy.
     const std::size_t frame = out.size();
     w.u64(0);  // length placeholder
     w.u64(0);  // checksum placeholder
     const std::size_t body = out.size();
     write_rank_binary(w, t, version);
     const std::uint64_t len = out.size() - body;
-    const std::uint64_t sum = fnv1a(out.data() + body, len);
+    const std::uint64_t sum = checksum64(out.data() + body, len);
     std::memcpy(out.data() + frame, &len, 8);
     std::memcpy(out.data() + frame + 8, &sum, 8);
   }
@@ -597,7 +643,7 @@ StatSnapshot load_binary(const char* data, std::size_t size) {
     // decoded in place, never copied.
     CRITTER_CHECK(len <= r.remaining(),
                   "stat snapshot: truncated binary input");
-    CRITTER_CHECK(fnv1a(r.p, static_cast<std::size_t>(len)) == sum,
+    CRITTER_CHECK(checksum64(r.p, static_cast<std::size_t>(len)) == sum,
                   "stat snapshot: rank-chunk checksum mismatch (corrupt or "
                   "truncated file)");
     BinReader cr{r.p, r.p + len};
@@ -616,20 +662,20 @@ StatSnapshot load_binary(const char* data, std::size_t size) {
 
 constexpr char kSparseMagic[8] = {'C', 'R', 'S', 'P', 'R', 'S', '1', '\n'};
 
-/// One rank chunk of a full v2 binary payload, located in place.
+/// One rank chunk of a full binary payload, located in place.
 struct ChunkExtent {
   const char* frame;   ///< start of the [len][sum] header
   const char* body;    ///< start of the chunk records (epoch first)
   std::uint64_t len;   ///< body byte count
-  std::uint64_t sum;   ///< recorded FNV-1a of the body
+  std::uint64_t sum;   ///< recorded checksum64 of the body
 };
 
-/// Walk a full v2 payload's frame structure without decoding any record
-/// (and without re-checksumming: the caller holds the payload as trusted —
-/// it was produced or checksum-verified locally).  Validates everything
-/// structural: magic, version (sparse transport requires the chunked v2
-/// layout), rank count, chunk lengths against the bytes present, and that
-/// no trailing bytes follow the final chunk.
+/// Walk a full payload's frame structure without decoding any record (and
+/// without re-checksumming: the caller holds the payload as trusted — it
+/// was produced or checksum-verified locally).  Validates everything
+/// structural: magic, version (sparse transport requires the current
+/// chunked layout), rank count, chunk lengths against the bytes present,
+/// and that no trailing bytes follow the final chunk.
 std::vector<ChunkExtent> chunk_extents(std::string_view full,
                                        const char* what) {
   BinReader r{full.data(), full.data() + full.size()};
@@ -697,7 +743,8 @@ bool chunk_is_clean(const ChunkExtent& e) {
 
 /// A sparse payload parsed and fully validated in place: header bounds,
 /// strictly ascending rank indices (rejects duplicates and overlaps),
-/// per-chunk length and checksum, no trailing bytes.
+/// per-chunk length, checksum, record structure and epoch, no trailing
+/// bytes.
 struct SparseEntry {
   std::uint32_t rank;
   std::uint64_t len;
@@ -753,10 +800,19 @@ ParsedSparse parse_sparse(std::string_view payload) {
                   "sparse snapshot: truncated rank chunk");
     CRITTER_CHECK(e.len >= 8,
                   "sparse snapshot: rank chunk shorter than its epoch");
-    CRITTER_CHECK(fnv1a(r.p, static_cast<std::size_t>(e.len)) == e.sum,
+    CRITTER_CHECK(checksum64(r.p, static_cast<std::size_t>(e.len)) == e.sum,
                   "sparse snapshot: rank-chunk checksum mismatch (corrupt "
                   "or truncated payload)");
     e.body = r.p;
+    // A chunk that checksums is not yet a chunk that decodes: walk its
+    // records (building nothing), so a holder that splices chunks without
+    // ever parsing them still admits only decodable bytes.
+    check_rank_chunk(e.body, e.len);
+    std::int64_t epoch;
+    std::memcpy(&epoch, e.body, 8);
+    CRITTER_CHECK(epoch == out.epochs[e.rank],
+                  "sparse snapshot: dirty chunk's epoch disagrees with the "
+                  "epoch array");
     r.p += e.len;
     out.entries.push_back(e);
   }
@@ -822,7 +878,7 @@ std::string splice_sparse_patch(std::string_view base_full,
     const std::size_t body = out.size();
     w.raw(b.body, static_cast<std::size_t>(b.len));
     std::memcpy(out.data() + body, &patch.epochs[rank], 8);
-    const std::uint64_t sum = fnv1a(out.data() + body, b.len);
+    const std::uint64_t sum = checksum64(out.data() + body, b.len);
     std::memcpy(out.data() + sum_at, &sum, 8);
   }
   return out;
@@ -1229,9 +1285,9 @@ StatSnapshot load_json(const std::string& text) {
 struct UpgradeRegistry {
   std::unordered_map<std::uint32_t, SnapshotUpgradeHook> hooks;
   UpgradeRegistry() {
-    // Built-in v1 -> v2 hook: version 1 predates delta serialization, so a
-    // v1 file is a full snapshot whose tombstone lists are simply empty —
-    // the decoded tables already satisfy the current semantics.
+    // Built-in v1 -> current hook: version 1 predates delta serialization,
+    // so a v1 file is a full snapshot whose tombstone lists are simply
+    // empty — the decoded tables already satisfy the current semantics.
     hooks.emplace(kLegacyVersion, [](StatSnapshot&) {});
   }
 };
@@ -1259,12 +1315,12 @@ std::uint32_t StatSnapshot::oldest_upgradable_version() {
 
 void register_snapshot_upgrade(std::uint32_t from_version,
                                SnapshotUpgradeHook hook) {
-  // The loader only ever consults the registry for version kVersion - 1
-  // (older layouts are not decodable); registering anything else would be
+  // The loader only ever consults the registry for the legacy version (the
+  // one older layout it still decodes); registering anything else would be
   // silently dead, so fail at registration time instead.
-  CRITTER_CHECK(from_version + 1 == kVersion,
+  CRITTER_CHECK(from_version == kLegacyVersion,
                 "snapshot upgrade hooks apply to version " +
-                    std::to_string(kVersion - 1) + " only");
+                    std::to_string(kLegacyVersion) + " only");
   CRITTER_CHECK(static_cast<bool>(hook), "null snapshot upgrade hook");
   upgrade_registry().hooks[from_version] = std::move(hook);
 }
@@ -1374,39 +1430,12 @@ std::string apply_sparse_patch(std::string_view base_full,
   return splice_sparse_patch(base_full, base, p);
 }
 
-void apply_sparse_patch_in_place(std::string& full_bytes, StatSnapshot& snap,
-                                 std::string_view patch) {
-  const ParsedSparse p = parse_sparse(patch);
-  CRITTER_CHECK(p.mode == 0,
-                "sparse snapshot: expected a patch (mode 0), got a "
-                "standalone delta");
-  const std::vector<ChunkExtent> base =
-      chunk_extents(full_bytes, "sparse patch base");
-  CRITTER_CHECK(snap.nranks() == static_cast<int>(p.nranks),
-                "sparse snapshot: patch rank count does not match the "
-                "decoded snapshot");
-  full_bytes = splice_sparse_patch(full_bytes, base, p);
-  // Refresh only the touched tables: dirty ranks re-decode their shipped
-  // chunk, epoch-only ranks overwrite the one field.  Untouched ranks keep
-  // their decoded table (and its dirty-tracking version) as-is.
-  std::size_t next = 0;
-  for (std::uint32_t rank = 0; rank < p.nranks; ++rank) {
-    KernelTable& t = snap.ranks[rank];
-    if (next < p.entries.size() && p.entries[next].rank == rank) {
-      const SparseEntry& e = p.entries[next++];
-      const std::uint64_t v = t.version;
-      BinReader cr{e.body, e.body + e.len};
-      t = KernelTable{};
-      read_rank_binary(cr, t, p.nranks, kVersion);
-      CRITTER_CHECK(cr.p == cr.end,
-                    "sparse snapshot: trailing content in rank chunk");
-      t.version = v + 1;
-      continue;
-    }
-    if (t.epoch != p.epochs[rank]) {
-      t.epoch = p.epochs[rank];
-      t.touch();
-    }
+void check_snapshot_payload(std::string_view full) {
+  for (const ChunkExtent& e : chunk_extents(full, "stat snapshot")) {
+    CRITTER_CHECK(checksum64(e.body, static_cast<std::size_t>(e.len)) == e.sum,
+                  "stat snapshot: rank-chunk checksum mismatch (corrupt or "
+                  "truncated payload)");
+    check_rank_chunk(e.body, e.len);
   }
 }
 
@@ -1456,7 +1485,7 @@ std::string expand_sparse_delta(std::string_view sparse) {
     }
     const std::string body = clean_chunk_body(p.epochs[rank]);
     w.u64(body.size());
-    w.u64(fnv1a(body.data(), body.size()));
+    w.u64(checksum64(body.data(), body.size()));
     w.raw(body.data(), body.size());
   }
   return out;

@@ -139,13 +139,14 @@ struct StatSnapshot {
   static std::uint32_t current_version();
   static std::uint32_t oldest_upgradable_version();
 
-  /// Versioned serialization.  Binary is the compact exact format — since
-  /// version 2 each rank table is a length-prefixed, checksummed chunk, so
-  /// truncation and corruption are detected before any record is decoded;
-  /// JSON is the interoperable one (doubles printed with 17 significant
-  /// digits, so both round-trip bit-exactly).  `version` may name the
-  /// previous version to produce files for older readers (the snapshot must
-  /// then carry no version-2-only state, i.e. no pending tombstones).
+  /// Versioned serialization.  Binary is the compact exact format — each
+  /// rank table is a length-prefixed chunk checksummed with
+  /// util::checksum64, so truncation and corruption are detected before any
+  /// record is decoded; JSON is the interoperable one (doubles printed with
+  /// 17 significant digits, so both round-trip bit-exactly).  `version` may
+  /// name the legacy version 1 to produce files for older readers (the
+  /// snapshot must then carry no pending tombstones, which version 1 cannot
+  /// represent).
   void save(std::ostream& os, Format fmt) const;
   void save(std::ostream& os, Format fmt, std::uint32_t version) const;
   void save_file(const std::string& path, Format fmt = Format::Binary) const;
@@ -156,9 +157,10 @@ struct StatSnapshot {
   /// themselves and never want a stream in between.
   std::string to_string(Format fmt = Format::Binary) const;
 
-  /// Load either format (auto-detected from the leading bytes).  Snapshots
-  /// of the previous version are accepted when an upgrade hook is
-  /// registered for it (the library pre-registers the v1 -> v2 hook).
+  /// Load either format (auto-detected from the leading bytes).  Version-1
+  /// snapshots are accepted when an upgrade hook is registered for them
+  /// (the library pre-registers one); version 2, whose chunk checksum this
+  /// build no longer computes, fails with an unsupported-version error.
   /// Throws std::runtime_error on truncated, corrupt, or unsupported-
   /// version input — always before returning partial state.
   /// from_string decodes a borrowed payload in place (rank chunks are
@@ -197,8 +199,8 @@ KernelMoments stats_to_moments(const KernelKey& key, const KernelStats& ks);
 // Dirty-rank sparse transport (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 //
-// The v2 binary snapshot frames every rank table as a length-prefixed,
-// FNV-checksummed chunk.  The sparse codec rides that framing: a sparse
+// The binary snapshot frames every rank table as a length-prefixed,
+// checksummed chunk.  The sparse codec rides that framing: a sparse
 // payload names only the *dirty* ranks and carries their chunks verbatim,
 // plus the authoritative per-rank epoch array (the epoch is the first 8
 // bytes of every chunk body, so a rank whose bytes changed only in its
@@ -208,7 +210,7 @@ KernelMoments stats_to_moments(const KernelKey& key, const KernelStats& ks);
 // the full snapshot: no float algebra, no ulp drift, bit-identity by
 // construction.  Two modes:
 //
-//   * mode 0 (patch): relative to a full v2 base payload the receiver
+//   * mode 0 (patch): relative to a full base payload the receiver
 //     already holds — the tuner daemon's TELL and journal records;
 //   * mode 1 (standalone delta): self-contained — a rank absent from the
 //     dirty list reconstructs as the canonical "clean" delta chunk (its
@@ -219,14 +221,14 @@ KernelMoments stats_to_moments(const KernelKey& key, const KernelStats& ks);
 // Every decoder is fuzz-hardened like the full codec: magic/version/mode
 // checked first, rank indices strictly ascending and bounded (duplicates
 // and overlaps rejected), every chunk length bounded by the bytes
-// remaining, every chunk checksum verified before use, trailing bytes
-// rejected.
+// remaining, every chunk checksum verified and its records walked by the
+// full decoder's own layout reader (counts, bounds, trailing bytes — no
+// table is built) before use, trailing bytes rejected.
 
 /// True when `bytes` lead with the sparse-payload magic ("CRSPRS1\n").
 bool is_sparse_payload(std::string_view bytes);
 
-/// Header summary of a sparse payload (validates magic/version/mode/nranks
-/// and the dirty count's bound, not the chunks).
+/// Summary of a validated sparse payload.
 struct SparsePayloadInfo {
   int mode = 0;               ///< 0 = patch-onto-base, 1 = standalone delta
   std::uint32_t nranks = 0;   ///< rank count of the (base) snapshot
@@ -234,24 +236,26 @@ struct SparsePayloadInfo {
 };
 SparsePayloadInfo sparse_payload_info(std::string_view bytes);
 
-/// Encode the mode-0 patch turning full v2 payload `base_full` into
+/// Encode the mode-0 patch turning full payload `base_full` into
 /// `new_full` (same rank count required).  A rank whose chunk bytes are
 /// unchanged — or differ only in the leading epoch field — ships no chunk;
 /// the decision is a byte comparison, never a version-counter shortcut.
 std::string encode_sparse_patch(std::string_view base_full,
                                 std::string_view new_full);
 
-/// Apply a mode-0 patch to a full v2 payload, returning the new full
-/// payload: exactly the `new_full` bytes encode_sparse_patch() saw.
+/// Apply a mode-0 patch to a full payload, returning the new full payload:
+/// exactly the `new_full` bytes encode_sparse_patch() saw.  Every shipped
+/// chunk is validated as above, so a holder that keeps statistics only as
+/// bytes (the tuner daemon's session state) admits nothing the decoder
+/// would reject — without decoding anything itself.  `base_full` is
+/// trusted: its frames are walked, not re-checksummed.
 std::string apply_sparse_patch(std::string_view base_full,
                                std::string_view patch);
 
-/// Apply a mode-0 patch to a cached (bytes, parsed) pair in lock step:
-/// `full_bytes` is spliced, and only the dirty ranks of `snap` are
-/// re-decoded (epoch-only ranks just overwrite the epoch field) — the
-/// tuner daemon's TELL hot path, which must not re-parse clean ranks.
-void apply_sparse_patch_in_place(std::string& full_bytes, StatSnapshot& snap,
-                                 std::string_view patch);
+/// Validate a full binary payload of the current version the way the
+/// decoder would — header, every chunk checksum, every chunk's record
+/// structure — without building any table.  Throws on the first defect.
+void check_snapshot_payload(std::string_view full);
 
 /// Encode a snapshot as a mode-1 standalone sparse delta: ranks whose
 /// chunk equals the canonical clean chunk (epoch + zero records — what
@@ -259,15 +263,16 @@ void apply_sparse_patch_in_place(std::string& full_bytes, StatSnapshot& snap,
 /// alone.  expand_sparse_delta(encode_sparse_delta(s)) == s.to_string().
 std::string encode_sparse_delta(const StatSnapshot& delta);
 
-/// Expand a mode-1 sparse delta to the exact full v2 payload it encodes.
+/// Expand a mode-1 sparse delta to the exact full payload it encodes.
 /// Rejects mode-0 patches (those need a base only their producer holds).
 std::string expand_sparse_delta(std::string_view sparse);
 
 /// Cross-version migration scaffolding: a hook registered for version `v`
 /// upgrades a snapshot decoded with version v's physical layout to the
 /// current version's semantics.  load() consults the registry whenever it
-/// meets a version-`current - 1` file; without a registered hook the load
-/// fails with an unsupported-version error.  Re-registering replaces the
+/// meets a file of the legacy version (oldest_upgradable_version()), the
+/// only older layout it decodes; without a registered hook the load fails
+/// with an unsupported-version error.  Re-registering replaces the
 /// hook (user code may wrap the built-in one).
 using SnapshotUpgradeHook = std::function<void(StatSnapshot&)>;
 void register_snapshot_upgrade(std::uint32_t from_version,

@@ -14,7 +14,9 @@ namespace critter::dist {
 
 namespace {
 
-constexpr char kCheckpointMagic[8] = {'C', 'R', 'C', 'K', 'P', 'T', '0', '1'};
+// Version 02: the trailer is util::checksum64.  The magic is checked before
+// the trailer, so a version-01 slot fails as "bad magic", not as corrupt.
+constexpr char kCheckpointMagic[8] = {'C', 'R', 'C', 'K', 'P', 'T', '0', '2'};
 
 /// Write a snapshot's serialized payload.  When the caller carries the
 /// pre-serialized bytes (ShardCheckpoint::*_bytes) they are written
@@ -87,7 +89,7 @@ std::string serialize_checkpoint(const ShardCheckpoint& c) {
   // Payload-level checksum: the publish manifest already guards the file in
   // transit, this trailer guards the bytes at the source — any flip or
   // truncation is rejected before a single field is trusted.
-  const std::uint64_t sum = util::fnv1a(w.out.data(), w.out.size());
+  const std::uint64_t sum = util::checksum64(w.out.data(), w.out.size());
   w.raw(&sum, sizeof sum);
   return w.out;
 }
@@ -97,16 +99,17 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
                                  const ShardRange& range) {
   CRITTER_CHECK(payload.size() >= sizeof kCheckpointMagic + 8,
                 "shard checkpoint: payload too short");
-  std::uint64_t declared = 0;
-  std::memcpy(&declared, payload.data() + payload.size() - 8, 8);
-  CRITTER_CHECK(util::fnv1a(payload.data(), payload.size() - 8) == declared,
-                "shard checkpoint: checksum trailer mismatch (corrupt or "
-                "torn checkpoint)");
   WireReader r{payload};
   char magic[sizeof kCheckpointMagic];
   r.raw(magic, sizeof magic);
   CRITTER_CHECK(std::memcmp(magic, kCheckpointMagic, sizeof magic) == 0,
                 "shard checkpoint: bad magic");
+  std::uint64_t declared = 0;
+  std::memcpy(&declared, payload.data() + payload.size() - 8, 8);
+  CRITTER_CHECK(util::checksum64(payload.data(), payload.size() - 8) ==
+                    declared,
+                "shard checkpoint: checksum trailer mismatch (corrupt or "
+                "torn checkpoint)");
   ShardCheckpoint c;
   c.seq = r.i64();
   c.batches = r.i32();
@@ -172,11 +175,13 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
 namespace {
 
 // Version 2: the statistics fields switched from StatSnapshot::diff deltas
-// (merged back on resume) to byte patches (spliced on resume).  A CRCKINC1
-// log cannot extend a CRCKINC2 reader's base — parse_increment rejects the
-// old magic, load_latest_checkpoint stops at the first unreadable record,
-// and the resume costs at most the increments since the last full slot.
-constexpr char kIncrementMagic[8] = {'C', 'R', 'C', 'K', 'I', 'N', 'C', '2'};
+// (merged back on resume) to byte patches (spliced on resume).  Version 3:
+// the log frames and the snapshot chunks the patches carry are checksummed
+// with util::checksum64.  An older log cannot extend a CRCKINC3 reader's
+// base — its frames fail the scan or parse_increment rejects the old
+// magic, load_latest_checkpoint stops at the first unreadable record, and
+// the resume costs at most the increments since the last full slot.
+constexpr char kIncrementMagic[8] = {'C', 'R', 'C', 'K', 'I', 'N', 'C', '3'};
 
 void write_patch_blob(WireWriter& w, const std::string& patch) {
   w.i64(static_cast<std::int64_t>(patch.size()));
@@ -384,7 +389,7 @@ std::string frame_log_record(const std::string& payload) {
   std::string out;
   out.reserve(payload.size() + 16);
   const std::uint64_t len = payload.size();
-  const std::uint64_t sum = util::fnv1a(payload.data(), payload.size());
+  const std::uint64_t sum = util::checksum64(payload.data(), payload.size());
   out.append(reinterpret_cast<const char*>(&len), 8);
   out.append(reinterpret_cast<const char*>(&sum), 8);
   out.append(payload);
@@ -400,7 +405,7 @@ std::vector<std::string> scan_log_records(const std::string& blob) {
     std::memcpy(&sum, blob.data() + pos + 8, 8);
     if (len > blob.size() - pos - 16) break;  // torn append
     const char* p = blob.data() + pos + 16;
-    if (util::fnv1a(p, static_cast<std::size_t>(len)) != sum) break;
+    if (util::checksum64(p, static_cast<std::size_t>(len)) != sum) break;
     records.emplace_back(p, static_cast<std::size_t>(len));
     pos += 16 + static_cast<std::size_t>(len);
   }

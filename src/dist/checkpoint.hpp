@@ -18,9 +18,11 @@
 //   * the non-strict exchange skips taken so far, so replay skips the
 //     same (round, peer) pairs the live run skipped.
 //
-// The payload ends in an FNV-1a trailer over everything before it, so any
-// truncation or byte flip is rejected by parse_checkpoint() even when the
-// publish manifest happens to match (e.g. corruption at the source).
+// The payload starts with the "CRCKPT02" magic and ends in a
+// util::checksum64 trailer over everything before it, so any truncation or
+// byte flip is rejected by parse_checkpoint() even when the publish
+// manifest happens to match (e.g. corruption at the source).  The magic is
+// checked first: a slot of an older format fails as "bad magic".
 // Workers alternate between two slots (ckpt_a.bin / ckpt_b.bin): a torn or
 // corrupt latest checkpoint falls back to the previous one, and a worker
 // with no valid checkpoint restarts cleanly — which is still bit-identical,
@@ -58,7 +60,7 @@ struct ShardCheckpoint {
   bool has_exchange_state = false;
   core::StatSnapshot mark;  ///< delta baseline (exchange on)
   core::StatSnapshot own;   ///< own-contribution accumulator (exchange on)
-  /// Serialized v2 payloads of the three snapshots ("" = empty snapshot).
+  /// Serialized payloads of the three snapshots ("" = empty snapshot).
   /// parse_checkpoint fills them alongside the decoded snapshots; they are
   /// the splice bases for the log's byte patches (apply_increment), and
   /// serialize_checkpoint reuses them verbatim when set — sparing a
@@ -132,7 +134,7 @@ CheckpointIncrement parse_increment(const std::string& payload,
 void apply_increment(ShardCheckpoint& ck, std::int64_t base_seq,
                      CheckpointIncrement&& inc);
 
-/// Log framing: [u64 payload length][u64 FNV-1a of payload][payload].
+/// Log framing: [u64 payload length][u64 checksum64 of payload][payload].
 std::string frame_log_record(const std::string& payload);
 
 /// The longest valid framed-record prefix of a log blob.  Scanning stops at
@@ -142,8 +144,9 @@ std::vector<std::string> scan_log_records(const std::string& blob);
 
 /// Parse and fully validate a checkpoint payload; `study`/`range` rebind
 /// the outcome configurations and bound every cursor.  Throws on any
-/// corruption — truncation, byte flips (FNV trailer), implausible
-/// counters, positions outside the range — before returning partial state.
+/// corruption — bad magic, truncation, byte flips (checksum trailer),
+/// implausible counters, positions outside the range — before returning
+/// partial state.
 ShardCheckpoint parse_checkpoint(const std::string& payload,
                                  const tune::Study& study,
                                  const ShardRange& range);

@@ -4,7 +4,7 @@
 // A run directory is, to the protocol, just a keyed blob namespace with
 // two write disciplines: plain puts (run.txt, heartbeats) and two-step
 // publishes (deltas, results, abort markers) whose manifest stamps size +
-// FNV so a reader never consumes a torn artifact.  `Store` captures
+// checksum so a reader never consumes a torn artifact.  `Store` captures
 // exactly that surface; the dist executors are written against it, so the
 // same worker loop runs over a local directory (DirStore), in-memory
 // (MemStore, which also backs the TCP server), or across machines
@@ -33,7 +33,7 @@ class Store {
   /// Read a plain blob; throws if absent.
   virtual std::string get(const std::string& key) = 0;
   virtual bool exists(const std::string& key) = 0;
-  /// Two-step publish: payload, then size/FNV manifest.
+  /// Two-step publish: payload, then size/checksum manifest.
   virtual void publish(const std::string& key, const std::string& payload) = 0;
   /// True once `key`'s publish manifest is visible.
   virtual bool published(const std::string& key) = 0;

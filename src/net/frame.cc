@@ -9,7 +9,7 @@ namespace critter::net {
 
 namespace {
 
-using util::fnv1a;
+using util::checksum64;
 
 struct Header {
   std::uint32_t magic = 0;
@@ -48,7 +48,7 @@ void check_header(const Header& h, std::uint64_t max_payload) {
 }
 
 void check_payload(const Header& h, const std::string& payload) {
-  CRITTER_CHECK(fnv1a(payload.data(), payload.size()) == h.checksum,
+  CRITTER_CHECK(checksum64(payload.data(), payload.size()) == h.checksum,
                 "net: frame payload checksum mismatch (torn or corrupted "
                 "frame)");
 }
@@ -86,7 +86,7 @@ std::string encode_frame(std::uint32_t verb, const std::string& payload) {
   h.magic = kFrameMagic;
   h.verb = verb;
   h.length = payload.size();
-  h.checksum = fnv1a(payload.data(), payload.size());
+  h.checksum = checksum64(payload.data(), payload.size());
   std::string out(kFrameHeaderBytes, '\0');
   pack_header(h, out.data());
   out += payload;

@@ -34,33 +34,35 @@ volatile std::sig_atomic_t g_daemon_terminate = 0;
 void daemon_signal_handler(int) { g_daemon_terminate = 1; }
 
 // ---------------------------------------------------------------------------
-// CRJTELL1: the daemon's incremental journal record
+// CRJTELL2: the daemon's incremental journal record
 // ---------------------------------------------------------------------------
 //
 // One record per tell between full checkpoint slots, appended framed
 // (dist::frame_log_record) to <session>/ckpt_log.bin:
 //
-//   [8B magic "CRJTELL1"] [i64 seq]
+//   [8B magic "CRJTELL2"] [i64 seq]
 //   [i32 k] k × { [i32 position] [outcome] [totals] }
 //   [i64 blob_len] [state blob]
 //
 // The state blob is the TELL's wire state field *verbatim*: "" (statistics
 // unchanged), a mode-0 sparse patch whose base is the session state after
 // the previous record — exactly what the telling client patched against —
-// or a full v2 payload (wholesale replacement).  Resume splices the blobs
+// or a full payload (wholesale replacement).  Resume splices the blobs
 // in sequence onto the base slot's serialized statistics, so no
 // re-encoding happens on either the journal or the resume path and the
 // reconstructed bytes are the live daemon's to the last bit.  Totals are
 // absolute post-tell values for the batch's positions (the only ones a
-// tell touches) — replay overwrites.
+// tell touches) — replay overwrites.  Version 2 records sit in
+// util::checksum64 log frames and carry checksum64 chunks; a version-1 log
+// fails its first frame check and replays nothing.
 //
 // The magic is deliberately not CRCKINC*: dist::load_latest_checkpoint
-// applies any log it finds as shard increments, and the first CRJTELL1
+// applies any log it finds as shard increments, and the first CRJTELL2
 // record fails that parse — ending the (empty) increment prefix — so the
 // shared loader returns the base slot untouched and the daemon replays the
 // log itself.
 
-constexpr char kTellRecordMagic[8] = {'C', 'R', 'J', 'T', 'E', 'L', 'L', '1'};
+constexpr char kTellRecordMagic[8] = {'C', 'R', 'J', 'T', 'E', 'L', 'L', '2'};
 
 /// Full-slot cadence: the journal replays at most this many records, and
 /// the log holds at most this many state blobs before it is truncated by
@@ -98,7 +100,7 @@ bool is_tell_record(const std::string& payload) {
          std::memcmp(payload.data(), kTellRecordMagic, 8) == 0;
 }
 
-/// Parse and validate one unframed CRJTELL1 payload.  Throws on anything
+/// Parse and validate one unframed CRJTELL2 payload.  Throws on anything
 /// implausible — the caller treats a bad record as the end of the valid
 /// log prefix, exactly like a torn frame.
 TellRecord parse_tell_record(const std::string& payload,
@@ -140,14 +142,18 @@ TellRecord parse_tell_record(const std::string& payload,
   return rec;
 }
 
-/// Apply one journal state blob to the running serialized-state string:
-/// the same three-way semantics the TELL handler applies live.
+/// Apply one TELL state blob to a session's serialized statistics — the
+/// live TELL handler and journal replay share it.  "" leaves the bytes
+/// unchanged; a sparse patch splices onto them; a full payload replaces
+/// them.  Either way every incoming chunk is checked with the decoder's
+/// structural rules, and no table is ever built.
 void splice_state_blob(std::string& state_bytes, const std::string& blob) {
   if (blob.empty()) return;  // statistics unchanged at this tell
   if (core::is_sparse_payload(blob)) {
     state_bytes = core::apply_sparse_patch(state_bytes, blob);
     return;
   }
+  core::check_snapshot_payload(blob);
   state_bytes = blob;  // full payload: wholesale replacement
 }
 
@@ -191,18 +197,17 @@ struct TunerDaemon::Session {
   std::vector<int> batch;
 
   // Authoritative serialized session statistics (DESIGN.md §13): "" while
-  // empty, otherwise the exact full v2 payload.  `state_snap` mirrors the
-  // decoded bytes so the TELL hot path never re-parses clean ranks, and
-  // `state_gen` names the bytes — bumped exactly when they change, so a
-  // client whose generation token matches holds these exact bytes and ASK
-  // ships nothing.
+  // empty, otherwise the exact full binary payload.  The daemon holds them
+  // only as bytes — no strategy on this side reads statistics, so TELL
+  // splices and journals without decoding a table.  `state_gen` names the
+  // bytes — bumped exactly when they change, so a client whose generation
+  // token matches holds these exact bytes and ASK ships nothing.
   std::string state_bytes;
-  StatSnapshot state_snap;
   std::uint64_t state_gen = 1;
 
   // Journal bookkeeping, in the shard worker's checkpoint format with no
   // exchange state — a daemon session has no peers.  Full slots every
-  // kTellsPerFull tells; CRJTELL1 records in ckpt_log.bin in between.
+  // kTellsPerFull tells; CRJTELL2 records in ckpt_log.bin in between.
   std::vector<ShardCheckpoint::ToldBatch> told;
   std::int64_t seq = 0;
   std::int64_t base_seq = 0;  ///< seq of the newest full slot on disk
@@ -251,28 +256,33 @@ void TunerDaemon::wait() {
 }
 
 void TunerDaemon::stop() {
-  stop_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads)
-    if (t.joinable()) t.join();
-  if (listener_) listener_->close();
-  // Final flush: a full checkpoint per session, so a restart resumes from
-  // here without replaying any increment log.
-  std::lock_guard<std::mutex> lk(sessions_mu_);
-  for (auto& [name, s] : sessions_) {
-    std::lock_guard<std::mutex> slk(s->mu);
-    try {
-      flush_session(*s);
-    } catch (const std::exception& e) {
-      obs::log_error("tuner daemon: final flush of session %s failed: %s",
-                     name.c_str(), e.what());
+  // Runs once: the destructor calls stop() again after an explicit one,
+  // and a second final flush would rewrite every slot for nothing — or
+  // fail loudly once the owner has removed the state directory.
+  std::call_once(stop_once_, [this] {
+    stop_.store(true);
+    if (accept_thread_.joinable()) accept_thread_.join();
+    std::vector<std::thread> threads;
+    {
+      std::lock_guard<std::mutex> lk(conn_mu_);
+      threads.swap(conn_threads_);
     }
-  }
+    for (std::thread& t : threads)
+      if (t.joinable()) t.join();
+    if (listener_) listener_->close();
+    // Final flush: a full checkpoint per session, so a restart resumes from
+    // here without replaying any increment log.
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    for (auto& [name, s] : sessions_) {
+      std::lock_guard<std::mutex> slk(s->mu);
+      try {
+        flush_session(*s);
+      } catch (const std::exception& e) {
+        obs::log_error("tuner daemon: final flush of session %s failed: %s",
+                       name.c_str(), e.what());
+      }
+    }
+  });
 }
 
 std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
@@ -295,13 +305,15 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
   }
   s->tuner = std::make_unique<tune::Tuner>(s->study, s->opt);
 
-  // Journal replay: the best full slot, then the longest valid CRJTELL1
+  // Journal replay: the best full slot, then the longest valid CRJTELL2
   // prefix of ckpt_log.bin on top — seq-continuous records whose state
-  // blobs byte-splice in sequence onto the slot's serialized statistics.
-  // The final spliced bytes import once (bitwise-exact), and asks are a
-  // pure function of told outcomes and ingested priors, so the resumed
-  // strategy re-proposes exactly the recorded batches — anything else is a
-  // divergence bug, not a degraded resume.
+  // blobs byte-splice in sequence onto the slot's serialized statistics,
+  // which the session keeps as bytes.  Asks are a pure function of told
+  // outcomes and ingested priors, so the resumed strategy re-proposes
+  // exactly the recorded batches — anything else is a divergence bug, not
+  // a degraded resume.  A session with no slot starts from its warm
+  // start: the state the in-process Tuner holds after construction, so
+  // the first ASK ships it to the evaluating client.
   ShardCheckpoint ck;
   std::int64_t base_seq = 0;
   std::string base_slot;
@@ -337,9 +349,6 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
         s->seq = rec.seq;
       }
     }
-    if (!s->state_bytes.empty())
-      s->state_snap = StatSnapshot::from_string(s->state_bytes);
-    s->tuner->import_state(s->state_snap);
     for (const ShardCheckpoint::ToldBatch& tb : s->told) {
       const std::vector<int> b = s->tuner->ask();
       CRITTER_CHECK(b == tb.positions,
@@ -350,6 +359,9 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
     s->tuner->restore_totals(std::move(totals));
     s->next_full_slot =
         base_slot == "ckpt_a.bin" ? "ckpt_b.bin" : "ckpt_a.bin";
+  } else if (s->opt.warm_start != nullptr) {
+    const StatSnapshot seeded = s->tuner->export_state();
+    if (!seeded.empty()) s->state_bytes = seeded.to_string();
   }
   return s;
 }
@@ -411,7 +423,7 @@ TunerDaemon::Session& TunerDaemon::resolve_session(const std::string& name) {
 
 void TunerDaemon::journal_tell(Session& s, const std::string& state_blob) {
   ScopedHistTimer flush_timer(obs::histogram("serve.journal_flush_seconds"));
-  // Between full slots, one constant-sized CRJTELL1 record per tell: the
+  // Between full slots, one constant-sized CRJTELL2 record per tell: the
   // told batch, its totals, and the TELL's state blob verbatim — the
   // sparse patch a client sent splices on resume exactly as it spliced
   // live, so the journal stays bitwise without re-serializing the whole
@@ -436,7 +448,6 @@ void TunerDaemon::journal_tell(Session& s, const std::string& state_blob) {
   c.in_round = c.batches;  // the non-exchanging worker's cursor shape
   c.told = s.told;
   c.totals = s.tuner->totals();
-  c.full = s.state_snap;
   c.full_bytes = s.state_bytes;  // written verbatim: no re-serialization
   const std::string slot = s.next_full_slot;
   core::publish_file(s.dir, slot, dist::serialize_checkpoint(c));
@@ -598,28 +609,24 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
                     "tune tell: the claimed batch belongs to another client");
       // Three-way state field (serve/protocol.hpp): "" = statistics
       // unchanged; a mode-0 sparse patch against the generation the client
-      // was shipped at ASK; or a full payload.  The patch splices into the
-      // cached (bytes, snapshot) pair — clean ranks are never re-parsed.
+      // was shipped at ASK; or a full payload.  Either splices into the
+      // session's bytes after a structural check — nothing is decoded, and
+      // the session Tuner, which never reads statistics, imports nothing.
       if (!trq.state.empty()) {
-        if (core::is_sparse_payload(trq.state)) {
-          CRITTER_CHECK(trq.base_gen == s.state_gen,
-                        "tune tell: sparse state patch against a stale "
-                        "generation — re-ask and send full state");
-          core::apply_sparse_patch_in_place(s.state_bytes, s.state_snap,
-                                            trq.state);
+        const bool sparse = core::is_sparse_payload(trq.state);
+        CRITTER_CHECK(!sparse || trq.base_gen == s.state_gen,
+                      "tune tell: sparse state patch against a stale "
+                      "generation — re-ask and send full state");
+        splice_state_blob(s.state_bytes, trq.state);
+        if (sparse) {
           ++s.sparse_tells;
           obs::counter("serve.tells.sparse").add();
         } else {
           obs::counter("serve.tells.full").add();
-          s.state_snap = StatSnapshot::from_string(trq.state);
-          s.state_bytes = trq.state;
         }
         ++s.state_gen;
       }
-      const StatSnapshot no_state;  // empty = unchanged: skip the re-import
-      s.tuner->tell_evaluated(trq.outcomes,
-                              trq.state.empty() ? no_state : s.state_snap,
-                              trq.totals);
+      s.tuner->tell_evaluated(trq.outcomes, trq.totals);
       s.told.push_back({trq.batch, std::move(trq.outcomes)});
       journal_tell(s, trq.state);
       s.claimed = false;
@@ -644,10 +651,11 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       std::lock_guard<std::mutex> lk(s.mu);
       s.bytes_in += static_cast<std::int64_t>(rq.payload.size());
       // from_string expands mode-1 sparse deltas; to_string canonicalizes
-      // the cache to the full v2 payload either way.
-      s.state_snap = StatSnapshot::from_string(snapshot);
-      s.state_bytes = s.state_snap.to_string();
-      s.tuner->import_state(s.state_snap);
+      // the bytes to the full binary payload either way.  import_state
+      // enforces the before-the-first-ask rule.
+      const StatSnapshot imported = StatSnapshot::from_string(snapshot);
+      s.tuner->import_state(imported);
+      s.state_bytes = imported.to_string();
       ++s.state_gen;
       // Out-of-band state change between full slots: journal records after
       // it would splice onto bytes no resume can reconstruct — force the

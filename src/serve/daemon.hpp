@@ -6,12 +6,16 @@
 // speak the serve/protocol.hpp verbs.  Evaluation happens *client-side*: an
 // ASK hands out the claimed batch, the evaluation hints, and the session's
 // shared statistics; the client mirrors evaluate() with its own SweepDriver
-// and TELLs back outcomes, totals contributions, and its full
-// post-evaluation statistics.  Tuner::tell_evaluated *replaces* the session
-// state with that snapshot — sound because the mirror started from exactly
-// what ASK shipped and only one claim is ever outstanding — so the state
-// after every tell is bit-identical to having evaluated locally, and N
-// concurrent clients produce exactly the single-process run_study() result.
+// and TELLs back outcomes, totals contributions, and its post-evaluation
+// statistics (a sparse patch or a full payload).  The TELL *replaces* the
+// session's statistics bytes with the client's — sound because the mirror
+// started from exactly what ASK shipped and only one claim is ever
+// outstanding — so the state after every tell is bit-identical to having
+// evaluated locally, and N concurrent clients produce exactly the
+// single-process run_study() result.  The daemon holds those statistics
+// only as bytes: its Tuner drives the strategy from outcomes alone, so a
+// TELL validates and splices the incoming chunks but decodes no table.  A
+// fresh session's bytes start from its warm start, if it has one.
 //
 // Determinism across concurrent clients: a session has at most ONE
 // outstanding claim.  The first asker claims the next strategy batch;
@@ -23,7 +27,7 @@
 //
 // Durability: every TELL journals through the dist/checkpoint.hpp
 // machinery — a FULL checkpoint (alternating ckpt_a.bin/ckpt_b.bin slots,
-// atomic publish) every kTellsPerFull tells, and a constant-sized CRJTELL1
+// atomic publish) every kTellsPerFull tells, and a constant-sized CRJTELL2
 // record appended to ckpt_log.bin in between.  A journal record carries the
 // told batch, its totals, and the TELL's state blob *verbatim* ("" =
 // unchanged, sparse patch, or full payload); resume byte-splices the blobs
@@ -102,7 +106,7 @@ class TunerDaemon {
   Session& open_session(const OpenRequest& rq);
   void resume_sessions();
   std::unique_ptr<Session> load_session(const std::string& name);
-  /// Journal one completed tell: a CRJTELL1 log record carrying
+  /// Journal one completed tell: a CRJTELL2 log record carrying
   /// `state_blob` (the TELL's state field verbatim) between full slots, a
   /// full checkpoint every kTellsPerFull tells (and whenever
   /// `s.force_full_slot` demands one — an out-of-band import desyncs the
@@ -113,6 +117,7 @@ class TunerDaemon {
   DaemonOptions opt_;
   std::unique_ptr<net::Listener> listener_;
   std::atomic<bool> stop_{false};
+  std::once_flag stop_once_;
   std::thread accept_thread_;
   std::mutex conn_mu_;
   std::vector<std::thread> conn_threads_;

@@ -64,6 +64,10 @@ class Fiber {
   /// AddressSanitizer fake-stack handle of this fiber while it is switched
   /// out (see the __sanitizer_*_switch_fiber annotations in fiber.cc).
   void* asan_fake_stack_ = nullptr;
+  /// ThreadSanitizer fiber contexts: this fiber's, and the scheduler's it
+  /// switches back to (see the __tsan_*_fiber annotations in fiber.cc).
+  void* tsan_fiber_ = nullptr;
+  void* tsan_scheduler_fiber_ = nullptr;
   void* stack_ = nullptr;
   std::size_t stack_bytes_ = 0;
   bool started_ = false;

@@ -230,7 +230,6 @@ void Tuner::tell(const std::vector<ConfigOutcome>& outcomes) {
 }
 
 void Tuner::tell_evaluated(const std::vector<ConfigOutcome>& outcomes,
-                           const core::StatSnapshot& state,
                            const std::vector<ConfigTotals>& batch_totals) {
   CRITTER_CHECK(asked_, "tell_evaluated() without a claimed batch");
   CRITTER_CHECK(!evaluated_,
@@ -238,13 +237,7 @@ void Tuner::tell_evaluated(const std::vector<ConfigOutcome>& outcomes,
                 "tell_evaluated() reports an external evaluation instead");
   CRITTER_CHECK(batch_totals.size() == pending_.size(),
                 "tell_evaluated() totals must cover the claimed batch");
-  // The remote evaluate(): the mirror ran the batch against exactly the
-  // statistics ask() exposed and nothing else touched them (one batch
-  // outstanding), so its post-run state replaces ours wholesale — bitwise
-  // the state a local run_batch would have left.  A diff/merge round trip
-  // would only be a float-algebraic identity and drift by ulps per tell.
   evaluated_ = true;
-  if (!state.empty()) driver_->import_stats(state);
   for (std::size_t k = 0; k < pending_.size(); ++k) {
     ConfigTotals& t = totals_[pending_[k]];
     t.tuning_time += batch_totals[k].tuning_time;

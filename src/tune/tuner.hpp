@@ -266,18 +266,14 @@ class Tuner {
   void tell(const std::vector<ConfigOutcome>& outcomes);
 
   /// The remote form of evaluate()+tell(): report a claimed batch that a
-  /// *mirror* evaluator ran elsewhere (a SweepDriver seeded with this
-  /// session's export_state() and fed this session's control()), together
-  /// with the mirror's FULL post-evaluation statistics and the per-entry
-  /// totals contributions, in batch order.  The mirror's state *replaces*
-  /// this session's — the mirror started from exactly the statistics ask()
-  /// exposed, and only one batch is ever outstanding, so its post-run state
-  /// IS the state a local evaluate() would have left.  Replacement (not a
-  /// diff/merge round trip, which is only a float-algebraic identity, not a
-  /// bitwise one) is what makes daemon-mediated tuning bit-reproduce the
-  /// in-process sweep (DESIGN.md §12.3).  Then tells the outcomes.
+  /// *mirror* evaluator ran elsewhere (a SweepDriver seeded with the
+  /// session's shared statistics and fed this session's control()),
+  /// together with the per-entry totals contributions, in batch order, then
+  /// tell the outcomes.  The statistics the mirror grew stay with whoever
+  /// holds them: the tuner daemon keeps them as serialized bytes, since
+  /// asks are a pure function of told outcomes and priors and this session
+  /// never reads its own statistics (DESIGN.md §12.3).
   void tell_evaluated(const std::vector<ConfigOutcome>& outcomes,
-                      const core::StatSnapshot& state,
                       const std::vector<ConfigTotals>& batch_totals);
 
   /// Evaluation hints the last ask() snapshotted for the claimed batch —

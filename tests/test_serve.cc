@@ -292,6 +292,69 @@ TEST(Daemon, JournalAppendsSparseRecordsBetweenFullSlots) {
   EXPECT_TRUE(core::file_exists(sdir + "/ckpt_log.bin"));
 }
 
+TEST(Daemon, WarmSessionReproducesTheInProcessWarmSweep) {
+  // A warm-started session must evaluate warm: its statistics start from
+  // the published warm snapshot, so the first ASK ships them to the
+  // client's mirror — exactly the state run_study's Tuner is built with.
+  const tune::Study study = small_study(6);
+  tune::TuneOptions opt;
+  opt.policy = Policy::OnlinePropagation;
+  opt.samples = 1;
+  const tune::TuneResult prev = tune::run_study(study, opt);
+  tune::TuneOptions warm = opt;
+  warm.warm_start = &prev.stats;
+  const tune::TuneResult ref = tune::run_study(study, warm);
+  ASSERT_FALSE(ref.stats.same_statistics(tune::run_study(study, opt).stats))
+      << "the warm start must change the answer, or this test proves nothing";
+
+  TempDir dir("critter_serve_warm");
+  serve::TunerDaemon daemon({dir.path});
+  serve::TunerClient client(study, warm, "warm",
+                            client_options(daemon.port()));
+  EXPECT_TRUE(client.run().done);
+  expect_matches_in_process(client, ref, "warm session");
+}
+
+TEST(Daemon, StopFlushesOnceAndDestructionAfterStopIsANoOp) {
+  // stop() is idempotent: the destructor calling it again must not write a
+  // second final slot — nor complain once the state directory is gone.
+  const tune::Study study = small_study();
+  const tune::TuneOptions opt = adaptive_options();
+  TempDir dir("critter_serve_stop");
+  const std::string sdir = dir.path + "/sessions/once";
+  const auto slots = [&] {
+    std::string all;
+    for (const char* name : {"ckpt_a.bin", "ckpt_b.bin"})
+      if (core::file_exists(sdir + "/" + name))
+        all += name + core::read_file(sdir + "/" + name);
+    return all;
+  };
+  std::string after_stop;
+  {
+    serve::TunerDaemon daemon({dir.path});
+    serve::ClientOptions partial = client_options(daemon.port());
+    partial.max_batches = 2;
+    serve::TunerClient client(study, opt, "once", partial);
+    EXPECT_EQ(client.run().tells, 2);
+    daemon.stop();
+    after_stop = slots();
+    ASSERT_FALSE(after_stop.empty());
+    daemon.stop();
+    EXPECT_EQ(slots(), after_stop) << "a second stop() flushed again";
+  }
+  EXPECT_EQ(slots(), after_stop) << "the destructor flushed again";
+
+  ::testing::internal::CaptureStderr();
+  {
+    serve::TunerDaemon daemon({dir.path});  // resumes session "once"
+    daemon.stop();
+    core::remove_dir_tree(dir.path);
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("final flush"), std::string::npos) << err;
+  EXPECT_FALSE(core::file_exists(dir.path));
+}
+
 // ---------------------------------------------------------------------------
 // Daemon-as-a-process scenarios: kill -9 resume, SIGTERM flush
 // ---------------------------------------------------------------------------

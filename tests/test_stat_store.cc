@@ -4,6 +4,7 @@
 // SizeModel state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -41,7 +42,7 @@ core::KernelTable make_table(int nranks, int salt) {
     t.key_of_hash.emplace(key.hash(), key);
   }
   std::vector<int> row;
-  for (int r = 0; r < nranks / 2; ++r) row.push_back(r);
+  for (int r = 0; r < std::max(1, nranks / 2); ++r) row.push_back(r);
   t.channels.add_channel(row);
   t.size_model.observe(key_of(0, 64, 32), 1e6 * (1 + salt), 1e-3);
   t.size_model.observe(key_of(0, 128, 64), 2e6 * (1 + salt), 2e-3);
@@ -309,15 +310,14 @@ TEST(StatSnapshot, LoadRejectsGarbage) {
 
 namespace {
 
-/// A compact two-rank snapshot for the byte-level fuzz sweeps (every
-/// truncation point / every flipped byte), where a full sweep snapshot
-/// would make the quadratic sweep take minutes.
-core::StatSnapshot small_snapshot() {
+/// A compact snapshot (two ranks unless asked otherwise) for the
+/// byte-level fuzz sweeps (every truncation point / every flipped byte),
+/// where a full sweep snapshot would make the quadratic sweep take minutes.
+core::StatSnapshot small_snapshot(int nranks = 2) {
   core::StatSnapshot s;
-  s.ranks.push_back(make_table(2, 1));
-  s.ranks.push_back(make_table(2, 2));
-  s.ranks[1].pending_eager.emplace(key_of(5, 16, 16).hash(),
-                                   samples({0.25, 0.5}));
+  for (int r = 0; r < nranks; ++r) s.ranks.push_back(make_table(nranks, r + 1));
+  s.ranks.back().pending_eager.emplace(key_of(5, 16, 16).hash(),
+                                       samples({0.25, 0.5}));
   return s;
 }
 
@@ -362,7 +362,7 @@ TEST(StatSnapshot, EveryJsonTruncationIsRejected) {
 TEST(StatSnapshot, EveryBinaryByteCorruptionIsRejected) {
   // Flip every byte in turn (XOR 0xFF).  Header corruption trips the
   // magic/version/rank-count checks; anything inside a rank chunk trips
-  // its FNV checksum before a single record is decoded.
+  // its checksum before a single record is decoded.
   const core::StatSnapshot snap = small_snapshot();
   std::ostringstream buf;
   snap.save(buf, core::StatSnapshot::Format::Binary);
@@ -377,9 +377,9 @@ TEST(StatSnapshot, EveryBinaryByteCorruptionIsRejected) {
 }
 
 TEST(StatSnapshot, PreviousVersionLoadsThroughUpgradeHook) {
-  // Cross-version migration: a version-1 file (the previous release's
-  // layout, no tombstone lists, no chunk framing) round-trips through the
-  // registered v1 -> v2 upgrade hook in both formats.
+  // Cross-version migration: a version-1 file (the legacy layout, no
+  // tombstone lists, no chunk framing, no checksums) round-trips through
+  // the registered v1 upgrade hook in both formats.
   ASSERT_TRUE(core::snapshot_upgrade_registered(
       core::StatSnapshot::oldest_upgradable_version()));
   const core::StatSnapshot snap = sweep_snapshot(Policy::EagerPropagation, true);
@@ -404,7 +404,8 @@ TEST(StatSnapshot, UnknownVersionsAreRejected) {
   const core::StatSnapshot snap = sweep_snapshot(Policy::OnlinePropagation, false);
   // Writing an unknown version is refused outright.
   std::ostringstream sink;
-  EXPECT_THROW(snap.save(sink, core::StatSnapshot::Format::Binary, 3),
+  const std::uint32_t current = core::StatSnapshot::current_version();
+  EXPECT_THROW(snap.save(sink, core::StatSnapshot::Format::Binary, current + 1),
                std::runtime_error);
   EXPECT_THROW(snap.save(sink, core::StatSnapshot::Format::Binary, 0),
                std::runtime_error);
@@ -423,6 +424,36 @@ TEST(StatSnapshot, UnknownVersionsAreRejected) {
   std::stringstream js("{\"format\":\"critter-stat-snapshot\",\"version\":99,"
                        "\"nranks\":1,\"ranks\":[{}]}");
   EXPECT_THROW(core::StatSnapshot::load(js), std::runtime_error);
+}
+
+TEST(StatSnapshot, PreviousChecksumVersionFailsByVersionNotAsCorrupt) {
+  // Version 2 shares version 3's layout but checksummed its chunks with the
+  // retired byte-serial hash.  The reader checks the version before any
+  // checksum, so such a file reports its version instead of "corrupt".
+  ASSERT_EQ(core::StatSnapshot::current_version(), 3u);
+  std::string bytes = small_snapshot().to_string();
+  bytes[8] = 2;  // bytes [8,12) hold the little-endian version u32
+  try {
+    core::StatSnapshot::from_string(bytes);
+    FAIL() << "version-2 payload accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported version 2"), std::string::npos) << what;
+    EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+  }
+  EXPECT_THROW(core::check_snapshot_payload(bytes), std::runtime_error);
+  // The same header check guards the sparse codec, which shares the version.
+  const auto base = small_snapshot();
+  std::string patch =
+      core::encode_sparse_patch(base.to_string(), base.to_string());
+  patch[8] = 2;
+  try {
+    core::sparse_payload_info(patch);
+    FAIL() << "version-2 sparse payload accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StatSnapshot, DeltaTombstonesSurviveSerialization) {
@@ -550,12 +581,18 @@ TEST(StatSnapshot, GoldenSweepStatisticsSurviveSerializationBitIdentical) {
 
 namespace {
 
-/// base -> evolved pair where only rank 1's chunk bytes change: the shape
-/// every sparse-transport test pivots on (rank 0 must be omitted).
-std::pair<core::StatSnapshot, core::StatSnapshot> patch_pair() {
-  const core::StatSnapshot base = small_snapshot();
+/// The rank counts every sparse-transport test runs over: the degenerate
+/// single-rank world, the two-rank fuzz snapshot, and an odd count — so no
+/// helper can quietly assume a particular world size.
+constexpr int kRankCounts[] = {1, 2, 3};
+
+/// base -> evolved pair where only the last rank's chunk bytes change: the
+/// shape every sparse-transport test pivots on (every other rank must be
+/// omitted).
+std::pair<core::StatSnapshot, core::StatSnapshot> patch_pair(int nranks) {
+  const core::StatSnapshot base = small_snapshot(nranks);
   core::StatSnapshot evolved = base;
-  evolved.ranks[1].merge(make_table(2, 7));
+  evolved.ranks.back().merge(make_table(nranks, 7));
   return {base, evolved};
 }
 
@@ -569,11 +606,21 @@ void put_i64(std::string& s, std::int64_t v) {
   s.append(reinterpret_cast<const char*>(&v), 8);
 }
 
+/// The canonical clean chunk body at epoch 5: the epoch, then six zero
+/// record counts.
+std::string clean_body() {
+  std::string body(8 + 6 * 8, '\0');
+  const std::int64_t epoch = 5;
+  std::memcpy(body.data(), &epoch, 8);
+  return body;
+}
+
 /// Hand-craft a sparse payload with attacker-chosen rank indices; every
-/// chunk is the canonical clean body (epoch + six zero counts) with a
-/// *correct* checksum, so only the index structure is under test.
+/// chunk is `body` (by default the clean one) under a *correct* checksum,
+/// so only the index structure or the body's records are under test.
 std::string craft_sparse(std::uint32_t nranks, std::uint8_t mode,
-                         const std::vector<std::uint32_t>& dirty_ranks) {
+                         const std::vector<std::uint32_t>& dirty_ranks,
+                         const std::string& body = clean_body()) {
   std::string s;
   s.append("CRSPRS1\n");
   put_u32(s, core::StatSnapshot::current_version());
@@ -581,13 +628,10 @@ std::string craft_sparse(std::uint32_t nranks, std::uint8_t mode,
   s.push_back(static_cast<char>(mode));
   for (std::uint32_t r = 0; r < nranks; ++r) put_i64(s, 5);
   put_u32(s, static_cast<std::uint32_t>(dirty_ranks.size()));
-  std::string body(8 + 6 * 8, '\0');
-  const std::int64_t epoch = 5;
-  std::memcpy(body.data(), &epoch, 8);
   for (std::uint32_t rank : dirty_ranks) {
     put_u32(s, rank);
     put_u64(s, body.size());
-    put_u64(s, critter::util::fnv1a(body.data(), body.size()));
+    put_u64(s, critter::util::checksum64(body.data(), body.size()));
     s += body;
   }
   return s;
@@ -596,70 +640,122 @@ std::string craft_sparse(std::uint32_t nranks, std::uint8_t mode,
 }  // namespace
 
 TEST(SparseTransport, PatchRoundTripIsByteIdentical) {
-  const auto [base, evolved] = patch_pair();
-  const std::string base_full = base.to_string();
-  const std::string new_full = evolved.to_string();
-  const std::string patch = core::encode_sparse_patch(base_full, new_full);
+  for (int nranks : kRankCounts) {
+    SCOPED_TRACE("nranks=" + std::to_string(nranks));
+    const auto [base, evolved] = patch_pair(nranks);
+    const std::string base_full = base.to_string();
+    const std::string new_full = evolved.to_string();
+    const std::string patch = core::encode_sparse_patch(base_full, new_full);
 
-  EXPECT_TRUE(core::is_sparse_payload(patch));
-  EXPECT_FALSE(core::is_sparse_payload(new_full));
-  const core::SparsePayloadInfo info = core::sparse_payload_info(patch);
-  EXPECT_EQ(info.mode, 0);
-  EXPECT_EQ(info.nranks, 2u);
-  EXPECT_EQ(info.ndirty, 1u);  // rank 0 untouched, omitted outright
-  EXPECT_LT(patch.size(), new_full.size());
+    EXPECT_TRUE(core::is_sparse_payload(patch));
+    EXPECT_FALSE(core::is_sparse_payload(new_full));
+    const core::SparsePayloadInfo info = core::sparse_payload_info(patch);
+    EXPECT_EQ(info.mode, 0);
+    EXPECT_EQ(info.nranks, static_cast<std::uint32_t>(nranks));
+    EXPECT_EQ(info.ndirty, 1u);  // every untouched rank omitted outright
+    if (nranks > 1) EXPECT_LT(patch.size(), new_full.size());
 
-  // The transport contract: splicing reproduces the target bytes exactly.
-  EXPECT_EQ(core::apply_sparse_patch(base_full, patch), new_full);
+    // The transport contract: splicing reproduces the target bytes exactly.
+    EXPECT_EQ(core::apply_sparse_patch(base_full, patch), new_full);
 
-  // Identical payloads collapse to a header-only patch that round-trips.
-  const std::string none = core::encode_sparse_patch(base_full, base_full);
-  EXPECT_EQ(core::sparse_payload_info(none).ndirty, 0u);
-  EXPECT_EQ(core::apply_sparse_patch(base_full, none), base_full);
+    // Identical payloads collapse to a header-only patch that round-trips.
+    const std::string none = core::encode_sparse_patch(base_full, base_full);
+    EXPECT_EQ(core::sparse_payload_info(none).ndirty, 0u);
+    EXPECT_EQ(core::apply_sparse_patch(base_full, none), base_full);
+  }
 }
 
 TEST(SparseTransport, EpochOnlyChangeShipsNoChunk) {
-  const core::StatSnapshot base = small_snapshot();
-  core::StatSnapshot evolved = base;
-  evolved.ranks[0].epoch += 7;  // only the leading 8 bytes of the chunk move
-  const std::string base_full = base.to_string();
-  const std::string new_full = evolved.to_string();
-  const std::string patch = core::encode_sparse_patch(base_full, new_full);
-  EXPECT_EQ(core::sparse_payload_info(patch).ndirty, 0u);
-  // Header + 2 epochs + dirty count: nowhere near a table chunk.
-  EXPECT_LE(patch.size(), 64u);
-  EXPECT_EQ(core::apply_sparse_patch(base_full, patch), new_full);
+  for (int nranks : kRankCounts) {
+    SCOPED_TRACE("nranks=" + std::to_string(nranks));
+    const core::StatSnapshot base = small_snapshot(nranks);
+    core::StatSnapshot evolved = base;
+    evolved.ranks[0].epoch += 7;  // only the leading 8 bytes of a chunk move
+    const std::string base_full = base.to_string();
+    const std::string new_full = evolved.to_string();
+    const std::string patch = core::encode_sparse_patch(base_full, new_full);
+    EXPECT_EQ(core::sparse_payload_info(patch).ndirty, 0u);
+    // Header + one epoch per rank + dirty count: nowhere near a table chunk.
+    EXPECT_LE(patch.size(), 64u);
+    EXPECT_EQ(core::apply_sparse_patch(base_full, patch), new_full);
+  }
 }
 
-TEST(SparseTransport, InPlaceApplyTracksBytesAndSnapshotTogether) {
-  const auto [base, evolved] = patch_pair();
-  std::string bytes = base.to_string();
-  core::StatSnapshot snap = core::StatSnapshot::from_string(bytes);
-  const std::uint64_t clean_version = snap.ranks[0].version;
+TEST(SparseTransport, SplicedBytesChainAndDecodeToTheTarget) {
+  // A bytes-only holder (the tuner daemon's session) chains splices and
+  // never decodes; whatever it ends up holding must still decode to the
+  // statistics its producer serialized.
+  for (int nranks : kRankCounts) {
+    SCOPED_TRACE("nranks=" + std::to_string(nranks));
+    const auto [base, evolved] = patch_pair(nranks);
+    std::string bytes = base.to_string();
+    const std::string new_full = evolved.to_string();
+    bytes = core::apply_sparse_patch(
+        bytes, core::encode_sparse_patch(bytes, new_full));
+    EXPECT_EQ(bytes, new_full);
+    EXPECT_TRUE(
+        core::StatSnapshot::from_string(bytes).same_statistics(evolved));
 
-  const std::string new_full = evolved.to_string();
-  core::apply_sparse_patch_in_place(
-      bytes, snap, core::encode_sparse_patch(bytes, new_full));
-  EXPECT_EQ(bytes, new_full);
-  EXPECT_TRUE(snap.same_statistics(core::StatSnapshot::from_string(new_full)));
-  // Only the dirty rank's table was rebuilt (and its version bumped); the
-  // clean rank kept its decoded table untouched.
-  EXPECT_EQ(snap.ranks[0].version, clean_version);
-  EXPECT_GT(snap.ranks[1].version, clean_version);
+    // Chain a second patch (epoch-only this time) onto the spliced bytes.
+    core::StatSnapshot further = evolved;
+    further.ranks[0].epoch += 3;
+    const std::string next_full = further.to_string();
+    bytes = core::apply_sparse_patch(
+        bytes, core::encode_sparse_patch(bytes, next_full));
+    EXPECT_EQ(bytes, next_full);
+    const core::StatSnapshot decoded = core::StatSnapshot::from_string(bytes);
+    EXPECT_EQ(decoded.ranks[0].epoch, further.ranks[0].epoch);
+    EXPECT_TRUE(decoded.same_statistics(further));
+    EXPECT_NO_THROW(core::check_snapshot_payload(bytes));
+  }
+}
 
-  // Chain a second patch (epoch-only this time) onto the updated cache.
-  core::StatSnapshot further = evolved;
-  further.ranks[0].epoch += 3;
-  const std::string next_full = further.to_string();
-  core::apply_sparse_patch_in_place(
-      bytes, snap, core::encode_sparse_patch(bytes, next_full));
-  EXPECT_EQ(bytes, next_full);
-  EXPECT_EQ(snap.ranks[0].epoch, further.ranks[0].epoch);
-  EXPECT_TRUE(snap.same_statistics(core::StatSnapshot::from_string(next_full)));
+TEST(SparseTransport, ChecksummedButMalformedChunksAreRejected) {
+  // A correct checksum only proves the bytes arrived as sent.  The splice
+  // must also walk each shipped chunk's records as the decoder would, or a
+  // holder that never decodes would store bytes no reader can load.
+  const std::string base_full = small_snapshot().to_string();
+  ASSERT_NO_THROW(
+      core::apply_sparse_patch(base_full, craft_sparse(2, 0, {1})));
+
+  std::string missing_records = clean_body();
+  const std::uint64_t one = 1;
+  std::memcpy(missing_records.data() + 8, &one, 8);  // 1 kernel, 0 bytes
+  std::string trailing = clean_body();
+  trailing.append(8, '\0');
+  std::string huge_count = clean_body();
+  const std::uint64_t huge = ~0ull;
+  std::memcpy(huge_count.data() + 8, &huge, 8);
+  std::string short_body(4, '\0');
+  for (const std::string& body :
+       {missing_records, trailing, huge_count, short_body}) {
+    const std::string patch = craft_sparse(2, 0, {1}, body);
+    EXPECT_THROW(core::apply_sparse_patch(base_full, patch),
+                 std::runtime_error);
+    EXPECT_THROW(core::sparse_payload_info(patch), std::runtime_error);
+  }
+  // A dirty chunk whose epoch contradicts the epoch array is refused too.
+  std::string other_epoch = clean_body();
+  const std::int64_t six = 6;
+  std::memcpy(other_epoch.data(), &six, 8);
+  EXPECT_THROW(
+      core::apply_sparse_patch(base_full, craft_sparse(2, 0, {0}, other_epoch)),
+      std::runtime_error);
+
+  // The full-payload check holds a recomputed checksum to the same rule.
+  std::string full = small_snapshot(1).to_string();
+  ASSERT_NO_THROW(core::check_snapshot_payload(full));
+  const std::size_t body_at = 8 + 4 + 4 + 16;  // magic, version, nranks, frame
+  std::memcpy(full.data() + body_at + 8, &huge, 8);  // kernel count
+  const std::uint64_t sum = critter::util::checksum64(
+      full.data() + body_at, full.size() - body_at);
+  std::memcpy(full.data() + body_at - 8, &sum, 8);
+  EXPECT_THROW(core::check_snapshot_payload(full), std::runtime_error);
+  EXPECT_THROW(core::StatSnapshot::from_string(full), std::runtime_error);
 }
 
 TEST(SparseTransport, StandaloneDeltaExpandsBitIdentical) {
-  const auto [base, evolved] = patch_pair();
+  const auto [base, evolved] = patch_pair(2);
   const core::StatSnapshot delta = evolved.diff(base);
   const std::string full = delta.to_string();
   const std::string sparse = core::encode_sparse_delta(delta);
@@ -683,16 +779,20 @@ TEST(SparseTransport, StandaloneDeltaExpandsBitIdentical) {
 }
 
 TEST(SparseTransport, EveryPatchTruncationIsRejected) {
-  const auto [base, evolved] = patch_pair();
-  const std::string base_full = base.to_string();
-  const std::string patch =
-      core::encode_sparse_patch(base_full, evolved.to_string());
-  for (std::size_t len = 0; len < patch.size(); ++len) {
-    EXPECT_THROW(core::apply_sparse_patch(
-                     base_full, std::string_view(patch).substr(0, len)),
-                 std::runtime_error)
-        << "truncation at byte " << len << " applied successfully";
+  for (int nranks : kRankCounts) {
+    SCOPED_TRACE("nranks=" + std::to_string(nranks));
+    const auto [base, evolved] = patch_pair(nranks);
+    const std::string base_full = base.to_string();
+    const std::string patch =
+        core::encode_sparse_patch(base_full, evolved.to_string());
+    for (std::size_t len = 0; len < patch.size(); ++len) {
+      EXPECT_THROW(core::apply_sparse_patch(
+                       base_full, std::string_view(patch).substr(0, len)),
+                   std::runtime_error)
+          << "truncation at byte " << len << " applied successfully";
+    }
   }
+  const auto [base, evolved] = patch_pair(2);
   const std::string sparse =
       core::encode_sparse_delta(evolved.diff(base));
   for (std::size_t len = 0; len < sparse.size(); ++len) {
@@ -706,29 +806,34 @@ TEST(SparseTransport, EveryPatchTruncationIsRejected) {
 TEST(SparseTransport, EveryPatchByteFlipIsRejectedOrStructurallySound) {
   // Flip every byte in turn.  Flips in the magic, version, mode, counts,
   // lengths, checksums, or chunk bodies must be rejected outright.  Flips
-  // inside the epoch array are data, not structure — they cannot be told
-  // from a legitimate epoch, so the *soundness* contract is that the splice
-  // still yields a payload the full decoder accepts (never an out-of-bounds
-  // splice, a torn chunk, or partial state).
-  const auto [base, evolved] = patch_pair();
-  const std::string base_full = base.to_string();
-  const std::string patch =
-      core::encode_sparse_patch(base_full, evolved.to_string());
-  int accepted = 0;
-  for (std::size_t at = 0; at < patch.size(); ++at) {
-    std::string corrupt = patch;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
-    try {
-      const std::string spliced = core::apply_sparse_patch(base_full, corrupt);
-      ++accepted;
-      EXPECT_NO_THROW(core::StatSnapshot::from_string(spliced))
-          << "flip at byte " << at << " produced a torn full payload";
-    } catch (const std::runtime_error&) {
-      // rejected — the common case
+  // inside a clean rank's epoch are data, not structure — they cannot be
+  // told from a legitimate epoch, so the *soundness* contract is that the
+  // splice still yields a payload the full decoder accepts (never an
+  // out-of-bounds splice, a torn chunk, or partial state).
+  for (int nranks : kRankCounts) {
+    SCOPED_TRACE("nranks=" + std::to_string(nranks));
+    const auto [base, evolved] = patch_pair(nranks);
+    const std::string base_full = base.to_string();
+    const std::string patch =
+        core::encode_sparse_patch(base_full, evolved.to_string());
+    int accepted = 0;
+    for (std::size_t at = 0; at < patch.size(); ++at) {
+      std::string corrupt = patch;
+      corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
+      try {
+        const std::string spliced =
+            core::apply_sparse_patch(base_full, corrupt);
+        ++accepted;
+        EXPECT_NO_THROW(core::StatSnapshot::from_string(spliced))
+            << "flip at byte " << at << " produced a torn full payload";
+      } catch (const std::runtime_error&) {
+        // rejected — the common case
+      }
     }
+    // Only the clean ranks' epochs (8 bytes each) can possibly be accepted:
+    // the dirty rank's epoch must agree with its shipped chunk.
+    EXPECT_LE(accepted, 8 * (nranks - 1));
   }
-  // Only epoch-array flips (2 ranks x 8 bytes) can possibly be accepted.
-  EXPECT_LE(accepted, 16);
 }
 
 TEST(SparseTransport, ForgedRankIndicesAreRejected) {

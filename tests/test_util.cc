@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <stdexcept>
+#include <string>
 
+#include "core/fsio.hpp"
+#include "dist/checkpoint.hpp"
+#include "net/frame.hpp"
 #include "util/cli.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -76,4 +83,114 @@ TEST(Cli, ParsesFlagsAndValues) {
 TEST(Cli, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(cu::Options(2, const_cast<char**>(argv)), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// checksum64: the one checksum behind every framed format
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t sum_of(const std::string& s) {
+  return cu::checksum64(s.data(), s.size());
+}
+
+/// The message of the exception `f` throws, or "" when it does not throw.
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(Checksum64, MatchesXxh64KnownAnswers) {
+  // XXH64 with seed 0, against the reference implementation's digests.
+  EXPECT_EQ(sum_of(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(sum_of("abc"), 0x44bc2cf5ad770999ull);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+  EXPECT_EQ(sum_of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(Checksum64, UnalignedStartHashesTheSameBytes) {
+  std::string bytes(300, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<char>(cu::mix64(i) & 0xFF);
+  for (std::size_t len : {0u, 7u, 31u, 32u, 33u, 100u, 257u}) {
+    const std::string aligned = bytes.substr(0, len);
+    for (std::size_t off = 1; off < 8; ++off) {
+      std::string shifted(off, 'x');
+      shifted += aligned;
+      EXPECT_EQ(cu::checksum64(shifted.data() + off, len), sum_of(aligned))
+          << "len " << len << " offset " << off;
+    }
+  }
+  // Every single-byte flip of a multi-stripe input changes the digest.
+  const std::string base = bytes.substr(0, 100);
+  for (std::size_t at = 0; at < base.size(); ++at) {
+    std::string flipped = base;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+    EXPECT_NE(sum_of(flipped), sum_of(base)) << "flip at " << at;
+  }
+}
+
+TEST(Checksum64, PreviousFormatsFailByIdentifierNotAsCorrupt) {
+  // Every format whose checksum changed bumped its identifier, and every
+  // reader checks the identifier before the checksum — so an artifact of
+  // the previous format names itself instead of posing as corruption.
+  namespace core = critter::core;
+  namespace dist = critter::dist;
+  namespace net = critter::net;
+  namespace tune = critter::tune;
+
+  // Network frames: "CRF1" -> "CRF2".
+  std::string frame = net::encode_frame(net::kOk, "payload");
+  EXPECT_EQ(frame.substr(0, 4), "CRF2");
+  frame[3] = '1';
+  net::Frame out;
+  EXPECT_NE(error_of([&] { net::decode_frame(frame, out); })
+                .find("bad frame magic"),
+            std::string::npos);
+
+  // Shard checkpoints: "CRCKPT01" -> "CRCKPT02", magic before trailer.
+  tune::Study study = tune::capital_cholesky_study(false);
+  study.configs.resize(2);
+  const dist::ShardRange range{0, 0, 2};
+  dist::ShardCheckpoint ck;
+  ck.seq = 1;
+  ck.totals.resize(2);
+  std::string slot = dist::serialize_checkpoint(ck);
+  EXPECT_EQ(slot.substr(0, 8), "CRCKPT02");
+  EXPECT_NO_THROW(dist::parse_checkpoint(slot, study, range));
+  slot[7] = '1';
+  const std::string slot_error =
+      error_of([&] { dist::parse_checkpoint(slot, study, range); });
+  EXPECT_NE(slot_error.find("bad magic"), std::string::npos) << slot_error;
+
+  // Checkpoint increments: "CRCKINC2" -> "CRCKINC3".
+  dist::CheckpointIncrement inc;
+  inc.base_seq = 1;
+  inc.seq = 2;
+  std::string record = dist::serialize_increment(inc);
+  EXPECT_EQ(record.substr(0, 8), "CRCKINC3");
+  EXPECT_NO_THROW(dist::parse_increment(record, study, range));
+  record[7] = '2';
+  EXPECT_NE(error_of([&] { dist::parse_increment(record, study, range); })
+                .find("bad magic"),
+            std::string::npos);
+
+  // Publish manifests: the checksum key moved from "fnv=" to "xxh64=".
+  const std::string manifest = core::publish_manifest("artifact");
+  EXPECT_NE(manifest.find("\nxxh64="), std::string::npos) << manifest;
+  EXPECT_NO_THROW(core::check_publish_manifest(manifest, "artifact", "m"));
+  const std::string old_manifest = "bytes=8\nfnv=0123456789abcdef\n";
+  EXPECT_NE(error_of([&] {
+              core::check_publish_manifest(old_manifest, "artifact", "m");
+            }).find("unparsable"),
+            std::string::npos);
 }
