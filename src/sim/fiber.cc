@@ -4,6 +4,10 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
+#include <mutex>
+#include <unordered_map>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -106,16 +110,66 @@ extern "C" void critter_fiber_swap(void** save_sp, void* restore_sp);
 
 #endif  // CRITTER_FIBER_FAST
 
+namespace {
+
+// Released fiber stacks, keyed by mapped size (guard page included) and
+// reused most-recently-released first.  Every engine run needs one stack
+// per rank; mapping, guarding and unmapping them per run cost more system
+// time than the simulation itself on parallel sweeps.  The list is
+// process-wide because sweep thread pools live for one study only, and it
+// needs no cap: every pooled stack was once live, so it never holds more
+// than the peak number of fibers alive at once.  Its mutex is also the
+// happens-before edge ThreadSanitizer needs when a stack released on one
+// thread is reused on another.  Leaked on purpose so fibers destroyed
+// during static destruction still find it.
+struct StackPool {
+  std::mutex m;
+  std::unordered_map<std::size_t, std::vector<void*>> free;
+};
+
+StackPool& stack_pool() {
+  static StackPool* pool = new StackPool;
+  return *pool;
+}
+
+void* acquire_stack(std::size_t bytes, long page) {
+  StackPool& pool = stack_pool();
+  {
+    std::lock_guard<std::mutex> lk(pool.m);
+    std::vector<void*>& list = pool.free[bytes];
+    if (!list.empty()) {
+      void* stack = list.back();
+      list.pop_back();
+      return stack;
+    }
+  }
+  void* stack = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  CRITTER_CHECK(stack != MAP_FAILED, "fiber stack mmap failed");
+  // Guard page at the low end (stacks grow down) turns overflow into SIGSEGV
+  // instead of silent corruption.  It stays protected while pooled.
+  CRITTER_CHECK(mprotect(stack, page, PROT_NONE) == 0, "guard page mprotect");
+  return stack;
+}
+
+void release_stack(void* stack, std::size_t bytes) {
+#if defined(CRITTER_ASAN_FIBERS)
+  // Frames poisoned on this stack (including those of a fiber that never
+  // finished) would otherwise trip ASan when the next fiber reuses it.
+  __asan_unpoison_memory_region(stack, bytes);
+#endif
+  StackPool& pool = stack_pool();
+  std::lock_guard<std::mutex> lk(pool.m);
+  pool.free[bytes].push_back(stack);
+}
+
+}  // namespace
+
 Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
     : body_(std::move(body)), stack_bytes_(stack_bytes) {
   const long page = sysconf(_SC_PAGESIZE);
   stack_bytes_ = ((stack_bytes_ + page - 1) / page) * page + page;  // + guard
-  stack_ = mmap(nullptr, stack_bytes_, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  CRITTER_CHECK(stack_ != MAP_FAILED, "fiber stack mmap failed");
-  // Guard page at the low end (stacks grow down) turns overflow into SIGSEGV
-  // instead of silent corruption.
-  CRITTER_CHECK(mprotect(stack_, page, PROT_NONE) == 0, "guard page mprotect");
+  stack_ = acquire_stack(stack_bytes_, page);
 #if defined(CRITTER_TSAN_FIBERS)
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -125,14 +179,7 @@ Fiber::~Fiber() {
 #if defined(CRITTER_TSAN_FIBERS)
   __tsan_destroy_fiber(tsan_fiber_);
 #endif
-  if (stack_ != nullptr) {
-#if defined(CRITTER_ASAN_FIBERS)
-    // Frames poisoned on this stack would otherwise outlive the mapping
-    // and trip ASan when the address range is reused.
-    __asan_unpoison_memory_region(stack_, stack_bytes_);
-#endif
-    munmap(stack_, stack_bytes_);
-  }
+  if (stack_ != nullptr) release_stack(stack_, stack_bytes_);
 }
 
 void Fiber::trampoline() {
@@ -170,11 +217,13 @@ void Fiber::resume() {
                    static_cast<char*>(stack_) + stack_bytes_) &
                ~static_cast<std::uintptr_t>(15);
     auto* frame = reinterpret_cast<std::uintptr_t*>(top - 16) - 7;
-    std::uint32_t fpu[2] = {0, 0};
-    asm volatile("fnstcw %0; stmxcsr %1"
-                 : "=m"(*reinterpret_cast<std::uint16_t*>(&fpu[0])),
-                   "=m"(fpu[1]));
-    frame[0] = *reinterpret_cast<std::uintptr_t*>(fpu);  // fcw @0, mxcsr @4
+    std::uint16_t fcw = 0;
+    std::uint32_t mxcsr = 0;
+    asm volatile("fnstcw %0; stmxcsr %1" : "=m"(fcw), "=m"(mxcsr));
+    unsigned char fpu[sizeof(std::uintptr_t)] = {};
+    std::memcpy(fpu, &fcw, sizeof fcw);          // fcw @0
+    std::memcpy(fpu + 4, &mxcsr, sizeof mxcsr);  // mxcsr @4
+    std::memcpy(&frame[0], fpu, sizeof fpu);
     for (int i = 1; i < 7; ++i) frame[i] = 0;  // r15, r14, r13, r12, rbx, rbp
     frame[7] = reinterpret_cast<std::uintptr_t>(&Fiber::trampoline);
     sp_ = frame;

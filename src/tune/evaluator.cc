@@ -64,38 +64,33 @@ Report Evaluator::full_reference(const Configuration& cfg,
 ConfigOutcome Evaluator::evaluate(Store& store, int index, ConfigTotals* tot,
                                   const EvalControl& ctl,
                                   Report* ref_cache) const {
+  Report local;
+  Report& full = ref_cache != nullptr ? *ref_cache : local;
+  const EvalChain c = chain(store, index, ctl);
+  reference(index, full);
+  return finish(index, c, full, tot);
+}
+
+EvalChain Evaluator::chain(Store& store, int index,
+                           const EvalControl& ctl) const {
   const Configuration& cfg = study_.configs.at(index);
   std::uint64_t salt = salt_for(index);
-  ConfigOutcome oc;
-  oc.config = cfg;
-  oc.evaluated = true;
+  EvalChain c;
 
   if (opt_.policy == Policy::AprioriPropagation) {
     // offline instrumented full pass to record critical-path counts;
     // charged to the tuning time (the paper's a-priori overhead)
     store.new_epoch();
     store.config().selective = false;
-    Report offline = one_run(store, cfg, ++salt);
+    c.offline_wall = one_run(store, cfg, ++salt).wall_time;
     store.set_apriori_from_last_run();
     store.config().selective = true;
-    tot->tuning_time += offline.wall_time;
   }
 
-  // One full execution per configuration is the error reference.  (The
-  // paper pairs every approximated sample with a full execution; we
-  // amortize one reference across the samples to keep benches fast and
-  // charge the full-execution baseline `samples` times for a fair
-  // comparison.)  The salt is consumed whether the report comes from the
-  // cache or a fresh simulation, so the selective samples below draw
-  // identical noise either way.
+  // The reference's salt (see reference()) sits between the a-priori
+  // pass and the samples; skipping it keeps the samples' noise fixed
+  // whether or not the reference is simulated.
   ++salt;
-  Report full;
-  if (ref_cache != nullptr && ref_cache->p > 0) {
-    full = *ref_cache;
-  } else {
-    full = full_reference(cfg, salt);
-    if (ref_cache != nullptr) *ref_cache = full;
-  }
 
   // Running moments of the per-sample predicted time for the CI discard.
   core::KernelStats pred;
@@ -107,10 +102,54 @@ ConfigOutcome Evaluator::evaluate(Store& store, int index, ConfigTotals* tot,
   const int nsamples = ctl.samples_override > 0
                            ? std::min(ctl.samples_override, opt_.samples)
                            : opt_.samples;
+  c.samples.reserve(nsamples);
 
   for (int s = 0; s < nsamples; ++s) {
     store.new_epoch();
-    Report sel = one_run(store, cfg, ++salt);
+    c.samples.push_back(one_run(store, cfg, ++salt));
+
+    // CI-based early discard: abandon the remaining samples once the
+    // predicted-time confidence interval lies entirely above the incumbent
+    // (plus slack).  The incumbent is fixed for the whole batch, so the
+    // decision is deterministic regardless of worker count.
+    pred.add_sample(c.samples.back().critical.exec_time);
+    if (ctl.early_discard && s + 1 < nsamples && pred.n >= 2 &&
+        std::isfinite(ctl.incumbent_pred)) {
+      const double se =
+          std::sqrt(pred.variance() / static_cast<double>(pred.n));
+      if (pred.mean - z * se > ctl.incumbent_pred * (1.0 + ctl.margin)) {
+        c.pruned = true;
+        break;
+      }
+    }
+  }
+  return c;
+}
+
+void Evaluator::reference(int index, Report& slot) const {
+  // One full execution per configuration is the error reference.  (The
+  // paper pairs every approximated sample with a full execution; we
+  // amortize one reference across the samples to keep benches fast and
+  // charge the full-execution baseline `samples` times for a fair
+  // comparison.)  Its salt follows the a-priori pass's, as if chain() had
+  // run it in place.
+  if (slot.p > 0) return;
+  const std::uint64_t salt =
+      salt_for(index) + (opt_.policy == Policy::AprioriPropagation ? 1 : 0) + 1;
+  slot = full_reference(study_.configs.at(index), salt);
+}
+
+ConfigOutcome Evaluator::finish(int index, const EvalChain& chain,
+                                const Report& full, ConfigTotals* tot) const {
+  ConfigOutcome oc;
+  oc.config = study_.configs.at(index);
+  oc.evaluated = true;
+  oc.pruned = chain.pruned;
+
+  if (opt_.policy == Policy::AprioriPropagation)
+    tot->tuning_time += chain.offline_wall;
+
+  for (const Report& sel : chain.samples) {
     ++oc.samples_used;
 
     const double true_time = full.critical.exec_time;
@@ -132,21 +171,6 @@ ConfigOutcome Evaluator::evaluate(Store& store, int index, ConfigTotals* tot,
     tot->full_time += full.critical.exec_time;  // once per sample
     tot->kernel_time += sel.max_kernel_comp_time;
     tot->full_kernel_time += full.max_modeled_comp_time;
-
-    // CI-based early discard: abandon the remaining samples once the
-    // predicted-time confidence interval lies entirely above the incumbent
-    // (plus slack).  The incumbent is fixed for the whole batch, so the
-    // decision is deterministic regardless of worker count.
-    pred.add_sample(sel.critical.exec_time);
-    if (ctl.early_discard && s + 1 < nsamples && pred.n >= 2 &&
-        std::isfinite(ctl.incumbent_pred)) {
-      const double se =
-          std::sqrt(pred.variance() / static_cast<double>(pred.n));
-      if (pred.mean - z * se > ctl.incumbent_pred * (1.0 + ctl.margin)) {
-        oc.pruned = true;
-        break;
-      }
-    }
   }
   const double inv = 1.0 / oc.samples_used;
   oc.pred_time *= inv;

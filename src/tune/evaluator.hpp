@@ -18,10 +18,15 @@
 // block, so re-evaluating at a higher budget replays the earlier samples
 // exactly and then extends them (the successive-halving strategy relies on
 // this).
+//
+// The reference reads no store and the rest never reads the reference
+// until it is scored, so the protocol splits into chain() and reference(),
+// joined by finish(); parallel sweeps run the two as separate pool tasks.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "tune/tuner.hpp"
 
@@ -39,6 +44,15 @@ struct EvalControl {
   int samples_override = 0;
 };
 
+/// The store-dependent part of one configuration's evaluation: what the
+/// a-priori pass and the selective samples reported, before they are
+/// scored against the reference.
+struct EvalChain {
+  double offline_wall = 0.0;  ///< a-priori pass wall time (0 without one)
+  std::vector<Report> samples;
+  bool pruned = false;  ///< the CI discard stopped the samples early
+};
+
 class Evaluator {
  public:
   Evaluator(const Study& study, const TuneOptions& opt);
@@ -49,14 +63,31 @@ class Evaluator {
   std::uint64_t salt_for(int index) const;
 
   /// Run the full protocol for configuration `index` against `store`
-  /// (which carries whatever statistics the sweep mode wants shared).
-  /// `ref_cache`, when given, caches the configuration's full-reference
-  /// report across evaluations (it is a pure function of (config, salt), so
-  /// successive-halving re-evaluations reuse it instead of re-simulating;
-  /// `Report::p > 0` marks a filled slot).
+  /// (which carries whatever statistics the sweep mode wants shared):
+  /// finish(chain(...), reference(...)).  `ref_cache`, when given, caches
+  /// the configuration's full-reference report across evaluations (see
+  /// reference()).
   ConfigOutcome evaluate(Store& store, int index, ConfigTotals* tot,
                          const EvalControl& ctl = {},
                          Report* ref_cache = nullptr) const;
+
+  /// The store-dependent chain of configuration `index`: the a-priori
+  /// pass, the selective samples and the CI discard.  It never reads the
+  /// reference, so it may run concurrently with reference().
+  EvalChain chain(Store& store, int index, const EvalControl& ctl) const;
+
+  /// Fill `slot` with configuration `index`'s error reference unless it is
+  /// already filled (`Report::p > 0`).  The reference is a pure function
+  /// of (configuration, salt) and touches no shared store, so a slot kept
+  /// across evaluations lets successive-halving re-evaluations reuse it
+  /// instead of re-simulating.
+  void reference(int index, Report& slot) const;
+
+  /// Score a chain against its reference and accumulate into `tot`, in
+  /// the order the protocol ran (the a-priori pass, then sample by
+  /// sample), so the split is bit-identical to one pass.
+  ConfigOutcome finish(int index, const EvalChain& chain,
+                       const Report& full, ConfigTotals* tot) const;
 
   /// One fully-instrumented, non-selective execution against a throwaway
   /// store: the error reference of evaluate() and the Fig. 3 measurement

@@ -160,44 +160,54 @@ void SweepDriver::run_batch(const std::vector<int>& batch,
       out[idx] =
           evaluator_.evaluate(*store_, idx, &tot[idx], ctl, &ref_cache_[idx]);
     }
-  } else if (plan_.mode == SweepMode::ParallelIsolated) {
-    // Each task owns an independent store (identical to a freshly reset
-    // one: reset_statistics clears exactly the state a new store lacks),
-    // so configurations evaluate concurrently yet bit-identically to the
-    // serial sweep.
-    const Config pc = profiler_config();
-    pool_->parallel_for(static_cast<int>(batch.size()), [&](int k) {
-      Store store(study_.nranks, pc);
-      const int idx = batch[k];
-      out[idx] =
-          evaluator_.evaluate(store, idx, &tot[idx], ctl, &ref_cache_[idx]);
-    });
-  } else {  // BatchShared
-    const Config pc = profiler_config();
-    std::vector<core::StatSnapshot> deltas(batch.size());
-    // Every worker evaluates against a private store restored from the
-    // shared snapshot; its result and statistics delta are pure
-    // functions of (base, index, salts, ctl), so scheduling cannot leak
-    // into the outcome.
-    pool_->parallel_for(static_cast<int>(batch.size()), [&](int k) {
-      Store store(study_.nranks, pc);
+    return;
+  }
+
+  // Parallel modes split every configuration into two pool tasks: its
+  // store-dependent chain (indices [0, n)) and its store-independent
+  // reference run (indices [n, 2n)).  The pool deals indices round-robin,
+  // so each worker starts on a chain and idle workers steal references
+  // from the back; no batch waits on one configuration's chain and
+  // reference run back to back.  ref_cache_ is the join.
+  const int n = static_cast<int>(batch.size());
+  const Config pc = profiler_config();
+  const bool shared = plan_.mode == SweepMode::BatchShared;
+  std::vector<EvalChain> chains(batch.size());
+  std::vector<core::StatSnapshot> deltas(shared ? batch.size() : 0);
+  pool_->parallel_for(2 * n, [&](int k) {
+    if (k >= n) {
+      evaluator_.reference(batch[k - n], ref_cache_[batch[k - n]]);
+      return;
+    }
+    // Isolated: each chain owns an independent store (identical to a
+    // freshly reset one: reset_statistics clears exactly the state a new
+    // store lacks), so configurations evaluate concurrently yet
+    // bit-identically to the serial sweep.  Shared: the store is restored
+    // from the shared snapshot, so the chain and its statistics delta are
+    // pure functions of (base, index, salts, ctl) and scheduling cannot
+    // leak into the outcome.
+    Store store(study_.nranks, pc);
+    if (shared) {
       store.restore(base_);
       if (reset_) store.reset_statistics();
-      const int idx = batch[k];
-      out[idx] =
-          evaluator_.evaluate(store, idx, &tot[idx], ctl, &ref_cache_[idx]);
-      deltas[k] = store.diff(base_);
-      if (reset_) {
-        // Per-configuration statistics die with the configuration; only
-        // the state that outlives reset_statistics() — channels and the
-        // extrapolation size model — crosses the barrier.
-        for (core::KernelTable& t : deltas[k].ranks) t.clear_statistics();
-      }
-    });
-    // The barrier: merge deltas in configuration order (batches arrive
-    // ascending).
-    for (std::size_t k = 0; k < batch.size(); ++k) base_.merge(deltas[k]);
+    }
+    chains[k] = evaluator_.chain(store, batch[k], ctl);
+    if (!shared) return;
+    deltas[k] = store.diff(base_);
+    if (reset_) {
+      // Per-configuration statistics die with the configuration; only the
+      // state that outlives reset_statistics() — channels and the
+      // extrapolation size model — crosses the barrier.
+      for (core::KernelTable& t : deltas[k].ranks) t.clear_statistics();
+    }
+  });
+  // The barrier: score every configuration against its reference, then
+  // merge deltas, both in configuration order (batches arrive ascending).
+  for (int k = 0; k < n; ++k) {
+    const int idx = batch[k];
+    out[idx] = evaluator_.finish(idx, chains[k], ref_cache_[idx], &tot[idx]);
   }
+  for (core::StatSnapshot& d : deltas) base_.merge(d);
 }
 
 }  // namespace critter::tune

@@ -97,9 +97,10 @@ class SweepDriver {
   core::StatSnapshot base_;             ///< BatchShared: the shared snapshot
   std::unique_ptr<util::ThreadPool> pool_;  ///< parallel modes
   /// Per-configuration full-reference cache: rung re-evaluations (halving)
-  /// reuse the deterministic reference instead of re-simulating it.  Safe
-  /// concurrently — batch indices are distinct, so each slot is touched by
-  /// one worker at a time.
+  /// reuse the deterministic reference instead of re-simulating it.  It is
+  /// also the join of the parallel modes' reference tasks: batch indices
+  /// are distinct, so each slot is written by one reference task only, and
+  /// finish() reads it after the batch barrier.
   std::vector<Report> ref_cache_;
 };
 

@@ -128,6 +128,18 @@ inline tune::TuneResult golden_sweep(const char* which) {
     opt.policy = Policy::OnlinePropagation;
     opt.batch = 2;
     opt.workers = 2;
+  } else if (w == "apriori") {
+    // Pins the reference salt's offset past the offline pass and the order
+    // in which the offline pass's wall time enters the tuning time.
+    opt.policy = Policy::AprioriPropagation;
+    opt.batch = 2;
+    opt.workers = 2;
+  } else if (w == "isolated") {
+    // Reset statistics and no extrapolation: the ParallelIsolated plan.
+    opt.policy = Policy::OnlinePropagation;
+    opt.reset_per_config = true;
+    opt.extrapolate = false;
+    opt.workers = 2;
   }
   return tune::run_study(study, opt);
 }

@@ -100,7 +100,7 @@ TEST(Frame, EveryByteCorruptionIsRejected) {
   // Flip every byte in turn (XOR 0xFF).  Magic flips fail the stream
   // check, verb flips fall off the whitelist, length flips either overrun
   // the buffer/bound or shrink the payload out from under its checksum,
-  // and checksum/payload flips fail FNV verification.
+  // and checksum/payload flips fail checksum64 verification.
   const std::string bytes = net::encode_frame(net::kTuneTell, fuzz_payload());
   for (std::size_t at = 0; at < bytes.size(); ++at) {
     std::string bad = bytes;
@@ -305,7 +305,7 @@ TEST(Blob, WireCountersMeterCompletedTransfers) {
 
 TEST(Blob, CorruptedPublishedPayloadIsAStaleManifest) {
   // Overwrite a published payload behind the manifest's back: the reader
-  // must report a stale manifest (size/FNV mismatch), exactly like the
+  // must report a stale manifest (size/checksum64 mismatch), exactly like the
   // run-directory protocol — never return the corrupted bytes.
   const std::string root = core::make_temp_dir("critter_blob_stale");
   net::DirStore dir(root);

@@ -4,6 +4,7 @@
 
 #include "sim/api.hpp"
 #include "sim/engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sim = critter::sim;
 
@@ -191,22 +192,75 @@ TEST(Engine, RankExceptionPropagates) {
                std::logic_error);
 }
 
+namespace {
+
+/// Final clocks of a noisy 16-rank allreduce loop.
+std::vector<double> noisy_allreduce_clocks(std::uint64_t salt) {
+  sim::Machine m = sim::Machine::knl_like();  // with noise
+  sim::Engine e(16, m, salt);
+  e.run([&](sim::RankCtx& ctx) {
+    sim::Comm w = sim::world();
+    std::vector<double> buf(64);
+    for (int it = 0; it < 5; ++it) {
+      sim::advance(1e-6 * (ctx.rank + 1));
+      sim::allreduce(buf.data(), buf.data(), 64 * 8, sim::reduce_sum_double(), w);
+    }
+  });
+  return e.final_clocks();
+}
+
+/// Runs that end abnormally and leave the other ranks' fibers suspended
+/// mid-call, their frames never unwound: one rank throws while its peers
+/// wait in an allreduce, or every rank waits on a receive nobody sends.
+/// The bodies keep their buffers on the fiber stack: heap memory owned by
+/// a frame that is never unwound would leak.
+void throwing_run() {
+  sim::Engine e(16, quiet());
+  EXPECT_THROW(e.run([](sim::RankCtx& ctx) {
+    double buf[64] = {};
+    for (int it = 0; it < 3; ++it) {
+      if (ctx.rank == 3 && it == 2) throw std::logic_error("boom");
+      sim::allreduce(buf, buf, sizeof buf, sim::reduce_sum_double(),
+                     sim::world());
+    }
+  }),
+               std::logic_error);
+}
+
+void deadlocked_run() {
+  sim::Engine e(16, quiet());
+  EXPECT_THROW(e.run([](sim::RankCtx& ctx) {
+    int x = 0;
+    sim::recv(&x, sizeof x, (ctx.rank + 1) % 16, 0, sim::world());
+  }),
+               std::runtime_error);
+}
+
+}  // namespace
+
 TEST(Engine, DeterministicAcrossIdenticalRuns) {
-  auto run_once = [](std::uint64_t salt) {
-    sim::Machine m = sim::Machine::knl_like();  // with noise
-    sim::Engine e(16, m, salt);
-    e.run([&](sim::RankCtx& ctx) {
-      sim::Comm w = sim::world();
-      std::vector<double> buf(64);
-      for (int it = 0; it < 5; ++it) {
-        sim::advance(1e-6 * (ctx.rank + 1));
-        sim::allreduce(buf.data(), buf.data(), 64 * 8, sim::reduce_sum_double(), w);
-      }
-    });
-    return e.max_time();
-  };
-  EXPECT_DOUBLE_EQ(run_once(1), run_once(1));
-  EXPECT_NE(run_once(1), run_once(2));  // salt changes noise
+  EXPECT_EQ(noisy_allreduce_clocks(1), noisy_allreduce_clocks(1));
+  EXPECT_NE(noisy_allreduce_clocks(1), noisy_allreduce_clocks(2));  // salt changes noise
+}
+
+// Fiber stacks are pooled and reused across engines; a stack released by a
+// run that ended abnormally must serve the next run like a fresh one.
+TEST(Engine, ReusedStacksAfterAbnormalEndsReproduceClocks) {
+  const std::vector<double> want = noisy_allreduce_clocks(1);
+  throwing_run();
+  EXPECT_EQ(noisy_allreduce_clocks(1), want);
+  deadlocked_run();
+  EXPECT_EQ(noisy_allreduce_clocks(1), want);
+
+  // Back to back on pool threads, with stacks moving between threads.
+  critter::util::ThreadPool pool(4);
+  std::vector<std::vector<double>> got(16);
+  pool.parallel_for(16, [&](int k) {
+    if (k % 2 == 0) throwing_run();
+    else deadlocked_run();
+    got[k] = noisy_allreduce_clocks(1);
+  });
+  for (const std::vector<double>& g : got) EXPECT_EQ(g, want);
 }
 
 TEST(Engine, ApiOutsideFiberThrows) {

@@ -398,7 +398,8 @@ TEST(ThreadPool, PropagatesFirstException) {
 
 namespace {
 
-/// The fixture as generated by tools/gen_golden on the pre-fast-path build.
+/// The fixture as generated by tools/gen_golden (which names the build that
+/// wrote each one).
 std::string read_fixture(const char* which) {
   const std::string path =
       std::string(CRITTER_GOLDEN_DIR) + "/sweep_" + which + ".digest";
@@ -444,4 +445,12 @@ TEST(GoldenSweep, EagerPropagationMatchesFixture) {
 
 TEST(GoldenSweep, SharedBatchParallelMatchesFixture) {
   expect_matches_fixture("batch");
+}
+
+TEST(GoldenSweep, AprioriSharedBatchMatchesFixture) {
+  expect_matches_fixture("apriori");
+}
+
+TEST(GoldenSweep, IsolatedParallelMatchesFixture) {
+  expect_matches_fixture("isolated");
 }

@@ -1,9 +1,11 @@
 // Regenerates the golden bit-identity fixtures under tests/golden/.
 //
 // The fixtures pin the *statistics content* (not acceleration structures)
-// of three deterministic SLATE-Cholesky sweeps; see tests/golden_digest.hpp
-// for exactly what is digested.  They were produced by the pre-arena,
-// pre-fast-path build and must only ever be regenerated on purpose — a
+// of five deterministic SLATE-Cholesky sweeps; see tests/golden_digest.hpp
+// for exactly what is digested.  The online, eager and batch fixtures were
+// produced by the pre-arena, pre-fast-path build; apriori and isolated by
+// the build before the evaluator's reference run became a pool task of
+// its own.  They must only ever be regenerated on purpose — a
 // performance refactor that changes these digests has broken the
 // determinism contract (DESIGN.md §6/§11), not "updated a baseline".
 //
@@ -15,7 +17,7 @@
 
 int main(int argc, char** argv) {
   const std::string dir = argc > 1 ? argv[1] : "tests/golden";
-  for (const char* which : {"online", "eager", "batch"}) {
+  for (const char* which : {"online", "eager", "batch", "apriori", "isolated"}) {
     const std::string digest = critter::testing::golden_digest(which);
     const std::string path = dir + "/sweep_" + which + ".digest";
     std::FILE* f = std::fopen(path.c_str(), "wb");
