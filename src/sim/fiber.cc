@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "util/check.hpp"
@@ -112,19 +111,23 @@ extern "C" void critter_fiber_swap(void** save_sp, void* restore_sp);
 
 namespace {
 
-// Released fiber stacks, keyed by mapped size (guard page included) and
-// reused most-recently-released first.  Every engine run needs one stack
-// per rank; mapping, guarding and unmapping them per run cost more system
-// time than the simulation itself on parallel sweeps.  The list is
-// process-wide because sweep thread pools live for one study only, and it
-// needs no cap: every pooled stack was once live, so it never holds more
-// than the peak number of fibers alive at once.  Its mutex is also the
-// happens-before edge ThreadSanitizer needs when a stack released on one
-// thread is reused on another.  Leaked on purpose so fibers destroyed
-// during static destruction still find it.
+// Usable bytes of every fiber stack; the guard page comes on top.
+constexpr std::size_t kStackBytes = 512 * 1024;
+
+// Released fiber stacks, reused most-recently-released first.  Every
+// engine run needs one stack per rank; mapping, guarding and unmapping
+// them per run cost more system time than the simulation itself on
+// parallel sweeps.  The list is process-wide because sweep thread pools
+// live for one study only, and it needs no cap: every pooled stack was
+// once live, so it never holds more than the peak number of fibers alive
+// at once.  Its pages stay mapped, so the stack pages those fibers touched
+// stay resident for the life of the process (DESIGN §11).  Its mutex is
+// also the happens-before edge ThreadSanitizer needs when a stack released
+// on one thread is reused on another.  Leaked on purpose so fibers
+// destroyed during static destruction still find it.
 struct StackPool {
   std::mutex m;
-  std::unordered_map<std::size_t, std::vector<void*>> free;
+  std::vector<void*> free;
 };
 
 StackPool& stack_pool() {
@@ -136,10 +139,9 @@ void* acquire_stack(std::size_t bytes, long page) {
   StackPool& pool = stack_pool();
   {
     std::lock_guard<std::mutex> lk(pool.m);
-    std::vector<void*>& list = pool.free[bytes];
-    if (!list.empty()) {
-      void* stack = list.back();
-      list.pop_back();
+    if (!pool.free.empty()) {
+      void* stack = pool.free.back();
+      pool.free.pop_back();
       return stack;
     }
   }
@@ -152,7 +154,7 @@ void* acquire_stack(std::size_t bytes, long page) {
   return stack;
 }
 
-void release_stack(void* stack, std::size_t bytes) {
+void release_stack(void* stack, [[maybe_unused]] std::size_t bytes) {
 #if defined(CRITTER_ASAN_FIBERS)
   // Frames poisoned on this stack (including those of a fiber that never
   // finished) would otherwise trip ASan when the next fiber reuses it.
@@ -160,15 +162,14 @@ void release_stack(void* stack, std::size_t bytes) {
 #endif
   StackPool& pool = stack_pool();
   std::lock_guard<std::mutex> lk(pool.m);
-  pool.free[bytes].push_back(stack);
+  pool.free.push_back(stack);
 }
 
 }  // namespace
 
-Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
-    : body_(std::move(body)), stack_bytes_(stack_bytes) {
+Fiber::Fiber(std::function<void()> body) : body_(std::move(body)) {
   const long page = sysconf(_SC_PAGESIZE);
-  stack_bytes_ = ((stack_bytes_ + page - 1) / page) * page + page;  // + guard
+  stack_bytes_ = ((kStackBytes + page - 1) / page) * page + page;  // + guard
   stack_ = acquire_stack(stack_bytes_, page);
 #if defined(CRITTER_TSAN_FIBERS)
   tsan_fiber_ = __tsan_create_fiber(0);

@@ -27,13 +27,13 @@ namespace critter::sim {
 
 class Fiber {
  public:
-  /// `body` runs on the fiber's own stack on first resume().  Stacks are
-  /// mmap'd with a guard page; they are virtual memory, so thousands of
+  /// `body` runs on the fiber's own 512 KB stack on first resume().  Stacks
+  /// are mmap'd with a guard page; they are virtual memory, so thousands of
   /// fibers are cheap until pages are actually touched.  A destroyed
   /// fiber's stack goes back to a process-wide free list that the next
-  /// fiber of the same stack size takes it from, so repeated engine runs
-  /// map no new stacks once the list holds their peak rank count.
-  explicit Fiber(std::function<void()> body, std::size_t stack_bytes = 512 * 1024);
+  /// fiber takes it from, so repeated engine runs map no new stacks once
+  /// the list holds their peak rank count.
+  explicit Fiber(std::function<void()> body);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;

@@ -194,7 +194,8 @@ TEST(Engine, RankExceptionPropagates) {
 
 namespace {
 
-/// Final clocks of a noisy 16-rank allreduce loop.
+/// Final clocks of DeterministicAcrossIdenticalRuns' noisy 16-rank
+/// allreduce loop, every rank's rather than only the maximum.
 std::vector<double> noisy_allreduce_clocks(std::uint64_t salt) {
   sim::Machine m = sim::Machine::knl_like();  // with noise
   sim::Engine e(16, m, salt);
@@ -239,8 +240,21 @@ void deadlocked_run() {
 }  // namespace
 
 TEST(Engine, DeterministicAcrossIdenticalRuns) {
-  EXPECT_EQ(noisy_allreduce_clocks(1), noisy_allreduce_clocks(1));
-  EXPECT_NE(noisy_allreduce_clocks(1), noisy_allreduce_clocks(2));  // salt changes noise
+  auto run_once = [](std::uint64_t salt) {
+    sim::Machine m = sim::Machine::knl_like();  // with noise
+    sim::Engine e(16, m, salt);
+    e.run([&](sim::RankCtx& ctx) {
+      sim::Comm w = sim::world();
+      std::vector<double> buf(64);
+      for (int it = 0; it < 5; ++it) {
+        sim::advance(1e-6 * (ctx.rank + 1));
+        sim::allreduce(buf.data(), buf.data(), 64 * 8, sim::reduce_sum_double(), w);
+      }
+    });
+    return e.max_time();
+  };
+  EXPECT_DOUBLE_EQ(run_once(1), run_once(1));
+  EXPECT_NE(run_once(1), run_once(2));  // salt changes noise
 }
 
 // Fiber stacks are pooled and reused across engines; a stack released by a
