@@ -171,10 +171,11 @@ int main(int argc, char** argv) {
                                             "sharded_subprocess_ckpt");
 
   // 7c. The tuner daemon (DESIGN.md §12): the identical shared sweep
-  //    through the ask/tell service — an in-process daemon journaling a
-  //    full checkpoint per tell, one TCP client mirroring the evaluation.
+  //    through the ask/tell service — an in-process daemon journaling every
+  //    tell (one increment carrying the tell's patch, a full checkpoint
+  //    slot every 17th record), one TCP client mirroring the evaluation.
   //    configs/s against (1) prices the whole service stack (framing,
-  //    loopback round trips, state shipping both ways, journal publishes);
+  //    loopback round trips, state shipping both ways, journal writes);
   //    ask_tell_round_trip_ms is the mean request latency the client saw.
   const std::string daemon_dir = critter::core::make_temp_dir("bench_tunerd");
   {

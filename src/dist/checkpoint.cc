@@ -1,5 +1,6 @@
 #include "dist/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string_view>
@@ -18,41 +19,99 @@ namespace {
 // the trailer, so a version-01 slot fails as "bad magic", not as corrupt.
 constexpr char kCheckpointMagic[8] = {'C', 'R', 'C', 'K', 'P', 'T', '0', '2'};
 
-/// Write a snapshot's serialized payload.  When the caller carries the
-/// pre-serialized bytes (ShardCheckpoint::*_bytes) they are written
-/// verbatim — the blob is then bit-identical to the splice base the log's
-/// byte patches were computed against, and the snapshot is not serialized
-/// a second time.
-void write_snapshot_blob(WireWriter& w, const core::StatSnapshot& snap,
-                         const std::string& bytes) {
-  if (!bytes.empty()) {
-    w.i64(static_cast<std::int64_t>(bytes.size()));
-    w.raw(bytes.data(), bytes.size());
-    return;
-  }
-  if (snap.empty()) {
-    w.i64(0);
-    return;
-  }
-  const std::string blob = snap.to_string();
-  w.i64(static_cast<std::int64_t>(blob.size()));
-  w.raw(blob.data(), blob.size());
+/// A length-prefixed byte blob: a snapshot payload or a patch field.
+void write_blob(WireWriter& w, const std::string& bytes) {
+  w.i64(static_cast<std::int64_t>(bytes.size()));
+  w.raw(bytes.data(), bytes.size());
 }
 
-/// Read a snapshot blob, keeping both the decoded snapshot and the raw
-/// bytes (the splice base for byte patches).
-core::StatSnapshot read_snapshot_blob(WireReader& r, std::string* bytes) {
+std::string read_blob(WireReader& r, const char* what) {
   const std::int64_t len = r.i64();
   CRITTER_CHECK(len >= 0 && r.pos + static_cast<std::size_t>(len) <=
                                 r.in.size(),
-                "shard checkpoint: truncated snapshot blob");
-  if (bytes) bytes->clear();
-  if (len == 0) return {};
-  const std::string_view blob =
-      std::string_view(r.in).substr(r.pos, static_cast<std::size_t>(len));
+                std::string(what) + ": truncated blob");
+  std::string out(r.in.data() + r.pos, static_cast<std::size_t>(len));
   r.pos += static_cast<std::size_t>(len);
-  if (bytes) bytes->assign(blob);
-  return core::StatSnapshot::from_string(blob);
+  return out;
+}
+
+core::StatSnapshot decode_or_empty(const std::string& bytes) {
+  if (bytes.empty()) return {};
+  return core::StatSnapshot::from_string(bytes);
+}
+
+// Skips and told batches are encoded the same way in slots and increments.
+
+void write_skips(WireWriter& w,
+                 const std::vector<std::pair<int, int>>& skipped) {
+  w.i32(static_cast<std::int32_t>(skipped.size()));
+  for (const auto& [round, peer] : skipped) {
+    w.i32(round);
+    w.i32(peer);
+  }
+}
+
+void write_told(WireWriter& w,
+                const std::vector<ShardCheckpoint::ToldBatch>& told) {
+  w.i32(static_cast<std::int32_t>(told.size()));
+  for (const ShardCheckpoint::ToldBatch& b : told) {
+    w.i32(static_cast<std::int32_t>(b.positions.size()));
+    for (std::size_t k = 0; k < b.positions.size(); ++k) {
+      w.i32(b.positions[k]);
+      write_outcome(w, b.outcomes[k]);
+    }
+  }
+}
+
+/// At most `max` (round, peer) skips, none naming this shard.
+std::vector<std::pair<int, int>> read_skips(WireReader& r, int max,
+                                            const ShardRange& range,
+                                            const char* what) {
+  const std::int32_t n = r.i32();
+  CRITTER_CHECK(n >= 0 && n <= max,
+                std::string(what) + ": implausible skip list");
+  std::vector<std::pair<int, int>> skipped;
+  skipped.reserve(static_cast<std::size_t>(n));
+  for (std::int32_t i = 0; i < n; ++i) {
+    const std::int32_t round = r.i32();
+    const std::int32_t peer = r.i32();
+    CRITTER_CHECK(round >= 0 && peer >= 0 && peer != range.index,
+                  std::string(what) + ": implausible skip entry");
+    skipped.emplace_back(round, peer);
+  }
+  return skipped;
+}
+
+/// At most `max` told batches, their positions ascending inside `range`.
+std::vector<ShardCheckpoint::ToldBatch> read_told(WireReader& r, int max,
+                                                  const tune::Study& study,
+                                                  const ShardRange& range,
+                                                  const char* what) {
+  const std::int32_t ntold = r.i32();
+  CRITTER_CHECK(ntold >= 0 && ntold <= max,
+                std::string(what) + ": implausible batch count");
+  std::vector<ShardCheckpoint::ToldBatch> told(
+      static_cast<std::size_t>(ntold));
+  const int nconf = static_cast<int>(study.configs.size());
+  for (ShardCheckpoint::ToldBatch& tb : told) {
+    const std::int32_t k = r.i32();
+    CRITTER_CHECK(k > 0 && k <= nconf,
+                  std::string(what) + ": implausible batch");
+    tb.positions.resize(static_cast<std::size_t>(k));
+    tb.outcomes.resize(static_cast<std::size_t>(k));
+    for (std::int32_t j = 0; j < k; ++j) {
+      const std::int32_t pos = r.i32();
+      CRITTER_CHECK(pos >= range.begin && pos < range.end && pos < nconf &&
+                        (j == 0 || tb.positions[j - 1] < pos),
+                    std::string(what) +
+                        ": batch position outside the shard range or out "
+                        "of order");
+      tb.positions[static_cast<std::size_t>(j)] = pos;
+      tb.outcomes[static_cast<std::size_t>(j)].config = study.configs[pos];
+      read_outcome(r, tb.outcomes[static_cast<std::size_t>(j)], what);
+    }
+  }
+  return told;
 }
 
 }  // namespace
@@ -65,33 +124,22 @@ std::string serialize_checkpoint(const ShardCheckpoint& c) {
   w.i32(c.rounds);
   w.i32(c.in_round);
   w.i32(c.exchange_skips);
-  w.i32(static_cast<std::int32_t>(c.skipped.size()));
-  for (const auto& [round, peer] : c.skipped) {
-    w.i32(round);
-    w.i32(peer);
-  }
-  w.i32(static_cast<std::int32_t>(c.told.size()));
-  for (const ShardCheckpoint::ToldBatch& b : c.told) {
-    w.i32(static_cast<std::int32_t>(b.positions.size()));
-    for (std::size_t k = 0; k < b.positions.size(); ++k) {
-      w.i32(b.positions[k]);
-      write_outcome(w, b.outcomes[k]);
-    }
-  }
+  write_skips(w, c.skipped);
+  write_told(w, c.told);
   w.i32(static_cast<std::int32_t>(c.totals.size()));
   for (const tune::ConfigTotals& t : c.totals) write_totals(w, t);
   w.u8(c.has_exchange_state ? 1 : 0);
-  write_snapshot_blob(w, c.full, c.full_bytes);
+  write_blob(w, c.full_bytes);
   if (c.has_exchange_state) {
-    write_snapshot_blob(w, c.mark, c.mark_bytes);
-    write_snapshot_blob(w, c.own, c.own_bytes);
+    write_blob(w, c.mark_bytes);
+    write_blob(w, c.own_bytes);
   }
   // Payload-level checksum: the publish manifest already guards the file in
   // transit, this trailer guards the bytes at the source — any flip or
   // truncation is rejected before a single field is trusted.
   const std::uint64_t sum = util::checksum64(w.out.data(), w.out.size());
   w.raw(&sum, sizeof sum);
-  return w.out;
+  return std::move(w.out);
 }
 
 ShardCheckpoint parse_checkpoint(const std::string& payload,
@@ -119,42 +167,11 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
   CRITTER_CHECK(c.seq >= 1 && c.batches >= 0 && c.rounds >= 0 &&
                     c.in_round >= 0 && c.exchange_skips >= 0,
                 "shard checkpoint: implausible cursors");
-  const std::int32_t nskips = r.i32();
-  CRITTER_CHECK(nskips >= 0 && nskips <= c.exchange_skips,
-                "shard checkpoint: implausible skip list");
-  c.skipped.reserve(static_cast<std::size_t>(nskips));
-  for (std::int32_t i = 0; i < nskips; ++i) {
-    const std::int32_t round = r.i32();
-    const std::int32_t peer = r.i32();
-    CRITTER_CHECK(round >= 0 && peer >= 0 && peer != range.index,
-                  "shard checkpoint: implausible skip entry");
-    c.skipped.emplace_back(round, peer);
-  }
-  const std::int32_t ntold = r.i32();
-  CRITTER_CHECK(ntold == c.batches,
+  c.skipped = read_skips(r, c.exchange_skips, range, "shard checkpoint");
+  c.told = read_told(r, c.batches, study, range, "shard checkpoint");
+  CRITTER_CHECK(static_cast<int>(c.told.size()) == c.batches,
                 "shard checkpoint: told-batch count does not match the "
                 "cursor");
-  c.told.resize(static_cast<std::size_t>(ntold));
-  const int nconf = static_cast<int>(study.configs.size());
-  for (std::int32_t b = 0; b < ntold; ++b) {
-    const std::int32_t k = r.i32();
-    CRITTER_CHECK(k > 0 && k <= nconf, "shard checkpoint: implausible batch");
-    ShardCheckpoint::ToldBatch& tb = c.told[static_cast<std::size_t>(b)];
-    tb.positions.resize(static_cast<std::size_t>(k));
-    tb.outcomes.resize(static_cast<std::size_t>(k));
-    for (std::int32_t j = 0; j < k; ++j) {
-      const std::int32_t pos = r.i32();
-      CRITTER_CHECK(pos >= range.begin && pos < range.end &&
-                        pos < nconf &&
-                        (j == 0 || tb.positions[j - 1] < pos),
-                    "shard checkpoint: batch position outside the shard "
-                    "range or out of order");
-      tb.positions[static_cast<std::size_t>(j)] = pos;
-      tb.outcomes[static_cast<std::size_t>(j)].config = study.configs[pos];
-      read_outcome(r, tb.outcomes[static_cast<std::size_t>(j)],
-                   "shard checkpoint");
-    }
-  }
   const std::int32_t ntotals = r.i32();
   CRITTER_CHECK(ntotals == range.end - range.begin,
                 "shard checkpoint: totals do not cover the shard range");
@@ -162,13 +179,16 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
   for (std::int32_t i = 0; i < ntotals; ++i)
     read_totals(r, c.totals[static_cast<std::size_t>(i)]);
   c.has_exchange_state = r.u8() != 0;
-  c.full = read_snapshot_blob(r, &c.full_bytes);
+  c.full_bytes = read_blob(r, "shard checkpoint");
   if (c.has_exchange_state) {
-    c.mark = read_snapshot_blob(r, &c.mark_bytes);
-    c.own = read_snapshot_blob(r, &c.own_bytes);
+    c.mark_bytes = read_blob(r, "shard checkpoint");
+    c.own_bytes = read_blob(r, "shard checkpoint");
   }
   CRITTER_CHECK(r.pos == payload.size() - 8,
                 "shard checkpoint: trailing garbage");
+  c.full = decode_or_empty(c.full_bytes);
+  c.mark = decode_or_empty(c.mark_bytes);
+  c.own = decode_or_empty(c.own_bytes);
   return c;
 }
 
@@ -179,22 +199,12 @@ namespace {
 // the log frames and the snapshot chunks the patches carry are checksummed
 // with util::checksum64.  An older log cannot extend a CRCKINC3 reader's
 // base — its frames fail the scan or parse_increment rejects the old
-// magic, load_latest_checkpoint stops at the first unreadable record, and
+// magic, SessionJournal::resume stops at the first unreadable record, and
 // the resume costs at most the increments since the last full slot.
 constexpr char kIncrementMagic[8] = {'C', 'R', 'C', 'K', 'I', 'N', 'C', '3'};
 
-void write_patch_blob(WireWriter& w, const std::string& patch) {
-  w.i64(static_cast<std::int64_t>(patch.size()));
-  w.raw(patch.data(), patch.size());
-}
-
 std::string read_patch_blob(WireReader& r) {
-  const std::int64_t len = r.i64();
-  CRITTER_CHECK(len >= 0 && r.pos + static_cast<std::size_t>(len) <=
-                                r.in.size(),
-                "checkpoint increment: truncated patch blob");
-  std::string out(r.in.data() + r.pos, static_cast<std::size_t>(len));
-  r.pos += static_cast<std::size_t>(len);
+  std::string out = read_blob(r, "checkpoint increment");
   // Shape check only ("" / sparse / full snapshot payload); the chunk-level
   // validation happens when apply_increment splices and re-decodes.
   CRITTER_CHECK(out.empty() || core::is_sparse_payload(out) ||
@@ -202,18 +212,6 @@ std::string read_patch_blob(WireReader& r) {
                 "checkpoint increment: patch blob is neither empty, sparse, "
                 "nor a snapshot payload");
   return out;
-}
-
-/// Resolve one increment patch field against the base payload bytes.
-std::string patch_bytes(const std::string& base, const std::string& patch) {
-  if (patch.empty()) return base;  // unchanged
-  if (core::is_sparse_payload(patch)) return core::apply_sparse_patch(base, patch);
-  return patch;  // wholesale replacement (empty -> non-empty transitions)
-}
-
-core::StatSnapshot decode_or_empty(const std::string& bytes) {
-  if (bytes.empty()) return {};
-  return core::StatSnapshot::from_string(bytes);
 }
 
 }  // namespace
@@ -227,31 +225,20 @@ std::string serialize_increment(const CheckpointIncrement& inc) {
   w.i32(inc.rounds);
   w.i32(inc.in_round);
   w.i32(inc.exchange_skips);
-  w.i32(static_cast<std::int32_t>(inc.new_skipped.size()));
-  for (const auto& [round, peer] : inc.new_skipped) {
-    w.i32(round);
-    w.i32(peer);
-  }
-  w.i32(static_cast<std::int32_t>(inc.new_told.size()));
-  for (const ShardCheckpoint::ToldBatch& b : inc.new_told) {
-    w.i32(static_cast<std::int32_t>(b.positions.size()));
-    for (std::size_t k = 0; k < b.positions.size(); ++k) {
-      w.i32(b.positions[k]);
-      write_outcome(w, b.outcomes[k]);
-    }
-  }
+  write_skips(w, inc.new_skipped);
+  write_told(w, inc.new_told);
   w.i32(static_cast<std::int32_t>(inc.dirty_totals.size()));
   for (const auto& [idx, t] : inc.dirty_totals) {
     w.i32(idx);
     write_totals(w, t);
   }
   w.u8(inc.has_exchange_state ? 1 : 0);
-  write_patch_blob(w, inc.full_patch);
+  write_blob(w, inc.full_patch);
   if (inc.has_exchange_state) {
-    write_patch_blob(w, inc.mark_patch);
-    write_patch_blob(w, inc.own_patch);
+    write_blob(w, inc.mark_patch);
+    write_blob(w, inc.own_patch);
   }
-  return w.out;
+  return std::move(w.out);
 }
 
 CheckpointIncrement parse_increment(const std::string& payload,
@@ -273,41 +260,10 @@ CheckpointIncrement parse_increment(const std::string& payload,
                     inc.batches >= 0 && inc.rounds >= 0 && inc.in_round >= 0 &&
                     inc.exchange_skips >= 0,
                 "checkpoint increment: implausible cursors");
-  const std::int32_t nskips = r.i32();
-  CRITTER_CHECK(nskips >= 0 && nskips <= inc.exchange_skips,
-                "checkpoint increment: implausible skip list");
-  inc.new_skipped.reserve(static_cast<std::size_t>(nskips));
-  for (std::int32_t i = 0; i < nskips; ++i) {
-    const std::int32_t round = r.i32();
-    const std::int32_t peer = r.i32();
-    CRITTER_CHECK(round >= 0 && peer >= 0 && peer != range.index,
-                  "checkpoint increment: implausible skip entry");
-    inc.new_skipped.emplace_back(round, peer);
-  }
-  const std::int32_t ntold = r.i32();
-  CRITTER_CHECK(ntold >= 0 && ntold <= inc.batches,
-                "checkpoint increment: implausible batch count");
-  inc.new_told.resize(static_cast<std::size_t>(ntold));
-  const int nconf = static_cast<int>(study.configs.size());
-  for (std::int32_t b = 0; b < ntold; ++b) {
-    const std::int32_t k = r.i32();
-    CRITTER_CHECK(k > 0 && k <= nconf,
-                  "checkpoint increment: implausible batch");
-    ShardCheckpoint::ToldBatch& tb = inc.new_told[static_cast<std::size_t>(b)];
-    tb.positions.resize(static_cast<std::size_t>(k));
-    tb.outcomes.resize(static_cast<std::size_t>(k));
-    for (std::int32_t j = 0; j < k; ++j) {
-      const std::int32_t pos = r.i32();
-      CRITTER_CHECK(pos >= range.begin && pos < range.end && pos < nconf &&
-                        (j == 0 || tb.positions[j - 1] < pos),
-                    "checkpoint increment: batch position outside the shard "
-                    "range or out of order");
-      tb.positions[static_cast<std::size_t>(j)] = pos;
-      tb.outcomes[static_cast<std::size_t>(j)].config = study.configs[pos];
-      read_outcome(r, tb.outcomes[static_cast<std::size_t>(j)],
-                   "checkpoint increment");
-    }
-  }
+  inc.new_skipped =
+      read_skips(r, inc.exchange_skips, range, "checkpoint increment");
+  inc.new_told = read_told(r, inc.batches, study, range,
+                           "checkpoint increment");
   const std::int32_t ndirty = r.i32();
   const std::int32_t nrange = range.end - range.begin;
   CRITTER_CHECK(ndirty >= 0 && ndirty <= nrange,
@@ -333,6 +289,26 @@ CheckpointIncrement parse_increment(const std::string& payload,
   return inc;
 }
 
+namespace {
+
+/// Move an increment's cursors, new batches, new skips and dirty totals
+/// into `ck` — everything but the statistics payloads.
+void advance(ShardCheckpoint& ck, CheckpointIncrement&& inc) {
+  ck.seq = inc.seq;
+  ck.batches = inc.batches;
+  ck.rounds = inc.rounds;
+  ck.in_round = inc.in_round;
+  ck.exchange_skips = inc.exchange_skips;
+  ck.skipped.insert(ck.skipped.end(), inc.new_skipped.begin(),
+                    inc.new_skipped.end());
+  for (ShardCheckpoint::ToldBatch& tb : inc.new_told)
+    ck.told.push_back(std::move(tb));
+  for (auto& [idx, t] : inc.dirty_totals)
+    ck.totals[static_cast<std::size_t>(idx)] = t;
+}
+
+}  // namespace
+
 void apply_increment(ShardCheckpoint& ck, std::int64_t base_seq,
                      CheckpointIncrement&& inc) {
   CRITTER_CHECK(inc.base_seq == base_seq,
@@ -354,27 +330,17 @@ void apply_increment(ShardCheckpoint& ck, std::int64_t base_seq,
   // Resolve every byte patch (and re-decode the results — which validates
   // each spliced payload chunk by chunk) before mutating anything, so a
   // patch that does not fit its base leaves `ck` untouched.
-  std::string full_bytes = patch_bytes(ck.full_bytes, inc.full_patch);
+  std::string full_bytes = patched_bytes(ck.full_bytes, inc.full_patch);
   std::string mark_bytes, own_bytes;
   if (inc.has_exchange_state) {
-    mark_bytes = patch_bytes(ck.mark_bytes, inc.mark_patch);
-    own_bytes = patch_bytes(ck.own_bytes, inc.own_patch);
+    mark_bytes = patched_bytes(ck.mark_bytes, inc.mark_patch);
+    own_bytes = patched_bytes(ck.own_bytes, inc.own_patch);
   }
   core::StatSnapshot full, mark, own;
   if (!inc.full_patch.empty()) full = decode_or_empty(full_bytes);
   if (!inc.mark_patch.empty()) mark = decode_or_empty(mark_bytes);
   if (!inc.own_patch.empty()) own = decode_or_empty(own_bytes);
-  ck.seq = inc.seq;
-  ck.batches = inc.batches;
-  ck.rounds = inc.rounds;
-  ck.in_round = inc.in_round;
-  ck.exchange_skips = inc.exchange_skips;
-  ck.skipped.insert(ck.skipped.end(), inc.new_skipped.begin(),
-                    inc.new_skipped.end());
-  for (ShardCheckpoint::ToldBatch& tb : inc.new_told)
-    ck.told.push_back(std::move(tb));
-  for (auto& [idx, t] : inc.dirty_totals)
-    ck.totals[static_cast<std::size_t>(idx)] = t;
+  advance(ck, std::move(inc));
   ck.full_bytes = std::move(full_bytes);
   if (!inc.full_patch.empty()) ck.full = std::move(full);
   if (inc.has_exchange_state) {
@@ -412,51 +378,201 @@ std::vector<std::string> scan_log_records(const std::string& blob) {
   return records;
 }
 
-std::string checkpoint_slot_name(std::int64_t seq) {
-  return (seq % 2 != 0) ? "ckpt_a.bin" : "ckpt_b.bin";
+std::string patched_bytes(const std::string& base, const std::string& patch) {
+  if (patch.empty()) return base;  // unchanged
+  if (core::is_sparse_payload(patch))
+    return core::apply_sparse_patch(base, patch);
+  core::check_snapshot_payload(patch);
+  return patch;  // full payload: wholesale replacement
 }
 
-bool load_latest_checkpoint(const std::string& dir, const tune::Study& study,
-                            const ShardRange& range, ShardCheckpoint* out,
-                            std::int64_t* base_seq, std::string* base_slot) {
-  bool found = false;
-  for (const char* name : {"ckpt_a.bin", "ckpt_b.bin"}) {
-    if (!core::published(dir, name)) continue;
+// ---------------------------------------------------------------------------
+// SessionJournal
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr const char* kSlotNames[2] = {"ckpt_a.bin", "ckpt_b.bin"};
+constexpr const char* kLogName = "ckpt_log.bin";
+
+}  // namespace
+
+SessionJournal::SessionJournal(std::string dir, ShardRange range,
+                               bool exchanging)
+    : dir_(std::move(dir)), range_(range), exchanging_(exchanging) {
+  reset();
+}
+
+void SessionJournal::reset() {
+  state_ = {};
+  state_.totals.resize(static_cast<std::size_t>(range_.end - range_.begin));
+  state_.has_exchange_state = exchanging_;
+  base_seq_ = 0;
+  next_slot_ = 0;
+  force_full_ = false;
+}
+
+bool SessionJournal::resume(const tune::Study& study, Decoded* decoded) {
+  ShardCheckpoint best;
+  int best_slot = -1;
+  for (int slot = 0; slot < 2; ++slot) {
+    if (!core::published(dir_, kSlotNames[slot])) continue;
     try {
-      ShardCheckpoint c =
-          parse_checkpoint(core::read_published(dir, name), study, range);
-      if (!found || c.seq > out->seq) {
-        *out = std::move(c);
-        *base_slot = name;
-        found = true;
+      ShardCheckpoint c = parse_checkpoint(
+          core::read_published(dir_, kSlotNames[slot]), study, range_);
+      if (best_slot < 0 || c.seq > best.seq) {
+        best = std::move(c);
+        best_slot = slot;
       }
     } catch (const std::exception&) {
       // Torn or corrupt slot: fall back to the other one, or clean restart.
     }
   }
-  if (!found) return false;
-  *base_seq = out->seq;
-  const std::string log_path = dir + "/ckpt_log.bin";
-  if (core::file_exists(log_path)) {
+  if (best_slot < 0) return false;
+  const std::int64_t base_seq = best.seq;
+  const std::string log_path = dir_ + "/" + kLogName;
+  const bool had_log = core::file_exists(log_path);
+  if (had_log) {
     for (const std::string& payload :
          scan_log_records(core::read_file(log_path))) {
       try {
-        apply_increment(*out, *base_seq,
-                        parse_increment(payload, study, range));
+        apply_increment(best, base_seq,
+                        parse_increment(payload, study, range_));
       } catch (const std::exception&) {
         break;  // discontinuity (e.g. a log outliving its base): stop here
       }
     }
   }
+  if (decoded != nullptr)
+    *decoded = {std::move(best.full), std::move(best.mark),
+                std::move(best.own)};
+  best.full = best.mark = best.own = {};
+  state_ = std::move(best);
+  base_seq_ = base_seq;
+  next_slot_ = 1 - best_slot;
+  // Whatever the log held, re-base: an increment appended behind a torn,
+  // corrupt or stale tail would be unreachable by the next resume.
+  force_full_ = had_log;
   return true;
 }
 
-void discard_checkpoints(const std::string& dir) {
-  for (const char* name : {"ckpt_a.bin", "ckpt_b.bin"}) {
-    for (const char* suffix : {"", ".ok", ".tmp", ".ok.tmp"})
-      std::remove((dir + "/" + name + suffix).c_str());
+void SessionJournal::replay(tune::Tuner& tuner,
+                            util::FunctionRef after_batch) const {
+  for (const ShardCheckpoint::ToldBatch& tb : state_.told) {
+    CRITTER_CHECK(tuner.ask() == tb.positions,
+                  "journal replay diverged: the strategy proposed a "
+                  "different batch than the journal recorded");
+    tuner.tell(tb.outcomes);
+    if (after_batch) after_batch();
   }
-  std::remove((dir + "/ckpt_log.bin").c_str());
+}
+
+void SessionJournal::discard() {
+  for (const char* name : kSlotNames) {
+    for (const char* suffix : {"", ".ok", ".tmp", ".ok.tmp"})
+      std::remove((dir_ + "/" + name + suffix).c_str());
+  }
+  std::remove((dir_ + "/" + kLogName).c_str());
+  reset();
+}
+
+bool SessionJournal::next_is_full() const {
+  return force_full_ || base_seq_ == 0 ||
+         state_.seq - base_seq_ >= kIncrementsPerFull;
+}
+
+void SessionJournal::replace_bytes(std::string full_bytes) {
+  state_.full_bytes = std::move(full_bytes);
+  force_full_ = true;
+}
+
+void SessionJournal::record(Step step,
+                            const std::vector<tune::ConfigTotals>& totals) {
+  const bool full_slot = next_is_full();
+  CheckpointIncrement inc;
+  inc.base_seq = base_seq_;
+  inc.seq = state_.seq + 1;
+  inc.batches = state_.batches + static_cast<int>(step.told.size());
+  inc.rounds = exchanging_ ? step.rounds : 0;
+  inc.in_round = exchanging_ ? step.in_round : inc.batches;
+  inc.exchange_skips =
+      state_.exchange_skips + static_cast<int>(step.skipped.size());
+  inc.new_skipped = std::move(step.skipped);
+  inc.new_told = std::move(step.told);
+  // The totals a record rewrites are those of its new batches' positions:
+  // a tell touches no others.
+  std::vector<int> dirty;
+  for (const ShardCheckpoint::ToldBatch& tb : inc.new_told)
+    for (int pos : tb.positions) dirty.push_back(pos - range_.begin);
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  for (int idx : dirty)
+    inc.dirty_totals.emplace_back(
+        idx, totals[static_cast<std::size_t>(range_.begin + idx)]);
+  inc.has_exchange_state = exchanging_;
+  inc.full_patch = std::move(step.full_patch);
+  inc.mark_patch = std::move(step.mark_patch);
+  inc.own_patch = std::move(step.own_patch);
+  // Take the new payloads and free the old ones before the record buffers
+  // are allocated, which keeps the peak heap (and the pages it faults in)
+  // down.  A move-assignment would hand each old buffer to `step` instead,
+  // keeping it alive through the write.
+  if (step.full_bytes) state_.full_bytes.swap(*step.full_bytes);
+  if (step.mark_bytes) state_.mark_bytes.swap(*step.mark_bytes);
+  if (step.own_bytes) state_.own_bytes.swap(*step.own_bytes);
+  step = {};
+  const std::string framed =
+      full_slot ? std::string() : frame_log_record(serialize_increment(inc));
+  advance(state_, std::move(inc));
+  // Until this write lands the disk is behind state_, and only a full slot
+  // can catch it up.
+  force_full_ = true;
+  if (full_slot) {
+    state_.totals.assign(totals.begin() + range_.begin,
+                         totals.begin() + range_.end);
+    write(true, serialize_checkpoint(state_));
+    base_seq_ = state_.seq;
+    next_slot_ = 1 - next_slot_;
+  } else {
+    write(false, framed);
+  }
+  force_full_ = false;
+}
+
+void SessionJournal::write(bool full_slot, const std::string& bytes) {
+  const std::string log_path = dir_ + "/" + kLogName;
+  const char* slot = kSlotNames[next_slot_];
+  const auto write_as = [&](Damage damage) {
+    std::string bad;
+    if (damage == Damage::Corrupt) {
+      bad = bytes;
+      bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x5a);
+    }
+    const std::string& out = damage == Damage::Corrupt ? bad : bytes;
+    if (!full_slot) {
+      if (damage == Damage::Torn)
+        core::append_file(log_path, out.substr(0, out.size() / 2));
+      else
+        core::append_file(log_path, out);
+      return;
+    }
+    if (damage == Damage::Torn) {
+      // The kill -9 point of a publish: the payload renamed into place,
+      // its manifest never written.
+      core::write_file_atomic(dir_ + "/" + slot, out);
+      return;
+    }
+    core::publish_file(dir_, slot, out);
+    if (damage != Damage::None) return;
+    // Only after the new base is fully published: drop the log extending
+    // the previous base.  A crash in between resumes from the new slot,
+    // whose seq the stale log's records do not extend.
+    std::remove(log_path.c_str());
+  };
+  if (seam_)
+    seam_(write_as);
+  else
+    write_as(Damage::None);
 }
 
 }  // namespace critter::dist

@@ -1,6 +1,6 @@
-// Shard checkpoint format: the durable record a subprocess worker
-// periodically publishes so a relaunched worker can resume its sweep
-// bit-identically (DESIGN.md §10).
+// Shard checkpoint format: the durable record a session journal publishes
+// so a relaunched shard worker or a restarted tuner daemon can resume its
+// session bit-identically (DESIGN.md §10).
 //
 // A checkpoint is the full replay recipe of a session prefix:
 //
@@ -23,14 +23,19 @@
 // byte flip is rejected by parse_checkpoint() even when the publish
 // manifest happens to match (e.g. corruption at the source).  The magic is
 // checked first: a slot of an older format fails as "bad magic".
-// Workers alternate between two slots (ckpt_a.bin / ckpt_b.bin): a torn or
-// corrupt latest checkpoint falls back to the previous one, and a worker
-// with no valid checkpoint restarts cleanly — which is still bit-identical,
-// since round deltas persist in the exchange mailbox and re-publishing is
-// idempotent.
+//
+// SessionJournal (bottom of this file) is the one writer and reader of the
+// format: full checkpoints in two alternating slots, CRCKINC3 increments in
+// an append-only log between them.  Shard workers and tuner-daemon sessions
+// both journal through it.  A torn or corrupt latest slot falls back to the
+// previous one, and a worker with no valid checkpoint restarts cleanly —
+// which is still bit-identical, since round deltas persist in the exchange
+// mailbox and re-publishing is idempotent.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +43,7 @@
 #include "core/stat_store.hpp"
 #include "dist/executor.hpp"
 #include "tune/tuner.hpp"
+#include "util/function_ref.hpp"
 
 namespace critter::dist {
 
@@ -56,24 +62,25 @@ struct ShardCheckpoint {
   std::vector<ToldBatch> told;  ///< one entry per completed batch
   /// Accumulated totals for the shard's range, indexed range-relative.
   std::vector<tune::ConfigTotals> totals;
-  core::StatSnapshot full;  ///< session statistics at the checkpoint
   bool has_exchange_state = false;
-  core::StatSnapshot mark;  ///< delta baseline (exchange on)
-  core::StatSnapshot own;   ///< own-contribution accumulator (exchange on)
-  /// Serialized payloads of the three snapshots ("" = empty snapshot).
-  /// parse_checkpoint fills them alongside the decoded snapshots; they are
-  /// the splice bases for the log's byte patches (apply_increment), and
-  /// serialize_checkpoint reuses them verbatim when set — sparing a
-  /// re-serialization and guaranteeing the written blob is the exact byte
-  /// string the patches were computed against.
+  /// Serialized payloads of the session statistics, and with exchange on
+  /// of the delta baseline and the own-contribution accumulator ("" =
+  /// empty snapshot).  serialize_checkpoint writes these bytes verbatim,
+  /// so a slot is the exact byte string the log's byte patches splice onto.
   std::string full_bytes;
   std::string mark_bytes;
   std::string own_bytes;
+  /// The same three payloads decoded.  Read side only: parse_checkpoint
+  /// and apply_increment fill them for a resume; nothing serializes them,
+  /// and a SessionJournal's state() never holds them.
+  core::StatSnapshot full;
+  core::StatSnapshot mark;
+  core::StatSnapshot own;
 };
 
-/// Incremental checkpoint record.  Between two full checkpoints a worker
-/// appends one framed increment per checkpoint to the shard's append-only
-/// ckpt_log.bin instead of rewriting the whole replay recipe — the full
+/// Incremental checkpoint record.  Between two full checkpoints the journal
+/// appends one framed increment per record to its append-only log instead
+/// of rewriting the whole replay recipe — the full
 /// snapshot, the complete told history, and the totals grow with the sweep,
 /// while what a single checkpoint actually adds stays constant-sized.  An
 /// increment carries only the change since the previous record (full or
@@ -86,7 +93,8 @@ struct ShardCheckpoint {
 ///   * a mode-0 sparse payload (core::encode_sparse_patch, DESIGN.md §13)
 ///     that splices dirty rank chunks onto the previous record's bytes;
 ///   * a full CRSTAT payload — wholesale replacement, used when the
-///     previous record had no snapshot to patch (empty -> non-empty).
+///     previous record had no snapshot to patch (empty -> non-empty), and
+///     by the tuner daemon whenever a client TELLs full state.
 ///
 /// Byte patches replace the StatSnapshot::diff deltas of the original
 /// CRCKINC1 scheme: a spliced payload is the *exact* byte string the worker
@@ -151,28 +159,112 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
                                  const tune::Study& study,
                                  const ShardRange& range);
 
-/// The slot a checkpoint of sequence number `seq` publishes to: odd
-/// sequences use "ckpt_a.bin", even ones "ckpt_b.bin" (double buffering —
-/// the previous checkpoint survives a torn publish of the next).
-std::string checkpoint_slot_name(std::int64_t seq);
+/// The payload bytes one patch field turns `base` into: "" leaves them
+/// unchanged, a mode-0 sparse patch (DESIGN.md §13) splices dirty rank
+/// chunks onto them, and a full payload replaces them.  Every incoming
+/// chunk is checked with the decoder's structural rules, but no table is
+/// built.  Increment replay and the tuner daemon's TELL both resolve
+/// patches here.
+std::string patched_bytes(const std::string& base, const std::string& patch);
 
-/// Load the best full checkpoint slot under `dir`, then extend it with the
-/// longest valid prefix of the increment log (DESIGN.md §11): records that
-/// frame-verify, parse, and apply continuously on top of the base.  A torn
-/// or corrupt record ends the prefix — everything before it already
-/// reproduced a consistent state.  Reports the base's slot and sequence so
-/// the resumed owner keeps alternating slots and appending increments
-/// against the right base.  False when neither slot holds a usable
-/// checkpoint.  Shared by relaunched shard workers and the resuming tuner
-/// daemon (serve/daemon.hpp).
-bool load_latest_checkpoint(const std::string& dir, const tune::Study& study,
-                            const ShardRange& range, ShardCheckpoint* out,
-                            std::int64_t* base_seq, std::string* base_slot);
+/// The durable journal of one tuning session (DESIGN.md §10, §11): a full
+/// checkpoint slot, then up to kIncrementsPerFull increments appended to
+/// the log, then a full slot in the other slot, and so on.  Two owners use
+/// it — a shard worker (with exchange state) and a tuner-daemon session
+/// (without) — and each only says what a record adds.  The journal holds
+/// the one copy of the journaled state and makes every durable decision:
+/// full slot or increment, which slot, publishing a new slot before it
+/// removes the log, and re-basing after a resume.
+class SessionJournal {
+ public:
+  /// A full slot, then up to this many increments, then a full slot.
+  static constexpr std::int64_t kIncrementsPerFull = 16;
 
-/// Clean restart must drop any surviving slots: later checkpoints restart
-/// the sequence at 1, and a stale higher-seq slot would win the next
-/// resume.  The increment log goes with them — its records extend a base
-/// that no longer exists.
-void discard_checkpoints(const std::string& dir);
+  /// What one record adds to state(): the newly told batches and skips,
+  /// the exchange cursors, and each statistics payload's new bytes with
+  /// the byte patch that turns state()'s bytes into them.  A payload whose
+  /// bytes are left unset is unchanged, and its patch stays "".
+  struct Step {
+    std::vector<ShardCheckpoint::ToldBatch> told;
+    std::vector<std::pair<int, int>> skipped;
+    /// Exchange cursors after the step.  Without exchange they are not
+    /// read: rounds stay 0 and in_round counts every batch.
+    int rounds = 0;
+    int in_round = 0;
+    std::optional<std::string> full_bytes, mark_bytes, own_bytes;
+    std::string full_patch, mark_patch, own_patch;
+  };
+
+  /// How a fault-injected write reaches the disk.  Torn: half an increment
+  /// is appended, or a full slot's payload is renamed in without its
+  /// manifest.  Corrupt: the record is written with one byte corrupted.
+  enum class Damage { None, Torn, Corrupt };
+  /// The fault-injection seam on the journal's write step (tests only).
+  /// Once set, every record is written by calling the `write` the seam is
+  /// handed, exactly once, with the damage to inflict.  A seam that
+  /// inflicts damage must end the process: the journal does not go on.
+  using WriteSeam =
+      std::function<void(const std::function<void(Damage)>& write)>;
+
+  /// A journal under `dir` for the configurations of `range`; `exchanging`
+  /// adds the mark/own payloads to every record.
+  SessionJournal(std::string dir, ShardRange range, bool exchanging);
+
+  /// The resumed statistics payloads, decoded — for an owner that rebuilds
+  /// a live session from them.
+  struct Decoded {
+    core::StatSnapshot full, mark, own;
+  };
+
+  /// Load the newest valid full slot, then apply the longest valid prefix
+  /// of the log to it; the decoded payloads go to `decoded` if given, and
+  /// state() keeps bytes only.  If a log file was present, the next record
+  /// is a full slot: increments appended after a torn or stale tail could
+  /// not be reached by a later resume.  False, with state() unchanged, when
+  /// no slot is usable.
+  bool resume(const tune::Study& study, Decoded* decoded = nullptr);
+
+  /// Re-ask and re-tell every told batch of state() into `tuner`; throws if
+  /// the strategy proposes any batch other than the recorded one (replay,
+  /// not trust).  `after_batch` runs after each batch.
+  void replay(tune::Tuner& tuner, util::FunctionRef after_batch = {}) const;
+
+  /// Clean restart: remove both slots and the log, and reset state().
+  void discard();
+
+  /// The journaled state as of the last record or resume.
+  const ShardCheckpoint& state() const { return state_; }
+
+  /// True when the next record will be a full slot; patches are not read.
+  bool next_is_full() const;
+
+  /// Make the next record a full slot.
+  void force_full() { force_full_ = true; }
+
+  /// Replace the session statistics bytes out of band (a warm start, an
+  /// import).  Increments after it would patch bytes no resume can
+  /// rebuild, so the next record is a full slot.
+  void replace_bytes(std::string full_bytes);
+
+  /// Journal one record.  `totals` are the session's per-configuration
+  /// totals, indexed by study position; a record stores the entries its
+  /// new batches touched (a full slot stores the whole range).
+  void record(Step step, const std::vector<tune::ConfigTotals>& totals);
+
+  void set_write_seam(WriteSeam seam) { seam_ = std::move(seam); }
+
+ private:
+  void reset();
+  void write(bool full_slot, const std::string& bytes);
+
+  std::string dir_;
+  ShardRange range_;
+  bool exchanging_ = false;
+  ShardCheckpoint state_;
+  std::int64_t base_seq_ = 0;  ///< seq of the full slot the log extends
+  int next_slot_ = 0;          ///< always the slot not holding the base
+  bool force_full_ = false;
+  WriteSeam seam_;
+};
 
 }  // namespace critter::dist

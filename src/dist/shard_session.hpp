@@ -9,7 +9,6 @@
 #include "core/stat_store.hpp"
 #include "dist/executor.hpp"
 #include "tune/tuner.hpp"
-#include "util/check.hpp"
 
 namespace critter::dist {
 
@@ -58,20 +57,6 @@ class ShardSession {
     *outcomes = session_.evaluate(*batch);
     session_.tell(*outcomes);
     return true;
-  }
-
-  /// Checkpoint replay: re-ask the strategy and feed it the recorded
-  /// outcomes without evaluating (tell() contributes no kernel statistics
-  /// — the resumed session's statistics were restored wholesale).  The
-  /// strategy must propose the recorded batch exactly; anything else means
-  /// the checkpoint belongs to a different run.
-  void replay_tell(const std::vector<int>& batch,
-                   const std::vector<tune::ConfigOutcome>& outcomes) {
-    const std::vector<int> asked = session_.ask();
-    CRITTER_CHECK(asked == batch,
-                  "checkpoint replay diverged: the strategy proposed a "
-                  "different batch than the checkpoint recorded");
-    session_.tell(outcomes);
   }
 
   /// Checkpoint replay of one peer's historical round delta: strategy

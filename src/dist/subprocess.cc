@@ -8,10 +8,11 @@
 //                                fault-injection spec
 //   <run_dir>/warm.snap[.ok]     optional warm-start snapshot
 //   <run_dir>/shard<k>/          per-shard: result.bin[.ok] (published
-//                                ShardResult), ckpt_a.bin/ckpt_b.bin[.ok]
-//                                (alternating recovery checkpoints),
-//                                heartbeat (atomically rewritten liveness
-//                                counter), error.txt, log.txt
+//                                ShardResult), the session journal's
+//                                checkpoint slots and increment log
+//                                (dist/checkpoint.hpp), heartbeat
+//                                (atomically rewritten liveness counter),
+//                                error.txt, log.txt
 //   <run_dir>/exchange/          mailbox: s<k>_r<j>.snap[.ok] round deltas,
 //                                s<k>.done final round-count markers
 //   <run_dir>/abort[.ok]         published by the launcher on fleet
@@ -193,10 +194,12 @@ std::string progress_name(int shard) {
 ///   crash-on-start      _exit(41) before doing anything
 ///   hang-after-batch    stop beating and sleep forever after `arg` batches
 ///   corrupt-delta       corrupt the published round-`arg` delta (0)
-///   corrupt-checkpoint  corrupt checkpoint #`arg` (2), then _exit(43)
-///   kill-mid-checkpoint SIGKILL between checkpoint #`arg` (2)'s payload
-///                       rename and its manifest write (the kill-9 torn
-///                       point)
+///   corrupt-checkpoint  write checkpoint #`arg` (2) with one byte corrupted,
+///                       then _exit(43)
+///   kill-mid-checkpoint tear checkpoint #`arg` (2), then SIGKILL: an
+///                       increment's append stops halfway; a full slot's
+///                       payload is renamed in without its manifest (the
+///                       kill-9 torn point)
 ///   slow-exchange       delay the round-0 delta publish by `arg` ms (1000)
 ///   skip-result         finish but never publish the result (always fires)
 /// `times` bounds how many worker attempts fire the fault (default 1), via
@@ -443,18 +446,19 @@ core::StatSnapshot read_peer_now(net::Store& store, int p, int round) {
 /// contains.  Throws if anything diverges; the caller then restarts clean.
 std::unique_ptr<ShardSession> resume_session(
     const tune::Study& study, const tune::TuneOptions& opt,
-    const ShardRange& range, const ShardCheckpoint& ck, bool exchanging,
-    int every, int nshards, net::Store& store, Heartbeat& hb) {
+    const ShardRange& range, const SessionJournal& journal,
+    SessionJournal::Decoded&& decoded, bool exchanging, int every,
+    int nshards, net::Store& store, Heartbeat& hb) {
+  const ShardCheckpoint& ck = journal.state();
   auto ss = std::make_unique<ShardSession>(study, opt);
-  ss->session().import_state(ck.full);
+  ss->session().import_state(decoded.full);
   const auto skipped_at = [&ck](int round, int peer) {
     for (const auto& [r, p] : ck.skipped)
       if (r == round && p == peer) return true;
     return false;
   };
   int round = 0, in_round = 0, batches = 0;
-  for (const ShardCheckpoint::ToldBatch& tb : ck.told) {
-    ss->replay_tell(tb.positions, tb.outcomes);
+  journal.replay(ss->session(), [&] {
     hb.beat(++batches);
     ++in_round;
     if (exchanging && in_round == every) {
@@ -466,7 +470,7 @@ std::unique_ptr<ShardSession> resume_session(
       ++round;
       in_round = 0;
     }
-  }
+  });
   CRITTER_CHECK(round == ck.rounds && in_round == ck.in_round,
                 "checkpoint replay diverged: round cursors do not match");
   std::vector<tune::ConfigTotals> totals(study.configs.size());
@@ -474,7 +478,8 @@ std::unique_ptr<ShardSession> resume_session(
     totals[i] = ck.totals[i - range.begin];
   ss->session().restore_totals(std::move(totals));
   if (ck.has_exchange_state)
-    ss->restore_exchange_state(ck.mark, ck.own, ck.rounds);
+    ss->restore_exchange_state(std::move(decoded.mark),
+                               std::move(decoded.own), ck.rounds);
   return ss;
 }
 
@@ -538,12 +543,33 @@ int worker_body(const WorkerArgs& args) {
   obs::set_phase("resume");
   hb.beat(0);
 
-  // --- resume from the last valid checkpoint, if any ---
+  // --- resume from the session journal, if it holds a checkpoint ---
+  // Probe regardless of ckpt_every: a signal-flushed worker leaves a final
+  // checkpoint behind even when periodic checkpointing is off, and its
+  // relaunch must pick it up.
+  SessionJournal journal(shard_dir, range, exchanging);
   std::unique_ptr<ShardSession> ss;
-  std::vector<ShardCheckpoint::ToldBatch> told;
-  std::vector<std::pair<int, int>> skipped;
-  int batches = 0, round = 0, in_round = 0, skips = 0, resumed_batches = 0;
-  std::int64_t ckpt_seq = 0;
+  int batches = 0, round = 0, in_round = 0, resumed_batches = 0;
+  SessionJournal::Decoded decoded;
+  if (journal.resume(study, &decoded)) {
+    try {
+      ss = resume_session(study, opt, range, journal, std::move(decoded),
+                          exchanging, every, nshards, store, hb);
+      const ShardCheckpoint& ck = journal.state();
+      batches = resumed_batches = ck.batches;
+      round = ck.rounds;
+      in_round = ck.in_round;
+    } catch (const std::exception& e) {
+      obs::log_warn("shard %d: checkpoint resume failed (%s) — restarting "
+                    "clean",
+                    args.shard, e.what());
+      ss.reset();
+    }
+  }
+  if (!ss) {
+    journal.discard();
+    ss = std::make_unique<ShardSession>(study, opt);
+  }
   // Mailbox traffic this attempt moved: published delta payloads plus live
   // peer reads (replay re-reads during resume are history, not new wire).
   std::int64_t exchange_bytes = 0;
@@ -552,71 +578,6 @@ int worker_body(const WorkerArgs& args) {
   // come from the Tuner itself).
   double exchange_s = 0.0, checkpoint_s = 0.0;
   int gc_next = 0;  ///< first own-delta round not yet retired by GC
-  // Incremental-checkpoint bookkeeping: the base full checkpoint the log
-  // extends, the slot the *next* full should use (always the one not
-  // holding the current base), and the state as of the previous record so
-  // increments can carry byte patches (serialized payloads) and suffixes
-  // (told, skipped).  The version vectors pre-filter mark/own work: those
-  // snapshots only move at exchange rounds, so most checkpoints skip their
-  // serialization outright.
-  std::int64_t ckpt_base_seq = 0;
-  std::string next_full_slot = "ckpt_a.bin";
-  std::string prev_full_bytes, prev_mark_bytes, prev_own_bytes;
-  std::vector<std::uint64_t> prev_mark_vers, prev_own_vers;
-  std::size_t prev_told = 0, prev_skipped = 0;
-  const std::string ckpt_log = shard_dir + "/ckpt_log.bin";
-  // Probe for resumable checkpoints regardless of ckpt_every: a signal-
-  // flushed worker leaves a final checkpoint behind even when periodic
-  // checkpointing is off, and its relaunch must pick it up.
-  {
-    ShardCheckpoint ck;
-    std::string base_slot;
-    if (load_latest_checkpoint(shard_dir, study, range, &ck, &ckpt_base_seq,
-                               &base_slot)) {
-      try {
-        ss = resume_session(study, opt, range, ck, exchanging, every, nshards,
-                            store, hb);
-        batches = ck.batches;
-        round = ck.rounds;
-        in_round = ck.in_round;
-        skips = ck.exchange_skips;
-        skipped = ck.skipped;
-        resumed_batches = ck.batches;
-        ckpt_seq = ck.seq;
-        next_full_slot =
-            base_slot == "ckpt_a.bin" ? "ckpt_b.bin" : "ckpt_a.bin";
-        prev_full_bytes = std::move(ck.full_bytes);
-        prev_mark_bytes = std::move(ck.mark_bytes);
-        prev_own_bytes = std::move(ck.own_bytes);
-        prev_mark_vers = version_vector(ss->mark());
-        prev_own_vers = version_vector(ss->own_stats());
-        told = std::move(ck.told);
-        prev_told = told.size();
-        prev_skipped = skipped.size();
-      } catch (const std::exception& e) {
-        obs::log_warn("shard %d: checkpoint resume failed (%s) — restarting "
-                      "clean",
-                      args.shard, e.what());
-        ss.reset();
-        told.clear();
-        skipped.clear();
-        batches = round = in_round = skips = resumed_batches = 0;
-        ckpt_seq = 0;
-        ckpt_base_seq = 0;
-        next_full_slot = "ckpt_a.bin";
-        prev_full_bytes.clear();
-        prev_mark_bytes.clear();
-        prev_own_bytes.clear();
-        prev_mark_vers.clear();
-        prev_own_vers.clear();
-        prev_told = prev_skipped = 0;
-      }
-    }
-  }
-  if (!ss) {
-    discard_checkpoints(shard_dir);
-    ss = std::make_unique<ShardSession>(study, opt);
-  }
 
   const auto publish_delta = [&](int round_no) {
     const core::StatSnapshot delta = ss->take_delta();
@@ -654,164 +615,67 @@ int worker_body(const WorkerArgs& args) {
     exchange_bytes += static_cast<std::int64_t>(payload.size());
   };
 
-  // A full checkpoint every kIncrementsPerFull records bounds both the log
-  // length a resume replays and the window a lost log can cost; in between,
-  // each checkpoint appends one constant-sized increment.
-  constexpr std::int64_t kIncrementsPerFull = 16;
+  // What the next journal record adds: the batches told and the peer
+  // deltas skipped since the last one.
+  SessionJournal::Step pending;
+  // mark/own only move at exchange rounds: while their per-rank version
+  // vectors match the last record's, their bytes provably do too, and the
+  // record skips both the serialization and the patch.  The first record
+  // of an attempt always serializes them.
+  std::vector<std::uint64_t> mark_vers, own_vers;
   int checkpoints_taken = 0;
-  const auto take_checkpoint_body = [&](bool force_full) {
-    ++ckpt_seq;
-    ++checkpoints_taken;
+  if (fault.mode == "kill-mid-checkpoint" ||
+      fault.mode == "corrupt-checkpoint") {
     const int ordinal = fault.arg > 0 ? static_cast<int>(fault.arg) : 2;
-    // Serialize the session state once; what ships is decided by byte
-    // comparison against the previous record's payload (DESIGN.md §13).
-    core::StatSnapshot cur_full = ss->session().export_state();
-    std::string cur_full_bytes;
-    if (!cur_full.empty()) cur_full_bytes = cur_full.to_string();
-    // mark/own only move at exchange rounds: when their per-rank version
-    // vectors are unchanged the bytes provably are too, and both the
-    // serialization and the patch are skipped.
-    std::vector<std::uint64_t> cur_mark_vers, cur_own_vers;
-    std::string cur_mark_bytes, cur_own_bytes;
-    bool mark_same = false, own_same = false;
-    if (exchanging) {
-      cur_mark_vers = version_vector(ss->mark());
-      cur_own_vers = version_vector(ss->own_stats());
-      mark_same = !prev_mark_vers.empty() && cur_mark_vers == prev_mark_vers;
-      own_same = !prev_own_vers.empty() && cur_own_vers == prev_own_vers;
-      if (mark_same)
-        cur_mark_bytes = prev_mark_bytes;
-      else if (!ss->mark().empty())
-        cur_mark_bytes = ss->mark().to_string();
-      if (own_same)
-        cur_own_bytes = prev_own_bytes;
-      else if (!ss->own_stats().empty())
-        cur_own_bytes = ss->own_stats().to_string();
-    }
-    if (!force_full && ckpt_base_seq > 0 &&
-        ckpt_seq - ckpt_base_seq <= kIncrementsPerFull) {
-      CheckpointIncrement inc;
-      bool delta_ok = true;
-      try {
-        // Byte patches against the previous record's payloads.  make_patch
-        // throws if the state did not evolve patchably (e.g. a reset); the
-        // record then falls back to a full checkpoint.
-        inc.full_patch = make_patch(prev_full_bytes, cur_full_bytes);
-        if (exchanging) {
-          if (!mark_same)
-            inc.mark_patch = make_patch(prev_mark_bytes, cur_mark_bytes);
-          if (!own_same)
-            inc.own_patch = make_patch(prev_own_bytes, cur_own_bytes);
-        }
-      } catch (const std::exception&) {
-        delta_ok = false;
+    journal.set_write_seam([&, ordinal](const auto& write) {
+      if (checkpoints_taken != ordinal || !fault_fires(shard_dir, fault))
+        return write(SessionJournal::Damage::None);
+      if (fault.mode == "kill-mid-checkpoint") {
+        write(SessionJournal::Damage::Torn);
+        ::kill(::getpid(), SIGKILL);
+      } else {
+        write(SessionJournal::Damage::Corrupt);
+        ::_exit(43);
       }
-      if (delta_ok) {
-        inc.base_seq = ckpt_base_seq;
-        inc.seq = ckpt_seq;
-        inc.batches = batches;
-        inc.rounds = round;
-        inc.in_round = in_round;
-        inc.exchange_skips = skips;
-        inc.new_skipped.assign(skipped.begin() + prev_skipped, skipped.end());
-        inc.new_told.assign(told.begin() + prev_told, told.end());
-        std::vector<int> dirty;
-        for (const ShardCheckpoint::ToldBatch& tb : inc.new_told)
-          for (int pos : tb.positions) dirty.push_back(pos - range.begin);
-        std::sort(dirty.begin(), dirty.end());
-        dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-        for (int idx : dirty)
-          inc.dirty_totals.emplace_back(
-              idx, ss->session().totals()[range.begin + idx]);
-        inc.has_exchange_state = exchanging;
-        const std::string rec = frame_log_record(serialize_increment(inc));
-        if (fault.mode == "kill-mid-checkpoint" &&
-            checkpoints_taken == ordinal && fault_fires(shard_dir, fault)) {
-          // The kill-9 torn point for an increment: half the framed record
-          // reaches the log — the scan rejects the tail, the prefix and the
-          // base slot stay good.
-          append_file(ckpt_log, rec.substr(0, rec.size() / 2));
-          ::kill(::getpid(), SIGKILL);
-        }
-        if (fault.mode == "corrupt-checkpoint" &&
-            checkpoints_taken == ordinal && fault_fires(shard_dir, fault)) {
-          std::string bad = rec;
-          bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x5a);
-          append_file(ckpt_log, bad);
-          ::_exit(43);
-        }
-        append_file(ckpt_log, rec);
-        prev_full_bytes = std::move(cur_full_bytes);
-        if (exchanging) {
-          prev_mark_bytes = std::move(cur_mark_bytes);
-          prev_own_bytes = std::move(cur_own_bytes);
-          prev_mark_vers = std::move(cur_mark_vers);
-          prev_own_vers = std::move(cur_own_vers);
-        }
-        prev_told = told.size();
-        prev_skipped = skipped.size();
-        return;
-      }
-    }
-    ShardCheckpoint c;
-    c.seq = ckpt_seq;
-    c.batches = batches;
-    c.rounds = round;
-    c.in_round = in_round;
-    c.exchange_skips = skips;
-    c.skipped = skipped;
-    c.told = told;
-    c.totals.assign(ss->session().totals().begin() + range.begin,
-                    ss->session().totals().begin() + range.end);
-    c.full = std::move(cur_full);
-    c.full_bytes = std::move(cur_full_bytes);
-    if (exchanging) {
-      // The byte payloads alone feed serialize_checkpoint (written
-      // verbatim); the decoded mark/own snapshots are not needed here.
-      c.has_exchange_state = true;
-      c.mark_bytes = std::move(cur_mark_bytes);
-      c.own_bytes = std::move(cur_own_bytes);
-    }
-    const std::string payload = serialize_checkpoint(c);
-    const std::string slot = next_full_slot;
-    if (fault.mode == "kill-mid-checkpoint" && checkpoints_taken == ordinal &&
-        fault_fires(shard_dir, fault)) {
-      // The kill-9 torn point: payload renamed into place, manifest never
-      // written — the slot's previous manifest (if any) now mismatches.
-      write_file_atomic(shard_dir + "/" + slot, payload);
-      ::kill(::getpid(), SIGKILL);
-    }
-    publish_file(shard_dir, slot, payload);
-    if (fault.mode == "corrupt-checkpoint" && checkpoints_taken == ordinal &&
-        fault_fires(shard_dir, fault)) {
-      std::string bad = payload;
-      bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x5a);
-      write_file(shard_dir + "/" + slot, bad);
-      ::_exit(43);
-    }
-    // Only after the new base is fully published: drop the log extending
-    // the previous base (a crash in between resumes from whichever base
-    // survives, each with a consistent log view).
-    ::remove(ckpt_log.c_str());
-    ckpt_base_seq = ckpt_seq;
-    next_full_slot =
-        slot == "ckpt_a.bin" ? std::string("ckpt_b.bin") : "ckpt_a.bin";
-    prev_full_bytes = std::move(c.full_bytes);
-    prev_mark_bytes = std::move(c.mark_bytes);
-    prev_own_bytes = std::move(c.own_bytes);
-    prev_mark_vers = std::move(cur_mark_vers);
-    prev_own_vers = std::move(cur_own_vers);
-    prev_told = told.size();
-    prev_skipped = skipped.size();
+    });
+  }
+  const auto bytes_of = [](const core::StatSnapshot& snap) {
+    return snap.empty() ? std::string() : snap.to_string();
   };
-  const auto take_checkpoint = [&](bool force_full = false) {
+  const auto take_checkpoint = [&] {
     obs::set_phase("checkpoint");
     const double t0 = monotonic_s();
-    {
-      obs::ScopedSpan span("dist.checkpoint", "dist", "seq",
-                           static_cast<std::uint64_t>(ckpt_seq + 1));
-      take_checkpoint_body(force_full);
+    obs::ScopedSpan span("dist.checkpoint", "dist", "seq",
+                         static_cast<std::uint64_t>(journal.state().seq + 1));
+    ++checkpoints_taken;
+    pending.rounds = round;
+    pending.in_round = in_round;
+    pending.full_bytes = bytes_of(ss->session().export_state());
+    if (exchanging) {
+      std::vector<std::uint64_t> mv = version_vector(ss->mark());
+      std::vector<std::uint64_t> ov = version_vector(ss->own_stats());
+      if (mark_vers.empty() || mv != mark_vers)
+        pending.mark_bytes = bytes_of(ss->mark());
+      if (own_vers.empty() || ov != own_vers)
+        pending.own_bytes = bytes_of(ss->own_stats());
+      mark_vers = std::move(mv);
+      own_vers = std::move(ov);
     }
+    if (!journal.next_is_full()) {
+      // Byte patches against the journaled payloads (DESIGN.md §13).
+      const ShardCheckpoint& prev = journal.state();
+      try {
+        pending.full_patch = make_patch(prev.full_bytes, *pending.full_bytes);
+        if (pending.mark_bytes)
+          pending.mark_patch = make_patch(prev.mark_bytes, *pending.mark_bytes);
+        if (pending.own_bytes)
+          pending.own_patch = make_patch(prev.own_bytes, *pending.own_bytes);
+      } catch (const std::exception&) {
+        journal.force_full();  // not patchable (e.g. a reset): full record
+      }
+    }
+    journal.record(std::move(pending), ss->session().totals());
+    pending = {};
     const double dt = monotonic_s() - t0;
     checkpoint_s += dt;
     obs::histogram("dist.checkpoint.write_seconds").observe(dt);
@@ -826,7 +690,8 @@ int worker_body(const WorkerArgs& args) {
       // Graceful shutdown: flush a final full checkpoint (state snapshot
       // included) so a relaunch resumes exactly here, then exit with the
       // classified termination code.
-      take_checkpoint(/*force_full=*/true);
+      journal.force_full();
+      take_checkpoint();
       try {
         write_file(shard_dir + "/error.txt",
                    "terminated by signal after " + std::to_string(batches) +
@@ -850,7 +715,7 @@ int worker_body(const WorkerArgs& args) {
       }
     }
     if (!stepped) break;
-    told.push_back({batch, std::move(outcomes)});
+    pending.told.push_back({batch, std::move(outcomes)});
     ++batches;
     ++attempt_batches;
     ++in_round;
@@ -883,8 +748,7 @@ int worker_body(const WorkerArgs& args) {
                                        exchange_deadline_s, strict, hb,
                                        batches);
         if (peer.skipped) {
-          skipped.emplace_back(round, p);
-          ++skips;
+          pending.skipped.emplace_back(round, p);
           obs::counter("dist.exchange.skips").add();
         } else if (!peer.snap.empty()) {
           obs::trace_flow('f', "exchange", "dist",
@@ -952,7 +816,8 @@ int worker_body(const WorkerArgs& args) {
   ShardResult result = exchanging
                            ? ss->result(range)
                            : shard_result_from(ss->session().result(), range);
-  result.exchange_skips = skips;
+  result.exchange_skips = journal.state().exchange_skips +
+                          static_cast<int>(pending.skipped.size());
   result.checkpoints = checkpoints_taken;
   result.resumed_batches = resumed_batches;
   result.exchange_bytes = exchange_bytes;

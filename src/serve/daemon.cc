@@ -7,13 +7,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "core/fsio.hpp"
 #include "core/stat_store.hpp"
 #include "core/wire_codec.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/manifest.hpp"
-#include "dist/wire.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,137 +25,11 @@
 namespace critter::serve {
 
 using core::StatSnapshot;
-using dist::ShardCheckpoint;
-using dist::ShardRange;
 
 namespace {
 
 volatile std::sig_atomic_t g_daemon_terminate = 0;
 void daemon_signal_handler(int) { g_daemon_terminate = 1; }
-
-// ---------------------------------------------------------------------------
-// CRJTELL2: the daemon's incremental journal record
-// ---------------------------------------------------------------------------
-//
-// One record per tell between full checkpoint slots, appended framed
-// (dist::frame_log_record) to <session>/ckpt_log.bin:
-//
-//   [8B magic "CRJTELL2"] [i64 seq]
-//   [i32 k] k × { [i32 position] [outcome] [totals] }
-//   [i64 blob_len] [state blob]
-//
-// The state blob is the TELL's wire state field *verbatim*: "" (statistics
-// unchanged), a mode-0 sparse patch whose base is the session state after
-// the previous record — exactly what the telling client patched against —
-// or a full payload (wholesale replacement).  Resume splices the blobs
-// in sequence onto the base slot's serialized statistics, so no
-// re-encoding happens on either the journal or the resume path and the
-// reconstructed bytes are the live daemon's to the last bit.  Totals are
-// absolute post-tell values for the batch's positions (the only ones a
-// tell touches) — replay overwrites.  Version 2 records sit in
-// util::checksum64 log frames and carry checksum64 chunks; a version-1 log
-// fails its first frame check and replays nothing.
-//
-// The magic is deliberately not CRCKINC*: dist::load_latest_checkpoint
-// applies any log it finds as shard increments, and the first CRJTELL2
-// record fails that parse — ending the (empty) increment prefix — so the
-// shared loader returns the base slot untouched and the daemon replays the
-// log itself.
-
-constexpr char kTellRecordMagic[8] = {'C', 'R', 'J', 'T', 'E', 'L', 'L', '2'};
-
-/// Full-slot cadence: the journal replays at most this many records, and
-/// the log holds at most this many state blobs before it is truncated by
-/// the next full slot.
-constexpr int kTellsPerFull = 16;
-
-struct TellRecord {
-  std::int64_t seq = 0;
-  ShardCheckpoint::ToldBatch told;
-  std::vector<std::pair<int, tune::ConfigTotals>> totals;
-  std::string state_blob;
-};
-
-std::string encode_tell_record(std::int64_t seq,
-                               const ShardCheckpoint::ToldBatch& tb,
-                               const std::vector<tune::ConfigTotals>& all_totals,
-                               const std::string& state_blob) {
-  core::WireWriter w;
-  w.raw(kTellRecordMagic, 8);
-  w.i64(seq);
-  w.i32(static_cast<std::int32_t>(tb.positions.size()));
-  for (std::size_t j = 0; j < tb.positions.size(); ++j) {
-    const int pos = tb.positions[j];
-    w.i32(pos);
-    dist::write_outcome(w, tb.outcomes[j]);
-    dist::write_totals(w, all_totals[static_cast<std::size_t>(pos)]);
-  }
-  w.i64(static_cast<std::int64_t>(state_blob.size()));
-  w.raw(state_blob.data(), state_blob.size());
-  return w.out;
-}
-
-bool is_tell_record(const std::string& payload) {
-  return payload.size() >= 8 &&
-         std::memcmp(payload.data(), kTellRecordMagic, 8) == 0;
-}
-
-/// Parse and validate one unframed CRJTELL2 payload.  Throws on anything
-/// implausible — the caller treats a bad record as the end of the valid
-/// log prefix, exactly like a torn frame.
-TellRecord parse_tell_record(const std::string& payload,
-                             const tune::Study& study) {
-  CRITTER_CHECK(is_tell_record(payload), "tell journal record: bad magic");
-  const int nconfigs = static_cast<int>(study.configs.size());
-  core::WireReader r{payload};
-  r.pos = 8;
-  TellRecord rec;
-  rec.seq = r.i64();
-  CRITTER_CHECK(rec.seq > 0, "tell journal record: bad sequence number");
-  const std::int32_t k = r.i32();
-  CRITTER_CHECK(k > 0 && k <= nconfigs,
-                "tell journal record: implausible batch size");
-  rec.told.positions.resize(static_cast<std::size_t>(k));
-  rec.told.outcomes.resize(static_cast<std::size_t>(k));
-  rec.totals.resize(static_cast<std::size_t>(k));
-  int prev = -1;
-  for (std::int32_t j = 0; j < k; ++j) {
-    const std::int32_t pos = r.i32();
-    CRITTER_CHECK(pos > prev && pos < nconfigs,
-                  "tell journal record: positions not ascending in-range");
-    prev = pos;
-    rec.told.positions[static_cast<std::size_t>(j)] = pos;
-    rec.told.outcomes[static_cast<std::size_t>(j)].config =
-        study.configs[static_cast<std::size_t>(pos)];
-    dist::read_outcome(r, rec.told.outcomes[static_cast<std::size_t>(j)],
-                       "tell journal record");
-    rec.totals[static_cast<std::size_t>(j)].first = pos;
-    dist::read_totals(r, rec.totals[static_cast<std::size_t>(j)].second);
-  }
-  const std::int64_t blob_len = r.i64();
-  CRITTER_CHECK(blob_len >= 0 &&
-                    r.pos + static_cast<std::size_t>(blob_len) ==
-                        payload.size(),
-                "tell journal record: bad state blob length");
-  rec.state_blob.assign(payload.data() + r.pos,
-                        static_cast<std::size_t>(blob_len));
-  return rec;
-}
-
-/// Apply one TELL state blob to a session's serialized statistics — the
-/// live TELL handler and journal replay share it.  "" leaves the bytes
-/// unchanged; a sparse patch splices onto them; a full payload replaces
-/// them.  Either way every incoming chunk is checked with the decoder's
-/// structural rules, and no table is ever built.
-void splice_state_blob(std::string& state_bytes, const std::string& blob) {
-  if (blob.empty()) return;  // statistics unchanged at this tell
-  if (core::is_sparse_payload(blob)) {
-    state_bytes = core::apply_sparse_patch(state_bytes, blob);
-    return;
-  }
-  core::check_snapshot_payload(blob);
-  state_bytes = blob;  // full payload: wholesale replacement
-}
 
 /// Observe the enclosing scope's wall time into a latency histogram —
 /// the per-request serve.*_seconds instruments.
@@ -171,6 +45,15 @@ class ScopedHistTimer {
   obs::Histogram& h_;
   double t0_;
 };
+
+/// Journal one record (every TELL is journaled before it is acknowledged),
+/// timed into serve.journal_flush_seconds.
+void journal_record(dist::SessionJournal& journal,
+                    dist::SessionJournal::Step step,
+                    const std::vector<tune::ConfigTotals>& totals) {
+  ScopedHistTimer flush_timer(obs::histogram("serve.journal_flush_seconds"));
+  journal.record(std::move(step), totals);
+}
 
 }  // namespace
 
@@ -196,26 +79,17 @@ struct TunerDaemon::Session {
   std::uint64_t owner = 0;
   std::vector<int> batch;
 
-  // Authoritative serialized session statistics (DESIGN.md §13): "" while
-  // empty, otherwise the exact full binary payload.  The daemon holds them
-  // only as bytes — no strategy on this side reads statistics, so TELL
-  // splices and journals without decoding a table.  `state_gen` names the
-  // bytes — bumped exactly when they change, so a client whose generation
-  // token matches holds these exact bytes and ASK ships nothing.
-  std::string state_bytes;
+  // The session's durable journal (dist::SessionJournal, no exchange
+  // state — a daemon session has no peers).  Its state() is the one copy of
+  // the told batches and of the authoritative serialized statistics
+  // (DESIGN.md §13): "" while empty, otherwise the exact full binary
+  // payload.  The daemon holds them only as bytes — no strategy on this
+  // side reads statistics, so TELL splices and journals without decoding a
+  // table.  `state_gen` names the bytes — bumped exactly when they change,
+  // so a client whose generation token matches holds these exact bytes and
+  // ASK ships nothing.
+  std::optional<dist::SessionJournal> journal;
   std::uint64_t state_gen = 1;
-
-  // Journal bookkeeping, in the shard worker's checkpoint format with no
-  // exchange state — a daemon session has no peers.  Full slots every
-  // kTellsPerFull tells; CRJTELL2 records in ckpt_log.bin in between.
-  std::vector<ShardCheckpoint::ToldBatch> told;
-  std::int64_t seq = 0;
-  std::int64_t base_seq = 0;  ///< seq of the newest full slot on disk
-  std::string next_full_slot = "ckpt_a.bin";
-  /// Next journal_tell must write a full slot: set when an out-of-band
-  /// state change (kTuneImport) or a resumed/stale increment log would
-  /// leave log records splicing onto the wrong base.
-  bool force_full_slot = false;
 
   // Wire accounting: request/reply payload bytes handled for this session,
   // and how many tells arrived as sparse patches (kTuneStatus surfaces
@@ -223,10 +97,6 @@ struct TunerDaemon::Session {
   std::int64_t bytes_in = 0;
   std::int64_t bytes_out = 0;
   std::int64_t sparse_tells = 0;
-
-  ShardRange range() const {
-    return {0, 0, static_cast<int>(study.configs.size())};
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -270,13 +140,15 @@ void TunerDaemon::stop() {
     for (std::thread& t : threads)
       if (t.joinable()) t.join();
     if (listener_) listener_->close();
-    // Final flush: a full checkpoint per session, so a restart resumes from
-    // here without replaying any increment log.
+    // Final flush: a full checkpoint per session — including sessions
+    // opened or resumed but not told since — so a restart resumes from here
+    // without replaying any increment log.
     std::lock_guard<std::mutex> lk(sessions_mu_);
     for (auto& [name, s] : sessions_) {
       std::lock_guard<std::mutex> slk(s->mu);
       try {
-        flush_session(*s);
+        s->journal->force_full();
+        journal_record(*s->journal, {}, s->tuner->totals());
       } catch (const std::exception& e) {
         obs::log_error("tuner daemon: final flush of session %s failed: %s",
                        name.c_str(), e.what());
@@ -305,63 +177,24 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
   }
   s->tuner = std::make_unique<tune::Tuner>(s->study, s->opt);
 
-  // Journal replay: the best full slot, then the longest valid CRJTELL2
-  // prefix of ckpt_log.bin on top — seq-continuous records whose state
-  // blobs byte-splice in sequence onto the slot's serialized statistics,
-  // which the session keeps as bytes.  Asks are a pure function of told
+  // Journal replay: the best full slot, then the longest valid increment
+  // prefix on top, kept as bytes.  Asks are a pure function of told
   // outcomes and ingested priors, so the resumed strategy re-proposes
   // exactly the recorded batches — anything else is a divergence bug, not
-  // a degraded resume.  A session with no slot starts from its warm
-  // start: the state the in-process Tuner holds after construction, so
-  // the first ASK ships it to the evaluating client.
-  ShardCheckpoint ck;
-  std::int64_t base_seq = 0;
-  std::string base_slot;
-  if (dist::load_latest_checkpoint(s->dir, s->study, s->range(), &ck,
-                                   &base_seq, &base_slot)) {
-    s->told = std::move(ck.told);
-    s->seq = ck.seq;
-    s->base_seq = ck.seq;
-    s->state_bytes = std::move(ck.full_bytes);
-    std::vector<tune::ConfigTotals> totals(ck.totals.begin(), ck.totals.end());
-    const std::string log_path = s->dir + "/ckpt_log.bin";
-    if (core::file_exists(log_path)) {
-      // Whatever the log holds, the next journaled tell starts a fresh
-      // full slot: appending after a stale or partially-replayed log would
-      // strand the new records behind a broken prefix on the next resume.
-      s->force_full_slot = true;
-      std::int64_t prev_seq = ck.seq;
-      for (const std::string& payload :
-           dist::scan_log_records(core::read_file(log_path))) {
-        TellRecord rec;
-        try {
-          rec = parse_tell_record(payload, s->study);
-          CRITTER_CHECK(rec.seq == prev_seq + 1,
-                        "tell journal record out of sequence");
-          splice_state_blob(s->state_bytes, rec.state_blob);
-        } catch (const std::exception&) {
-          break;  // torn/stale tail: everything before it is consistent
-        }
-        prev_seq = rec.seq;
-        for (const auto& [pos, t] : rec.totals)
-          totals[static_cast<std::size_t>(pos)] = t;
-        s->told.push_back(std::move(rec.told));
-        s->seq = rec.seq;
-      }
-    }
-    for (const ShardCheckpoint::ToldBatch& tb : s->told) {
-      const std::vector<int> b = s->tuner->ask();
-      CRITTER_CHECK(b == tb.positions,
-                    "session journal replay diverged: the resumed strategy "
-                    "proposed a different batch");
-      s->tuner->tell(tb.outcomes);
-    }
-    s->tuner->restore_totals(std::move(totals));
-    s->next_full_slot =
-        base_slot == "ckpt_a.bin" ? "ckpt_b.bin" : "ckpt_a.bin";
+  // a degraded resume, and the throw fails the daemon's start.  A session
+  // with no slot starts from its warm start: the state the in-process Tuner
+  // holds after construction, so the first ASK ships it to the evaluating
+  // client.
+  s->journal.emplace(
+      s->dir,
+      dist::ShardRange{0, 0, static_cast<int>(s->study.configs.size())},
+      /*exchanging=*/false);
+  if (s->journal->resume(s->study)) {
+    s->journal->replay(*s->tuner);
+    s->tuner->restore_totals(s->journal->state().totals);
   } else if (s->opt.warm_start != nullptr) {
     const StatSnapshot seeded = s->tuner->export_state();
-    if (!seeded.empty()) s->state_bytes = seeded.to_string();
+    if (!seeded.empty()) s->journal->replace_bytes(seeded.to_string());
   }
   return s;
 }
@@ -415,58 +248,6 @@ TunerDaemon::Session& TunerDaemon::resolve_session(const std::string& name) {
   CRITTER_CHECK(it != sessions_.end(),
                 "unknown tuning session '" + name + "' — open it first");
   return *it->second;
-}
-
-// ---------------------------------------------------------------------------
-// Journal
-// ---------------------------------------------------------------------------
-
-void TunerDaemon::journal_tell(Session& s, const std::string& state_blob) {
-  ScopedHistTimer flush_timer(obs::histogram("serve.journal_flush_seconds"));
-  // Between full slots, one constant-sized CRJTELL2 record per tell: the
-  // told batch, its totals, and the TELL's state blob verbatim — the
-  // sparse patch a client sent splices on resume exactly as it spliced
-  // live, so the journal stays bitwise without re-serializing the whole
-  // session state per tell (the original full-checkpoint-per-tell scheme
-  // cost O(tells²) journal bytes; DESIGN.md §13).  Every kTellsPerFull
-  // tells a full slot re-bases the log: `s.state_bytes` is already the
-  // serialized statistics, so even the full slot serializes no snapshot.
-  ++s.seq;
-  const bool full_slot = s.base_seq == 0 || s.force_full_slot ||
-                         s.seq - s.base_seq >= kTellsPerFull;
-  if (!full_slot) {
-    core::append_file(s.dir + "/ckpt_log.bin",
-                      dist::frame_log_record(encode_tell_record(
-                          s.seq, s.told.back(), s.tuner->totals(),
-                          state_blob)));
-    return;
-  }
-  ShardCheckpoint c;
-  c.seq = s.seq;
-  c.batches = static_cast<int>(s.told.size());
-  c.rounds = 0;
-  c.in_round = c.batches;  // the non-exchanging worker's cursor shape
-  c.told = s.told;
-  c.totals = s.tuner->totals();
-  c.full_bytes = s.state_bytes;  // written verbatim: no re-serialization
-  const std::string slot = s.next_full_slot;
-  core::publish_file(s.dir, slot, dist::serialize_checkpoint(c));
-  // Only after the new base is fully published: drop the increment log
-  // extending the previous base (a crash in between resumes from whichever
-  // base survives; a stale log fails seq continuity and is ignored).
-  ::remove((s.dir + "/ckpt_log.bin").c_str());
-  s.base_seq = s.seq;
-  s.force_full_slot = false;
-  s.next_full_slot = slot == "ckpt_a.bin" ? "ckpt_b.bin" : "ckpt_a.bin";
-}
-
-void TunerDaemon::flush_session(Session& s) {
-  // A flush must be self-contained — it covers sessions opened (or
-  // resumed) but not told since, and the final slot a restart resumes
-  // from — so it always forces a full slot (there is no freshly told
-  // batch to journal incrementally).
-  s.force_full_slot = true;
-  journal_tell(s, "");
 }
 
 // ---------------------------------------------------------------------------
@@ -539,7 +320,7 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       std::lock_guard<std::mutex> lk(s.mu);
       OpenReply rp;
       rp.nconfigs = static_cast<std::int32_t>(s.study.configs.size());
-      rp.tells = static_cast<std::int32_t>(s.told.size());
+      rp.tells = s.journal->state().batches;
       rp.done = s.tuner->done();
       return {net::kOk, encode_open_reply(rp)};
     }
@@ -585,7 +366,8 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
         rp.state_mode = 0;
       } else {
         rp.state_mode = 1;
-        rp.state = s.state_bytes;  // "" = empty statistics, skip import
+        // "" = empty statistics, skip import
+        rp.state = s.journal->state().full_bytes;
       }
       const std::string payload = encode_ask_reply(rp);
       s.bytes_out += static_cast<std::int64_t>(payload.size());
@@ -612,12 +394,16 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       // was shipped at ASK; or a full payload.  Either splices into the
       // session's bytes after a structural check — nothing is decoded, and
       // the session Tuner, which never reads statistics, imports nothing.
+      // The journal record carries the field verbatim as its patch.
+      dist::SessionJournal::Step step;
       if (!trq.state.empty()) {
         const bool sparse = core::is_sparse_payload(trq.state);
         CRITTER_CHECK(!sparse || trq.base_gen == s.state_gen,
                       "tune tell: sparse state patch against a stale "
                       "generation — re-ask and send full state");
-        splice_state_blob(s.state_bytes, trq.state);
+        step.full_bytes =
+            dist::patched_bytes(s.journal->state().full_bytes, trq.state);
+        step.full_patch = std::move(trq.state);
         if (sparse) {
           ++s.sparse_tells;
           obs::counter("serve.tells.sparse").add();
@@ -627,8 +413,8 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
         ++s.state_gen;
       }
       s.tuner->tell_evaluated(trq.outcomes, trq.totals);
-      s.told.push_back({trq.batch, std::move(trq.outcomes)});
-      journal_tell(s, trq.state);
+      step.told.push_back({trq.batch, std::move(trq.outcomes)});
+      journal_record(*s.journal, std::move(step), s.tuner->totals());
       s.claimed = false;
       s.owner = 0;
       s.batch.clear();
@@ -642,7 +428,7 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       std::lock_guard<std::mutex> lk(s.mu);
       // The cache IS the serialized state (serialize ∘ parse is exact) —
       // no per-export re-serialization.
-      return {net::kOk, s.state_bytes};
+      return {net::kOk, s.journal->state().full_bytes};
     }
     case net::kTuneImport: {
       std::string name, snapshot;
@@ -655,12 +441,9 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       // enforces the before-the-first-ask rule.
       const StatSnapshot imported = StatSnapshot::from_string(snapshot);
       s.tuner->import_state(imported);
-      s.state_bytes = imported.to_string();
+      // Out of band: the journal re-bases with a full slot at the next tell.
+      s.journal->replace_bytes(imported.to_string());
       ++s.state_gen;
-      // Out-of-band state change between full slots: journal records after
-      // it would splice onto bytes no resume can reconstruct — force the
-      // next journaled tell to re-base with a full slot.
-      s.force_full_slot = true;
       return {net::kOk, ""};
     }
     case net::kTuneStatus: {
@@ -668,8 +451,8 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       std::lock_guard<std::mutex> lk(s.mu);
       StatusReply rp;
       rp.done = s.tuner->done();
-      rp.tells = static_cast<std::int32_t>(s.told.size());
-      for (const ShardCheckpoint::ToldBatch& tb : s.told)
+      rp.tells = s.journal->state().batches;
+      for (const dist::ShardCheckpoint::ToldBatch& tb : s.journal->state().told)
         for (const tune::ConfigOutcome& oc : tb.outcomes)
           if (oc.evaluated) ++rp.evaluated;
       if (rp.evaluated > 0)

@@ -25,21 +25,21 @@
 // the next asker, the §10 degrade/skip analogue: churn costs wall-clock,
 // never a different answer.
 //
-// Durability: every TELL journals through the dist/checkpoint.hpp
-// machinery — a FULL checkpoint (alternating ckpt_a.bin/ckpt_b.bin slots,
-// atomic publish) every kTellsPerFull tells, and a constant-sized CRJTELL2
-// record appended to ckpt_log.bin in between.  A journal record carries the
-// told batch, its totals, and the TELL's state blob *verbatim* ("" =
-// unchanged, sparse patch, or full payload); resume byte-splices the blobs
+// Durability: every TELL is journaled before it is acknowledged, through
+// the session's dist::SessionJournal — the journal shard workers use
+// (dist/checkpoint.hpp, DESIGN.md §10-§11).  A TELL becomes one CRCKINC3
+// increment whose session patch is the TELL's state field *verbatim* (""
+// = unchanged, sparse patch, or full payload), with a full checkpoint slot
+// every 17th record and after an import.  Resume byte-splices the patches
 // onto the base slot's serialized statistics (DESIGN.md §13), so the
-// reconstructed state is the exact byte string the live daemon held — the
-// bitwise contract the original full-checkpoint-per-tell scheme bought with
-// O(tells²) journal bytes, now at O(tells).  A daemon killed outright
-// (kill -9 included) and restarted on the same state directory replays
-// each session — best full slot, longest valid log prefix, re-ask/re-tell
-// strategy-only — into the exact state it held at its last journaled tell;
-// a torn append costs at most that one tell.  SIGTERM/SIGINT flush a final
-// full checkpoint per session before exit.
+// reconstructed state is the exact byte string the live daemon held, at
+// O(tells) journal bytes.  A daemon killed outright (kill -9 included) and
+// restarted on the same state directory replays each session — best full
+// slot, longest valid log prefix, re-ask/re-tell strategy-only — into the
+// exact state it held at its last journaled tell; a torn append costs at
+// most that one tell, and the first record after such a resume re-bases
+// with a full slot.  SIGTERM/SIGINT flush a final full checkpoint per
+// session before exit.
 #pragma once
 
 #include <atomic>
@@ -106,13 +106,6 @@ class TunerDaemon {
   Session& open_session(const OpenRequest& rq);
   void resume_sessions();
   std::unique_ptr<Session> load_session(const std::string& name);
-  /// Journal one completed tell: a CRJTELL2 log record carrying
-  /// `state_blob` (the TELL's state field verbatim) between full slots, a
-  /// full checkpoint every kTellsPerFull tells (and whenever
-  /// `s.force_full_slot` demands one — an out-of-band import desyncs the
-  /// log's patch bases).
-  void journal_tell(Session& s, const std::string& state_blob);
-  void flush_session(Session& s);
 
   DaemonOptions opt_;
   std::unique_ptr<net::Listener> listener_;

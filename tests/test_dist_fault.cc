@@ -9,10 +9,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/fsio.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/executor.hpp"
 #include "dist/protocol.hpp"
@@ -372,6 +375,54 @@ TEST(CheckpointIntegrity, Kill9MidCheckpointPublishResumesBitIdentically) {
       << rec.last_failure;
 }
 
+TEST(CheckpointIntegrity, RelaunchAfterATornAppendRebasesSoTheNextResumeReachesIt) {
+  // Shard 1's checkpoint #2 — an increment — is torn (or corrupted) on two
+  // attempts in a row.  The second attempt resumes past the first bad tail
+  // and journals batch 2; that record must survive into the third
+  // attempt's resume, which it can only do if the relaunch re-based with a
+  // full slot instead of appending behind the bad frame.
+  const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
+  const tune::TuneOptions opt = shared_options();
+  const tune::TuneResult clean = tune::merge_shards(study, opt, 2);
+
+  for (const char* mode : {"kill-mid-checkpoint", "corrupt-checkpoint"}) {
+    dist::SubprocessOptions sopts;
+    sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/1);
+    sopts.fault_injection = std::string("1:") + mode + ":2:2";
+    dist::SubprocessExecutor sub(sopts);
+    const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub);
+
+    expect_equal_results(clean, r, mode);
+    const tune::ShardRecovery& rec = recovery_of(r, 1);
+    EXPECT_EQ(rec.retries, 2) << mode;
+    EXPECT_TRUE(rec.recovered) << mode;
+    EXPECT_EQ(rec.resumed_batches, 2) << mode;
+  }
+}
+
+TEST(CheckpointIntegrity, DamagedFirstSlotRestartsCleanBitIdentically) {
+  // Checkpoint #1 is a full slot: torn, its payload lands without a
+  // manifest; corrupted, its checksum trailer fails.  Either way the
+  // relaunch finds no usable slot and restarts clean.
+  const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
+  const tune::TuneOptions opt = shared_options();
+  const tune::TuneResult clean = tune::merge_shards(study, opt, 2);
+
+  for (const char* mode : {"kill-mid-checkpoint", "corrupt-checkpoint"}) {
+    dist::SubprocessOptions sopts;
+    sopts.fault = quick_fault(/*max_retries=*/1, /*checkpoint_every=*/1);
+    sopts.fault_injection = std::string("1:") + mode + ":1";
+    dist::SubprocessExecutor sub(sopts);
+    const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub);
+
+    expect_equal_results(clean, r, mode);
+    const tune::ShardRecovery& rec = recovery_of(r, 1);
+    EXPECT_EQ(rec.retries, 1) << mode;
+    EXPECT_TRUE(rec.recovered) << mode;
+    EXPECT_EQ(rec.resumed_batches, 0) << mode;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint wire format: roundtrip plus exhaustive corruption fuzz
 // ---------------------------------------------------------------------------
@@ -695,6 +746,285 @@ TEST(IncrementApply, ExtendsTheBaseAndRejectsEveryContinuityGap) {
     inc.dirty_totals[0].first = 5;  // base has 4 range-relative totals
     rejects(std::move(inc), 3, "dirty-totals index out of range");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Crash-point enumeration over the session journal: a scripted session is
+// interrupted at every durable write of every record, for the tuner
+// daemon's record shape and the shard worker's, and must resume into
+// exactly the state the last completed write made durable
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A three-rank snapshot as of journal step `step`: rank r gains a sample
+/// at every step s with s % 3 == r, so consecutive snapshots differ in one
+/// rank chunk — the shape sparse patches ship.  `salt` makes unrelated
+/// snapshots (a mark, an own, an imported state).
+core::StatSnapshot evolving_snapshot(int step, int salt) {
+  constexpr int kRanks = 3;
+  core::StatSnapshot s;
+  s.ranks.resize(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    core::KernelTable& t = s.ranks[static_cast<std::size_t>(r)];
+    t.init_world(kRanks);
+    const core::KernelKey key{static_cast<core::KernelClass>(r),
+                              {64 + salt, 32 + r, 0, 0},
+                              0};
+    core::KernelStats ks;
+    ks.add_sample(1.0 + r + salt);
+    for (int k = r; k <= step; k += kRanks) ks.add_sample(1.5 + k + salt);
+    ks.total_invocations = ks.total_executions = ks.n;
+    ks.registered = true;
+    t.K.emplace(key, ks);
+    t.key_of_hash.emplace(key.hash(), key);
+    t.epoch = 1;
+  }
+  return s;
+}
+
+/// What the shard worker writes as a patch field: "" when unchanged, a
+/// full payload onto empty bytes, a mode-0 sparse patch otherwise.
+std::string patch_between(const std::string& base, const std::string& cur) {
+  if (base == cur) return {};
+  if (base.empty()) return cur;
+  return core::encode_sparse_patch(base, cur);
+}
+
+/// A told batch at `positions` whose outcome bits depend on `k`.
+dist::ShardCheckpoint::ToldBatch told_batch(const tune::Study& study,
+                                            std::vector<int> positions,
+                                            int k) {
+  dist::ShardCheckpoint::ToldBatch tb;
+  for (int pos : positions) {
+    tune::ConfigOutcome oc;
+    oc.config = study.configs[static_cast<std::size_t>(pos)];
+    oc.evaluated = true;
+    oc.true_time = 1.0 + k + 0.125 * pos;
+    oc.pred_time = 1.25 + k;
+    oc.executed = 10 + k;
+    oc.samples_used = 1;
+    tb.outcomes.push_back(oc);
+  }
+  tb.positions = std::move(positions);
+  return tb;
+}
+
+/// A scripted journal session: `step(k, journal)` returns record k's step
+/// (computed against the journal's state, like a live owner) and may first
+/// force or re-base the journal.  The run accumulates totals at every told
+/// position, the way a tuner does.
+struct Script {
+  tune::Study study;
+  dist::ShardRange range;
+  bool exchanging = false;
+  int records = 0;
+  std::function<dist::SessionJournal::Step(int, dist::SessionJournal&)> step;
+};
+
+/// Every file of a directory (name -> bytes): a copy taken between writes.
+using DirImage = std::map<std::string, std::string>;
+
+DirImage image_of(const std::string& dir) {
+  DirImage img;
+  for (const std::string& name : core::list_dir(dir))
+    img[name] = core::read_file(dir + "/" + name);
+  return img;
+}
+
+void materialize(const DirImage& img, const std::string& dir) {
+  core::remove_dir_tree(dir);
+  core::make_dir(dir);
+  for (const auto& [name, bytes] : img) core::write_file(dir + "/" + name, bytes);
+}
+
+/// One more record on a resumed journal — a told batch and a statistics
+/// change — after which a fresh resume must reach it.
+void expect_next_record_reachable(const Script& sc, dist::SessionJournal& j,
+                                  const std::string& dir,
+                                  const std::string& what) {
+  dist::SessionJournal::Step step;
+  step.told.push_back(told_batch(sc.study, {sc.range.begin}, 99));
+  step.rounds = j.state().rounds;
+  step.in_round = j.state().in_round + 1;
+  const std::string cur = evolving_snapshot(99, 7).to_string();
+  step.full_patch = patch_between(j.state().full_bytes, cur);
+  step.full_bytes = cur;
+  std::vector<tune::ConfigTotals> totals(sc.study.configs.size());
+  totals[static_cast<std::size_t>(sc.range.begin)].tuning_time = 99.0;
+  j.record(std::move(step), totals);
+  dist::SessionJournal again(dir, sc.range, sc.exchanging);
+  ASSERT_TRUE(again.resume(sc.study)) << what;
+  // Boolean comparisons: a failure names the crash point, not 1 KB of
+  // checkpoint bytes.
+  EXPECT_TRUE(dist::serialize_checkpoint(again.state()) ==
+              dist::serialize_checkpoint(j.state()))
+      << what << ": the record after the resume is unreachable";
+}
+
+/// Resume from crash state `img`; the journal must hold exactly `expect`
+/// (a serialized live state; "" = no durable slot yet).
+void expect_resumes_to(const Script& sc, const DirImage& img,
+                       const std::string& expect, const std::string& what) {
+  const std::string dir = core::make_temp_dir("critter_journal_crash");
+  materialize(img, dir);
+  dist::SessionJournal j(dir, sc.range, sc.exchanging);
+  const bool resumed = j.resume(sc.study);
+  EXPECT_EQ(resumed, !expect.empty()) << what;
+  if (resumed) {
+    EXPECT_TRUE(dist::serialize_checkpoint(j.state()) == expect) << what;
+  }
+  expect_next_record_reachable(sc, j, dir, what);
+  core::remove_dir_tree(dir);
+}
+
+/// Run the script live, imaging the directory after every record, then
+/// build and resume every crash state between consecutive records:
+///   (a) an increment's append torn at 1 byte, at the end of its 16-byte
+///       frame header, mid-payload, and one byte short;
+///   (b) a full slot's payload renamed in, with the slot's old manifest or
+///       with none;
+///   (c) a full slot published, the old log not yet removed.
+/// Torn states resume to the state after record k-1, complete ones to the
+/// state after record k.
+void enumerate_crash_points(const Script& sc) {
+  const std::string live_dir = core::make_temp_dir("critter_journal_live");
+  dist::SessionJournal j(live_dir, sc.range, sc.exchanging);
+  std::vector<tune::ConfigTotals> totals(sc.study.configs.size());
+  std::vector<DirImage> images{image_of(live_dir)};
+  std::vector<std::string> live{""};  // no durable state before record 1
+  std::vector<bool> full{false};
+  int increments = 0, slots = 0;
+  for (int k = 1; k <= sc.records; ++k) {
+    dist::SessionJournal::Step step = sc.step(k, j);
+    for (const auto& tb : step.told)
+      for (int pos : tb.positions)
+        totals[static_cast<std::size_t>(pos)].tuning_time += 1.0 + k;
+    full.push_back(j.next_is_full());
+    j.record(std::move(step), totals);
+    images.push_back(image_of(live_dir));
+    live.push_back(dist::serialize_checkpoint(j.state()));
+    ++(full.back() ? slots : increments);
+  }
+  core::remove_dir_tree(live_dir);
+  ASSERT_GE(slots, 3) << "the script must cross full-slot boundaries";
+  ASSERT_GE(increments, 16);
+
+  const std::string log = "ckpt_log.bin";
+  for (int k = 1; k <= sc.records; ++k) {
+    const DirImage& before = images[static_cast<std::size_t>(k - 1)];
+    const DirImage& after = images[static_cast<std::size_t>(k)];
+    const std::string at = "record " + std::to_string(k);
+    expect_resumes_to(sc, after, live[k], at + " complete");
+    if (!full[k]) {
+      const std::string old_log = before.count(log) ? before.at(log) : "";
+      const std::string& new_log = after.at(log);
+      ASSERT_EQ(new_log.compare(0, old_log.size(), old_log), 0) << at;
+      const std::size_t frame = new_log.size() - old_log.size();
+      for (std::size_t cut : {std::size_t{1}, std::size_t{16},
+                              16 + (frame - 16) / 2, frame - 1}) {
+        DirImage torn = before;
+        torn[log] = new_log.substr(0, old_log.size() + cut);
+        expect_resumes_to(sc, torn, live[k - 1],
+                          at + " append torn at byte " + std::to_string(cut));
+      }
+      continue;
+    }
+    // The slot this record published: the one whose payload changed.
+    std::string slot;
+    for (const auto& [name, bytes] : after)
+      if (after.count(name + ".ok") &&
+          (!before.count(name) || before.at(name) != bytes))
+        slot = name;
+    ASSERT_FALSE(slot.empty()) << at;
+    DirImage renamed = before;
+    renamed[slot] = after.at(slot);
+    if (before.count(slot + ".ok"))
+      expect_resumes_to(sc, renamed, live[k - 1],
+                        at + " payload renamed in under its old manifest");
+    renamed.erase(slot + ".ok");
+    expect_resumes_to(sc, renamed, live[k - 1],
+                      at + " payload renamed in without a manifest");
+    if (before.count(log)) {
+      DirImage stale = after;
+      stale[log] = before.at(log);
+      expect_resumes_to(sc, stale, live[k], at + " published, old log kept");
+    }
+  }
+}
+
+}  // namespace
+
+TEST(JournalCrashPoints, DaemonShapedSessionResumesFromEveryCrashPoint) {
+  // No exchange state; one batch per record; the session patch cycles
+  // through "" (unchanged), a sparse patch and a full payload — the three
+  // shapes of a TELL's state field.  Record 18 is the cadence's full slot;
+  // record 22 follows an import-style out-of-band replacement of the
+  // statistics, which re-bases early.
+  Script sc;
+  sc.study = subset(tune::capital_cholesky_study(false), 8);
+  sc.range = {0, 0, 8};
+  sc.records = 26;
+  sc.step = [&sc](int k, dist::SessionJournal& j) {
+    if (k == 22) j.replace_bytes(evolving_snapshot(k, 40).to_string());
+    dist::SessionJournal::Step step;
+    step.told.push_back(told_batch(sc.study, {k % 8}, k));
+    if (k % 3 != 0) {
+      const std::string cur = evolving_snapshot(k, 0).to_string();
+      step.full_patch = k % 3 == 1 ? patch_between(j.state().full_bytes, cur)
+                                   : cur;
+      step.full_bytes = cur;
+    }
+    return step;
+  };
+  enumerate_crash_points(sc);
+}
+
+TEST(JournalCrashPoints, WorkerShapedSessionResumesFromEveryCrashPoint) {
+  // Exchange on: mark/own move at every completed round (two batches a
+  // round), records carry one or two batches and occasional peer skips.
+  // Record 18 is the cadence's full slot; at record 20 the statistics reset
+  // to empty, a transition no patch expresses, so that record asks for a
+  // full slot.
+  Script sc;
+  sc.study = subset(tune::capital_cholesky_study(false), 8);
+  sc.range = {1, 4, 8};
+  sc.exchanging = true;
+  sc.records = 24;
+  int round = 0, in_round = 0;
+  sc.step = [&](int k, dist::SessionJournal& j) {
+    dist::SessionJournal::Step step;
+    bool round_done = false;
+    for (int b = 0; b < 1 + k % 2; ++b) {
+      step.told.push_back(
+          told_batch(sc.study, {4 + (k + b) % 2, 6 + (k + b) % 2}, k));
+      if (++in_round == 2) {
+        ++round;
+        in_round = 0;
+        round_done = true;
+      }
+    }
+    if (k % 5 == 0) step.skipped.emplace_back(round, 0);
+    if (k % 7 == 0) step.skipped.emplace_back(round, 2);
+    step.rounds = round;
+    step.in_round = in_round;
+    step.full_bytes = k == 20 ? "" : evolving_snapshot(k, 0).to_string();
+    if (round_done) {
+      step.mark_bytes = evolving_snapshot(k, 50).to_string();
+      step.own_bytes = evolving_snapshot(k, 70).to_string();
+    }
+    const dist::ShardCheckpoint& prev = j.state();
+    if (step.full_bytes->empty() && !prev.full_bytes.empty()) j.force_full();
+    if (!j.next_is_full()) {
+      step.full_patch = patch_between(prev.full_bytes, *step.full_bytes);
+      if (step.mark_bytes)
+        step.mark_patch = patch_between(prev.mark_bytes, *step.mark_bytes);
+      if (step.own_bytes)
+        step.own_patch = patch_between(prev.own_bytes, *step.own_bytes);
+    }
+    return step;
+  };
+  enumerate_crash_points(sc);
 }
 
 int main(int argc, char** argv) {
