@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -129,9 +129,8 @@ int main(int argc, char** argv) {
 
   // The session's statistics are a first-class value: serialize them and a
   // later process can warm-start from exactly this state.
-  std::stringstream buf;
-  session.export_state().save(buf, critter::core::StatSnapshot::Format::Binary);
+  const std::string bytes = session.export_state().to_string();
   std::printf("exported session statistics: %zu bytes (binary snapshot)\n",
-              buf.str().size());
+              bytes.size());
   return 0;
 }

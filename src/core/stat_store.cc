@@ -1,13 +1,8 @@
 #include "core/stat_store.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <string_view>
 
@@ -18,6 +13,7 @@
 #include <unistd.h>
 #endif
 
+#include "core/wire_codec.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
@@ -274,10 +270,10 @@ bool StatSnapshot::same_statistics(const StatSnapshot& other) const {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization — shared flattening
+// Serialization
 //
-// Both formats write the same logical records in the same deterministic
-// order (kernels sorted by key hash, registries in ascending-hash order).
+// Records are written in one deterministic order (kernels sorted by key
+// hash, registries in ascending-hash order) through core/wire_codec.hpp.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -286,21 +282,12 @@ constexpr char kMagic[8] = {'C', 'R', 'S', 'T', 'A', 'T', '0', '\n'};
 // Version 3: per-rank length-prefixed chunks checksummed with
 // util::checksum64 (XXH64), and the delta pending-tombstone list is
 // serialized (file-borne exchange deltas).  Version 2 had the same layout
-// under a byte-serial chunk checksum this build no longer computes, so it
-// is rejected by version before any checksum is consulted.  Version
-// 1 (no chunk framing, no checksums) loads through the registered upgrade
-// hook; see register_snapshot_upgrade().
+// under a byte-serial chunk checksum this build no longer computes, and
+// version 1 had no chunk framing; both are rejected by version before any
+// checksum is consulted.
 constexpr std::uint32_t kVersion = 3;
-constexpr std::uint32_t kLegacyVersion = 1;
-constexpr char kJsonFormatTag[] = "critter-stat-snapshot";
 
 using util::checksum64;  // the rank-chunk checksum
-
-bool table_has_tombstones(const StatSnapshot& snap) {
-  for (const KernelTable& t : snap.ranks)
-    if (!t.pending_tombstones.empty()) return true;
-  return false;
-}
 
 constexpr std::uint8_t kFlagGlobalSteady = 1;
 constexpr std::uint8_t kFlagExtrapObserved = 2;
@@ -339,51 +326,15 @@ std::vector<const KernelArena::value_type*> sorted_kernels(
   return out;
 }
 
-// --- binary writer/reader --------------------------------------------------
+// --- binary records --------------------------------------------------------
 
-/// Appends records to a caller-owned byte buffer.  Serializing into a
-/// string (rather than an ostream) lets the frame writer backpatch length
-/// and checksum fields in place, so a whole snapshot is produced in one
-/// buffer with no per-rank scratch stream.
-struct BinWriter {
-  std::string& out;
-  void raw(const void* p, std::size_t n) {
-    out.append(static_cast<const char*>(p), n);
-  }
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void u32(std::uint32_t v) { raw(&v, 4); }
-  void u64(std::uint64_t v) { raw(&v, 8); }
-  void i64(std::int64_t v) { raw(&v, 8); }
-  void f64(double v) { raw(&v, 8); }
-};
-
-/// Decodes records from a borrowed byte span.  Every read is bounds-checked
-/// against the span end, so a corrupt length field can never drive an
-/// allocation or a read past the mapped/loaded bytes — the reader works
-/// equally over an in-memory payload and an mmap'ed file.
-struct BinReader {
-  const char* p;
-  const char* end;
-  std::size_t remaining() const { return static_cast<std::size_t>(end - p); }
-  void raw(void* ptr, std::size_t n) {
-    CRITTER_CHECK(n <= remaining(), "stat snapshot: truncated binary input");
-    std::memcpy(ptr, p, n);
-    p += n;
-  }
-  std::uint8_t u8() { std::uint8_t v; raw(&v, 1); return v; }
-  std::uint32_t u32() { std::uint32_t v; raw(&v, 4); return v; }
-  std::uint64_t u64() { std::uint64_t v; raw(&v, 8); return v; }
-  std::int64_t i64() { std::int64_t v; raw(&v, 8); return v; }
-  double f64() { double v; raw(&v, 8); return v; }
-};
-
-void write_key_binary(BinWriter& w, const KernelKey& key) {
+void write_key_binary(WireWriter& w, const KernelKey& key) {
   w.u8(static_cast<std::uint8_t>(key.cls));
   for (auto dim : key.dims) w.i64(dim);
   w.u64(key.chan);
 }
 
-KernelKey read_key_binary(BinReader& r) {
+KernelKey read_key_binary(WireReader& r) {
   const auto cls = static_cast<KernelClass>(r.u8());
   std::array<std::int64_t, 4> dims{};
   for (auto& dim : dims) dim = r.i64();
@@ -391,7 +342,7 @@ KernelKey read_key_binary(BinReader& r) {
   return KernelKey{cls, dims, chan};
 }
 
-void write_stats_binary(BinWriter& w, const KernelStats& ks) {
+void write_stats_binary(WireWriter& w, const KernelStats& ks) {
   w.i64(ks.n);
   w.f64(ks.mean);
   w.f64(ks.m2);
@@ -403,7 +354,7 @@ void write_stats_binary(BinWriter& w, const KernelStats& ks) {
   w.u8(pack_flags(ks));
 }
 
-KernelStats read_stats_binary(BinReader& r) {
+KernelStats read_stats_binary(WireReader& r) {
   KernelStats ks;
   ks.n = r.i64();
   ks.mean = r.f64();
@@ -424,11 +375,8 @@ constexpr std::uint64_t kMaxRanks = 1u << 16;
 constexpr std::uint64_t kMaxRecords = 1ull << 32;
 constexpr std::uint64_t kMaxChunkBytes = 1ull << 33;
 
-/// One rank table's records, without framing.  Every binary version shares
-/// this body; version 2 and later append the pending-tombstone list after
-/// the pending-eager records.
-void write_rank_binary(BinWriter& w, const KernelTable& t,
-                       std::uint32_t version) {
+/// One rank table's records, without framing.
+void write_rank_binary(WireWriter& w, const KernelTable& t) {
   w.i64(t.epoch);
   w.u64(t.K.size());
   for (const auto* kv : sorted_kernels(t)) {
@@ -445,10 +393,8 @@ void write_rank_binary(BinWriter& w, const KernelTable& t,
     w.u64(kv->first);
     write_stats_binary(w, kv->second);
   }
-  if (version >= 2) {
-    w.u64(t.pending_tombstones.size());
-    for (std::uint64_t h : t.pending_tombstones) w.u64(h);
-  }
+  w.u64(t.pending_tombstones.size());
+  for (std::uint64_t h : t.pending_tombstones) w.u64(h);
   w.u64(t.channels.size());
   t.channels.for_each([&](std::uint64_t, const Channel& ch) {
     w.i64(ch.offset);
@@ -479,7 +425,7 @@ void write_rank_binary(BinWriter& w, const KernelTable& t,
 /// walk makes exactly the structural checks a full decode makes (record
 /// counts, bounds, channel shapes) without building any table.
 template <class Sink>
-void walk_rank_binary(BinReader& r, std::uint32_t version, Sink&& sink) {
+void walk_rank_binary(WireReader& r, Sink&& sink) {
   sink.epoch(r.i64());
   const std::uint64_t nk = r.u64();
   CRITTER_CHECK(nk <= kMaxRecords, "stat snapshot: implausible kernel count");
@@ -499,12 +445,10 @@ void walk_rank_binary(BinReader& r, std::uint32_t version, Sink&& sink) {
     const std::uint64_t h = r.u64();
     sink.pending(h, read_stats_binary(r));
   }
-  if (version >= 2) {
-    const std::uint64_t nt = r.u64();
-    CRITTER_CHECK(nt <= kMaxRecords,
-                  "stat snapshot: implausible tombstone count");
-    for (std::uint64_t i = 0; i < nt; ++i) sink.tombstone(r.u64());
-  }
+  const std::uint64_t nt = r.u64();
+  CRITTER_CHECK(nt <= kMaxRecords,
+                "stat snapshot: implausible tombstone count");
+  for (std::uint64_t i = 0; i < nt; ++i) sink.tombstone(r.u64());
   const std::uint64_t nc = r.u64();
   CRITTER_CHECK(nc <= kMaxRecords, "stat snapshot: implausible channel count");
   for (std::uint64_t i = 0; i < nc; ++i) {
@@ -514,7 +458,7 @@ void walk_rank_binary(BinReader& r, std::uint32_t version, Sink&& sink) {
     const std::uint64_t nd = r.u64();
     CRITTER_CHECK(nd <= (1u << 20), "stat snapshot: implausible channel");
     CRITTER_CHECK(nd <= r.remaining() / 16,
-                  "stat snapshot: truncated binary input");
+                  "stat snapshot: truncated payload");
     ch.dims.resize(nd);
     for (ChannelDim& d : ch.dims) {
       d.stride = r.i64();
@@ -564,97 +508,77 @@ struct NullSink {
   void bucket(std::uint64_t, const SizeModelBucket&) {}
 };
 
-void read_rank_binary(BinReader& r, KernelTable& t, std::uint32_t version,
-                      std::uint32_t nranks) {
-  t.init_world(static_cast<int>(nranks));
-  walk_rank_binary(r, version, TableSink{t});
+/// Structural check of one chunk body, building nothing: the decoder's own
+/// walk plus its no-trailing-bytes rule.
+void check_rank_chunk(std::string_view body) {
+  WireReader cr{body, "stat snapshot"};
+  walk_rank_binary(cr, NullSink{});
+  CRITTER_CHECK(cr.done(), "stat snapshot: trailing bytes in rank chunk");
 }
 
-/// Structural check of one current-version chunk body, building nothing:
-/// the decoder's own walk plus its no-trailing-bytes rule.
-void check_rank_chunk(const char* body, std::uint64_t len) {
-  BinReader cr{body, body + len};
-  walk_rank_binary(cr, kVersion, NullSink{});
-  CRITTER_CHECK(cr.p == cr.end, "stat snapshot: trailing bytes in rank chunk");
-}
-
-std::string save_binary_string(const StatSnapshot& snap,
-                               std::uint32_t version) {
-  std::string out;
-  BinWriter w{out};
+std::string save_binary_string(const StatSnapshot& snap) {
+  WireWriter w;
   w.raw(kMagic, sizeof kMagic);
-  w.u32(version);
+  w.u32(kVersion);
   w.u32(static_cast<std::uint32_t>(snap.ranks.size()));
   for (const KernelTable& t : snap.ranks) {
-    if (version == kLegacyVersion) {
-      write_rank_binary(w, t, version);
-      continue;
-    }
     // Each rank chunk is framed with its byte length and checksum so a
     // reader rejects truncation and corruption before decoding a single
     // record.  The records are serialized straight into the output buffer;
     // the frame header is backpatched once the chunk's extent is known —
     // no scratch stream, no chunk copy.
-    const std::size_t frame = out.size();
+    const std::size_t frame = w.out.size();
     w.u64(0);  // length placeholder
     w.u64(0);  // checksum placeholder
-    const std::size_t body = out.size();
-    write_rank_binary(w, t, version);
-    const std::uint64_t len = out.size() - body;
-    const std::uint64_t sum = checksum64(out.data() + body, len);
-    std::memcpy(out.data() + frame, &len, 8);
-    std::memcpy(out.data() + frame + 8, &sum, 8);
+    const std::size_t body = w.out.size();
+    write_rank_binary(w, t);
+    const std::uint64_t len = w.out.size() - body;
+    const std::uint64_t sum = checksum64(w.out.data() + body, len);
+    std::memcpy(w.out.data() + frame, &len, 8);
+    std::memcpy(w.out.data() + frame + 8, &sum, 8);
   }
-  return out;
+  return std::move(w.out);
 }
 
-// Defined below (shared with the JSON path).
-void apply_snapshot_upgrade(StatSnapshot& snap, std::uint32_t from_version);
-
-StatSnapshot load_binary(const char* data, std::size_t size) {
-  BinReader r{data, data + size};
+StatSnapshot load_binary(std::string_view bytes) {
+  WireReader r{bytes, "stat snapshot"};
   char magic[sizeof kMagic];
   r.raw(magic, sizeof magic);
   CRITTER_CHECK(std::memcmp(magic, kMagic, sizeof kMagic) == 0,
                 "stat snapshot: bad binary magic");
   const std::uint32_t version = r.u32();
-  CRITTER_CHECK(version == kVersion || version == kLegacyVersion,
+  CRITTER_CHECK(version == kVersion,
                 "stat snapshot: unsupported version " +
                     std::to_string(version) + " (current " +
-                    std::to_string(kVersion) + ", upgradable " +
-                    std::to_string(kLegacyVersion) + ")");
+                    std::to_string(kVersion) + ")");
   const std::uint32_t nranks = r.u32();
   CRITTER_CHECK(nranks >= 1 && nranks <= kMaxRanks,
                 "stat snapshot: implausible rank count");
+  // Every rank carries at least its 16-byte frame header: bound the count
+  // by the bytes present before building any table.
+  CRITTER_CHECK(nranks <= r.remaining() / 16,
+                "stat snapshot: truncated payload");
   StatSnapshot snap;
   snap.ranks.resize(nranks);
   for (KernelTable& t : snap.ranks) {
-    if (version == kLegacyVersion) {
-      read_rank_binary(r, t, version, nranks);
-      continue;
-    }
     const std::uint64_t len = r.u64();
     CRITTER_CHECK(len <= kMaxChunkBytes,
                   "stat snapshot: implausible rank-chunk size");
     const std::uint64_t sum = r.u64();
-    // The length field sits outside the checksummed region; bounding it by
-    // the bytes actually present means a corrupt value hits the truncation
-    // error without driving any allocation — the chunk is checksummed and
-    // decoded in place, never copied.
-    CRITTER_CHECK(len <= r.remaining(),
-                  "stat snapshot: truncated binary input");
-    CRITTER_CHECK(checksum64(r.p, static_cast<std::size_t>(len)) == sum,
+    // The length field sits outside the checksummed region; bytes() bounds
+    // it by the bytes actually present, so a corrupt value hits the
+    // truncation error without driving any allocation — the chunk is
+    // checksummed and decoded in place, never copied.
+    const std::string_view body = r.bytes(len);
+    CRITTER_CHECK(checksum64(body.data(), body.size()) == sum,
                   "stat snapshot: rank-chunk checksum mismatch (corrupt or "
                   "truncated file)");
-    BinReader cr{r.p, r.p + len};
-    read_rank_binary(cr, t, version, nranks);
-    CRITTER_CHECK(cr.p == cr.end,
-                  "stat snapshot: trailing bytes in rank chunk");
-    r.p += len;
+    WireReader cr{body, "stat snapshot"};
+    t.init_world(static_cast<int>(nranks));
+    walk_rank_binary(cr, TableSink{t});
+    CRITTER_CHECK(cr.done(), "stat snapshot: trailing bytes in rank chunk");
   }
-  CRITTER_CHECK(r.p == r.end,
-                "stat snapshot: trailing content after final rank");
-  if (version != kVersion) apply_snapshot_upgrade(snap, version);
+  CRITTER_CHECK(r.done(), "stat snapshot: trailing content after final rank");
   return snap;
 }
 
@@ -678,7 +602,7 @@ struct ChunkExtent {
 /// and that no trailing bytes follow the final chunk.
 std::vector<ChunkExtent> chunk_extents(std::string_view full,
                                        const char* what) {
-  BinReader r{full.data(), full.data() + full.size()};
+  WireReader r{full, what};
   char magic[sizeof kMagic];
   r.raw(magic, sizeof magic);
   CRITTER_CHECK(std::memcmp(magic, kMagic, sizeof kMagic) == 0,
@@ -692,26 +616,25 @@ std::vector<ChunkExtent> chunk_extents(std::string_view full,
   const std::uint32_t nranks = r.u32();
   CRITTER_CHECK(nranks >= 1 && nranks <= kMaxRanks,
                 std::string(what) + ": implausible rank count");
+  CRITTER_CHECK(nranks <= r.remaining() / 16,
+                std::string(what) + ": truncated payload");
   std::vector<ChunkExtent> out;
   out.reserve(nranks);
   for (std::uint32_t i = 0; i < nranks; ++i) {
     ChunkExtent e{};
-    e.frame = r.p;
+    e.frame = full.data() + r.pos;
     e.len = r.u64();
     CRITTER_CHECK(e.len <= kMaxChunkBytes,
                   std::string(what) + ": implausible rank-chunk size");
     e.sum = r.u64();
-    CRITTER_CHECK(e.len <= r.remaining(),
-                  std::string(what) + ": truncated rank chunk");
+    e.body = r.bytes(e.len).data();
     // Every chunk body leads with the i64 epoch — the field the sparse
     // codec patches in place.
     CRITTER_CHECK(e.len >= 8,
                   std::string(what) + ": rank chunk shorter than its epoch");
-    e.body = r.p;
-    r.p += e.len;
     out.push_back(e);
   }
-  CRITTER_CHECK(r.p == r.end,
+  CRITTER_CHECK(r.done(),
                 std::string(what) + ": trailing content after final rank");
   return out;
 }
@@ -759,7 +682,7 @@ struct ParsedSparse {
 };
 
 ParsedSparse parse_sparse(std::string_view payload) {
-  BinReader r{payload.data(), payload.data() + payload.size()};
+  WireReader r{payload, "sparse snapshot"};
   char magic[sizeof kSparseMagic];
   r.raw(magic, sizeof magic);
   CRITTER_CHECK(std::memcmp(magic, kSparseMagic, sizeof kSparseMagic) == 0,
@@ -776,6 +699,8 @@ ParsedSparse parse_sparse(std::string_view payload) {
   out.mode = r.u8();
   CRITTER_CHECK(out.mode <= 1, "sparse snapshot: unknown mode " +
                                    std::to_string(out.mode));
+  CRITTER_CHECK(out.nranks <= r.remaining() / 8,
+                "sparse snapshot: truncated payload");
   out.epochs.resize(out.nranks);
   for (std::int64_t& e : out.epochs) e = r.i64();
   const std::uint32_t ndirty = r.u32();
@@ -796,32 +721,30 @@ ParsedSparse parse_sparse(std::string_view payload) {
     CRITTER_CHECK(e.len <= kMaxChunkBytes,
                   "sparse snapshot: implausible rank-chunk size");
     e.sum = r.u64();
-    CRITTER_CHECK(e.len <= r.remaining(),
-                  "sparse snapshot: truncated rank chunk");
+    const std::string_view body = r.bytes(e.len);
     CRITTER_CHECK(e.len >= 8,
                   "sparse snapshot: rank chunk shorter than its epoch");
-    CRITTER_CHECK(checksum64(r.p, static_cast<std::size_t>(e.len)) == e.sum,
+    CRITTER_CHECK(checksum64(body.data(), body.size()) == e.sum,
                   "sparse snapshot: rank-chunk checksum mismatch (corrupt "
                   "or truncated payload)");
-    e.body = r.p;
+    e.body = body.data();
     // A chunk that checksums is not yet a chunk that decodes: walk its
     // records (building nothing), so a holder that splices chunks without
     // ever parsing them still admits only decodable bytes.
-    check_rank_chunk(e.body, e.len);
+    check_rank_chunk(body);
     std::int64_t epoch;
     std::memcpy(&epoch, e.body, 8);
     CRITTER_CHECK(epoch == out.epochs[e.rank],
                   "sparse snapshot: dirty chunk's epoch disagrees with the "
                   "epoch array");
-    r.p += e.len;
     out.entries.push_back(e);
   }
-  CRITTER_CHECK(r.p == r.end,
+  CRITTER_CHECK(r.done(),
                 "sparse snapshot: trailing content after final chunk");
   return out;
 }
 
-void write_sparse_header(BinWriter& w, std::uint32_t nranks,
+void write_sparse_header(WireWriter& w, std::uint32_t nranks,
                          std::uint8_t mode,
                          const std::vector<std::int64_t>& epochs) {
   w.raw(kSparseMagic, sizeof kSparseMagic);
@@ -831,7 +754,7 @@ void write_sparse_header(BinWriter& w, std::uint32_t nranks,
   for (std::int64_t e : epochs) w.i64(e);
 }
 
-void write_sparse_entry(BinWriter& w, std::uint32_t rank,
+void write_sparse_entry(WireWriter& w, std::uint32_t rank,
                         const ChunkExtent& e) {
   w.u32(rank);
   w.u64(e.len);
@@ -849,9 +772,8 @@ std::string splice_sparse_patch(std::string_view base_full,
   CRITTER_CHECK(base.size() == patch.nranks,
                 "sparse snapshot: patch rank count does not match the base "
                 "payload");
-  std::string out;
-  out.reserve(base_full.size() + (kCleanChunkBytes + 24) * 4);
-  BinWriter w{out};
+  WireWriter w;
+  w.out.reserve(base_full.size() + (kCleanChunkBytes + 24) * 4);
   w.raw(kMagic, sizeof kMagic);
   w.u32(kVersion);
   w.u32(patch.nranks);
@@ -873,499 +795,30 @@ std::string splice_sparse_patch(std::string_view base_full,
     // Epoch-only change: patch the leading 8 bytes of the body and refresh
     // the chunk checksum — still pure byte surgery.
     w.u64(b.len);
-    const std::size_t sum_at = out.size();
+    const std::size_t sum_at = w.out.size();
     w.u64(0);  // checksum backpatched below
-    const std::size_t body = out.size();
+    const std::size_t body = w.out.size();
     w.raw(b.body, static_cast<std::size_t>(b.len));
-    std::memcpy(out.data() + body, &patch.epochs[rank], 8);
-    const std::uint64_t sum = checksum64(out.data() + body, b.len);
-    std::memcpy(out.data() + sum_at, &sum, 8);
+    std::memcpy(w.out.data() + body, &patch.epochs[rank], 8);
+    const std::uint64_t sum = checksum64(w.out.data() + body, b.len);
+    std::memcpy(w.out.data() + sum_at, &sum, 8);
   }
-  return out;
-}
-
-// --- JSON writer -----------------------------------------------------------
-
-struct JsonWriter {
-  std::ostream& os;
-  void lit(const char* s) { os << s; }
-  void u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    os << buf;
-  }
-  void i64(std::int64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRId64, v);
-    os << buf;
-  }
-  void f64(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
-  }
-};
-
-void write_key_json(JsonWriter& w, const KernelKey& key) {
-  w.u64(static_cast<std::uint64_t>(key.cls));
-  for (auto dim : key.dims) {
-    w.lit(",");
-    w.i64(dim);
-  }
-  w.lit(",");
-  w.u64(key.chan);
-}
-
-void write_stats_json(JsonWriter& w, const KernelStats& ks) {
-  w.i64(ks.n);
-  w.lit(",");
-  w.f64(ks.mean);
-  w.lit(",");
-  w.f64(ks.m2);
-  w.lit(",");
-  w.i64(ks.invocations_this_epoch);
-  w.lit(",");
-  w.i64(ks.executions_this_epoch);
-  w.lit(",");
-  w.i64(ks.total_invocations);
-  w.lit(",");
-  w.i64(ks.total_executions);
-  w.lit(",");
-  w.u64(ks.agg_hash);
-  w.lit(",");
-  w.u64(pack_flags(ks));
-}
-
-void save_json(const StatSnapshot& snap, std::ostream& os,
-               std::uint32_t version) {
-  JsonWriter w{os};
-  w.lit("{\"format\":\"");
-  w.lit(kJsonFormatTag);
-  w.lit("\",\"version\":");
-  w.u64(version);
-  w.lit(",\"nranks\":");
-  w.u64(snap.ranks.size());
-  w.lit(",\"ranks\":[");
-  bool first_rank = true;
-  for (const KernelTable& t : snap.ranks) {
-    if (!first_rank) w.lit(",");
-    first_rank = false;
-    w.lit("\n{\"epoch\":");
-    w.i64(t.epoch);
-    // kernels: [cls,d0,d1,d2,d3,chan, n,mean,m2,inv_e,exe_e,tot_inv,tot_exe,agg,flags]
-    w.lit(",\"kernels\":[");
-    bool first = true;
-    for (const auto* kv : sorted_kernels(t)) {
-      if (!first) w.lit(",");
-      first = false;
-      w.lit("\n[");
-      write_key_json(w, kv->first);
-      w.lit(",");
-      write_stats_json(w, kv->second);
-      w.lit("]");
-    }
-    // keys: [hash, cls,d0,d1,d2,d3,chan]
-    w.lit("],\"keys\":[");
-    first = true;
-    for (const auto* kv : sorted_by_key(t.key_of_hash)) {
-      if (!first) w.lit(",");
-      first = false;
-      w.lit("\n[");
-      w.u64(kv->first);
-      w.lit(",");
-      write_key_json(w, kv->second);
-      w.lit("]");
-    }
-    // pending: [hash, n,mean,m2,inv_e,exe_e,tot_inv,tot_exe,agg,flags]
-    w.lit("],\"pending\":[");
-    first = true;
-    for (const auto* kv : sorted_by_key(t.pending_eager)) {
-      if (!first) w.lit(",");
-      first = false;
-      w.lit("\n[");
-      w.u64(kv->first);
-      w.lit(",");
-      write_stats_json(w, kv->second);
-      w.lit("]");
-    }
-    // tombstones: [hash, ...] (version >= 2; deltas only, sorted ascending)
-    if (version >= 2) {
-      w.lit("],\"tombstones\":[");
-      first = true;
-      for (std::uint64_t h : t.pending_tombstones) {
-        if (!first) w.lit(",");
-        first = false;
-        w.u64(h);
-      }
-    }
-    // channels: [offset, lattice, stride0, size0, stride1, size1, ...]
-    w.lit("],\"channels\":[");
-    first = true;
-    t.channels.for_each([&](std::uint64_t, const Channel& ch) {
-      if (!first) w.lit(",");
-      first = false;
-      w.lit("\n[");
-      w.i64(ch.offset);
-      w.lit(",");
-      w.u64(ch.lattice ? 1 : 0);
-      for (const ChannelDim& d : ch.dims) {
-        w.lit(",");
-        w.i64(d.stride);
-        w.lit(",");
-        w.i64(d.size);
-      }
-      w.lit("]");
-    });
-    // buckets: [id, n, sx, sy, sxx, sxy, syy, min_x, max_x]
-    w.lit("],\"buckets\":[");
-    first = true;
-    t.size_model.for_each([&](std::uint64_t id, const SizeModelBucket& b) {
-      if (!first) w.lit(",");
-      first = false;
-      w.lit("\n[");
-      w.u64(id);
-      w.lit(",");
-      w.i64(b.n);
-      w.lit(",");
-      w.f64(b.sx);
-      w.lit(",");
-      w.f64(b.sy);
-      w.lit(",");
-      w.f64(b.sxx);
-      w.lit(",");
-      w.f64(b.sxy);
-      w.lit(",");
-      w.f64(b.syy);
-      w.lit(",");
-      w.f64(b.min_x);
-      w.lit(",");
-      w.f64(b.max_x);
-      w.lit("]");
-    });
-    w.lit("]}");
-  }
-  w.lit("]}\n");
-}
-
-// --- JSON parser -----------------------------------------------------------
-//
-// A minimal recursive-descent parser for the subset of JSON the writer
-// emits (objects, arrays, strings without escapes, numbers, booleans).
-// Numbers keep their raw text so 64-bit integers round-trip exactly.
-
-struct JsonValue {
-  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  std::string text;  // raw number token or string contents
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : fields)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  std::uint64_t as_u64() const {
-    CRITTER_CHECK(kind == Kind::Number, "stat snapshot: expected JSON number");
-    return std::strtoull(text.c_str(), nullptr, 10);
-  }
-  std::int64_t as_i64() const {
-    CRITTER_CHECK(kind == Kind::Number, "stat snapshot: expected JSON number");
-    return std::strtoll(text.c_str(), nullptr, 10);
-  }
-  double as_f64() const {
-    CRITTER_CHECK(kind == Kind::Number, "stat snapshot: expected JSON number");
-    return std::strtod(text.c_str(), nullptr);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    CRITTER_CHECK(pos_ == s_.size(), "stat snapshot: trailing JSON content");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                                s_[pos_] == '\n' || s_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    skip_ws();
-    CRITTER_CHECK(pos_ < s_.size(), "stat snapshot: unexpected end of JSON");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    CRITTER_CHECK(peek() == c, std::string("stat snapshot: expected '") + c +
-                                   "' in JSON");
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < s_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string_token() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      CRITTER_CHECK(s_[pos_] != '\\', "stat snapshot: JSON escapes unsupported");
-      out.push_back(s_[pos_++]);
-    }
-    CRITTER_CHECK(pos_ < s_.size(), "stat snapshot: unterminated JSON string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    JsonValue v;
-    if (c == '{') {
-      ++pos_;
-      v.kind = JsonValue::Kind::Object;
-      if (!consume('}')) {
-        do {
-          std::string key = string_token();
-          expect(':');
-          v.fields.emplace_back(std::move(key), value());
-        } while (consume(','));
-        expect('}');
-      }
-    } else if (c == '[') {
-      ++pos_;
-      v.kind = JsonValue::Kind::Array;
-      if (!consume(']')) {
-        do {
-          v.items.push_back(value());
-        } while (consume(','));
-        expect(']');
-      }
-    } else if (c == '"') {
-      v.kind = JsonValue::Kind::String;
-      v.text = string_token();
-    } else if (c == 't' || c == 'f') {
-      const char* word = c == 't' ? "true" : "false";
-      const std::size_t len = c == 't' ? 4 : 5;
-      CRITTER_CHECK(s_.compare(pos_, len, word) == 0,
-                    "stat snapshot: bad JSON literal");
-      pos_ += len;
-      v.kind = JsonValue::Kind::Bool;
-      v.boolean = c == 't';
-    } else if (c == 'n') {
-      CRITTER_CHECK(s_.compare(pos_, 4, "null") == 0,
-                    "stat snapshot: bad JSON literal");
-      pos_ += 4;
-    } else {
-      v.kind = JsonValue::Kind::Number;
-      const std::size_t start = pos_;
-      while (pos_ < s_.size() &&
-             (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-              s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-              s_[pos_] == 'e' || s_[pos_] == 'E'))
-        ++pos_;
-      CRITTER_CHECK(pos_ > start, "stat snapshot: bad JSON token");
-      v.text = s_.substr(start, pos_ - start);
-    }
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& json_field(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  CRITTER_CHECK(v != nullptr, std::string("stat snapshot: missing JSON field ") + key);
-  return *v;
-}
-
-KernelKey read_key_json(const JsonValue& row, std::size_t at) {
-  CRITTER_CHECK(row.items.size() >= at + 6, "stat snapshot: short kernel-key row");
-  const auto cls = static_cast<KernelClass>(row.items[at].as_u64());
-  std::array<std::int64_t, 4> dims{};
-  for (int i = 0; i < 4; ++i) dims[i] = row.items[at + 1 + i].as_i64();
-  return KernelKey{cls, dims, row.items[at + 5].as_u64()};
-}
-
-KernelStats read_stats_json(const JsonValue& row, std::size_t at) {
-  CRITTER_CHECK(row.items.size() >= at + 9, "stat snapshot: short stats row");
-  KernelStats ks;
-  ks.n = row.items[at].as_i64();
-  ks.mean = row.items[at + 1].as_f64();
-  ks.m2 = row.items[at + 2].as_f64();
-  ks.invocations_this_epoch = row.items[at + 3].as_i64();
-  ks.executions_this_epoch = row.items[at + 4].as_i64();
-  ks.total_invocations = row.items[at + 5].as_i64();
-  ks.total_executions = row.items[at + 6].as_i64();
-  ks.agg_hash = row.items[at + 7].as_u64();
-  unpack_flags(ks, static_cast<std::uint8_t>(row.items[at + 8].as_u64()));
-  return ks;
-}
-
-StatSnapshot load_json(const std::string& text) {
-  JsonParser parser(text);
-  const JsonValue root = parser.parse();
-  CRITTER_CHECK(root.kind == JsonValue::Kind::Object,
-                "stat snapshot: JSON root must be an object");
-  CRITTER_CHECK(json_field(root, "format").text == kJsonFormatTag,
-                "stat snapshot: not a stat-snapshot JSON file");
-  const std::uint64_t version = json_field(root, "version").as_u64();
-  CRITTER_CHECK(version == kVersion || version == kLegacyVersion,
-                "stat snapshot: unsupported version " +
-                    std::to_string(version) + " (current " +
-                    std::to_string(kVersion) + ", upgradable " +
-                    std::to_string(kLegacyVersion) + ")");
-  const std::uint64_t nranks = json_field(root, "nranks").as_u64();
-  CRITTER_CHECK(nranks >= 1 && nranks <= kMaxRanks,
-                "stat snapshot: implausible rank count");
-  const JsonValue& ranks = json_field(root, "ranks");
-  CRITTER_CHECK(ranks.items.size() == nranks,
-                "stat snapshot: rank count mismatch");
-  StatSnapshot snap;
-  snap.ranks.resize(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const JsonValue& jt = ranks.items[r];
-    KernelTable& t = snap.ranks[r];
-    t.init_world(static_cast<int>(nranks));
-    t.epoch = json_field(jt, "epoch").as_i64();
-    for (const JsonValue& row : json_field(jt, "kernels").items)
-      t.K.emplace(read_key_json(row, 0), read_stats_json(row, 6));
-    for (const JsonValue& row : json_field(jt, "keys").items) {
-      CRITTER_CHECK(!row.items.empty(), "stat snapshot: short key row");
-      t.key_of_hash.emplace(row.items[0].as_u64(), read_key_json(row, 1));
-    }
-    for (const JsonValue& row : json_field(jt, "pending").items) {
-      CRITTER_CHECK(!row.items.empty(), "stat snapshot: short pending row");
-      t.pending_eager.emplace(row.items[0].as_u64(), read_stats_json(row, 1));
-    }
-    if (version >= 2)
-      for (const JsonValue& h : json_field(jt, "tombstones").items)
-        t.pending_tombstones.push_back(h.as_u64());
-    for (const JsonValue& row : json_field(jt, "channels").items) {
-      CRITTER_CHECK(row.items.size() >= 2 && row.items.size() % 2 == 0,
-                    "stat snapshot: short channel row");
-      Channel ch;
-      ch.offset = row.items[0].as_i64();
-      ch.lattice = row.items[1].as_u64() != 0;
-      for (std::size_t i = 2; i + 1 < row.items.size(); i += 2)
-        ch.dims.push_back({row.items[i].as_i64(), row.items[i + 1].as_i64()});
-      t.channels.insert_raw(ch);
-    }
-    for (const JsonValue& row : json_field(jt, "buckets").items) {
-      CRITTER_CHECK(row.items.size() >= 9, "stat snapshot: short bucket row");
-      SizeModelBucket b;
-      b.n = row.items[1].as_i64();
-      b.sx = row.items[2].as_f64();
-      b.sy = row.items[3].as_f64();
-      b.sxx = row.items[4].as_f64();
-      b.sxy = row.items[5].as_f64();
-      b.syy = row.items[6].as_f64();
-      b.min_x = row.items[7].as_f64();
-      b.max_x = row.items[8].as_f64();
-      t.size_model.set_bucket(row.items[0].as_u64(), b);
-    }
-  }
-  if (version != kVersion)
-    apply_snapshot_upgrade(snap, static_cast<std::uint32_t>(version));
-  return snap;
-}
-
-// --- cross-version migration registry --------------------------------------
-
-struct UpgradeRegistry {
-  std::unordered_map<std::uint32_t, SnapshotUpgradeHook> hooks;
-  UpgradeRegistry() {
-    // Built-in v1 -> current hook: version 1 predates delta serialization,
-    // so a v1 file is a full snapshot whose tombstone lists are simply
-    // empty — the decoded tables already satisfy the current semantics.
-    hooks.emplace(kLegacyVersion, [](StatSnapshot&) {});
-  }
-};
-
-UpgradeRegistry& upgrade_registry() {
-  static UpgradeRegistry reg;
-  return reg;
-}
-
-void apply_snapshot_upgrade(StatSnapshot& snap, std::uint32_t from_version) {
-  auto& hooks = upgrade_registry().hooks;
-  const auto it = hooks.find(from_version);
-  CRITTER_CHECK(it != hooks.end(),
-                "stat snapshot: no upgrade hook registered for version " +
-                    std::to_string(from_version));
-  it->second(snap);
+  return std::move(w.out);
 }
 
 }  // namespace
 
 std::uint32_t StatSnapshot::current_version() { return kVersion; }
-std::uint32_t StatSnapshot::oldest_upgradable_version() {
-  return kLegacyVersion;
-}
 
-void register_snapshot_upgrade(std::uint32_t from_version,
-                               SnapshotUpgradeHook hook) {
-  // The loader only ever consults the registry for the legacy version (the
-  // one older layout it still decodes); registering anything else would be
-  // silently dead, so fail at registration time instead.
-  CRITTER_CHECK(from_version == kLegacyVersion,
-                "snapshot upgrade hooks apply to version " +
-                    std::to_string(kLegacyVersion) + " only");
-  CRITTER_CHECK(static_cast<bool>(hook), "null snapshot upgrade hook");
-  upgrade_registry().hooks[from_version] = std::move(hook);
-}
-
-bool snapshot_upgrade_registered(std::uint32_t from_version) {
-  return upgrade_registry().hooks.count(from_version) != 0;
-}
-
-void StatSnapshot::save(std::ostream& os, Format fmt) const {
-  save(os, fmt, kVersion);
-}
-
-void StatSnapshot::save(std::ostream& os, Format fmt,
-                        std::uint32_t version) const {
-  CRITTER_CHECK(version == kVersion || version == kLegacyVersion,
-                "stat snapshot: cannot write version " +
-                    std::to_string(version));
-  CRITTER_CHECK(version >= 2 || !table_has_tombstones(*this),
-                "stat snapshot: delta tombstones are not representable in "
-                "version 1 files");
-  if (fmt == Format::Binary) {
-    const std::string bytes = save_binary_string(*this, version);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  } else {
-    save_json(*this, os, version);
-  }
-  CRITTER_CHECK(os.good(), "stat snapshot: write failed");
-}
-
-std::string StatSnapshot::to_string(Format fmt) const {
-  if (fmt == Format::Binary) return save_binary_string(*this, kVersion);
-  std::ostringstream os;
-  save_json(*this, os, kVersion);
-  return os.str();
-}
+std::string StatSnapshot::to_string() const { return save_binary_string(*this); }
 
 StatSnapshot StatSnapshot::from_string(std::string_view bytes) {
-  // Auto-detect: sparse and full binary formats lead with their 8-byte
-  // magics (both start with 'C', so the sparse check must compare the full
-  // magic), JSON with '{'.
+  // Sparse and full payloads lead with their 8-byte magics (both start with
+  // 'C', so the sparse check must compare the full magic).
   CRITTER_CHECK(!bytes.empty(), "stat snapshot: empty input");
   if (is_sparse_payload(bytes))
     return from_string(expand_sparse_delta(bytes));
-  if (bytes.front() == kMagic[0]) return load_binary(bytes.data(), bytes.size());
-  return load_json(std::string(bytes));
+  return load_binary(bytes);
 }
 
 // --- dirty-rank sparse transport: public API (DESIGN.md §13) ----------------
@@ -1389,14 +842,13 @@ std::string encode_sparse_patch(std::string_view base_full,
       chunk_extents(new_full, "sparse patch target");
   CRITTER_CHECK(base.size() == cur.size(),
                 "sparse patch: base and target disagree on rank count");
-  std::string out;
-  BinWriter w{out};
+  WireWriter w;
   std::vector<std::int64_t> epochs;
   epochs.reserve(cur.size());
   for (const ChunkExtent& e : cur) epochs.push_back(chunk_epoch(e));
   write_sparse_header(w, static_cast<std::uint32_t>(cur.size()),
                       /*mode=*/0, epochs);
-  const std::size_t ndirty_at = out.size();
+  const std::size_t ndirty_at = w.out.size();
   w.u32(0);  // dirty count backpatched below
   std::uint32_t ndirty = 0;
   for (std::uint32_t rank = 0; rank < cur.size(); ++rank) {
@@ -1415,8 +867,8 @@ std::string encode_sparse_patch(std::string_view base_full,
     write_sparse_entry(w, rank, c);
     ++ndirty;
   }
-  std::memcpy(out.data() + ndirty_at, &ndirty, 4);
-  return out;
+  std::memcpy(w.out.data() + ndirty_at, &ndirty, 4);
+  return std::move(w.out);
 }
 
 std::string apply_sparse_patch(std::string_view base_full,
@@ -1435,22 +887,21 @@ void check_snapshot_payload(std::string_view full) {
     CRITTER_CHECK(checksum64(e.body, static_cast<std::size_t>(e.len)) == e.sum,
                   "stat snapshot: rank-chunk checksum mismatch (corrupt or "
                   "truncated payload)");
-    check_rank_chunk(e.body, e.len);
+    check_rank_chunk(std::string_view(e.body, e.len));
   }
 }
 
 std::string encode_sparse_delta(const StatSnapshot& delta) {
-  const std::string full = save_binary_string(delta, kVersion);
+  const std::string full = save_binary_string(delta);
   const std::vector<ChunkExtent> chunks =
       chunk_extents(full, "sparse delta source");
-  std::string out;
-  BinWriter w{out};
+  WireWriter w;
   std::vector<std::int64_t> epochs;
   epochs.reserve(chunks.size());
   for (const ChunkExtent& e : chunks) epochs.push_back(chunk_epoch(e));
   write_sparse_header(w, static_cast<std::uint32_t>(chunks.size()),
                       /*mode=*/1, epochs);
-  const std::size_t ndirty_at = out.size();
+  const std::size_t ndirty_at = w.out.size();
   w.u32(0);
   std::uint32_t ndirty = 0;
   for (std::uint32_t rank = 0; rank < chunks.size(); ++rank) {
@@ -1460,8 +911,8 @@ std::string encode_sparse_delta(const StatSnapshot& delta) {
     write_sparse_entry(w, rank, chunks[rank]);
     ++ndirty;
   }
-  std::memcpy(out.data() + ndirty_at, &ndirty, 4);
-  return out;
+  std::memcpy(w.out.data() + ndirty_at, &ndirty, 4);
+  return std::move(w.out);
 }
 
 std::string expand_sparse_delta(std::string_view sparse) {
@@ -1469,8 +920,7 @@ std::string expand_sparse_delta(std::string_view sparse) {
   CRITTER_CHECK(p.mode == 1,
                 "sparse snapshot: expected a standalone delta (mode 1), got "
                 "a patch that needs its base");
-  std::string out;
-  BinWriter w{out};
+  WireWriter w;
   w.raw(kMagic, sizeof kMagic);
   w.u32(kVersion);
   w.u32(p.nranks);
@@ -1488,19 +938,15 @@ std::string expand_sparse_delta(std::string_view sparse) {
     w.u64(checksum64(body.data(), body.size()));
     w.raw(body.data(), body.size());
   }
-  return out;
+  return std::move(w.out);
 }
 
-void StatSnapshot::save_file(const std::string& path, Format fmt) const {
+void StatSnapshot::save_file(const std::string& path) const {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   CRITTER_CHECK(os.is_open(), "stat snapshot: cannot open " + path);
-  save(os, fmt);
-}
-
-StatSnapshot StatSnapshot::load(std::istream& is) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return from_string(buf.view());
+  const std::string bytes = to_string();
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  CRITTER_CHECK(os.good(), "stat snapshot: write failed");
 }
 
 KernelStats moments_to_stats(const KernelMoments& m) {
@@ -1578,8 +1024,10 @@ StatSnapshot StatSnapshot::load_file(const std::string& path) {
 #endif
   std::ifstream is(path, std::ios::binary);
   CRITTER_CHECK(is.is_open(), "stat snapshot: cannot open " + path);
+  std::ostringstream buf;
+  buf << is.rdbuf();
   try {
-    return load(is);
+    return from_string(buf.view());
   } catch (const std::exception& e) {
     throw std::runtime_error("stat snapshot: failed to load '" + path +
                              "': " + e.what());

@@ -12,9 +12,9 @@
 //     exact diff() (merge inverse) for extracting a sweep worker's batch
 //     contribution;
 //   * StatSnapshot  — all ranks' tables, the unit of snapshot/restore on a
-//     profiler Store and of warm-start persistence: a versioned binary or
-//     JSON serialization (save()/load()) lets a sweep resume in another
-//     process with bit-identical statistics.
+//     profiler Store and of warm-start persistence: one versioned binary
+//     format (to_string()/from_string(), save_file()/load_file()) lets a
+//     sweep resume in another process with bit-identical statistics.
 //
 // Determinism contract: merge() is a pure function of its two operands —
 // per-key operations are independent and channel/bucket iteration happens
@@ -24,8 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -125,48 +123,34 @@ struct StatSnapshot {
 
   /// Per-rank exact merge inverse (see KernelTable::diff): *this* must have
   /// evolved on top of `base`; base.merge(diff) reproduces it.  The delta
-  /// carries pending tombstones, so it round-trips through save()/load()
-  /// (version >= 2) without losing exactness — the unit of the distributed
-  /// executors' incremental publishes.
+  /// carries pending tombstones, so it round-trips through
+  /// to_string()/from_string() without losing exactness — the unit of the
+  /// distributed executors' incremental publishes.
   StatSnapshot diff(const StatSnapshot& base) const;
 
   bool same_statistics(const StatSnapshot& other) const;
 
-  enum class Format : std::uint8_t { Binary, Json };
-
-  /// Current serialization version (written by default) and the oldest
-  /// version load() upgrades from via a registered hook.
+  /// The serialization version every payload is written with and the only
+  /// one read.
   static std::uint32_t current_version();
-  static std::uint32_t oldest_upgradable_version();
 
-  /// Versioned serialization.  Binary is the compact exact format — each
-  /// rank table is a length-prefixed chunk checksummed with
-  /// util::checksum64, so truncation and corruption are detected before any
-  /// record is decoded; JSON is the interoperable one (doubles printed with
-  /// 17 significant digits, so both round-trip bit-exactly).  `version` may
-  /// name the legacy version 1 to produce files for older readers (the
-  /// snapshot must then carry no pending tombstones, which version 1 cannot
-  /// represent).
-  void save(std::ostream& os, Format fmt) const;
-  void save(std::ostream& os, Format fmt, std::uint32_t version) const;
-  void save_file(const std::string& path, Format fmt = Format::Binary) const;
+  /// Serialize to the binary payload: each rank table is a length-prefixed
+  /// chunk checksummed with util::checksum64, so truncation and corruption
+  /// are detected before any record is decoded.  The encoder writes
+  /// straight into the returned buffer — the hot path for the distributed
+  /// executors' delta publishes, which frame the payload themselves.
+  std::string to_string() const;
+  void save_file(const std::string& path) const;
 
-  /// Serialize to an in-memory payload (current version).  The binary
-  /// encoder writes straight into the returned buffer — the hot path for
-  /// the distributed executors' delta publishes, which frame the payload
-  /// themselves and never want a stream in between.
-  std::string to_string(Format fmt = Format::Binary) const;
-
-  /// Load either format (auto-detected from the leading bytes).  Version-1
-  /// snapshots are accepted when an upgrade hook is registered for them
-  /// (the library pre-registers one); version 2, whose chunk checksum this
-  /// build no longer computes, fails with an unsupported-version error.
-  /// Throws std::runtime_error on truncated, corrupt, or unsupported-
-  /// version input — always before returning partial state.
+  /// Decode a full payload or a mode-1 sparse delta (auto-detected from the
+  /// leading magic).  Any other version — including versions 1 and 2 —
+  /// fails with an unsupported-version error before any checksum is
+  /// consulted.  Throws std::runtime_error on truncated, corrupt, or
+  /// unsupported-version input — always before returning partial state.
   /// from_string decodes a borrowed payload in place (rank chunks are
   /// checksummed and parsed without copying); load_file prefers an mmap of
-  /// the file for the same zero-copy decode, falling back to a stream read.
-  static StatSnapshot load(std::istream& is);
+  /// the file for the same zero-copy decode, falling back to reading the
+  /// file into memory.
   static StatSnapshot from_string(std::string_view bytes);
   static StatSnapshot load_file(const std::string& path);
 };
@@ -266,17 +250,5 @@ std::string encode_sparse_delta(const StatSnapshot& delta);
 /// Expand a mode-1 sparse delta to the exact full payload it encodes.
 /// Rejects mode-0 patches (those need a base only their producer holds).
 std::string expand_sparse_delta(std::string_view sparse);
-
-/// Cross-version migration scaffolding: a hook registered for version `v`
-/// upgrades a snapshot decoded with version v's physical layout to the
-/// current version's semantics.  load() consults the registry whenever it
-/// meets a file of the legacy version (oldest_upgradable_version()), the
-/// only older layout it decodes; without a registered hook the load fails
-/// with an unsupported-version error.  Re-registering replaces the
-/// hook (user code may wrap the built-in one).
-using SnapshotUpgradeHook = std::function<void(StatSnapshot&)>;
-void register_snapshot_upgrade(std::uint32_t from_version,
-                               SnapshotUpgradeHook hook);
-bool snapshot_upgrade_registered(std::uint32_t from_version);
 
 }  // namespace critter::core

@@ -25,14 +25,10 @@ void write_blob(WireWriter& w, const std::string& bytes) {
   w.raw(bytes.data(), bytes.size());
 }
 
-std::string read_blob(WireReader& r, const char* what) {
+std::string read_blob(WireReader& r) {
   const std::int64_t len = r.i64();
-  CRITTER_CHECK(len >= 0 && r.pos + static_cast<std::size_t>(len) <=
-                                r.in.size(),
-                std::string(what) + ": truncated blob");
-  std::string out(r.in.data() + r.pos, static_cast<std::size_t>(len));
-  r.pos += static_cast<std::size_t>(len);
-  return out;
+  CRITTER_CHECK(len >= 0, std::string(r.what) + ": negative blob length");
+  return std::string(r.bytes(static_cast<std::size_t>(len)));
 }
 
 core::StatSnapshot decode_or_empty(const std::string& bytes) {
@@ -68,7 +64,8 @@ std::vector<std::pair<int, int>> read_skips(WireReader& r, int max,
                                             const ShardRange& range,
                                             const char* what) {
   const std::int32_t n = r.i32();
-  CRITTER_CHECK(n >= 0 && n <= max,
+  CRITTER_CHECK(n >= 0 && n <= max &&
+                    static_cast<std::size_t>(n) <= r.remaining() / 8,
                 std::string(what) + ": implausible skip list");
   std::vector<std::pair<int, int>> skipped;
   skipped.reserve(static_cast<std::size_t>(n));
@@ -88,7 +85,8 @@ std::vector<ShardCheckpoint::ToldBatch> read_told(WireReader& r, int max,
                                                   const ShardRange& range,
                                                   const char* what) {
   const std::int32_t ntold = r.i32();
-  CRITTER_CHECK(ntold >= 0 && ntold <= max,
+  CRITTER_CHECK(ntold >= 0 && ntold <= max &&
+                    static_cast<std::size_t>(ntold) <= r.remaining() / 4,
                 std::string(what) + ": implausible batch count");
   std::vector<ShardCheckpoint::ToldBatch> told(
       static_cast<std::size_t>(ntold));
@@ -147,7 +145,7 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
                                  const ShardRange& range) {
   CRITTER_CHECK(payload.size() >= sizeof kCheckpointMagic + 8,
                 "shard checkpoint: payload too short");
-  WireReader r{payload};
+  WireReader r{payload, "shard checkpoint"};
   char magic[sizeof kCheckpointMagic];
   r.raw(magic, sizeof magic);
   CRITTER_CHECK(std::memcmp(magic, kCheckpointMagic, sizeof magic) == 0,
@@ -179,12 +177,12 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
   for (std::int32_t i = 0; i < ntotals; ++i)
     read_totals(r, c.totals[static_cast<std::size_t>(i)]);
   c.has_exchange_state = r.u8() != 0;
-  c.full_bytes = read_blob(r, "shard checkpoint");
+  c.full_bytes = read_blob(r);
   if (c.has_exchange_state) {
-    c.mark_bytes = read_blob(r, "shard checkpoint");
-    c.own_bytes = read_blob(r, "shard checkpoint");
+    c.mark_bytes = read_blob(r);
+    c.own_bytes = read_blob(r);
   }
-  CRITTER_CHECK(r.pos == payload.size() - 8,
+  CRITTER_CHECK(r.remaining() == 8,
                 "shard checkpoint: trailing garbage");
   c.full = decode_or_empty(c.full_bytes);
   c.mark = decode_or_empty(c.mark_bytes);
@@ -204,7 +202,7 @@ namespace {
 constexpr char kIncrementMagic[8] = {'C', 'R', 'C', 'K', 'I', 'N', 'C', '3'};
 
 std::string read_patch_blob(WireReader& r) {
-  std::string out = read_blob(r, "checkpoint increment");
+  std::string out = read_blob(r);
   // Shape check only ("" / sparse / full snapshot payload); the chunk-level
   // validation happens when apply_increment splices and re-decodes.
   CRITTER_CHECK(out.empty() || core::is_sparse_payload(out) ||
@@ -244,7 +242,7 @@ std::string serialize_increment(const CheckpointIncrement& inc) {
 CheckpointIncrement parse_increment(const std::string& payload,
                                     const tune::Study& study,
                                     const ShardRange& range) {
-  WireReader r{payload};
+  WireReader r{payload, "checkpoint increment"};
   char magic[sizeof kIncrementMagic];
   r.raw(magic, sizeof magic);
   CRITTER_CHECK(std::memcmp(magic, kIncrementMagic, sizeof magic) == 0,
@@ -284,8 +282,7 @@ CheckpointIncrement parse_increment(const std::string& payload,
     inc.mark_patch = read_patch_blob(r);
     inc.own_patch = read_patch_blob(r);
   }
-  CRITTER_CHECK(r.pos == payload.size(),
-                "checkpoint increment: trailing garbage");
+  CRITTER_CHECK(r.done(), "checkpoint increment: trailing garbage");
   return inc;
 }
 

@@ -102,7 +102,7 @@ std::string serialize_result(const ShardResult& r) {
     const std::string blob = r.stats.to_string();
     w.raw(blob.data(), blob.size());
   }
-  return w.out;
+  return std::move(w.out);
 }
 
 /// Parse a published result; `study` rebinds the configurations (the wire
@@ -110,7 +110,7 @@ std::string serialize_result(const ShardResult& r) {
 /// view of the study).
 ShardResult parse_result(const std::string& payload, const tune::Study& study,
                          const ShardRange& expect) {
-  WireReader r{payload};
+  WireReader r{payload, "shard result"};
   char magic[sizeof kResultMagic];
   r.raw(magic, sizeof magic);
   CRITTER_CHECK(std::memcmp(magic, kResultMagic, sizeof kResultMagic) == 0,
@@ -149,8 +149,7 @@ ShardResult parse_result(const std::string& payload, const tune::Study& study,
     read_totals(r, out.totals[j]);
   }
   if (r.u8() != 0) {
-    out.stats = core::StatSnapshot::from_string(
-        std::string_view(payload).substr(r.pos));
+    out.stats = core::StatSnapshot::from_string(r.bytes(r.remaining()));
   }
   return out;
 }

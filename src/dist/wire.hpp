@@ -17,6 +17,12 @@ namespace critter::dist {
 using core::WireReader;
 using core::WireWriter;
 
+/// Encoded sizes of one outcome and one totals record (every field is
+/// fixed-width): decoders bound a declared record count by the bytes
+/// remaining before sizing anything.
+inline constexpr std::size_t kOutcomeBytes = 4 + 2 + 8 * 8 + 2 * 8 + 4;
+inline constexpr std::size_t kTotalsBytes = 4 * 8;
+
 /// Every outcome field except the configuration itself, which travels as
 /// its absolute index (the reader rebinds it from its view of the study).
 inline void write_outcome(WireWriter& w, const tune::ConfigOutcome& oc) {

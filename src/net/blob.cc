@@ -18,7 +18,7 @@ namespace {
 std::string pack_key(const std::string& key) {
   core::WireWriter w;
   w.str(key);
-  return w.out;
+  return std::move(w.out);
 }
 
 std::string pack_key_content(const std::string& key,
@@ -26,7 +26,7 @@ std::string pack_key_content(const std::string& key,
   core::WireWriter w;
   w.str(key);
   w.str(content);
-  return w.out;
+  return std::move(w.out);
 }
 
 /// Split "exchange/s0_r1.snap" under `root` into its directory and leaf
@@ -38,7 +38,7 @@ std::pair<std::string, std::string> split_dir(const std::string& root,
   std::size_t start = 0;
   for (std::size_t pos = key.find('/'); pos != std::string::npos;
        pos = key.find('/', start)) {
-    dir += "/" + key.substr(start, pos - start);
+    dir.append("/").append(key, start, pos - start);
     core::make_dir(dir);
     start = pos + 1;
   }
@@ -180,21 +180,28 @@ void BlobServer::serve_connection(Connection conn) {
       try {
         core::WireReader r{req.payload};
         const std::string key = r.str();
+        // Content is bounded by the frame, not by str()'s key bound: its
+        // length is checked against the bytes remaining before any copy.
+        const auto content = [&r] {
+          const std::int32_t n = r.i32();
+          CRITTER_CHECK(n >= 0, "blob server: negative content length");
+          return std::string(r.bytes(static_cast<std::size_t>(n)));
+        };
         switch (req.verb) {
           case kBlobPut:
-            store_.put(key, r.str());
+            store_.put(key, content());
             break;
           case kBlobGet:
             reply = store_.get(key);
             break;
           case kBlobExists:
-            reply = store_.exists(key) ? "1" : "0";
+            reply = store_.exists(key) ? '1' : '0';
             break;
           case kBlobPublish:
-            store_.publish(key, r.str());
+            store_.publish(key, content());
             break;
           case kBlobPublished:
-            reply = store_.published(key) ? "1" : "0";
+            reply = store_.published(key) ? '1' : '0';
             break;
           case kBlobReadPublished:
             reply = store_.read_published(key);

@@ -377,7 +377,7 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       obs::ScopedSpan span("serve.tell", "serve");
       ScopedHistTimer timer(obs::histogram("serve.tell_seconds"));
       obs::counter("serve.tells").add();
-      core::WireReader r{rq.payload};
+      core::WireReader r{rq.payload, "tune tell"};
       const std::string name = decode_tell_session(r);
       Session& s = resolve_session(name);
       std::lock_guard<std::mutex> lk(s.mu);

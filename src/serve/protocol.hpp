@@ -46,6 +46,16 @@ inline bool valid_session_name(const std::string& name) {
   return true;
 }
 
+/// An [i32 length][bytes] field bounded by the frame rather than by
+/// WireReader::str()'s string bound: snapshots and session state.  The
+/// length is checked against the bytes remaining before anything is
+/// allocated, so a forged length fails as truncation, naming the verb.
+inline std::string read_blob(core::WireReader& r) {
+  const std::int32_t n = r.i32();
+  CRITTER_CHECK(n >= 0, std::string(r.what) + ": negative length");
+  return std::string(r.bytes(static_cast<std::size_t>(n)));
+}
+
 // --- kTuneOpen -------------------------------------------------------------
 
 /// Open (or join) a session: the manifest is the study/options identity in
@@ -66,24 +76,16 @@ inline std::string encode_open(const OpenRequest& rq) {
   w.str(rq.manifest);
   w.str(rq.warm);
   w.str(rq.prior);
-  return w.out;
+  return std::move(w.out);
 }
 
 inline OpenRequest decode_open(const std::string& payload) {
-  core::WireReader r{payload};
+  core::WireReader r{payload, "tune open"};
   OpenRequest rq;
   rq.session = r.str();
   rq.manifest = r.str();
-  // Snapshots can exceed the WireReader string bound; length-check manually.
-  const auto blob = [&r]() {
-    const std::int32_t n = r.i32();
-    CRITTER_CHECK(n >= 0, "tune open: negative snapshot length");
-    std::string s(static_cast<std::size_t>(n), '\0');
-    r.raw(s.data(), s.size());
-    return s;
-  };
-  rq.warm = blob();
-  rq.prior = blob();
+  rq.warm = read_blob(r);
+  rq.prior = read_blob(r);
   CRITTER_CHECK(r.done(), "tune open: trailing bytes");
   return rq;
 }
@@ -102,11 +104,11 @@ inline std::string encode_open_reply(const OpenReply& rp) {
   w.i32(rp.nconfigs);
   w.i32(rp.tells);
   w.u8(rp.done ? 1 : 0);
-  return w.out;
+  return std::move(w.out);
 }
 
 inline OpenReply decode_open_reply(const std::string& payload) {
-  core::WireReader r{payload};
+  core::WireReader r{payload, "tune open reply"};
   OpenReply rp;
   rp.nconfigs = r.i32();
   rp.tells = r.i32();
@@ -121,11 +123,11 @@ inline OpenReply decode_open_reply(const std::string& payload) {
 inline std::string encode_session_ref(const std::string& session) {
   core::WireWriter w;
   w.str(session);
-  return w.out;
+  return std::move(w.out);
 }
 
 inline std::string decode_session_ref(const std::string& payload) {
-  core::WireReader r{payload};
+  core::WireReader r{payload, "tune request"};
   std::string s = r.str();
   CRITTER_CHECK(r.done(), "tune request: trailing bytes");
   return s;
@@ -145,11 +147,11 @@ inline std::string encode_ask_request(const AskRequest& rq) {
   core::WireWriter w;
   w.str(rq.session);
   w.u64(rq.have_gen);
-  return w.out;
+  return std::move(w.out);
 }
 
 inline AskRequest decode_ask_request(const std::string& payload) {
-  core::WireReader r{payload};
+  core::WireReader r{payload, "tune ask"};
   AskRequest rq;
   rq.session = r.str();
   rq.have_gen = r.u64();
@@ -175,7 +177,7 @@ struct AskReply {
 inline std::string encode_ask_reply(const AskReply& rp) {
   core::WireWriter w;
   w.u8(rp.done ? 1 : 0);
-  if (rp.done) return w.out;
+  if (rp.done) return std::move(w.out);
   w.i32(static_cast<std::int32_t>(rp.batch.size()));
   for (int pos : rp.batch) w.i32(pos);
   w.u8(rp.control.early_discard ? 1 : 0);
@@ -184,15 +186,12 @@ inline std::string encode_ask_reply(const AskReply& rp) {
   w.i32(rp.control.samples_override);
   w.u64(rp.state_gen);
   w.u8(rp.state_mode);
-  if (rp.state_mode == 1) {
-    w.i32(static_cast<std::int32_t>(rp.state.size()));
-    w.raw(rp.state.data(), rp.state.size());
-  }
-  return w.out;
+  if (rp.state_mode == 1) w.str(rp.state);
+  return std::move(w.out);
 }
 
 inline AskReply decode_ask_reply(const std::string& payload) {
-  core::WireReader r{payload};
+  core::WireReader r{payload, "tune ask reply"};
   AskReply rp;
   rp.done = r.u8() != 0;
   if (rp.done) {
@@ -200,7 +199,9 @@ inline AskReply decode_ask_reply(const std::string& payload) {
     return rp;
   }
   const std::int32_t n = r.i32();
-  CRITTER_CHECK(n > 0 && n <= (1 << 20), "tune ask reply: implausible batch");
+  // Each batch position is an i32: bound the count by the bytes present.
+  CRITTER_CHECK(n > 0 && static_cast<std::size_t>(n) <= r.remaining() / 4,
+                "tune ask reply: implausible batch");
   rp.batch.resize(static_cast<std::size_t>(n));
   for (int& pos : rp.batch) pos = r.i32();
   rp.control.early_discard = r.u8() != 0;
@@ -210,12 +211,7 @@ inline AskReply decode_ask_reply(const std::string& payload) {
   rp.state_gen = r.u64();
   rp.state_mode = r.u8();
   CRITTER_CHECK(rp.state_mode <= 1, "tune ask reply: unknown state mode");
-  if (rp.state_mode == 1) {
-    const std::int32_t sn = r.i32();
-    CRITTER_CHECK(sn >= 0, "tune ask reply: negative state length");
-    rp.state.resize(static_cast<std::size_t>(sn));
-    r.raw(rp.state.data(), rp.state.size());
-  }
+  if (rp.state_mode == 1) rp.state = read_blob(r);
   CRITTER_CHECK(r.done(), "tune ask reply: trailing bytes");
   return rp;
 }
@@ -259,21 +255,26 @@ inline std::string encode_tell(const TellRequest& rq) {
     dist::write_outcome(w, rq.outcomes[k]);
     dist::write_totals(w, rq.totals[k]);
   }
-  w.i32(static_cast<std::int32_t>(rq.state.size()));
-  w.raw(rq.state.data(), rq.state.size());
-  return w.out;
+  w.str(rq.state);
+  return std::move(w.out);
 }
 
 /// Decoding needs the study to rebind each outcome's configuration, and the
 /// study hangs off the session — so the session name is read first and the
-/// body second, once the daemon has resolved it.
+/// body second, once the daemon has resolved it.  The caller's reader is
+/// named "tune tell", like every other decoder here names its verb.
 inline std::string decode_tell_session(core::WireReader& r) { return r.str(); }
 
 inline void decode_tell_body(core::WireReader& r, const tune::Study& study,
                              TellRequest* rq) {
   rq->base_gen = r.u64();
   const std::int32_t n = r.i32();
-  CRITTER_CHECK(n > 0 && n <= (1 << 20), "tune tell: implausible batch");
+  // Bound the count by the bytes present before sizing any vector: each
+  // entry is an i32 position plus a fixed-width outcome and totals.
+  CRITTER_CHECK(n > 0 && static_cast<std::size_t>(n) <=
+                             r.remaining() / (4 + dist::kOutcomeBytes +
+                                              dist::kTotalsBytes),
+                "tune tell: implausible batch");
   rq->batch.resize(static_cast<std::size_t>(n));
   rq->outcomes.resize(static_cast<std::size_t>(n));
   rq->totals.resize(static_cast<std::size_t>(n));
@@ -289,10 +290,7 @@ inline void decode_tell_body(core::WireReader& r, const tune::Study& study,
                        "tune tell");
     dist::read_totals(r, rq->totals[static_cast<std::size_t>(k)]);
   }
-  const std::int32_t dn = r.i32();
-  CRITTER_CHECK(dn >= 0, "tune tell: negative state length");
-  rq->state.resize(static_cast<std::size_t>(dn));
-  r.raw(rq->state.data(), rq->state.size());
+  rq->state = read_blob(r);
   CRITTER_CHECK(r.done(), "tune tell: trailing bytes");
 }
 
@@ -301,11 +299,11 @@ inline void decode_tell_body(core::WireReader& r, const tune::Study& study,
 inline std::string encode_tell_reply(std::uint64_t state_gen) {
   core::WireWriter w;
   w.u64(state_gen);
-  return w.out;
+  return std::move(w.out);
 }
 
 inline std::uint64_t decode_tell_reply(const std::string& payload) {
-  core::WireReader r{payload};
+  core::WireReader r{payload, "tune tell reply"};
   const std::uint64_t gen = r.u64();
   CRITTER_CHECK(r.done(), "tune tell reply: trailing bytes");
   return gen;
@@ -320,19 +318,15 @@ inline std::string encode_import(const std::string& session,
                                  const std::string& snapshot) {
   core::WireWriter w;
   w.str(session);
-  w.i32(static_cast<std::int32_t>(snapshot.size()));
-  w.raw(snapshot.data(), snapshot.size());
-  return w.out;
+  w.str(snapshot);
+  return std::move(w.out);
 }
 
 inline void decode_import(const std::string& payload, std::string* session,
                           std::string* snapshot) {
-  core::WireReader r{payload};
+  core::WireReader r{payload, "tune import"};
   *session = r.str();
-  const std::int32_t n = r.i32();
-  CRITTER_CHECK(n >= 0, "tune import: negative snapshot length");
-  snapshot->resize(static_cast<std::size_t>(n));
-  r.raw(snapshot->data(), snapshot->size());
+  *snapshot = read_blob(r);
   CRITTER_CHECK(r.done(), "tune import: trailing bytes");
 }
 
@@ -368,11 +362,11 @@ inline std::string encode_status_reply(const StatusReply& rp) {
   w.i64(rp.sparse_tells);
   w.str(rp.text);
   w.str(rp.metrics);
-  return w.out;
+  return std::move(w.out);
 }
 
 inline StatusReply decode_status_reply(const std::string& payload) {
-  core::WireReader r{payload};
+  core::WireReader r{payload, "tune status reply"};
   StatusReply rp;
   rp.done = r.u8() != 0;
   rp.tells = r.i32();

@@ -113,7 +113,7 @@ Tuner::Tuner(const Study& study, const TuneOptions& opt)
   // and ingest_prior() feeds it before the first ask.  The pointer is
   // construction-scoped — strategies must not retain it — so no strategy
   // that ignores priors pays for a snapshot copy.  A named prior file
-  // that is absent or corrupt fails here, exactly as StatSnapshot::load
+  // that is absent or corrupt fails here, exactly as StatSnapshot::load_file
   // would — never ignored.
   core::StatSnapshot loaded;
   const core::StatSnapshot* prior = nullptr;

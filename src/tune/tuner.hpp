@@ -115,7 +115,7 @@ struct TuneOptions {
   const core::StatSnapshot* warm_start = nullptr;
   /// Prior snapshot feeding model-based strategies ("copula-transfer",
   /// and anything user-registered that overrides ingest_prior): loaded
-  /// from `prior_file` at Tuner construction (StatSnapshot::load errors
+  /// from `prior_file` at Tuner construction (StatSnapshot::load_file errors
   /// propagate — a named-but-unreadable prior is never silently ignored)
   /// or supplied in-memory via `prior`; when neither is set, warm_start
   /// doubles as the prior.  Unlike warm_start, the prior does NOT seed the

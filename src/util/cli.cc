@@ -15,7 +15,7 @@ Options::Options(int argc, char** argv) {
     arg = arg.substr(2);
     auto eq = arg.find('=');
     if (eq == std::string::npos) {
-      kv_[arg] = "1";
+      kv_[arg] = '1';
     } else {
       kv_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }

@@ -1,8 +1,15 @@
 // Internal propagation message: wire layout, pack/unpack, and the
-// associative fold used as the internal allreduce operator.
+// associative fold used as the internal allreduce operator; plus the byte
+// codec every file and frame format shares (core/wire_codec.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/wire.hpp"
+#include "core/wire_codec.hpp"
 
 namespace core = critter::core;
 using critter::Config;
@@ -162,4 +169,30 @@ TEST(Wire, EagerRespectsCapacity) {
   auto fold = core::IntMsg::fold_fn(2, 2);
   fold(a.data(), b.data(), a.bytes());
   EXPECT_EQ(b.header().n_eager, 2);  // capacity respected, entry dropped
+}
+
+TEST(WireCodec, BytesAreBoundedByWhatRemainsAndNamedByTheFormat) {
+  core::WireWriter w;
+  w.u32(7);
+  w.str("key");
+  w.raw("tail", 4);
+  const std::string buf = w.out;
+  core::WireReader r{buf, "test format"};
+  EXPECT_EQ(r.u32(), 7u);
+  EXPECT_EQ(r.str(), "key");
+  EXPECT_EQ(r.remaining(), 4u);
+  // A length no buffer can hold fails the check instead of wrapping it.
+  for (const std::size_t n : {std::size_t{5},
+                              std::numeric_limits<std::size_t>::max()}) {
+    try {
+      r.bytes(n);
+      FAIL() << n << " bytes read from 4";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("test format: truncated payload"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(r.bytes(4), "tail");  // a failed read consumed nothing
+  EXPECT_TRUE(r.done());
 }

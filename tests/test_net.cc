@@ -2,8 +2,9 @@
 // snapshot format in test_stat_store.cc — every truncation point, every
 // flipped byte), the blob Store implementations (directory, in-memory, and
 // the framed client/server pair, which must agree on semantics and error
-// wording), and the socket layer's deadline behavior (a dead or silent
-// peer throws, never hangs).
+// wording), the socket layer's deadline behavior (a dead or silent peer
+// throws, never hangs), and the tuner protocol's decoders against forged
+// lengths and counts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -254,6 +255,16 @@ void exercise_store(net::Store& store, const std::string& what) {
   // The key is reusable after removal — GC'd rounds do not poison names.
   store.publish("exchange/s0_r1.snap", "again");
   EXPECT_EQ(store.read_published("exchange/s0_r1.snap"), "again") << what;
+
+  // Content is bounded by the transport's frame, not by the key bound: a
+  // 2 MiB blob (a default-scale snapshot is already ~0.9 MB) travels whole.
+  const std::string big = fuzz_payload(2u << 20);
+  store.put("big.bin", big);
+  EXPECT_EQ(store.get("big.bin"), big) << what;
+  store.publish("exchange/big.snap", big);
+  EXPECT_EQ(store.read_published("exchange/big.snap"), big) << what;
+  store.remove("big.bin");
+  store.remove("exchange/big.snap");
   store.put("run.txt", "rewritten");
 }
 
@@ -362,4 +373,113 @@ TEST(Blob, WrongServiceHandshakeIsRefused) {
   EXPECT_NE(rp.payload.find("bad handshake"), std::string::npos);
   conn.close();
   server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Tuner protocol decoders against forged lengths and counts
+// ---------------------------------------------------------------------------
+
+#include <sys/resource.h>
+
+#include "serve/protocol.hpp"
+
+namespace serve = critter::serve;
+namespace tune = critter::tune;
+
+namespace {
+
+/// Process peak resident set size (KiB on Linux).
+long peak_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+/// `payload` with its trailing i32 replaced by `v` (every forged field
+/// below is the last length of a valid encoding).
+std::string with_last_i32(std::string payload, std::int32_t v) {
+  std::memcpy(payload.data() + payload.size() - 4, &v, 4);
+  return payload;
+}
+
+/// `decode` must throw, and its error must name `verb`.
+template <class Decode>
+void expect_rejected(Decode&& decode, const std::string& verb,
+                     const std::string& what) {
+  try {
+    decode();
+    ADD_FAILURE() << what << " decoded successfully";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(verb), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(TuneProtocol, ForgedLengthsAndCountsAreRejectedBeforeSizingABuffer) {
+  // The daemon decodes OPEN, TELL and IMPORT straight from client frames,
+  // and the client decodes ASK replies: a tiny payload that declares a
+  // 1 GiB byte field or a 2^20-entry batch must fail on the bytes actually
+  // present, not after allocating what it claims.
+  constexpr std::int32_t kGiB = 1 << 30;
+  constexpr std::int32_t kCount = 1 << 20;
+  const long rss_before = peak_rss_kib();
+
+  const std::string open = serve::encode_open({"s", "manifest", "", ""});
+  const std::string open_warm =
+      with_last_i32(open.substr(0, open.size() - 4), kGiB);
+  expect_rejected([&] { serve::decode_open(open_warm); }, "tune open",
+                  "OPEN warm");
+  const std::string open_prior = with_last_i32(open, kGiB);
+  expect_rejected([&] { serve::decode_open(open_prior); }, "tune open",
+                  "OPEN prior");
+
+  serve::AskReply ask;
+  ask.batch = {0};
+  const std::string reply = serve::encode_ask_reply(ask);
+  std::string ask_count = reply;
+  std::memcpy(ask_count.data() + 1, &kCount, 4);  // after the done byte
+  expect_rejected([&] { serve::decode_ask_reply(ask_count); },
+                  "tune ask reply", "ASK reply batch");
+  const std::string ask_state = with_last_i32(reply, kGiB);
+  expect_rejected([&] { serve::decode_ask_reply(ask_state); },
+                  "tune ask reply", "ASK reply state");
+
+  // The daemon reads a TELL in two steps through one reader named for the
+  // verb: the session name, then (once the session's study is resolved)
+  // the body.
+  tune::Study study;
+  study.configs.resize(1);
+  serve::TellRequest tell;
+  tell.session = "s";
+  tell.batch = {0};
+  tell.outcomes.resize(1);
+  tell.totals.resize(1);
+  const std::string told = serve::encode_tell(tell);
+  const auto decode_tell = [&study](const std::string& payload) {
+    core::WireReader r{payload, "tune tell"};
+    serve::decode_tell_session(r);
+    serve::TellRequest rq;
+    serve::decode_tell_body(r, study, &rq);
+  };
+  ASSERT_NO_THROW(decode_tell(told));
+  std::string tell_count = told;
+  std::memcpy(tell_count.data() + 4 + 1 + 8, &kCount, 4);  // session, gen
+  expect_rejected([&] { decode_tell(tell_count); }, "tune tell",
+                  "TELL batch");
+  const std::string tell_state = with_last_i32(told, kGiB);
+  expect_rejected([&] { decode_tell(tell_state); }, "tune tell",
+                  "TELL state");
+
+  const std::string import = with_last_i32(serve::encode_import("s", ""), kGiB);
+  expect_rejected(
+      [&] {
+        std::string session, snapshot;
+        serve::decode_import(import, &session, &snapshot);
+      },
+      "tune import", "IMPORT snapshot");
+
+  EXPECT_LT(peak_rss_kib() - rss_before, 64 * 1024)
+      << "a forged length or count sized a buffer before it was checked";
 }

@@ -42,9 +42,9 @@ struct Json {
   bool has(const std::string& key) const { return obj.count(key) != 0; }
 };
 
-class JsonParser {
+class JsonReader {
  public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
+  explicit JsonReader(const std::string& text) : s_(text) {}
 
   Json parse() {
     Json v = value();
@@ -190,7 +190,7 @@ class JsonParser {
   }
 };
 
-Json parse_json(const std::string& text) { return JsonParser(text).parse(); }
+Json parse_json(const std::string& text) { return JsonReader(text).parse(); }
 
 /// Chrome trace-event schema checks every exported event must satisfy.
 void check_trace_event_schema(const Json& ev) {

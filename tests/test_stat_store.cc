@@ -1,7 +1,7 @@
 // Statistics-lifecycle subsystem (core/stat_store): deterministic merge,
 // exact merge inverse (diff), snapshot/restore round-trips on a profiler
-// Store, and versioned binary + JSON serialization round-trips including
-// SizeModel state.
+// Store, and versioned binary serialization round-trips including SizeModel
+// state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -255,57 +255,36 @@ TEST(StatSnapshot, StoreSnapshotRestoreRoundTrips) {
 }
 
 TEST(StatSnapshot, BinarySerializationRoundTrips) {
-  for (bool extrapolate : {false, true}) {
-    const core::StatSnapshot snap =
-        sweep_snapshot(Policy::ConditionalExecution, extrapolate);
-    std::stringstream buf;
-    snap.save(buf, core::StatSnapshot::Format::Binary);
-    const core::StatSnapshot loaded = core::StatSnapshot::load(buf);
-    EXPECT_TRUE(loaded.same_statistics(snap)) << "extrapolate=" << extrapolate;
-  }
-}
-
-TEST(StatSnapshot, JsonSerializationRoundTrips) {
   // Eager propagation populates aggregation hashes and (potentially)
   // pending entries; extrapolation populates the size model.
-  for (Policy policy : {Policy::EagerPropagation, Policy::OnlinePropagation}) {
-    const core::StatSnapshot snap = sweep_snapshot(policy, true);
-    std::stringstream buf;
-    snap.save(buf, core::StatSnapshot::Format::Json);
-    const core::StatSnapshot loaded = core::StatSnapshot::load(buf);
-    EXPECT_TRUE(loaded.same_statistics(snap))
-        << critter::policy_name(policy);
+  for (Policy policy : {Policy::ConditionalExecution, Policy::EagerPropagation,
+                        Policy::OnlinePropagation}) {
+    for (bool extrapolate : {false, true}) {
+      const core::StatSnapshot snap = sweep_snapshot(policy, extrapolate);
+      const core::StatSnapshot loaded =
+          core::StatSnapshot::from_string(snap.to_string());
+      EXPECT_TRUE(loaded.same_statistics(snap))
+          << critter::policy_name(policy) << " extrapolate=" << extrapolate;
+    }
   }
-}
-
-TEST(StatSnapshot, JsonAndBinaryAgree) {
-  const core::StatSnapshot snap = sweep_snapshot(Policy::EagerPropagation, true);
-  std::stringstream jbuf, bbuf;
-  snap.save(jbuf, core::StatSnapshot::Format::Json);
-  snap.save(bbuf, core::StatSnapshot::Format::Binary);
-  EXPECT_TRUE(core::StatSnapshot::load(jbuf).same_statistics(
-      core::StatSnapshot::load(bbuf)));
 }
 
 TEST(StatSnapshot, FileRoundTripAutoDetectsFormat) {
   const core::StatSnapshot snap = sweep_snapshot(Policy::OnlinePropagation, true);
   const char* bin_path = "test_stat_store_snapshot.bin";
-  const char* json_path = "test_stat_store_snapshot.json";
-  snap.save_file(bin_path, core::StatSnapshot::Format::Binary);
-  snap.save_file(json_path, core::StatSnapshot::Format::Json);
+  snap.save_file(bin_path);
   EXPECT_TRUE(core::StatSnapshot::load_file(bin_path).same_statistics(snap));
-  EXPECT_TRUE(core::StatSnapshot::load_file(json_path).same_statistics(snap));
   std::remove(bin_path);
-  std::remove(json_path);
 }
 
 TEST(StatSnapshot, LoadRejectsGarbage) {
-  std::stringstream bad("this is not a snapshot");
-  EXPECT_THROW(core::StatSnapshot::load(bad), std::runtime_error);
-  std::stringstream empty("");
-  EXPECT_THROW(core::StatSnapshot::load(empty), std::runtime_error);
-  std::stringstream wrong_json("{\"format\":\"something-else\",\"version\":1}");
-  EXPECT_THROW(core::StatSnapshot::load(wrong_json), std::runtime_error);
+  EXPECT_THROW(core::StatSnapshot::from_string("this is not a snapshot"),
+               std::runtime_error);
+  EXPECT_THROW(core::StatSnapshot::from_string(""), std::runtime_error);
+  // JSON-shaped input fails on the binary magic.
+  EXPECT_THROW(core::StatSnapshot::from_string(
+                   "{\"format\":\"something-else\",\"version\":1}"),
+               std::runtime_error);
 }
 
 namespace {
@@ -327,15 +306,11 @@ TEST(StatSnapshot, EveryBinaryTruncationIsRejected) {
   // Fuzz-ish truncation sweep: a short read anywhere in the file must
   // surface as a clear snapshot error (never a deep CHECK on garbage
   // records, an allocation blow-up, or silently partial state).
-  const core::StatSnapshot snap = small_snapshot();
-  std::ostringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Binary);
-  const std::string bytes = buf.str();
+  const std::string bytes = small_snapshot().to_string();
   ASSERT_GT(bytes.size(), 64u);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    std::istringstream is(bytes.substr(0, len));
     try {
-      core::StatSnapshot::load(is);
+      core::StatSnapshot::from_string(std::string_view(bytes).substr(0, len));
       FAIL() << "truncation at byte " << len << " loaded successfully";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("stat snapshot"),
@@ -345,103 +320,53 @@ TEST(StatSnapshot, EveryBinaryTruncationIsRejected) {
   }
 }
 
-TEST(StatSnapshot, EveryJsonTruncationIsRejected) {
-  const core::StatSnapshot snap = small_snapshot();
-  std::ostringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Json);
-  const std::string text = buf.str();
-  // The writer ends "]}\n": dropping only the trailing newline still
-  // leaves complete JSON, so truncate strictly inside the document.
-  for (std::size_t len = 1; len + 1 < text.size(); ++len) {
-    std::istringstream is(text.substr(0, len));
-    EXPECT_THROW(core::StatSnapshot::load(is), std::runtime_error)
-        << "at byte " << len;
-  }
-}
-
 TEST(StatSnapshot, EveryBinaryByteCorruptionIsRejected) {
   // Flip every byte in turn (XOR 0xFF).  Header corruption trips the
   // magic/version/rank-count checks; anything inside a rank chunk trips
   // its checksum before a single record is decoded.
-  const core::StatSnapshot snap = small_snapshot();
-  std::ostringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Binary);
-  const std::string bytes = buf.str();
+  const std::string bytes = small_snapshot().to_string();
   for (std::size_t at = 0; at < bytes.size(); ++at) {
     std::string corrupt = bytes;
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
-    std::istringstream is(corrupt);
-    EXPECT_THROW(core::StatSnapshot::load(is), std::runtime_error)
+    EXPECT_THROW(core::StatSnapshot::from_string(corrupt), std::runtime_error)
         << "at byte " << at;
   }
 }
 
-TEST(StatSnapshot, PreviousVersionLoadsThroughUpgradeHook) {
-  // Cross-version migration: a version-1 file (the legacy layout, no
-  // tombstone lists, no chunk framing, no checksums) round-trips through
-  // the registered v1 upgrade hook in both formats.
-  ASSERT_TRUE(core::snapshot_upgrade_registered(
-      core::StatSnapshot::oldest_upgradable_version()));
-  const core::StatSnapshot snap = sweep_snapshot(Policy::EagerPropagation, true);
-  for (const auto fmt : {core::StatSnapshot::Format::Binary,
-                         core::StatSnapshot::Format::Json}) {
-    std::stringstream buf;
-    snap.save(buf, fmt, core::StatSnapshot::oldest_upgradable_version());
-    EXPECT_TRUE(core::StatSnapshot::load(buf).same_statistics(snap));
-  }
-  // A user-registered hook replaces the built-in and actually runs.
-  core::register_snapshot_upgrade(1, [](core::StatSnapshot& s) {
-    for (core::KernelTable& t : s.ranks) t.epoch += 1000;
-  });
-  std::stringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Binary, 1);
-  const core::StatSnapshot upgraded = core::StatSnapshot::load(buf);
-  EXPECT_EQ(upgraded.ranks[0].epoch, snap.ranks[0].epoch + 1000);
-  core::register_snapshot_upgrade(1, [](core::StatSnapshot&) {});
-}
-
 TEST(StatSnapshot, UnknownVersionsAreRejected) {
   const core::StatSnapshot snap = sweep_snapshot(Policy::OnlinePropagation, false);
-  // Writing an unknown version is refused outright.
-  std::ostringstream sink;
-  const std::uint32_t current = core::StatSnapshot::current_version();
-  EXPECT_THROW(snap.save(sink, core::StatSnapshot::Format::Binary, current + 1),
-               std::runtime_error);
-  EXPECT_THROW(snap.save(sink, core::StatSnapshot::Format::Binary, 0),
-               std::runtime_error);
-  // Reading one fails with the version named, both formats.
-  std::ostringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Binary);
-  std::string bytes = buf.str();
+  // Reading an unknown version fails with the version named.
+  std::string bytes = snap.to_string();
   bytes[8] = 99;  // bytes [8,12) hold the little-endian version u32
-  std::istringstream is(bytes);
   try {
-    core::StatSnapshot::load(is);
+    core::StatSnapshot::from_string(bytes);
     FAIL() << "unknown binary version accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
   }
-  std::stringstream js("{\"format\":\"critter-stat-snapshot\",\"version\":99,"
-                       "\"nranks\":1,\"ranks\":[{}]}");
-  EXPECT_THROW(core::StatSnapshot::load(js), std::runtime_error);
 }
 
 TEST(StatSnapshot, PreviousChecksumVersionFailsByVersionNotAsCorrupt) {
   // Version 2 shares version 3's layout but checksummed its chunks with the
-  // retired byte-serial hash.  The reader checks the version before any
-  // checksum, so such a file reports its version instead of "corrupt".
+  // retired byte-serial hash, and version 1 had no chunk framing at all.
+  // The reader checks the version before any checksum, so a payload
+  // relabelled as either reports its version instead of "corrupt".
   ASSERT_EQ(core::StatSnapshot::current_version(), 3u);
-  std::string bytes = small_snapshot().to_string();
-  bytes[8] = 2;  // bytes [8,12) hold the little-endian version u32
-  try {
-    core::StatSnapshot::from_string(bytes);
-    FAIL() << "version-2 payload accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported version 2"), std::string::npos) << what;
-    EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+  for (const char old_version : {1, 2}) {
+    std::string bytes = small_snapshot().to_string();
+    bytes[8] = old_version;  // bytes [8,12) hold the little-endian version u32
+    const std::string expected =
+        "unsupported version " + std::to_string(old_version);
+    try {
+      core::StatSnapshot::from_string(bytes);
+      FAIL() << "version-" << int{old_version} << " payload accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(expected), std::string::npos) << what;
+      EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+    }
+    EXPECT_THROW(core::check_snapshot_payload(bytes), std::runtime_error);
   }
-  EXPECT_THROW(core::check_snapshot_payload(bytes), std::runtime_error);
   // The same header check guards the sparse codec, which shares the version.
   const auto base = small_snapshot();
   std::string patch =
@@ -458,8 +383,8 @@ TEST(StatSnapshot, PreviousChecksumVersionFailsByVersionNotAsCorrupt) {
 
 TEST(StatSnapshot, DeltaTombstonesSurviveSerialization) {
   // A diff()-produced delta that tombstoned a pending entry must carry the
-  // tombstone through save/load — the file-borne exchange path depends on
-  // merge() seeing it on the far side.
+  // tombstone through serialization — the file-borne exchange path depends
+  // on merge() seeing it on the far side.
   core::StatSnapshot base;
   base.ranks.push_back(make_table(2, 1));
   base.ranks.push_back(make_table(2, 2));
@@ -486,29 +411,21 @@ TEST(StatSnapshot, DeltaTombstonesSurviveSerialization) {
   EXPECT_TRUE(replay_mem.ranks[0].pending_eager.empty());
   EXPECT_EQ(replay_mem.ranks[0].K.at(pending_key).n, 3);
 
-  for (const auto fmt : {core::StatSnapshot::Format::Binary,
-                         core::StatSnapshot::Format::Json}) {
-    std::stringstream buf;
-    delta.save(buf, fmt);
-    const core::StatSnapshot loaded = core::StatSnapshot::load(buf);
-    EXPECT_EQ(loaded.ranks[0].pending_tombstones,
-              delta.ranks[0].pending_tombstones);
-    // load() (re-)registers the world channel in every table; a delta
-    // carries only new channels, so compare against that normal form.
-    core::StatSnapshot expect = delta;
-    for (core::KernelTable& t : expect.ranks) t.init_world(expect.nranks());
-    EXPECT_TRUE(loaded.same_statistics(expect));
-    // Folding the round-tripped delta is bit-identical to folding the
-    // in-memory one — including the absorb-once pending accounting, which
-    // only works if the tombstone survived the file.
-    core::StatSnapshot replay = base;
-    replay.merge(loaded);
-    EXPECT_TRUE(replay.same_statistics(replay_mem));
-  }
-  // ...and version 1 cannot represent it.
-  std::ostringstream sink;
-  EXPECT_THROW(delta.save(sink, core::StatSnapshot::Format::Binary, 1),
-               std::runtime_error);
+  const core::StatSnapshot loaded =
+      core::StatSnapshot::from_string(delta.to_string());
+  EXPECT_EQ(loaded.ranks[0].pending_tombstones,
+            delta.ranks[0].pending_tombstones);
+  // from_string() (re-)registers the world channel in every table; a delta
+  // carries only new channels, so compare against that normal form.
+  core::StatSnapshot expect = delta;
+  for (core::KernelTable& t : expect.ranks) t.init_world(expect.nranks());
+  EXPECT_TRUE(loaded.same_statistics(expect));
+  // Folding the round-tripped delta is bit-identical to folding the
+  // in-memory one — including the absorb-once pending accounting, which
+  // only works if the tombstone survived the file.
+  core::StatSnapshot replay = base;
+  replay.merge(loaded);
+  EXPECT_TRUE(replay.same_statistics(replay_mem));
 }
 
 TEST(StatSnapshot, SnapshotDiffIsMergeInverse) {
@@ -536,6 +453,7 @@ TEST(StatSnapshot, SnapshotDiffIsMergeInverse) {
 #include <fstream>
 
 #include "golden_digest.hpp"
+#include "util/hash.hpp"
 
 TEST(StatSnapshot, GoldenSweepStatisticsSurviveSerializationBitIdentical) {
   // The fixture is digest_result + digest_snapshot of the online golden
@@ -556,9 +474,16 @@ TEST(StatSnapshot, GoldenSweepStatisticsSurviveSerializationBitIdentical) {
   EXPECT_EQ(critter::testing::digest_snapshot(r.stats), expected)
       << "live sweep statistics diverge from the fixture";
 
+  // The writer's bytes themselves are pinned too, not just the values they
+  // decode to: size and checksum64 of the version-3 payload.
+  const std::string bytes = r.stats.to_string();
+  EXPECT_EQ(bytes.size(), 442636u);
+  EXPECT_EQ(critter::util::checksum64(bytes.data(), bytes.size()),
+            0x506530957a508069ull)
+      << "the version-3 writer's bytes changed";
+
   // In-memory binary round-trip: string-backed serialize, span-based parse.
-  const core::StatSnapshot parsed =
-      core::StatSnapshot::from_string(r.stats.to_string());
+  const core::StatSnapshot parsed = core::StatSnapshot::from_string(bytes);
   EXPECT_EQ(critter::testing::digest_snapshot(parsed), expected)
       << "to_string/from_string round-trip bent a statistic";
 
@@ -576,8 +501,6 @@ TEST(StatSnapshot, GoldenSweepStatisticsSurviveSerializationBitIdentical) {
 // ---------------------------------------------------------------------------
 
 #include <cstring>
-
-#include "util/hash.hpp"
 
 namespace {
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -480,12 +479,11 @@ TEST(ToyWorkload, SessionStateRoundTripsThroughSaveLoadResume) {
   tune::Tuner s1(study, first);
   while (s1.step()) {
   }
-  std::stringstream buf;
-  s1.export_state().save(buf, core::StatSnapshot::Format::Binary);
+  const std::string bytes = s1.export_state().to_string();
 
   // ...then a fresh session (fresh process, morally) resumes the rest from
   // the serialized state and reproduces the uninterrupted sweep exactly.
-  const core::StatSnapshot loaded = core::StatSnapshot::load(buf);
+  const core::StatSnapshot loaded = core::StatSnapshot::from_string(bytes);
   tune::TuneOptions second = opt;
   second.config_begin = 2;
   tune::Tuner s2(study, second);

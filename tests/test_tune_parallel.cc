@@ -265,9 +265,8 @@ TEST(BatchSharedSweep, WarmStartResumeMatchesUninterrupted) {
   first.config_end = 4;
   const auto r_first = tune::run_study(study, first);
 
-  std::stringstream buf;
-  r_first.stats.save(buf, critter::core::StatSnapshot::Format::Binary);
-  const auto loaded = critter::core::StatSnapshot::load(buf);
+  const std::string bytes = r_first.stats.to_string();
+  const auto loaded = critter::core::StatSnapshot::from_string(bytes);
 
   tune::TuneOptions second = opt;
   second.config_begin = 4;
