@@ -383,6 +383,14 @@ std::string patched_bytes(const std::string& base, const std::string& patch) {
   return patch;  // full payload: wholesale replacement
 }
 
+std::string make_patch(const std::string& base, const std::string& cur) {
+  if (base == cur) return {};
+  if (base.empty()) return cur;
+  CRITTER_CHECK(!cur.empty(),
+                "checkpoint increment: statistics state reset to empty");
+  return core::encode_sparse_patch(base, cur);
+}
+
 // ---------------------------------------------------------------------------
 // SessionJournal
 // ---------------------------------------------------------------------------
@@ -451,17 +459,6 @@ bool SessionJournal::resume(const tune::Study& study, Decoded* decoded) {
   // corrupt or stale tail would be unreachable by the next resume.
   force_full_ = had_log;
   return true;
-}
-
-void SessionJournal::replay(tune::Tuner& tuner,
-                            util::FunctionRef after_batch) const {
-  for (const ShardCheckpoint::ToldBatch& tb : state_.told) {
-    CRITTER_CHECK(tuner.ask() == tb.positions,
-                  "journal replay diverged: the strategy proposed a "
-                  "different batch than the journal recorded");
-    tuner.tell(tb.outcomes);
-    if (after_batch) after_batch();
-  }
 }
 
 void SessionJournal::discard() {

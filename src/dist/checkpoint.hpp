@@ -43,7 +43,6 @@
 #include "core/stat_store.hpp"
 #include "dist/executor.hpp"
 #include "tune/tuner.hpp"
-#include "util/function_ref.hpp"
 
 namespace critter::dist {
 
@@ -55,10 +54,7 @@ struct ShardCheckpoint {
   int exchange_skips = 0;   ///< non-strict rounds skipped so far
   /// (round, peer) pairs skipped in non-strict mode, in occurrence order.
   std::vector<std::pair<int, int>> skipped;
-  struct ToldBatch {
-    std::vector<int> positions;  ///< study.configs positions, ascending
-    std::vector<tune::ConfigOutcome> outcomes;
-  };
+  using ToldBatch = tune::ToldBatch;
   std::vector<ToldBatch> told;  ///< one entry per completed batch
   /// Accumulated totals for the shard's range, indexed range-relative.
   std::vector<tune::ConfigTotals> totals;
@@ -167,6 +163,13 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
 /// patches here.
 std::string patched_bytes(const std::string& base, const std::string& patch);
 
+/// The inverse of patched_bytes: the patch field that turns `base` into
+/// `cur` — "" when the bytes are identical, `cur` wholesale when `base` is
+/// empty, otherwise a mode-0 sparse patch shipping only dirty rank chunks.
+/// Throws when the transition cannot be patched (state reset to empty,
+/// rank-count change); the journal's owner then asks for a full slot.
+std::string make_patch(const std::string& base, const std::string& cur);
+
 /// The durable journal of one tuning session (DESIGN.md §10, §11): a full
 /// checkpoint slot, then up to kIncrementsPerFull increments appended to
 /// the log, then a full slot in the other slot, and so on.  Two owners use
@@ -223,11 +226,6 @@ class SessionJournal {
   /// not be reached by a later resume.  False, with state() unchanged, when
   /// no slot is usable.
   bool resume(const tune::Study& study, Decoded* decoded = nullptr);
-
-  /// Re-ask and re-tell every told batch of state() into `tuner`; throws if
-  /// the strategy proposes any batch other than the recorded one (replay,
-  /// not trust).  `after_batch` runs after each batch.
-  void replay(tune::Tuner& tuner, util::FunctionRef after_batch = {}) const;
 
   /// Clean restart: remove both slots and the log, and reset state().
   void discard();

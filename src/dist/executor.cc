@@ -1,7 +1,7 @@
 #include "dist/executor.hpp"
 
 #include <algorithm>
-#include <thread>
+#include <deque>
 
 #include "dist/shard_session.hpp"
 #include "util/check.hpp"
@@ -32,117 +32,52 @@ std::vector<ShardRange> partition_range(int begin, int end, int nshards) {
 // InProcessExecutor
 // ---------------------------------------------------------------------------
 
-namespace {
-
-int shard_pool_threads(int nshards) {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return std::max(1, hw > 0 ? std::min(nshards, hw) : nshards);
-}
-
-tune::TuneOptions range_options(const tune::TuneOptions& opt,
-                                const ShardRange& r) {
-  tune::TuneOptions shard_opt = opt;
-  shard_opt.config_begin = r.begin;
-  shard_opt.config_end = r.end;
-  return shard_opt;
-}
-
-}  // namespace
-
-ShardResult shard_result_from(const tune::TuneResult& r,
-                              const ShardRange& sr) {
-  ShardResult out;
-  out.range = sr;
-  out.outcomes.assign(r.per_config.begin() + sr.begin,
-                      r.per_config.begin() + sr.end);
-  out.totals.assign(r.per_config_totals.begin() + sr.begin,
-                    r.per_config_totals.begin() + sr.end);
-  out.mode = r.mode;
-  out.strategy = r.strategy;
-  out.effective_workers = r.effective_workers;
-  out.batch = r.batch;
-  out.fallback_reason = r.fallback_reason;
-  out.evaluated = r.evaluated_configs;
-  out.stats = r.stats;
-  out.phases = r.phases;
-  return out;
-}
-
 std::vector<ShardResult> InProcessExecutor::run(
     const tune::Study& study, const tune::TuneOptions& opt,
     const std::vector<ShardRange>& shards, const ExchangePolicy& exchange) {
   std::vector<ShardResult> results(shards.size());
-  if (shards.empty()) return results;
-
-  const bool exchanging = exchange.every > 0 && shards.size() > 1;
-  if (!exchanging) {
-    // Independent full sweeps — with sequential execution this is the
-    // legacy merge_shards loop verbatim (bit-identity anchor).
-    auto run_one = [&](int s) {
-      results[s] =
-          shard_result_from(run_study(study, range_options(opt, shards[s])),
-                           shards[s]);
-    };
-    if (parallel_shards_ && shards.size() > 1) {
-      util::ThreadPool pool(shard_pool_threads(static_cast<int>(shards.size())));
-      pool.parallel_for(static_cast<int>(shards.size()), run_one);
-    } else {
-      for (int s = 0; s < static_cast<int>(shards.size()); ++s) run_one(s);
-    }
-    return results;
-  }
 
   // Lockstep exchange rounds, the in-memory realization of the run-dir
-  // protocol: each live shard runs `every` batches, every shard that ran
-  // publishes its delta, then each shard still sweeping absorbs its peers'
-  // round deltas in ascending shard order.  Deltas are all taken before
-  // any absorption — exactly what concurrent worker processes see, since a
-  // worker publishes before it reads its peers.
+  // protocol: each live shard steps until its round is due, then — with
+  // every delta taken before any absorption, exactly what concurrent
+  // worker processes see, since a worker publishes before it reads its
+  // peers — each shard that reads peers absorbs theirs in ascending shard
+  // order.  The sessions own every rule; this loop is only the barrier.
+  // With exchange off no round is ever due, so every shard sweeps its
+  // range in one segment: the legacy merge_shards loop.
   const int n = static_cast<int>(shards.size());
-  std::vector<std::unique_ptr<ShardSession>> sessions;
-  sessions.reserve(shards.size());
+  std::deque<ShardSession> sessions;  // non-movable: a deque never relocates
   for (const ShardRange& sr : shards)
-    sessions.push_back(
-        std::make_unique<ShardSession>(study, range_options(opt, sr)));
+    sessions.emplace_back(study, opt, sr, n, exchange.every);
 
-  std::unique_ptr<util::ThreadPool> pool;
-  if (parallel_shards_) pool = std::make_unique<util::ThreadPool>(
-      shard_pool_threads(n));
-
-  std::vector<int> ran(n, 0);
+  // Sequential shards: a one-worker pool is the caller, in index order.
+  util::ThreadPool pool(parallel_shards_ ? util::ThreadPool::threads_for(n)
+                                        : 1);
+  const auto segment = [&](int s) {
+    ShardSession& ss = sessions[s];
+    while (!ss.round_due() && ss.step()) {
+    }
+  };
   while (true) {
     bool any_live = false;
-    for (int s = 0; s < n; ++s) any_live = any_live || !sessions[s]->done();
+    for (int s = 0; s < n; ++s) any_live = any_live || !sessions[s].done();
     if (!any_live) break;
+    pool.parallel_for(n, segment);
 
-    auto segment = [&](int s) {
-      ran[s] = sessions[s]->done() ? 0
-                                   : sessions[s]->run_segment(exchange.every);
-    };
-    if (pool)
-      pool->parallel_for(n, segment);
-    else
-      for (int s = 0; s < n; ++s) segment(s);
-
+    // A peer without a due round has no delta: an empty one, never folded.
     std::vector<core::StatSnapshot> deltas(n);
-    std::vector<bool> present(n, false);
     for (int s = 0; s < n; ++s)
-      if (ran[s] > 0) {
-        deltas[s] = sessions[s]->take_delta();
-        present[s] = true;
-      }
+      if (sessions[s].round_due()) deltas[s] = sessions[s].take_delta();
     for (int s = 0; s < n; ++s) {
-      // A shard absorbs a round's peer deltas only while still sweeping: a
-      // worker that finished mid-round publishes its trailing delta and
-      // exits without reading peers (its result is already determined).
-      if (ran[s] < exchange.every || sessions[s]->done()) continue;
-      for (int p = 0; p < n; ++p)
-        if (p != s && present[p]) sessions[s]->absorb(deltas[p]);
-      sessions[s]->refresh_mark();
+      ShardSession& ss = sessions[s];
+      if (!ss.round_due()) continue;
+      for (int p = 0; ss.reads_peers() && p < n; ++p)
+        if (p != s) ss.absorb(deltas[p]);
+      ss.end_round();
     }
   }
 
-  for (int s = 0; s < n; ++s) results[s] = sessions[s]->result(shards[s]);
+  for (int s = 0; s < n; ++s) results[s] = sessions[s].result();
   return results;
 }
 

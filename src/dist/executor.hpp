@@ -11,7 +11,7 @@
 //   SubprocessExecutor  — one worker process per shard (a re-exec of the
 //                         current binary through the --shard-worker entry
 //                         point), exchanging versioned StatSnapshot files
-//                         through a run directory (dist/protocol.hpp).
+//                         through a run directory (core/fsio.hpp).
 //
 // Periodic mid-sweep exchange (ExchangePolicy::every > 0): after every N
 // strategy batches a shard publishes the statistics delta it grew since its

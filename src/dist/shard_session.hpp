@@ -1,123 +1,111 @@
-// Internal: one shard's sweep session with exchange-delta bookkeeping,
-// shared by the in-process executor's lockstep rounds and the subprocess
-// worker loop so both realize the identical exchange semantics (the
-// cross-executor determinism contract, DESIGN.md §8).
+// Internal: one shard's sweep as a state machine with named transitions.
+// Both executors drive it — the in-process lockstep steps every shard of a
+// round between its barriers, the subprocess worker steps its own shard
+// and moves the deltas through the run directory — so the round rules
+// exist once: when a round is due, who publishes, who absorbs, what a
+// delta carries and what a journal record holds (DESIGN.md §8, §10).
+//
+//   step() until round_due(), take_delta(), then — if reads_peers() —
+//   absorb() or skip() each peer in ascending shard order, end_round().
 #pragma once
 
-#include <memory>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "core/stat_store.hpp"
+#include "dist/checkpoint.hpp"
 #include "dist/executor.hpp"
 #include "tune/tuner.hpp"
+#include "util/function_ref.hpp"
 
 namespace critter::dist {
 
-/// The shard product of a plain (exchange-off) sweep result — the
-/// executors' and the worker's shared slicing of a TuneResult.
-ShardResult shard_result_from(const tune::TuneResult& r,
-                              const ShardRange& range);
-
-/// A Tuner session plus the delta-tracking state of the exchange protocol:
-/// `mark` is the statistics baseline of the next delta (the session state
-/// right after the previous round's peer absorption), `own` accumulates the
-/// shard's own contribution (initial state + own deltas, never peers') —
-/// the snapshot the final fold consumes.
+/// A Tuner session over one shard's range plus its exchange and journal
+/// state: the cursors (batches told, completed rounds, batches into the
+/// current round); `mark`, the baseline of the next delta (the state right
+/// after the previous round's absorption); `own`, the shard's own
+/// contribution (initial state plus its own deltas, never peers') — the
+/// snapshot the final fold consumes; and the journal step pending since
+/// the last record (told batches, skipped peers).  In reset mode
+/// (tune::resets_statistics) deltas, `mark` and `own` hold only the state
+/// that survives a reset: the next configuration's reset store could not
+/// be diffed against a configuration's kernel statistics, and no peer
+/// could use them.
 class ShardSession {
  public:
-  ShardSession(const tune::Study& study, const tune::TuneOptions& opt)
-      : session_(study, opt) {
-    mark_ = session_.export_state();
-    own_ = mark_;
-  }
+  /// Exchange is on when `every` > 0 and the fleet has several shards.
+  ShardSession(const tune::Study& study, const tune::TuneOptions& opt,
+               const ShardRange& range, int nshards, int every);
 
-  /// Run up to `max_batches` ask/evaluate/tell rounds; returns how many
-  /// ran (fewer means the strategy is exhausted — done() from then on).
-  int run_segment(int max_batches) {
-    int ran = 0;
-    while (ran < max_batches) {
-      if (!session_.step()) {
-        done_ = true;
-        break;
-      }
-      ++ran;
-    }
-    return ran;
-  }
+  /// Ask, evaluate and tell one batch; false once the strategy is
+  /// exhausted (done() from then on).
+  bool step();
 
-  /// One ask/evaluate/tell round, reporting the batch positions and their
-  /// outcomes (the subprocess worker's checkpoint log); false when the
-  /// strategy is exhausted.  Bit-identical to run_segment(1).
-  bool step_logged(std::vector<int>* batch,
-                   std::vector<tune::ConfigOutcome>* outcomes) {
-    *batch = session_.ask();
-    if (batch->empty()) {
-      done_ = true;
-      return false;
-    }
-    *outcomes = session_.evaluate(*batch);
-    session_.tell(*outcomes);
-    return true;
+  /// A round delta is owed: `every` batches ran since the last round, or
+  /// the strategy ran out mid-round (the trailing partial round).
+  bool round_due() const {
+    return every_ > 0 && (in_round_ == every_ || (done_ && in_round_ > 0));
   }
+  /// Whether the due round reads the peers' deltas: a shard that finished
+  /// mid-round publishes its trailing delta and reads none.
+  bool reads_peers() const { return !done_; }
 
-  /// Checkpoint replay of one peer's historical round delta: strategy
-  /// ingestion only (see Tuner::replay_exchange).
-  void replay_exchange(const core::StatSnapshot& peer_delta) {
-    session_.replay_exchange(peer_delta);
-  }
+  /// This round's delta (grown since `mark`), folded into `own`; taken
+  /// before any peer is absorbed, so it is a pure function of the round.
+  core::StatSnapshot take_delta();
+  /// Fold a peer's round delta into the session; true unless it was empty
+  /// (a peer with no shared statistics), which the strategy never sees.
+  bool absorb(const core::StatSnapshot& delta);
+  /// A peer's delta is missing or corrupt (non-strict exchange).
+  void skip(int peer);
+  /// `mark` becomes the post-absorption state; the round advances.
+  void end_round();
 
-  /// Restore the exchange bookkeeping a checkpoint recorded (after the
-  /// told-batch replay): the delta baseline, the own-contribution
-  /// accumulator, and the completed-round count.
-  void restore_exchange_state(core::StatSnapshot mark, core::StatSnapshot own,
-                              int rounds) {
-    mark_ = std::move(mark);
-    own_ = std::move(own);
-    rounds_ = rounds;
-  }
+  /// Journal the pending step: the statistics byte-patched against the
+  /// journal's bytes (DESIGN.md §13) — `mark` and `own` only when their
+  /// per-rank versions moved — or a full slot when no patch applies.
+  void record(SessionJournal& journal);
 
-  /// The statistics delta grown since the last publish point; folds it
-  /// into the shard's own contribution and advances the publish baseline.
-  core::StatSnapshot take_delta() {
-    core::StatSnapshot now = session_.export_state();
-    core::StatSnapshot delta = now.diff(mark_);
-    if (!own_.empty())
-      own_.merge(delta);
-    else
-      own_ = delta;
-    mark_ = std::move(now);
-    ++rounds_;
-    return delta;
-  }
+  /// Resume a fresh session from the journal's newest checkpoint through
+  /// Tuner::resume; `read_peer(peer, round)` re-reads from the mailbox the
+  /// deltas each replayed round absorbed (empty: none published), and
+  /// `on_batch` runs after each replayed batch.  False, session untouched,
+  /// when no checkpoint is usable; throws when the replay diverges,
+  /// leaving the session unusable (the caller restarts clean).
+  bool resume(SessionJournal& journal,
+              const std::function<core::StatSnapshot(int, int)>& read_peer,
+              util::FunctionRef on_batch);
 
-  /// Fold one peer's round delta into the live session (call in ascending
-  /// peer order); finish the round with refresh_mark() so the next delta
-  /// diffs against the post-absorption state.
-  void absorb(const core::StatSnapshot& peer_delta) {
-    session_.merge_state(peer_delta);
-  }
-  void refresh_mark() { mark_ = session_.export_state(); }
+  /// The shard product for the fold: the range's outcomes and totals, with
+  /// `own` as the statistics when exchanging.
+  ShardResult result() const;
 
+  bool exchanging() const { return every_ > 0; }
   bool done() const { return done_; }
+  int batches() const { return batches_; }
+  /// Completed exchange rounds — also the index of the round in progress.
   int rounds() const { return rounds_; }
-  tune::Tuner& session() { return session_; }
-  const core::StatSnapshot& own_stats() const { return own_; }
-  const core::StatSnapshot& mark() const { return mark_; }
-
-  /// The shard product for the fold: session outcomes restricted to the
-  /// range, with `stats` replaced by the shard's own contribution.
-  ShardResult result(const ShardRange& range) const {
-    ShardResult out = shard_result_from(session_.result(), range);
-    out.exchange_rounds = rounds_;
-    out.stats = own_;
-    return out;
-  }
 
  private:
-  tune::Tuner session_;
-  core::StatSnapshot mark_;
-  core::StatSnapshot own_;
-  int rounds_ = 0;
+  /// The shared statistics, in reset mode without kernel statistics.
+  core::StatSnapshot exchange_state() const;
+  void next_round() {
+    ++rounds_;
+    in_round_ = 0;
+  }
+
+  tune::Tuner tuner_;
+  ShardRange range_;
+  int nshards_;
+  int every_;  ///< 0: exchange off
+  core::StatSnapshot mark_, own_;
+  int batches_ = 0, rounds_ = 0, in_round_ = 0;
+  int skips_ = 0, resumed_batches_ = 0;
   bool done_ = false;
+  SessionJournal::Step pending_;
+  /// Versions of `mark` and `own` at the last record (empty: none yet).
+  std::vector<std::uint64_t> mark_vers_, own_vers_;
 };
 
 }  // namespace critter::dist

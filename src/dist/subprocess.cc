@@ -1,6 +1,6 @@
 // SubprocessExecutor and the --shard-worker entry point: one OS process
 // per shard, coordinated exclusively through run-directory files
-// (dist/protocol.hpp).  Layout:
+// published atomically (core/fsio.hpp).  Layout:
 //
 //   <run_dir>/run.txt            run manifest: study identity (workload,
 //                                scale, configuration indices), tuning
@@ -35,6 +35,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -45,10 +46,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "core/fsio.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/executor.hpp"
 #include "dist/manifest.hpp"
-#include "dist/protocol.hpp"
 #include "dist/shard_session.hpp"
 #include "dist/wire.hpp"
 #include "net/blob.hpp"
@@ -234,14 +235,14 @@ FaultSpec shard_fault(int index, const Manifest& m) {
 bool fault_fires(const std::string& shard_dir, const FaultSpec& f) {
   const std::string marker = shard_dir + "/fault_" + f.mode + ".count";
   long fired = 0;
-  if (file_exists(marker)) {
+  if (core::file_exists(marker)) {
     try {
-      fired = std::atol(read_file(marker).c_str());
+      fired = std::atol(core::read_file(marker).c_str());
     } catch (...) {
     }
   }
   if (fired >= f.times) return false;
-  write_file(marker, std::to_string(fired + 1));
+  core::write_file(marker, std::to_string(fired + 1));
   return true;
 }
 
@@ -338,28 +339,11 @@ struct PeerWait {
   std::int64_t bytes = 0;  ///< mailbox payload size (wire accounting)
 };
 
-/// Per-rank dirty-tracking versions of a snapshot (DESIGN.md §13).  Equal
-/// vectors mean "no table was reassigned or mutated since the last capture"
-/// — every mutation path bumps, and the profiler store's counters only
-/// grow, so equality is a sound pre-filter for skipping re-serialization.
-std::vector<std::uint64_t> version_vector(const core::StatSnapshot& s) {
-  std::vector<std::uint64_t> v;
-  v.reserve(s.ranks.size());
-  for (const core::KernelTable& t : s.ranks) v.push_back(t.version);
-  return v;
-}
-
-/// One checkpoint-increment patch field: "" when the serialized state is
-/// byte-identical, a wholesale payload when the previous record had none,
-/// otherwise a mode-0 sparse patch shipping only dirty rank chunks.  Throws
-/// when the transition cannot be patched (state reset to empty, rank-count
-/// change); the caller falls back to a full checkpoint slot.
-std::string make_patch(const std::string& base, const std::string& cur) {
-  if (base == cur) return {};
-  if (base.empty()) return cur;
-  CRITTER_CHECK(!cur.empty(),
-                "checkpoint increment: statistics state reset to empty");
-  return core::encode_sparse_patch(base, cur);
+/// The round count of a mailbox marker ("rounds=<n>": a done or progress
+/// marker), or -1 when it does not parse.
+int marker_rounds(const std::string& marker) {
+  int rounds = -1;
+  return std::sscanf(marker.c_str(), "rounds=%d", &rounds) == 1 ? rounds : -1;
 }
 
 /// Block until peer `p`'s round-`round` delta is available or provably
@@ -368,11 +352,12 @@ std::string make_patch(const std::string& base, const std::string& cur) {
 /// returns skipped=true instead — a corrupt publish is permanent (the
 /// rename is atomic), so it skips immediately rather than waiting out the
 /// deadline.  Beats `hb` while waiting so a legitimately-waiting worker is
-/// never stall-killed.
+/// never stall-killed.  A zero deadline is checkpoint replay's read: every
+/// delta the original session absorbed is still published.
 PeerWait await_peer_delta(net::Store& store, int p, int round,
                           double deadline_s, bool strict, Heartbeat& hb,
                           int batches) {
-  const double deadline = monotonic_s() + deadline_s;
+  const double deadline = core::monotonic_s() + deadline_s;
   int polls = 0;
   while (true) {
     if (store.published("exchange/" + delta_name(p, round))) {
@@ -390,10 +375,8 @@ PeerWait await_peer_delta(net::Store& store, int p, int round,
       }
     }
     if (store.published("exchange/" + done_name(p))) {
-      const std::string marker =
-          store.read_published("exchange/" + done_name(p));
-      int rounds = -1;
-      if (std::sscanf(marker.c_str(), "rounds=%d", &rounds) != 1) rounds = -1;
+      const int rounds =
+          marker_rounds(store.read_published("exchange/" + done_name(p)));
       CRITTER_CHECK(rounds >= 0,
                     "stale done marker from shard " + std::to_string(p));
       // The peer publishes every delta before its done marker, so a
@@ -401,85 +384,15 @@ PeerWait await_peer_delta(net::Store& store, int p, int round,
       if (rounds <= round) return {};
     }
     check_not_aborted(store);
-    if (monotonic_s() >= deadline) {
+    if (core::monotonic_s() >= deadline) {
       CRITTER_CHECK(!strict, "timed out waiting for shard " +
                                  std::to_string(p) + "'s round-" +
                                  std::to_string(round) + " exchange delta");
       return {true, {}};
     }
     if (++polls % 20 == 0) hb.beat(batches);
-    sleep_ms(5);
+    core::sleep_ms(5);
   }
-}
-
-/// Non-blocking mailbox read for checkpoint replay: everything the
-/// original session absorbed is still published (deltas are never
-/// retracted), so an unreadable entry means the run directory is
-/// inconsistent with the checkpoint — the caller falls back to a clean
-/// restart.
-core::StatSnapshot read_peer_now(net::Store& store, int p, int round) {
-  if (store.published("exchange/" + delta_name(p, round))) {
-    const std::string payload =
-        store.read_published("exchange/" + delta_name(p, round));
-    if (payload.empty()) return {};
-    return core::StatSnapshot::from_string(payload);
-  }
-  if (store.published("exchange/" + done_name(p))) {
-    const std::string marker = store.read_published("exchange/" + done_name(p));
-    int rounds = -1;
-    if (std::sscanf(marker.c_str(), "rounds=%d", &rounds) == 1 &&
-        rounds >= 0 && rounds <= round)
-      return {};
-  }
-  CRITTER_CHECK(false, "checkpoint replay: peer " + std::to_string(p) +
-                           "'s round-" + std::to_string(round) +
-                           " delta vanished from the mailbox");
-  return {};
-}
-
-/// Rebuild a session at the checkpoint's cursor: import the statistics
-/// wholesale, then re-ask/re-tell every recorded batch (asks are a pure
-/// function of strategy state; tells grow no statistics) with historical
-/// exchange deltas re-read from the mailbox and fed to the strategy only —
-/// merge_state would double-count what the imported snapshot already
-/// contains.  Throws if anything diverges; the caller then restarts clean.
-std::unique_ptr<ShardSession> resume_session(
-    const tune::Study& study, const tune::TuneOptions& opt,
-    const ShardRange& range, const SessionJournal& journal,
-    SessionJournal::Decoded&& decoded, bool exchanging, int every,
-    int nshards, net::Store& store, Heartbeat& hb) {
-  const ShardCheckpoint& ck = journal.state();
-  auto ss = std::make_unique<ShardSession>(study, opt);
-  ss->session().import_state(decoded.full);
-  const auto skipped_at = [&ck](int round, int peer) {
-    for (const auto& [r, p] : ck.skipped)
-      if (r == round && p == peer) return true;
-    return false;
-  };
-  int round = 0, in_round = 0, batches = 0;
-  journal.replay(ss->session(), [&] {
-    hb.beat(++batches);
-    ++in_round;
-    if (exchanging && in_round == every) {
-      for (int p = 0; p < nshards; ++p) {
-        if (p == range.index || skipped_at(round, p)) continue;
-        const core::StatSnapshot peer = read_peer_now(store, p, round);
-        if (!peer.empty()) ss->replay_exchange(peer);
-      }
-      ++round;
-      in_round = 0;
-    }
-  });
-  CRITTER_CHECK(round == ck.rounds && in_round == ck.in_round,
-                "checkpoint replay diverged: round cursors do not match");
-  std::vector<tune::ConfigTotals> totals(study.configs.size());
-  for (int i = range.begin; i < range.end; ++i)
-    totals[i] = ck.totals[i - range.begin];
-  ss->session().restore_totals(std::move(totals));
-  if (ck.has_exchange_state)
-    ss->restore_exchange_state(std::move(decoded.mark),
-                               std::move(decoded.own), ck.rounds);
-  return ss;
 }
 
 int worker_body(const WorkerArgs& args) {
@@ -505,8 +418,6 @@ int worker_body(const WorkerArgs& args) {
   const tune::Study study = rebuild_study(m);
   tune::TuneOptions opt = rebuild_options(m);
   const ShardRange range = shard_range_of(m, args.shard);
-  opt.config_begin = range.begin;
-  opt.config_end = range.end;
   core::StatSnapshot warm;
   if (manifest_int(m, "warm_start") != 0) {
     const std::string payload = store.read_published("warm.snap");
@@ -528,13 +439,6 @@ int worker_body(const WorkerArgs& args) {
       args.run_dir + "/shard" + std::to_string(args.shard);
   const std::string shard_key = "shard" + std::to_string(args.shard);
   const FaultSpec fault = shard_fault(args.shard, m);
-  const bool exchanging = every > 0 && nshards > 1;
-  // Mailbox GC (DESIGN.md §13): the launcher grants it only for runs that
-  // can never resume-and-replay (no checkpoints, no retries) — a replaying
-  // worker re-reads historical deltas, so GC would tear its history out
-  // from under it.  Absent key (older manifest) means off.
-  const auto git = m.find("gc_exchange");
-  const bool gc = exchanging && git != m.end() && git->second == "1";
 
   Heartbeat hb{&store, shard_key + "/heartbeat"};
   if (fault.mode == "crash-on-start" && fault_fires(shard_dir, fault))
@@ -546,29 +450,32 @@ int worker_body(const WorkerArgs& args) {
   // Probe regardless of ckpt_every: a signal-flushed worker leaves a final
   // checkpoint behind even when periodic checkpointing is off, and its
   // relaunch must pick it up.
-  SessionJournal journal(shard_dir, range, exchanging);
-  std::unique_ptr<ShardSession> ss;
-  int batches = 0, round = 0, in_round = 0, resumed_batches = 0;
-  SessionJournal::Decoded decoded;
-  if (journal.resume(study, &decoded)) {
-    try {
-      ss = resume_session(study, opt, range, journal, std::move(decoded),
-                          exchanging, every, nshards, store, hb);
-      const ShardCheckpoint& ck = journal.state();
-      batches = resumed_batches = ck.batches;
-      round = ck.rounds;
-      in_round = ck.in_round;
-    } catch (const std::exception& e) {
-      obs::log_warn("shard %d: checkpoint resume failed (%s) — restarting "
-                    "clean",
-                    args.shard, e.what());
-      ss.reset();
-    }
+  std::optional<ShardSession> ss(std::in_place, study, opt, range, nshards,
+                                 every);
+  SessionJournal journal(shard_dir, range, ss->exchanging());
+  bool resumed = false;
+  try {
+    resumed = ss->resume(
+        journal,
+        [&](int p, int round) {
+          return await_peer_delta(store, p, round, /*deadline_s=*/0.0,
+                                  /*strict=*/true, hb, ss->batches())
+              .snap;
+        },
+        [&] { hb.beat(ss->batches()); });
+  } catch (const std::exception& e) {
+    obs::log_warn("shard %d: checkpoint resume failed (%s) — restarting "
+                  "clean",
+                  args.shard, e.what());
+    ss.emplace(study, opt, range, nshards, every);
   }
-  if (!ss) {
-    journal.discard();
-    ss = std::make_unique<ShardSession>(study, opt);
-  }
+  if (!resumed) journal.discard();
+  // Mailbox GC (DESIGN.md §13): the launcher grants it only for runs that
+  // can never resume-and-replay (no checkpoints, no retries) — a replaying
+  // worker re-reads historical deltas, so GC would tear its history out
+  // from under it.  Absent key (older manifest) means off.
+  const auto git = m.find("gc_exchange");
+  const bool gc = ss->exchanging() && git != m.end() && git->second == "1";
   // Mailbox traffic this attempt moved: published delta payloads plus live
   // peer reads (replay re-reads during resume are history, not new wire).
   std::int64_t exchange_bytes = 0;
@@ -578,50 +485,95 @@ int worker_body(const WorkerArgs& args) {
   double exchange_s = 0.0, checkpoint_s = 0.0;
   int gc_next = 0;  ///< first own-delta round not yet retired by GC
 
-  const auto publish_delta = [&](int round_no) {
+  // One exchange round: publish this shard's round delta, then — unless
+  // the sweep ended mid-round — fold in every peer's, in ascending shard
+  // order (the determinism contract).
+  const auto exchange_round = [&] {
+    obs::set_phase("exchange");
+    const double round_t0 = core::monotonic_s();
+    const std::int64_t round_bytes0 = exchange_bytes;
+    const int round = ss->rounds();
+    obs::ScopedSpan round_span("dist.exchange_round", "dist", "round",
+                               static_cast<std::uint64_t>(round));
     const core::StatSnapshot delta = ss->take_delta();
     std::string payload;
     // Mode-1 sparse encoding: ranks the round left untouched collapse to an
     // entry in the epoch array.  Readers auto-expand via from_string to the
     // exact full payload, so the fold stays bit-identical.
     if (!delta.empty()) payload = core::encode_sparse_delta(delta);
-    if (fault.mode == "slow-exchange" && round_no == 0 &&
+    if (fault.mode == "slow-exchange" && round == 0 &&
         fault_fires(shard_dir, fault)) {
       // A slow peer, not a dead one: keep beating while stalling so the
       // launcher sees a live worker — peers decide via their own exchange
       // deadline.
-      const double until = monotonic_s() + (fault.arg > 0 ? fault.arg : 1000) /
-                                               1000.0;
-      while (monotonic_s() < until) {
-        hb.beat(batches);
-        sleep_ms(10);
+      const double until =
+          core::monotonic_s() + (fault.arg > 0 ? fault.arg : 1000) / 1000.0;
+      while (core::monotonic_s() < until) {
+        hb.beat(ss->batches());
+        core::sleep_ms(10);
       }
     }
     const int corrupt_round = fault.arg > 0 ? static_cast<int>(fault.arg) : 0;
-    if (fault.mode == "corrupt-delta" && round_no == corrupt_round &&
+    if (fault.mode == "corrupt-delta" && round == corrupt_round &&
         fault_fires(shard_dir, fault)) {
-      // Corrupt the mailbox copy only (own_ already folded the real delta):
+      // Corrupt the mailbox copy only (own already folded the real delta):
       // the publish itself is well-formed but the snapshot bytes inside are
       // flipped, so every reader deterministically rejects the blob —
       // corruption at the source, which the manifest cannot catch.
-      std::string bad = payload.empty() ? std::string("x") : payload;
-      bad[0] = static_cast<char>(bad[0] ^ 0x5a);
-      store.publish("exchange/" + delta_name(range.index, round_no), bad);
-      exchange_bytes += static_cast<std::int64_t>(bad.size());
-      return;
+      if (payload.empty()) payload = "x";
+      payload[0] = static_cast<char>(payload[0] ^ 0x5a);
     }
-    store.publish("exchange/" + delta_name(range.index, round_no), payload);
+    store.publish("exchange/" + delta_name(range.index, round), payload);
     exchange_bytes += static_cast<std::int64_t>(payload.size());
+    // Flow id (shard << 16) | round: the publish starts the flow, every
+    // peer that absorbs this round's delta finishes it — the merged
+    // fleet timeline draws the exchange as arrows between process rows.
+    obs::trace_flow(
+        's', "exchange", "dist",
+        (static_cast<std::uint64_t>(range.index) << 16) |
+            static_cast<std::uint64_t>(round));
+    for (int p = 0; ss->reads_peers() && p < nshards; ++p) {
+      if (p == range.index) continue;
+      PeerWait peer = await_peer_delta(store, p, round, exchange_deadline_s,
+                                       strict, hb, ss->batches());
+      if (peer.skipped) {
+        ss->skip(p);
+        obs::counter("dist.exchange.skips").add();
+      } else if (ss->absorb(peer.snap)) {
+        obs::trace_flow('f', "exchange", "dist",
+                        (static_cast<std::uint64_t>(p) << 16) |
+                            static_cast<std::uint64_t>(round));
+      }
+      exchange_bytes += peer.bytes;
+    }
+    ss->end_round();
+    obs::counter("dist.exchange.bytes")
+        .add(static_cast<std::uint64_t>(exchange_bytes - round_bytes0));
+    const double round_dt = core::monotonic_s() - round_t0;
+    exchange_s += round_dt;
+    obs::histogram("dist.exchange.round_seconds").observe(round_dt);
+    obs::set_phase("evaluate");
+    if (!gc || !ss->reads_peers()) return;
+    // Advertise the fold we just completed, then retire own deltas every
+    // peer has provably consumed (their progress counters are past that
+    // round).  An unreadable or absent peer marker counts as no progress
+    // — GC waits rather than guesses.
+    store.put("exchange/" + progress_name(range.index),
+              "rounds=" + std::to_string(ss->rounds()) + "\n");
+    int folded = ss->rounds();  ///< rounds every peer has folded in
+    for (int p = 0; p < nshards && folded > gc_next; ++p) {
+      if (p == range.index) continue;
+      int rounds = -1;
+      try {
+        rounds = marker_rounds(store.get("exchange/" + progress_name(p)));
+      } catch (...) {
+      }
+      folded = std::min(folded, rounds);
+    }
+    for (; gc_next < folded; ++gc_next)
+      store.remove("exchange/" + delta_name(range.index, gc_next));
   };
 
-  // What the next journal record adds: the batches told and the peer
-  // deltas skipped since the last one.
-  SessionJournal::Step pending;
-  // mark/own only move at exchange rounds: while their per-rank version
-  // vectors match the last record's, their bytes provably do too, and the
-  // record skips both the serialization and the patch.  The first record
-  // of an attempt always serializes them.
-  std::vector<std::uint64_t> mark_vers, own_vers;
   int checkpoints_taken = 0;
   if (fault.mode == "kill-mid-checkpoint" ||
       fault.mode == "corrupt-checkpoint") {
@@ -638,44 +590,14 @@ int worker_body(const WorkerArgs& args) {
       }
     });
   }
-  const auto bytes_of = [](const core::StatSnapshot& snap) {
-    return snap.empty() ? std::string() : snap.to_string();
-  };
   const auto take_checkpoint = [&] {
     obs::set_phase("checkpoint");
-    const double t0 = monotonic_s();
+    const double t0 = core::monotonic_s();
     obs::ScopedSpan span("dist.checkpoint", "dist", "seq",
                          static_cast<std::uint64_t>(journal.state().seq + 1));
     ++checkpoints_taken;
-    pending.rounds = round;
-    pending.in_round = in_round;
-    pending.full_bytes = bytes_of(ss->session().export_state());
-    if (exchanging) {
-      std::vector<std::uint64_t> mv = version_vector(ss->mark());
-      std::vector<std::uint64_t> ov = version_vector(ss->own_stats());
-      if (mark_vers.empty() || mv != mark_vers)
-        pending.mark_bytes = bytes_of(ss->mark());
-      if (own_vers.empty() || ov != own_vers)
-        pending.own_bytes = bytes_of(ss->own_stats());
-      mark_vers = std::move(mv);
-      own_vers = std::move(ov);
-    }
-    if (!journal.next_is_full()) {
-      // Byte patches against the journaled payloads (DESIGN.md §13).
-      const ShardCheckpoint& prev = journal.state();
-      try {
-        pending.full_patch = make_patch(prev.full_bytes, *pending.full_bytes);
-        if (pending.mark_bytes)
-          pending.mark_patch = make_patch(prev.mark_bytes, *pending.mark_bytes);
-        if (pending.own_bytes)
-          pending.own_patch = make_patch(prev.own_bytes, *pending.own_bytes);
-      } catch (const std::exception&) {
-        journal.force_full();  // not patchable (e.g. a reset): full record
-      }
-    }
-    journal.record(std::move(pending), ss->session().totals());
-    pending = {};
-    const double dt = monotonic_s() - t0;
+    ss->record(journal);
+    const double dt = core::monotonic_s() - t0;
     checkpoint_s += dt;
     obs::histogram("dist.checkpoint.write_seconds").observe(dt);
     obs::set_phase("evaluate");
@@ -692,133 +614,48 @@ int worker_body(const WorkerArgs& args) {
       journal.force_full();
       take_checkpoint();
       try {
-        write_file(shard_dir + "/error.txt",
-                   "terminated by signal after " + std::to_string(batches) +
-                       " batches — final checkpoint flushed\n");
+        core::write_file(shard_dir + "/error.txt",
+                         "terminated by signal after " +
+                             std::to_string(ss->batches()) +
+                             " batches — final checkpoint flushed\n");
       } catch (...) {
       }
       return kTerminatedExit;
     }
     check_not_aborted(store);
-    std::vector<int> batch;
-    std::vector<tune::ConfigOutcome> outcomes;
     bool stepped;
     {
-      const double t0 = monotonic_s();
+      const double t0 = core::monotonic_s();
       obs::ScopedSpan span("dist.batch", "dist", "batch",
-                           static_cast<std::uint64_t>(batches));
-      stepped = ss->step_logged(&batch, &outcomes);
+                           static_cast<std::uint64_t>(ss->batches()));
+      stepped = ss->step();
       if (stepped) {
         obs::counter("dist.batches").add();
-        obs::histogram("dist.batch_seconds").observe(monotonic_s() - t0);
+        obs::histogram("dist.batch_seconds").observe(core::monotonic_s() - t0);
       }
     }
     if (!stepped) break;
-    pending.told.push_back({batch, std::move(outcomes)});
-    ++batches;
     ++attempt_batches;
-    ++in_round;
-    hb.beat(batches);
+    hb.beat(ss->batches());
     if (fault.mode == "crash-after-batch" && attempt_batches == fault_batch &&
         fault_fires(shard_dir, fault))
       ::_exit(42);
     if (fault.mode == "hang-after-batch" && attempt_batches == fault_batch &&
         fault_fires(shard_dir, fault))
-      while (true) sleep_ms(1000);  // a genuine hang: no beats, no exit
-    if (exchanging && in_round == every) {
-      obs::set_phase("exchange");
-      const double round_t0 = monotonic_s();
-      const std::int64_t round_bytes0 = exchange_bytes;
-      obs::ScopedSpan round_span("dist.exchange_round", "dist", "round",
-                                 static_cast<std::uint64_t>(round));
-      // Publish this shard's round delta, then fold in every peer's, in
-      // ascending shard order (the determinism contract).
-      publish_delta(round);
-      // Flow id (shard << 16) | round: the publish starts the flow, every
-      // peer that absorbs this round's delta finishes it — the merged
-      // fleet timeline draws the exchange as arrows between process rows.
-      obs::trace_flow(
-          's', "exchange", "dist",
-          (static_cast<std::uint64_t>(range.index) << 16) |
-              static_cast<std::uint64_t>(round));
-      for (int p = 0; p < nshards; ++p) {
-        if (p == range.index) continue;
-        PeerWait peer = await_peer_delta(store, p, round,
-                                       exchange_deadline_s, strict, hb,
-                                       batches);
-        if (peer.skipped) {
-          pending.skipped.emplace_back(round, p);
-          obs::counter("dist.exchange.skips").add();
-        } else if (!peer.snap.empty()) {
-          obs::trace_flow('f', "exchange", "dist",
-                          (static_cast<std::uint64_t>(p) << 16) |
-                              static_cast<std::uint64_t>(round));
-          ss->absorb(peer.snap);
-        }
-        exchange_bytes += peer.bytes;
-      }
-      ss->refresh_mark();
-      obs::counter("dist.exchange.bytes")
-          .add(static_cast<std::uint64_t>(exchange_bytes - round_bytes0));
-      const double round_dt = monotonic_s() - round_t0;
-      exchange_s += round_dt;
-      obs::histogram("dist.exchange.round_seconds").observe(round_dt);
-      obs::set_phase("evaluate");
-      ++round;
-      in_round = 0;
-      if (gc) {
-        // Advertise the fold we just completed, then retire own deltas
-        // every peer has provably consumed (their progress counters are
-        // past that round).  An unreadable or absent peer marker counts
-        // as zero — GC waits rather than guesses.
-        store.put("exchange/" + progress_name(range.index),
-                  "rounds=" + std::to_string(round) + "\n");
-        int min_rounds = round;
-        for (int p = 0; p < nshards && min_rounds > gc_next; ++p) {
-          if (p == range.index) continue;
-          int rounds = 0;
-          try {
-            const std::string marker =
-                store.get("exchange/" + progress_name(p));
-            if (std::sscanf(marker.c_str(), "rounds=%d", &rounds) != 1)
-              rounds = 0;
-          } catch (...) {
-            rounds = 0;
-          }
-          min_rounds = std::min(min_rounds, rounds);
-        }
-        for (; gc_next < min_rounds; ++gc_next)
-          store.remove("exchange/" + delta_name(range.index, gc_next));
-      }
-    }
-    if (ckpt_every > 0 && batches % ckpt_every == 0) take_checkpoint();
+      while (true) core::sleep_ms(1000);  // a genuine hang: no beats, no exit
+    if (ss->round_due()) exchange_round();
+    if (ckpt_every > 0 && ss->batches() % ckpt_every == 0) take_checkpoint();
   }
-  if (exchanging) {
-    if (in_round > 0) {
-      // Trailing partial round: publish so peers still sweeping see it;
-      // a finished shard reads no more peers.
-      publish_delta(round);
-      obs::trace_flow(
-          's', "exchange", "dist",
-          (static_cast<std::uint64_t>(range.index) << 16) |
-              static_cast<std::uint64_t>(round));
-      ++round;
-    }
+  if (ss->exchanging()) {
+    // Trailing partial round: publish so peers still sweeping see it; a
+    // finished shard reads no more peers.
+    if (ss->round_due()) exchange_round();
     store.publish("exchange/" + done_name(range.index),
-                  "rounds=" + std::to_string(round) + "\n");
+                  "rounds=" + std::to_string(ss->rounds()) + "\n");
   }
 
-  // Exchange-off results slice the plain session result (stats = the
-  // session's final snapshot, the legacy run_study semantics); exchange-on
-  // results carry the own-contribution snapshot so the fold counts every
-  // sample once.
-  ShardResult result = exchanging
-                           ? ss->result(range)
-                           : shard_result_from(ss->session().result(), range);
-  result.exchange_skips = journal.state().exchange_skips +
-                          static_cast<int>(pending.skipped.size());
+  ShardResult result = ss->result();
   result.checkpoints = checkpoints_taken;
-  result.resumed_batches = resumed_batches;
   result.exchange_bytes = exchange_bytes;
   // ask/evaluate/tell arrived via the Tuner's own phase clock; the worker
   // loop owns the exchange and checkpoint time.
@@ -902,10 +739,10 @@ std::string describe_exit(int status) {
 std::string shard_diagnosis(const std::string& run_dir, int shard) {
   const std::string base = run_dir + "/shard" + std::to_string(shard);
   for (const char* name : {"/error.txt", "/log.txt"}) {
-    if (!file_exists(base + name)) continue;
+    if (!core::file_exists(base + name)) continue;
     std::string text;
     try {
-      text = read_file(base + name);
+      text = core::read_file(base + name);
     } catch (...) {
       continue;
     }
@@ -986,7 +823,7 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
     c.pid = spawn_worker(binary, run_dir, c.range.index, connect, fault);
     c.running = true;
     ++c.attempts;
-    c.launched_at = monotonic_s();
+    c.launched_at = core::monotonic_s();
     c.beat_seen = false;
     c.relaunch_at = -1.0;
   };
@@ -1004,16 +841,16 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
   };
   const auto abort_fleet = [&](const std::string& failure) {
     store.publish("abort", failure + "\n");
-    const double grace_deadline = monotonic_s() + 10.0;
-    while (any_running() && monotonic_s() < grace_deadline) {
+    const double grace_deadline = core::monotonic_s() + 10.0;
+    while (any_running() && core::monotonic_s() < grace_deadline) {
       poll_exits();
-      sleep_ms(10);
+      core::sleep_ms(10);
     }
     for (Child& c : fleet)
       if (c.running) ::kill(c.pid, SIGKILL);
     while (any_running()) {
       poll_exits();
-      sleep_ms(5);
+      core::sleep_ms(5);
     }
     CRITTER_CHECK(false, failure + " — run directory kept at " + run_dir);
   };
@@ -1035,7 +872,7 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
       double backoff = fault.backoff_initial_s;
       for (int i = 1; i < c.attempts; ++i) backoff *= 2.0;
       const double wait = std::min(backoff, fault.backoff_max_s);
-      c.relaunch_at = monotonic_s() + wait;
+      c.relaunch_at = core::monotonic_s() + wait;
       obs::counter("dist.retries").add();
       obs::histogram("dist.backoff_wait_seconds").observe(wait);
       obs::log_info("shard %d faulted (%s) — relaunch in %gs",
@@ -1069,7 +906,8 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
     for (Child& c : fleet) {
       if (c.done || c.degraded) continue;
       if (!c.running) {
-        if (c.relaunch_at >= 0.0 && monotonic_s() >= c.relaunch_at) spawn(c);
+        if (c.relaunch_at >= 0.0 && core::monotonic_s() >= c.relaunch_at)
+          spawn(c);
         continue;
       }
       int status = 0;
@@ -1098,14 +936,14 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
       }
       if (!beat.empty() && beat != c.beat) {
         c.beat = beat;
-        c.beat_at = monotonic_s();
+        c.beat_at = core::monotonic_s();
         c.beat_seen = true;
         continue;
       }
       const double ref = c.beat_seen ? c.beat_at : c.launched_at;
       const double limit =
           c.beat_seen ? fault.progress_deadline_s : fault.startup_deadline_s;
-      if (monotonic_s() - ref <= limit) continue;
+      if (core::monotonic_s() - ref <= limit) continue;
       ::kill(c.pid, SIGKILL);
       ::waitpid(c.pid, &status, 0);
       c.running = false;
@@ -1114,19 +952,15 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
                        format_seconds(limit) + "s" +
                        describe_last_beat(c.beat));
     }
-    sleep_ms(5);
+    core::sleep_ms(5);
   }
 
   // Degraded completion: the launcher sweeps the abandoned ranges itself,
   // in shard order.  Bit-identical with exchange off; with exchange on the
   // fallback session exchanges nothing (the documented §10 relaxation).
-  for (Child& c : fleet) {
-    if (!c.degraded) continue;
-    tune::TuneOptions sopt = opt;
-    sopt.config_begin = c.range.begin;
-    sopt.config_end = c.range.end;
-    c.result = shard_result_from(tune::run_study(study, sopt), c.range);
-  }
+  for (Child& c : fleet)
+    if (c.degraded)
+      c.result = InProcessExecutor().run(study, opt, {c.range}, {})[0];
 
   std::vector<ShardResult> results;
   results.reserve(fleet.size());
@@ -1161,17 +995,17 @@ std::vector<ShardResult> SubprocessExecutor::run(
 
   const bool temp_dir = opts_.run_dir.empty();
   const std::string run_dir =
-      temp_dir ? make_temp_dir("critter-run-") : opts_.run_dir;
+      temp_dir ? core::make_temp_dir("critter-run-") : opts_.run_dir;
   if (!temp_dir) {
-    make_dir(run_dir);
-    CRITTER_CHECK(!file_exists(run_dir + "/run.txt"),
+    core::make_dir(run_dir);
+    CRITTER_CHECK(!core::file_exists(run_dir + "/run.txt"),
                   "run directory " + run_dir +
                       " already holds a run manifest (stale run "
                       "directory?) — point --run-dir at a fresh one");
   }
-  make_dir(run_dir + "/exchange");
+  core::make_dir(run_dir + "/exchange");
   for (const ShardRange& s : shards)
-    make_dir(run_dir + "/shard" + std::to_string(s.index));
+    core::make_dir(run_dir + "/shard" + std::to_string(s.index));
 
   // The shared store the fleet coordinates through.  File transport: the
   // run directory itself (byte-identical to the historical layout).
@@ -1216,9 +1050,9 @@ std::vector<ShardResult> SubprocessExecutor::run(
     for (const ShardRange& s : shards) {
       const std::string p =
           run_dir + "/shard" + std::to_string(s.index) + "/trace.json";
-      if (!file_exists(p)) continue;
+      if (!core::file_exists(p)) continue;
       try {
-        docs.push_back(read_file(p));
+        docs.push_back(core::read_file(p));
         names.emplace_back(s.index, "shard " + std::to_string(s.index));
       } catch (...) {
       }
@@ -1226,7 +1060,7 @@ std::vector<ShardResult> SubprocessExecutor::run(
     docs.push_back(obs::trace_export_chrome());
     names.emplace_back(static_cast<int>(::getpid()), "launcher");
     try {
-      write_file(trace_path, obs::trace_merge_chrome(docs, names));
+      core::write_file(trace_path, obs::trace_merge_chrome(docs, names));
     } catch (const std::exception& e) {
       obs::log_warn("fleet trace merge to %s failed: %s", trace_path.c_str(),
                     e.what());
@@ -1246,7 +1080,7 @@ std::vector<ShardResult> SubprocessExecutor::run(
   }
 
   if (server) server->stop();
-  if (temp_dir && !opts_.keep_run_dir) remove_dir_tree(run_dir);
+  if (temp_dir && !opts_.keep_run_dir) core::remove_dir_tree(run_dir);
   return results;
 }
 
@@ -1276,9 +1110,9 @@ int shard_worker_main(int argc, char** argv) {
     return worker_body(args);
   } catch (const std::exception& e) {
     try {
-      write_file(args.run_dir + "/shard" + std::to_string(args.shard) +
-                     "/error.txt",
-                 std::string(e.what()) + "\n");
+      core::write_file(args.run_dir + "/shard" + std::to_string(args.shard) +
+                           "/error.txt",
+                       std::string(e.what()) + "\n");
     } catch (...) {
     }
     obs::log_error("shard worker %d failed: %s", args.shard, e.what());

@@ -107,7 +107,7 @@ TunerDaemon::TunerDaemon(DaemonOptions opt) : opt_(std::move(opt)) {
   CRITTER_CHECK(!opt_.state_dir.empty(), "tuner daemon needs a state directory");
   core::make_dir(opt_.state_dir);
   core::make_dir(opt_.state_dir + "/sessions");
-  resume_sessions();
+  load_sessions();
   listener_ = std::make_unique<net::Listener>(opt_.port);
   // Port file last: a reader that sees it can connect immediately.
   core::write_file_atomic(opt_.state_dir + "/port",
@@ -190,8 +190,8 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
       dist::ShardRange{0, 0, static_cast<int>(s->study.configs.size())},
       /*exchanging=*/false);
   if (s->journal->resume(s->study)) {
-    s->journal->replay(*s->tuner);
-    s->tuner->restore_totals(s->journal->state().totals);
+    s->tuner->resume(/*stats=*/nullptr, s->journal->state().told,
+                     s->journal->state().totals);
   } else if (s->opt.warm_start != nullptr) {
     const StatSnapshot seeded = s->tuner->export_state();
     if (!seeded.empty()) s->journal->replace_bytes(seeded.to_string());
@@ -199,7 +199,7 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
   return s;
 }
 
-void TunerDaemon::resume_sessions() {
+void TunerDaemon::load_sessions() {
   for (const std::string& name :
        core::list_dir(opt_.state_dir + "/sessions")) {
     if (!valid_session_name(name)) continue;

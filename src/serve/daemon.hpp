@@ -104,7 +104,7 @@ class TunerDaemon {
 
   Session& resolve_session(const std::string& name);
   Session& open_session(const OpenRequest& rq);
-  void resume_sessions();
+  void load_sessions();
   std::unique_ptr<Session> load_session(const std::string& name);
 
   DaemonOptions opt_;

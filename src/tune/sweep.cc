@@ -1,24 +1,10 @@
 #include "tune/sweep.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "util/check.hpp"
 
 namespace critter::tune {
-
-namespace {
-
-/// OS threads backing `logical` sweep workers.  Results never depend on the
-/// pool size (isolated sweeps are bit-identical by construction,
-/// batch-shared sweeps are a pure function of the batch size), so
-/// oversubscribing the machine buys nothing but scheduler churn.
-int pool_threads(int logical) {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return std::max(1, hw > 0 ? std::min(logical, hw) : logical);
-}
-
-}  // namespace
 
 const char* sweep_mode_name(SweepMode m) {
   switch (m) {
@@ -29,22 +15,23 @@ const char* sweep_mode_name(SweepMode m) {
   return "?";
 }
 
+bool resets_statistics(const TuneOptions& opt) {
+  return opt.reset_per_config && opt.policy != Policy::EagerPropagation;
+}
+
 SweepDriver::SweepDriver(const Study& study, const TuneOptions& opt)
     : study_(study), opt_(opt), evaluator_(study, opt) {
   const int nconf = static_cast<int>(study.configs.size());
   begin_ = std::clamp(opt.config_begin, 0, nconf);
   end_ = opt.config_end < 0 ? nconf : std::clamp(opt.config_end, begin_, nconf);
-  // Statistics reset between configurations (the paper's SLATE/CANDMC
-  // protocol); never honored for eager propagation, which lives off
-  // cross-configuration statistics.
-  reset_ = opt.reset_per_config && opt.policy != Policy::EagerPropagation;
+  reset_ = resets_statistics(opt);
   ref_cache_.resize(nconf);
   plan_ = plan();
   if (plan_.mode == SweepMode::Serial) {
     store_.emplace(study_.nranks, profiler_config());
   } else {
     pool_ = std::make_unique<util::ThreadPool>(
-        pool_threads(plan_.effective_workers));
+        util::ThreadPool::threads_for(plan_.effective_workers));
     if (plan_.mode == SweepMode::BatchShared)
       base_ = Store(study_.nranks, profiler_config()).snapshot();
   }

@@ -34,6 +34,12 @@
 
 namespace critter::tune {
 
+/// Whether a sweep under `opt` resets kernel statistics between
+/// configurations: the paper's SLATE/CANDMC protocol, never honored for
+/// eager propagation, which lives off cross-configuration statistics.  Only
+/// KernelTable::clear_statistics()'s survivors outlive a configuration.
+bool resets_statistics(const TuneOptions& opt);
+
 class SweepDriver {
  public:
   SweepDriver(const Study& study, const TuneOptions& opt);

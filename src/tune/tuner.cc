@@ -275,17 +275,26 @@ void Tuner::merge_state(const core::StatSnapshot& delta) {
   strategy_->ingest_prior(delta);
 }
 
-void Tuner::replay_exchange(const core::StatSnapshot& delta) {
-  CRITTER_CHECK(!asked_,
-                "replay_exchange() with a batch claimed — exchange deltas "
-                "may only fold in between tell() and the next ask()");
-  strategy_->ingest_prior(delta);
-}
-
-void Tuner::restore_totals(std::vector<ConfigTotals> totals) {
-  CRITTER_CHECK(totals.size() == totals_.size(),
-                "restore_totals() must cover every study configuration");
-  totals_ = std::move(totals);
+void Tuner::resume(
+    const core::StatSnapshot* stats, const std::vector<ToldBatch>& told,
+    const std::vector<ConfigTotals>& range_totals,
+    const std::function<std::vector<core::StatSnapshot>(int k)>& absorbed) {
+  CRITTER_CHECK(!started_, "resume() is only legal before the first ask()");
+  CRITTER_CHECK(static_cast<int>(range_totals.size()) ==
+                    config_end() - config_begin(),
+                "resume() totals must cover the session's range");
+  if (stats != nullptr) import_state(*stats);
+  for (std::size_t k = 0; k < told.size(); ++k) {
+    CRITTER_CHECK(ask() == told[k].positions,
+                  "journal replay diverged: the strategy proposed a "
+                  "different batch than the journal recorded");
+    tell(told[k].outcomes);
+    if (!absorbed) continue;
+    for (const core::StatSnapshot& delta : absorbed(static_cast<int>(k) + 1))
+      strategy_->ingest_prior(delta);
+  }
+  std::copy(range_totals.begin(), range_totals.end(),
+            totals_.begin() + config_begin());
 }
 
 SweepMode Tuner::mode() const { return driver_->mode(); }

@@ -21,13 +21,16 @@
 //   Tuner           — the stateful ask/tell session over all of the above:
 //                     ask() yields a batch, evaluate() runs it, tell()
 //                     feeds outcomes back, export_state()/import_state()
-//                     move the shared statistics across processes.
+//                     move the shared statistics across processes, and
+//                     resume() rebuilds a session from a journaled history
+//                     (the shard worker's and the tuner daemon's).
 //
 // run_study() is a thin loop over a Tuner session (bit-identical to the
 // pre-session sweep, asserted in tests); merge_shards() fans a sweep across
 // independent session shards and merges their statistics deterministically.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -140,6 +143,13 @@ struct ConfigOutcome {
   bool evaluated = false;  ///< false: skipped by the search strategy
   bool pruned = false;     ///< CI early-discard abandoned later samples
   int samples_used = 0;
+};
+
+/// One batch of a session's history, as a journal records it and
+/// Tuner::resume() replays it: ask()'s positions and tell()'s outcomes.
+struct ToldBatch {
+  std::vector<int> positions;  ///< study.configs positions, ascending
+  std::vector<ConfigOutcome> outcomes;
 };
 
 /// Wall-clock seconds a tuning session spent per phase — the cost
@@ -302,22 +312,23 @@ class Tuner {
   /// Isolated sessions ignore it, like import_state().
   void merge_state(const core::StatSnapshot& delta);
 
-  /// Checkpoint-replay half of merge_state(): feed a historical exchange
-  /// delta to the strategy's prior ingestion WITHOUT folding it into the
-  /// session statistics.  A resumed session restores its statistics
-  /// wholesale via import_state() (which already contains every absorbed
-  /// peer), so replaying the strategy's view must not double-count them.
-  /// Same claimed-batch restriction as merge_state().
-  void replay_exchange(const core::StatSnapshot& delta);
+  /// Rebuild the session from a journaled history (a shard worker's
+  /// checkpoint, a tuner daemon's session).  Imports `stats` when given,
+  /// then re-asks and re-tells every batch of `told`, throwing if the
+  /// strategy proposes any other batch (replay, not trust: asks are a pure
+  /// function of told outcomes and ingested priors).  After the k-th batch
+  /// (1-based) only the strategy ingests `absorbed(k)`, the exchange deltas
+  /// the live session absorbed there — the imported statistics hold them.
+  /// Then sets the totals, which tells do not carry, from `range_totals`
+  /// (indexed from config_begin()).  Only legal before the first ask().
+  void resume(const core::StatSnapshot* stats,
+              const std::vector<ToldBatch>& told,
+              const std::vector<ConfigTotals>& range_totals,
+              const std::function<std::vector<core::StatSnapshot>(int k)>&
+                  absorbed = {});
 
-  /// Overwrite the accumulated per-configuration totals (indexed like the
-  /// study's configuration list).  Checkpoint resume needs this: replayed
-  /// tell()s rebuild outcomes and strategy state but carry no totals —
-  /// those only grow through evaluate().
-  void restore_totals(std::vector<ConfigTotals> totals);
-
-  /// The accumulated per-configuration totals (what restore_totals sets
-  /// and result() reduces) — the dist layer checkpoints these.
+  /// The accumulated per-configuration totals (what resume() sets and
+  /// result() reduces) — the dist layer checkpoints these.
   const std::vector<ConfigTotals>& totals() const { return totals_; }
 
   const Study& study() const { return study_; }

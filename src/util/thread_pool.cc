@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace critter::util {
@@ -11,6 +13,11 @@ ThreadPool::ThreadPool(int threads) {
   threads_.reserve(threads - 1);
   for (int i = 1; i < threads; ++i)
     threads_.emplace_back([this, i] { worker_loop(i); });
+}
+
+int ThreadPool::threads_for(int logical) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  return std::max(1, hw > 0 ? std::min(logical, hw) : logical);
 }
 
 ThreadPool::~ThreadPool() {

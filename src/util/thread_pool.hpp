@@ -37,6 +37,12 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(queues_.size()); }
 
+  /// Threads worth running `logical` workers on: at most the hardware
+  /// concurrency, at least one.  Sweep and shard results never depend on
+  /// the pool size (they are pure functions of their batch and round
+  /// schedules), so oversubscribing buys nothing but scheduler churn.
+  static int threads_for(int logical);
+
   /// Run fn(0) .. fn(n-1) across the pool; returns when all completed.
   void parallel_for(int n, const std::function<void(int)>& fn);
 

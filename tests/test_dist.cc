@@ -13,8 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "core/fsio.hpp"
 #include "dist/executor.hpp"
-#include "dist/protocol.hpp"
+#include "prior_parity_strategy.hpp"
 #include "tune/tuner.hpp"
 
 namespace core = critter::core;
@@ -233,7 +234,7 @@ TEST(Subprocess, ExchangeMailboxIsGarbageCollectedAfterTheRun) {
   const tune::Study study = subset(tune::slate_cholesky_study(false), 6);
   const tune::TuneOptions opt = shared_options();
   dist::SubprocessOptions gopts;
-  gopts.run_dir = dist::make_temp_dir("critter-gc-test-");
+  gopts.run_dir = core::make_temp_dir("critter-gc-test-");
   gopts.transport = "dir";
   dist::SubprocessExecutor sub(gopts);
   const tune::TuneResult a =
@@ -257,27 +258,55 @@ TEST(Subprocess, ExchangeMailboxIsGarbageCollectedAfterTheRun) {
   const tune::TuneResult b =
       dist::run_sharded(study, opt, 2, inproc, dist::ExchangePolicy{1});
   expect_equal_results(a, b, "collected subprocess vs in-process exchange");
-  dist::remove_dir_tree(gopts.run_dir);
+  core::remove_dir_tree(gopts.run_dir);
 }
 
 TEST(Subprocess, IsolatedModeExchangePublishesEmptyDeltasSafely) {
   // Isolated-parallel sessions export no shared statistics; with exchange
   // on, their rounds publish empty payloads that peers must skip
   // (regression: the peer once fed the 0-rank payload to
-  // StatSnapshot::load and the whole fleet aborted).
+  // StatSnapshot::load and the whole fleet aborted).  A serial session in
+  // reset mode (workers = 1) trades only the state that survives the
+  // per-configuration reset (regression: its delta once diffed the next
+  // configuration's reset store against the previous configuration's
+  // kernel statistics and threw "unmerge against a larger base").
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
+  for (int workers : {2, 1}) {
+    const std::string what = "workers=" + std::to_string(workers);
+    tune::TuneOptions opt = isolated_options();
+    opt.workers = workers;  // 2: ParallelIsolated mode; 1: serial, reset
+    dist::SubprocessExecutor sub;
+    const tune::TuneResult a =
+        dist::run_sharded(study, opt, 2, sub, dist::ExchangePolicy{1});
+    EXPECT_GT(a.exchange_rounds, 0) << what;
+    dist::InProcessExecutor inproc;
+    const tune::TuneResult b =
+        dist::run_sharded(study, opt, 2, inproc, dist::ExchangePolicy{1});
+    expect_equal_results(a, b, what + ": isolated exchange across executors");
+    expect_equal_results(tune::run_study(study, opt), a,
+                         what + ": vs unsharded", /*compare_stats=*/false);
+  }
+}
+
+TEST(Subprocess, ExecutorsFeedAUserStrategyTheSamePriors) {
+  // Both executors skip an empty peer delta, so a user strategy whose asks
+  // depend on every ingested prior sees the same priors either way
+  // (regression: the in-process lockstep absorbed the empty deltas of an
+  // isolated sweep, the strategy ingested them, and the executors picked
+  // different configurations).
   const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
   tune::TuneOptions opt = isolated_options();
-  opt.workers = 2;  // ParallelIsolated mode
+  opt.workers = 2;  // ParallelIsolated: every round delta is empty
+  opt.strategy = "prior-parity";
   dist::SubprocessExecutor sub;
   const tune::TuneResult a =
       dist::run_sharded(study, opt, 2, sub, dist::ExchangePolicy{1});
   EXPECT_GT(a.exchange_rounds, 0);
+  EXPECT_EQ(a.evaluated_configs, 4);
   dist::InProcessExecutor inproc;
   const tune::TuneResult b =
       dist::run_sharded(study, opt, 2, inproc, dist::ExchangePolicy{1});
-  expect_equal_results(a, b, "isolated exchange across executors");
-  expect_equal_results(tune::run_study(study, opt), a, "vs unsharded",
-                       /*compare_stats=*/false);
+  expect_equal_results(a, b, "prior-parity across executors");
 }
 
 TEST(Subprocess, WarmStartTravelsThroughRunDirectory) {
@@ -406,20 +435,20 @@ TEST(SubprocessFailure, AdHocStudyIsRejectedUpFront) {
 }
 
 TEST(Protocol, StaleAndMissingManifestsAreDetected) {
-  const std::string dir = dist::make_temp_dir("critter-proto-test-");
+  const std::string dir = core::make_temp_dir("critter-proto-test-");
   // Unpublished artifact: "missing", immediately.
-  EXPECT_THROW(dist::read_published(dir, "nothing.bin"), std::runtime_error);
+  EXPECT_THROW(core::read_published(dir, "nothing.bin"), std::runtime_error);
 
   // Healthy publish round-trips.
-  dist::publish_file(dir, "a.bin", "payload-bytes");
-  EXPECT_TRUE(dist::published(dir, "a.bin"));
-  EXPECT_EQ(dist::read_published(dir, "a.bin"), "payload-bytes");
+  core::publish_file(dir, "a.bin", "payload-bytes");
+  EXPECT_TRUE(core::published(dir, "a.bin"));
+  EXPECT_EQ(core::read_published(dir, "a.bin"), "payload-bytes");
 
   // Manifest without its payload: stale.
-  dist::publish_file(dir, "b.bin", "gone");
+  core::publish_file(dir, "b.bin", "gone");
   ASSERT_EQ(std::remove((dir + "/b.bin").c_str()), 0);
   try {
-    dist::read_published(dir, "b.bin");
+    core::read_published(dir, "b.bin");
     FAIL() << "stale manifest accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("stale manifest"), std::string::npos)
@@ -427,16 +456,16 @@ TEST(Protocol, StaleAndMissingManifestsAreDetected) {
   }
 
   // Payload shorter than the manifest declares: stale.
-  dist::publish_file(dir, "c.bin", "full-length-payload");
-  dist::write_file(dir + "/c.bin", "short");
-  EXPECT_THROW(dist::read_published(dir, "c.bin"), std::runtime_error);
+  core::publish_file(dir, "c.bin", "full-length-payload");
+  core::write_file(dir + "/c.bin", "short");
+  EXPECT_THROW(core::read_published(dir, "c.bin"), std::runtime_error);
 
   // Same length, corrupt bytes: checksum mismatch.
-  dist::publish_file(dir, "d.bin", "payload-bytes");
-  dist::write_file(dir + "/d.bin", "payload-bytez");
-  EXPECT_THROW(dist::read_published(dir, "d.bin"), std::runtime_error);
+  core::publish_file(dir, "d.bin", "payload-bytes");
+  core::write_file(dir + "/d.bin", "payload-bytez");
+  EXPECT_THROW(core::read_published(dir, "d.bin"), std::runtime_error);
 
-  dist::remove_dir_tree(dir);
+  core::remove_dir_tree(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -471,6 +500,7 @@ TEST(MergeState, FoldsBetweenBatchesAndRejectsMidBatch) {
 }
 
 int main(int argc, char** argv) {
+  critter::testkit::register_prior_parity_strategy();
   if (dist::is_shard_worker(argc, argv))
     return dist::shard_worker_main(argc, argv);
   ::testing::InitGoogleTest(&argc, argv);

@@ -18,7 +18,7 @@
 #include "core/fsio.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/executor.hpp"
-#include "dist/protocol.hpp"
+#include "prior_parity_strategy.hpp"
 #include "tune/tuner.hpp"
 
 namespace core = critter::core;
@@ -125,28 +125,46 @@ TEST(CrashRecovery, MidSweepCrashResumesBitIdenticalExchangeOff) {
 }
 
 TEST(CrashRecovery, MidSweepCrashResumesBitIdenticalExchangeOnStrict) {
-  const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
-  const tune::TuneOptions opt = shared_options();
-  const dist::ExchangePolicy every1{1};  // strict by default
-  dist::InProcessExecutor inproc;
-  const tune::TuneResult clean = dist::run_sharded(study, opt, 4, inproc,
-                                                   every1);
-  ASSERT_GT(clean.exchange_rounds, 0);
+  // Second input: a strategy whose asks flip with every ingested exchange
+  // delta, so the resume must replay the peer deltas the crashed attempt
+  // absorbed or its re-asks diverge and the worker restarts clean.
+  struct Input {
+    int nconfigs;
+    int nshards;
+    std::string strategy;
+    std::string fault;
+  };
+  for (const Input& in :
+       {Input{8, 4, "exhaustive", "1:crash-after-batch:2"},
+        Input{16, 2, "prior-parity", "1:crash-after-batch:3"}}) {
+    const std::string what = "crash-recover, exchange on strict, " +
+                             in.strategy;
+    const tune::Study study =
+        subset(tune::slate_cholesky_study(false), in.nconfigs);
+    tune::TuneOptions opt = shared_options();
+    opt.strategy = in.strategy;
+    const dist::ExchangePolicy every1{1};  // strict by default
+    dist::InProcessExecutor inproc;
+    const tune::TuneResult clean =
+        dist::run_sharded(study, opt, in.nshards, inproc, every1);
+    ASSERT_GT(clean.exchange_rounds, 0) << what;
 
-  dist::SubprocessOptions sopts;
-  sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/1);
-  sopts.fault_injection = "1:crash-after-batch:2";
-  dist::SubprocessExecutor sub(sopts);
-  const tune::TuneResult r = dist::run_sharded(study, opt, 4, sub, every1);
+    dist::SubprocessOptions sopts;
+    sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/1);
+    sopts.fault_injection = in.fault;
+    dist::SubprocessExecutor sub(sopts);
+    const tune::TuneResult r =
+        dist::run_sharded(study, opt, in.nshards, sub, every1);
 
-  expect_equal_results(clean, r, "crash-recover, exchange on strict");
-  EXPECT_EQ(r.exchange_rounds, clean.exchange_rounds);
-  EXPECT_EQ(r.exchange_skips, 0);  // strict never skips
-  EXPECT_TRUE(r.exchange_strict);
-  const tune::ShardRecovery& rec = recovery_of(r, 1);
-  EXPECT_EQ(rec.retries, 1);
-  EXPECT_TRUE(rec.recovered);
-  EXPECT_GE(rec.resumed_batches, 1);
+    expect_equal_results(clean, r, what);
+    EXPECT_EQ(r.exchange_rounds, clean.exchange_rounds) << what;
+    EXPECT_EQ(r.exchange_skips, 0) << what;  // strict never skips
+    EXPECT_TRUE(r.exchange_strict) << what;
+    const tune::ShardRecovery& rec = recovery_of(r, 1);
+    EXPECT_EQ(rec.retries, 1) << what;
+    EXPECT_TRUE(rec.recovered) << what;
+    EXPECT_GE(rec.resumed_batches, 1) << what;
+  }
 }
 
 TEST(CrashRecovery, CrashOnStartRecoversByCleanRestart) {
@@ -224,10 +242,10 @@ TEST(RetryExhaustion, PersistentCrashAbortsNamingShardAndRelaunches) {
   }
   // Satellite contract: the abort marker goes through the atomic publish
   // protocol — a poller can never observe a half-written reason.
-  EXPECT_TRUE(dist::published(run_dir, "abort"));
-  EXPECT_NE(dist::read_published(run_dir, "abort").find("shard worker 0"),
+  EXPECT_TRUE(core::published(run_dir, "abort"));
+  EXPECT_NE(core::read_published(run_dir, "abort").find("shard worker 0"),
             std::string::npos);
-  dist::remove_dir_tree(run_dir);
+  core::remove_dir_tree(run_dir);
 }
 
 TEST(RetryExhaustion, DegradeCompletesTheShardInProcessBitIdentically) {
@@ -311,7 +329,7 @@ TEST(NonStrictExchange, CorruptDeltaUnderStrictAbortsTheFleet) {
     EXPECT_NE(what.find("shard worker 1"), std::string::npos) << what;
     EXPECT_NE(what.find("snapshot"), std::string::npos) << what;
     const auto at = what.find("kept at ");
-    if (at != std::string::npos) dist::remove_dir_tree(what.substr(at + 8));
+    if (at != std::string::npos) core::remove_dir_tree(what.substr(at + 8));
   }
 }
 
@@ -783,14 +801,6 @@ core::StatSnapshot evolving_snapshot(int step, int salt) {
   return s;
 }
 
-/// What the shard worker writes as a patch field: "" when unchanged, a
-/// full payload onto empty bytes, a mode-0 sparse patch otherwise.
-std::string patch_between(const std::string& base, const std::string& cur) {
-  if (base == cur) return {};
-  if (base.empty()) return cur;
-  return core::encode_sparse_patch(base, cur);
-}
-
 /// A told batch at `positions` whose outcome bits depend on `k`.
 dist::ShardCheckpoint::ToldBatch told_batch(const tune::Study& study,
                                             std::vector<int> positions,
@@ -848,7 +858,7 @@ void expect_next_record_reachable(const Script& sc, dist::SessionJournal& j,
   step.rounds = j.state().rounds;
   step.in_round = j.state().in_round + 1;
   const std::string cur = evolving_snapshot(99, 7).to_string();
-  step.full_patch = patch_between(j.state().full_bytes, cur);
+  step.full_patch = dist::make_patch(j.state().full_bytes, cur);
   step.full_bytes = cur;
   std::vector<tune::ConfigTotals> totals(sc.study.configs.size());
   totals[static_cast<std::size_t>(sc.range.begin)].tuning_time = 99.0;
@@ -971,7 +981,7 @@ TEST(JournalCrashPoints, DaemonShapedSessionResumesFromEveryCrashPoint) {
     step.told.push_back(told_batch(sc.study, {k % 8}, k));
     if (k % 3 != 0) {
       const std::string cur = evolving_snapshot(k, 0).to_string();
-      step.full_patch = k % 3 == 1 ? patch_between(j.state().full_bytes, cur)
+      step.full_patch = k % 3 == 1 ? dist::make_patch(j.state().full_bytes, cur)
                                    : cur;
       step.full_bytes = cur;
     }
@@ -1016,11 +1026,11 @@ TEST(JournalCrashPoints, WorkerShapedSessionResumesFromEveryCrashPoint) {
     const dist::ShardCheckpoint& prev = j.state();
     if (step.full_bytes->empty() && !prev.full_bytes.empty()) j.force_full();
     if (!j.next_is_full()) {
-      step.full_patch = patch_between(prev.full_bytes, *step.full_bytes);
+      step.full_patch = dist::make_patch(prev.full_bytes, *step.full_bytes);
       if (step.mark_bytes)
-        step.mark_patch = patch_between(prev.mark_bytes, *step.mark_bytes);
+        step.mark_patch = dist::make_patch(prev.mark_bytes, *step.mark_bytes);
       if (step.own_bytes)
-        step.own_patch = patch_between(prev.own_bytes, *step.own_bytes);
+        step.own_patch = dist::make_patch(prev.own_bytes, *step.own_bytes);
     }
     return step;
   };
@@ -1028,6 +1038,7 @@ TEST(JournalCrashPoints, WorkerShapedSessionResumesFromEveryCrashPoint) {
 }
 
 int main(int argc, char** argv) {
+  critter::testkit::register_prior_parity_strategy();
   if (dist::is_shard_worker(argc, argv))
     return dist::shard_worker_main(argc, argv);
   ::testing::InitGoogleTest(&argc, argv);

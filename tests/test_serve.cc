@@ -11,6 +11,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 
 #include "core/fsio.hpp"
 #include "core/stat_store.hpp"
+#include "dist/checkpoint.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "serve/client.hpp"
@@ -30,6 +32,7 @@
 #include "tune/tuner.hpp"
 
 namespace core = critter::core;
+namespace dist = critter::dist;
 namespace net = critter::net;
 namespace serve = critter::serve;
 namespace tune = critter::tune;
@@ -396,6 +399,22 @@ TEST(DaemonProcess, KillNineMidSessionResumesBitIdentically) {
   EXPECT_EQ(sd.verb, net::kOk);
   const int status = wait_for_exit(pid);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  // The shutdown's final flush journals the session's totals, which only
+  // the daemon holds: the resumed session must have restored the pre-kill
+  // tells' totals too, bit for bit.
+  dist::SessionJournal journal(
+      dir.path + "/sessions/durable",
+      dist::ShardRange{0, 0, static_cast<int>(study.configs.size())},
+      /*exchanging=*/false);
+  ASSERT_TRUE(journal.resume(study));
+  const std::vector<tune::ConfigTotals>& totals = journal.state().totals;
+  ASSERT_EQ(totals.size(), ref.per_config_totals.size());
+  for (std::size_t i = 0; i < totals.size(); ++i)
+    EXPECT_EQ(std::memcmp(&totals[i], &ref.per_config_totals[i],
+                          sizeof(tune::ConfigTotals)),
+              0)
+        << "config " << i << " totals differ from the in-process sweep";
 }
 
 TEST(DaemonProcess, SigtermFlushesEverySessionThenResumesFromTheSnapshot) {
