@@ -645,23 +645,33 @@ std::int64_t chunk_epoch(const ChunkExtent& e) {
   return epoch;
 }
 
+std::vector<std::int64_t> epochs_of(const std::vector<ChunkExtent>& chunks) {
+  std::vector<std::int64_t> epochs;
+  epochs.reserve(chunks.size());
+  for (const ChunkExtent& e : chunks) epochs.push_back(chunk_epoch(e));
+  return epochs;
+}
+
 /// The canonical "clean" delta chunk body: what write_rank_binary emits for
 /// a default-constructed table at `epoch` — the epoch followed by six zero
 /// record counts (kernels, keys, pending, tombstones, channels, buckets).
 constexpr std::size_t kCleanChunkBytes = 8 + 6 * 8;
 
-std::string clean_chunk_body(std::int64_t epoch) {
-  std::string out(kCleanChunkBytes, '\0');
-  std::memcpy(out.data(), &epoch, 8);
-  return out;
-}
-
-/// True when the chunk's bytes beyond the epoch are exactly the clean
-/// chunk's (six zero counts) — byte comparison, never table semantics.
-bool chunk_is_clean(const ChunkExtent& e) {
-  static constexpr char kZeros[kCleanChunkBytes - 8] = {};
-  return e.len == kCleanChunkBytes &&
-         std::memcmp(e.body + 8, kZeros, sizeof kZeros) == 0;
+/// A full payload whose every rank holds the clean chunk at its epoch: the
+/// implicit base of a mode-1 standalone delta.
+std::string clean_payload(const std::vector<std::int64_t>& epochs) {
+  WireWriter w;
+  w.raw(kMagic, sizeof kMagic);
+  w.u32(kVersion);
+  w.u32(static_cast<std::uint32_t>(epochs.size()));
+  for (std::int64_t epoch : epochs) {
+    char body[kCleanChunkBytes] = {};
+    std::memcpy(body, &epoch, 8);
+    w.u64(sizeof body);
+    w.u64(checksum64(body, sizeof body));
+    w.raw(body, sizeof body);
+  }
+  return std::move(w.out);
 }
 
 /// A sparse payload parsed and fully validated in place: header bounds,
@@ -762,10 +772,43 @@ void write_sparse_entry(WireWriter& w, std::uint32_t rank,
   w.raw(e.body, static_cast<std::size_t>(e.len));
 }
 
-/// Splice a parsed mode-0 patch onto a base payload's extents: dirty ranks
-/// substitute their shipped chunk, epoch-only ranks get the 8-byte epoch
-/// overwritten in place with the chunk checksum recomputed, clean ranks
-/// copy through verbatim.
+/// The sparse encoder of both modes: the ranks of `cur` whose chunk bytes
+/// differ from `base`'s beyond the epoch, plus `cur`'s epoch array.
+std::string encode_sparse(const std::vector<ChunkExtent>& base,
+                          const std::vector<ChunkExtent>& cur,
+                          std::uint8_t mode) {
+  CRITTER_CHECK(base.size() == cur.size(),
+                "sparse patch: base and target disagree on rank count");
+  WireWriter w;
+  write_sparse_header(w, static_cast<std::uint32_t>(cur.size()), mode,
+                      epochs_of(cur));
+  const std::size_t ndirty_at = w.out.size();
+  w.u32(0);  // dirty count backpatched below
+  std::uint32_t ndirty = 0;
+  for (std::uint32_t rank = 0; rank < cur.size(); ++rank) {
+    const ChunkExtent& b = base[rank];
+    const ChunkExtent& c = cur[rank];
+    // Byte comparison is the sole decider (§13): identical chunks are
+    // omitted outright; chunks whose only difference is the leading epoch
+    // are covered by the header's epoch array; anything else ships whole.
+    if (b.len == c.len) {
+      if (std::memcmp(b.body, c.body, static_cast<std::size_t>(c.len)) == 0)
+        continue;
+      if (std::memcmp(b.body + 8, c.body + 8,
+                      static_cast<std::size_t>(c.len) - 8) == 0)
+        continue;  // epoch-only change, carried by the epoch array
+    }
+    write_sparse_entry(w, rank, c);
+    ++ndirty;
+  }
+  std::memcpy(w.out.data() + ndirty_at, &ndirty, 4);
+  return std::move(w.out);
+}
+
+/// Splice a parsed sparse payload onto its base payload's extents (for a
+/// mode-1 delta, the clean payload): dirty ranks substitute their shipped
+/// chunk, epoch-only ranks get the 8-byte epoch overwritten in place with
+/// the chunk checksum recomputed, clean ranks copy through verbatim.
 std::string splice_sparse_patch(std::string_view base_full,
                                 const std::vector<ChunkExtent>& base,
                                 const ParsedSparse& patch) {
@@ -836,39 +879,9 @@ SparsePayloadInfo sparse_payload_info(std::string_view bytes) {
 
 std::string encode_sparse_patch(std::string_view base_full,
                                 std::string_view new_full) {
-  const std::vector<ChunkExtent> base =
-      chunk_extents(base_full, "sparse patch base");
-  const std::vector<ChunkExtent> cur =
-      chunk_extents(new_full, "sparse patch target");
-  CRITTER_CHECK(base.size() == cur.size(),
-                "sparse patch: base and target disagree on rank count");
-  WireWriter w;
-  std::vector<std::int64_t> epochs;
-  epochs.reserve(cur.size());
-  for (const ChunkExtent& e : cur) epochs.push_back(chunk_epoch(e));
-  write_sparse_header(w, static_cast<std::uint32_t>(cur.size()),
-                      /*mode=*/0, epochs);
-  const std::size_t ndirty_at = w.out.size();
-  w.u32(0);  // dirty count backpatched below
-  std::uint32_t ndirty = 0;
-  for (std::uint32_t rank = 0; rank < cur.size(); ++rank) {
-    const ChunkExtent& b = base[rank];
-    const ChunkExtent& c = cur[rank];
-    // Byte comparison is the sole decider (§13): identical chunks are
-    // omitted outright; chunks whose only difference is the leading epoch
-    // are covered by the header's epoch array; anything else ships whole.
-    if (b.len == c.len) {
-      if (std::memcmp(b.body, c.body, static_cast<std::size_t>(c.len)) == 0)
-        continue;
-      if (std::memcmp(b.body + 8, c.body + 8,
-                      static_cast<std::size_t>(c.len) - 8) == 0)
-        continue;  // epoch-only change, carried by the epoch array
-    }
-    write_sparse_entry(w, rank, c);
-    ++ndirty;
-  }
-  std::memcpy(w.out.data() + ndirty_at, &ndirty, 4);
-  return std::move(w.out);
+  return encode_sparse(chunk_extents(base_full, "sparse patch base"),
+                       chunk_extents(new_full, "sparse patch target"),
+                       /*mode=*/0);
 }
 
 std::string apply_sparse_patch(std::string_view base_full,
@@ -892,27 +905,15 @@ void check_snapshot_payload(std::string_view full) {
 }
 
 std::string encode_sparse_delta(const StatSnapshot& delta) {
+  // A standalone delta is a patch against the clean snapshot at the delta's
+  // own epochs: a rank a diff left untouched serializes as the clean chunk
+  // and ships nothing; everything else ships byte-for-byte.
   const std::string full = save_binary_string(delta);
-  const std::vector<ChunkExtent> chunks =
+  const std::vector<ChunkExtent> cur =
       chunk_extents(full, "sparse delta source");
-  WireWriter w;
-  std::vector<std::int64_t> epochs;
-  epochs.reserve(chunks.size());
-  for (const ChunkExtent& e : chunks) epochs.push_back(chunk_epoch(e));
-  write_sparse_header(w, static_cast<std::uint32_t>(chunks.size()),
-                      /*mode=*/1, epochs);
-  const std::size_t ndirty_at = w.out.size();
-  w.u32(0);
-  std::uint32_t ndirty = 0;
-  for (std::uint32_t rank = 0; rank < chunks.size(); ++rank) {
-    // A rank a diff left untouched serializes as the clean chunk (epoch +
-    // six empty sections); everything else ships byte-for-byte.
-    if (chunk_is_clean(chunks[rank])) continue;
-    write_sparse_entry(w, rank, chunks[rank]);
-    ++ndirty;
-  }
-  std::memcpy(w.out.data() + ndirty_at, &ndirty, 4);
-  return std::move(w.out);
+  const std::string clean = clean_payload(epochs_of(cur));
+  return encode_sparse(chunk_extents(clean, "sparse delta base"), cur,
+                       /*mode=*/1);
 }
 
 std::string expand_sparse_delta(std::string_view sparse) {
@@ -920,25 +921,9 @@ std::string expand_sparse_delta(std::string_view sparse) {
   CRITTER_CHECK(p.mode == 1,
                 "sparse snapshot: expected a standalone delta (mode 1), got "
                 "a patch that needs its base");
-  WireWriter w;
-  w.raw(kMagic, sizeof kMagic);
-  w.u32(kVersion);
-  w.u32(p.nranks);
-  std::size_t next = 0;
-  for (std::uint32_t rank = 0; rank < p.nranks; ++rank) {
-    if (next < p.entries.size() && p.entries[next].rank == rank) {
-      const SparseEntry& e = p.entries[next++];
-      w.u64(e.len);
-      w.u64(e.sum);
-      w.raw(e.body, static_cast<std::size_t>(e.len));
-      continue;
-    }
-    const std::string body = clean_chunk_body(p.epochs[rank]);
-    w.u64(body.size());
-    w.u64(checksum64(body.data(), body.size()));
-    w.raw(body.data(), body.size());
-  }
-  return std::move(w.out);
+  const std::string clean = clean_payload(p.epochs);
+  return splice_sparse_patch(clean, chunk_extents(clean, "sparse delta base"),
+                             p);
 }
 
 void StatSnapshot::save_file(const std::string& path) const {

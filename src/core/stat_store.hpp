@@ -195,11 +195,13 @@ KernelMoments stats_to_moments(const KernelKey& key, const KernelStats& ks);
 // construction.  Two modes:
 //
 //   * mode 0 (patch): relative to a full base payload the receiver
-//     already holds — the tuner daemon's TELL and journal records;
-//   * mode 1 (standalone delta): self-contained — a rank absent from the
-//     dirty list reconstructs as the canonical "clean" delta chunk (its
-//     epoch, zero records) — the exchange mailbox and checkpoint blobs.
-//     from_string() auto-detects mode-1 payloads and expands them, so
+//     already holds — the tuner daemon's TELL and session-journal records;
+//   * mode 1 (standalone delta): a mode-0 patch whose base is implicit —
+//     the clean snapshot at the payload's own epochs, where every rank is
+//     the canonical "clean" delta chunk (its epoch, zero records), so a
+//     rank absent from the dirty list reconstructs as that chunk.  One
+//     encoder and one splice serve both modes.  The exchange mailbox
+//     publishes mode 1, and from_string() auto-detects and expands it, so
 //     every existing snapshot reader accepts sparse deltas unchanged.
 //
 // Every decoder is fuzz-hardened like the full codec: magic/version/mode
@@ -241,14 +243,16 @@ std::string apply_sparse_patch(std::string_view base_full,
 /// structure — without building any table.  Throws on the first defect.
 void check_snapshot_payload(std::string_view full);
 
-/// Encode a snapshot as a mode-1 standalone sparse delta: ranks whose
-/// chunk equals the canonical clean chunk (epoch + zero records — what
-/// diff() produces for an untouched rank) are carried by the epoch array
-/// alone.  expand_sparse_delta(encode_sparse_delta(s)) == s.to_string().
+/// Encode a snapshot as a mode-1 standalone sparse delta: its patch against
+/// the clean snapshot at its own epochs, so ranks whose chunk is the clean
+/// chunk (epoch + zero records — what diff() produces for an untouched
+/// rank) are carried by the epoch array alone.
+/// expand_sparse_delta(encode_sparse_delta(s)) == s.to_string().
 std::string encode_sparse_delta(const StatSnapshot& delta);
 
-/// Expand a mode-1 sparse delta to the exact full payload it encodes.
-/// Rejects mode-0 patches (those need a base only their producer holds).
+/// Expand a mode-1 sparse delta to the exact full payload it encodes, by
+/// splicing it onto the clean snapshot.  Rejects mode-0 patches (those
+/// need a base only their producer holds).
 std::string expand_sparse_delta(std::string_view sparse);
 
 }  // namespace critter::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <string_view>
+#include <iterator>
 #include <utility>
 
 #include "core/fsio.hpp"
@@ -15,337 +15,272 @@ namespace critter::dist {
 
 namespace {
 
-// Version 02: the trailer is util::checksum64.  The magic is checked before
-// the trailer, so a version-01 slot fails as "bad magic", not as corrupt.
-constexpr char kCheckpointMagic[8] = {'C', 'R', 'C', 'K', 'P', 'T', '0', '2'};
+// The one record identifier, of full slots and log records alike.  A slot's
+// reader checks it before the trailer, so a slot of an older format fails as
+// "bad magic", not as corruption.
+constexpr char kRecordMagic[8] = {'C', 'R', 'C', 'K', 'R', 'E', 'C', '1'};
 
-/// A length-prefixed byte blob: a snapshot payload or a patch field.
+/// A length-prefixed patch field.
 void write_blob(WireWriter& w, const std::string& bytes) {
   w.i64(static_cast<std::int64_t>(bytes.size()));
   w.raw(bytes.data(), bytes.size());
 }
 
-std::string read_blob(WireReader& r) {
+std::string read_patch(WireReader& r) {
   const std::int64_t len = r.i64();
-  CRITTER_CHECK(len >= 0, std::string(r.what) + ": negative blob length");
-  return std::string(r.bytes(static_cast<std::size_t>(len)));
+  CRITTER_CHECK(len >= 0, "journal record: negative blob length");
+  std::string out(r.bytes(static_cast<std::size_t>(len)));
+  // Shape check only ("" / sparse / full snapshot payload); apply_record
+  // validates every chunk when it resolves the patch.
+  CRITTER_CHECK(out.empty() || core::is_sparse_payload(out) ||
+                    out.front() == 'C',
+                "journal record: patch field is neither empty, sparse, nor "
+                "a snapshot payload");
+  return out;
 }
 
-core::StatSnapshot decode_or_empty(const std::string& bytes) {
-  if (bytes.empty()) return {};
-  return core::StatSnapshot::from_string(bytes);
-}
-
-// Skips and told batches are encoded the same way in slots and increments.
-
-void write_skips(WireWriter& w,
-                 const std::vector<std::pair<int, int>>& skipped) {
-  w.i32(static_cast<std::int32_t>(skipped.size()));
-  for (const auto& [round, peer] : skipped) {
-    w.i32(round);
-    w.i32(peer);
+/// (range-relative index, totals) entries, as a record holds them.
+void write_totals_entries(
+    WireWriter& w,
+    const std::vector<std::pair<int, tune::ConfigTotals>>& entries) {
+  w.i32(static_cast<std::int32_t>(entries.size()));
+  for (const auto& [idx, t] : entries) {
+    w.i32(idx);
+    write_totals(w, t);
   }
 }
 
-void write_told(WireWriter& w,
-                const std::vector<ShardCheckpoint::ToldBatch>& told) {
-  w.i32(static_cast<std::int32_t>(told.size()));
-  for (const ShardCheckpoint::ToldBatch& b : told) {
+/// A whole range's totals, entry by entry, as a full checkpoint holds them.
+void write_totals_entries(WireWriter& w,
+                          const std::vector<tune::ConfigTotals>& range) {
+  w.i32(static_cast<std::int32_t>(range.size()));
+  for (std::size_t i = 0; i < range.size(); ++i) {
+    w.i32(static_cast<std::int32_t>(i));
+    write_totals(w, range[i]);
+  }
+}
+
+/// The one record writer.  `r` supplies the cursors, skips, batches and
+/// totals: a JournalRecord's own, or a whole ShardCheckpoint written as the
+/// record that extends nothing.
+template <class R>
+std::string write_record(std::int64_t base_seq, const R& r,
+                         const std::string& full, const std::string& mark,
+                         const std::string& own) {
+  WireWriter w;
+  w.raw(kRecordMagic, sizeof kRecordMagic);
+  w.i64(base_seq);
+  w.i64(r.seq);
+  w.i32(r.batches);
+  w.i32(r.rounds);
+  w.i32(r.in_round);
+  w.i32(r.exchange_skips);
+  w.i32(static_cast<std::int32_t>(r.skipped.size()));
+  for (const auto& [round, peer] : r.skipped) {
+    w.i32(round);
+    w.i32(peer);
+  }
+  w.i32(static_cast<std::int32_t>(r.told.size()));
+  for (const ShardCheckpoint::ToldBatch& b : r.told) {
     w.i32(static_cast<std::int32_t>(b.positions.size()));
     for (std::size_t k = 0; k < b.positions.size(); ++k) {
       w.i32(b.positions[k]);
       write_outcome(w, b.outcomes[k]);
     }
   }
+  write_totals_entries(w, r.totals);
+  w.u8(r.has_exchange_state ? 1 : 0);
+  write_blob(w, full);
+  if (r.has_exchange_state) {
+    write_blob(w, mark);
+    write_blob(w, own);
+  }
+  return std::move(w.out);
 }
 
-/// At most `max` (round, peer) skips, none naming this shard.
-std::vector<std::pair<int, int>> read_skips(WireReader& r, int max,
-                                            const ShardRange& range,
-                                            const char* what) {
-  const std::int32_t n = r.i32();
-  CRITTER_CHECK(n >= 0 && n <= max &&
-                    static_cast<std::size_t>(n) <= r.remaining() / 8,
-                std::string(what) + ": implausible skip list");
-  std::vector<std::pair<int, int>> skipped;
-  skipped.reserve(static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i) {
+/// Swap `rec`'s cursors and totals entries with `ck`'s.  A second swap
+/// undoes the first.
+void swap_cursors(ShardCheckpoint& ck, JournalRecord& rec) {
+  std::swap(ck.seq, rec.seq);
+  std::swap(ck.batches, rec.batches);
+  std::swap(ck.rounds, rec.rounds);
+  std::swap(ck.in_round, rec.in_round);
+  std::swap(ck.exchange_skips, rec.exchange_skips);
+  for (auto& [idx, t] : rec.totals)
+    std::swap(ck.totals[static_cast<std::size_t>(idx)], t);
+}
+
+/// Apply `rec` to `ck`, all but the statistics payloads.  `rec` keeps the
+/// cursors and totals it replaced, so retreat() can undo it.
+void advance(ShardCheckpoint& ck, JournalRecord& rec) {
+  swap_cursors(ck, rec);
+  ck.skipped.insert(ck.skipped.end(), rec.skipped.begin(), rec.skipped.end());
+  ck.told.insert(ck.told.end(), std::make_move_iterator(rec.told.begin()),
+                 std::make_move_iterator(rec.told.end()));
+}
+
+/// Undo advance(ck, rec).
+void retreat(ShardCheckpoint& ck, JournalRecord& rec) {
+  swap_cursors(ck, rec);
+  ck.skipped.resize(ck.skipped.size() - rec.skipped.size());
+  ck.told.resize(ck.told.size() - rec.told.size());
+}
+
+}  // namespace
+
+std::string serialize_record(const JournalRecord& rec) {
+  return write_record(rec.base_seq, rec, rec.full_patch, rec.mark_patch,
+                      rec.own_patch);
+}
+
+std::string serialize_record(const ShardCheckpoint& ck) {
+  // Against the empty state a full payload is its own patch.
+  return write_record(0, ck, ck.full_bytes, ck.mark_bytes, ck.own_bytes);
+}
+
+JournalRecord parse_record(std::string_view payload, const tune::Study& study,
+                           const ShardRange& range) {
+  WireReader r{payload, "journal record"};
+  char magic[sizeof kRecordMagic];
+  r.raw(magic, sizeof magic);
+  CRITTER_CHECK(std::memcmp(magic, kRecordMagic, sizeof magic) == 0,
+                "journal record: bad magic");
+  JournalRecord rec;
+  rec.base_seq = r.i64();
+  rec.seq = r.i64();
+  rec.batches = r.i32();
+  rec.rounds = r.i32();
+  rec.in_round = r.i32();
+  rec.exchange_skips = r.i32();
+  CRITTER_CHECK(rec.base_seq >= 0 && rec.seq > rec.base_seq &&
+                    rec.batches >= 0 && rec.rounds >= 0 && rec.in_round >= 0 &&
+                    rec.exchange_skips >= 0,
+                "journal record: implausible cursors");
+
+  // At most exchange_skips (round, peer) skips, none naming this shard.
+  const std::int32_t nskipped = r.i32();
+  CRITTER_CHECK(nskipped >= 0 && nskipped <= rec.exchange_skips &&
+                    static_cast<std::size_t>(nskipped) <= r.remaining() / 8,
+                "journal record: implausible skip list");
+  rec.skipped.reserve(static_cast<std::size_t>(nskipped));
+  for (std::int32_t i = 0; i < nskipped; ++i) {
     const std::int32_t round = r.i32();
     const std::int32_t peer = r.i32();
     CRITTER_CHECK(round >= 0 && peer >= 0 && peer != range.index,
-                  std::string(what) + ": implausible skip entry");
-    skipped.emplace_back(round, peer);
+                  "journal record: implausible skip entry");
+    rec.skipped.emplace_back(round, peer);
   }
-  return skipped;
-}
 
-/// At most `max` told batches, their positions ascending inside `range`.
-std::vector<ShardCheckpoint::ToldBatch> read_told(WireReader& r, int max,
-                                                  const tune::Study& study,
-                                                  const ShardRange& range,
-                                                  const char* what) {
+  // At most `batches` told batches, their positions ascending in the range.
   const std::int32_t ntold = r.i32();
-  CRITTER_CHECK(ntold >= 0 && ntold <= max &&
+  CRITTER_CHECK(ntold >= 0 && ntold <= rec.batches &&
                     static_cast<std::size_t>(ntold) <= r.remaining() / 4,
-                std::string(what) + ": implausible batch count");
-  std::vector<ShardCheckpoint::ToldBatch> told(
-      static_cast<std::size_t>(ntold));
+                "journal record: implausible batch count");
+  rec.told.resize(static_cast<std::size_t>(ntold));
   const int nconf = static_cast<int>(study.configs.size());
-  for (ShardCheckpoint::ToldBatch& tb : told) {
+  for (ShardCheckpoint::ToldBatch& tb : rec.told) {
     const std::int32_t k = r.i32();
-    CRITTER_CHECK(k > 0 && k <= nconf,
-                  std::string(what) + ": implausible batch");
+    CRITTER_CHECK(k > 0 && k <= nconf, "journal record: implausible batch");
     tb.positions.resize(static_cast<std::size_t>(k));
     tb.outcomes.resize(static_cast<std::size_t>(k));
     for (std::int32_t j = 0; j < k; ++j) {
       const std::int32_t pos = r.i32();
       CRITTER_CHECK(pos >= range.begin && pos < range.end && pos < nconf &&
                         (j == 0 || tb.positions[j - 1] < pos),
-                    std::string(what) +
-                        ": batch position outside the shard range or out "
-                        "of order");
+                    "journal record: batch position outside the shard range "
+                    "or out of order");
       tb.positions[static_cast<std::size_t>(j)] = pos;
       tb.outcomes[static_cast<std::size_t>(j)].config = study.configs[pos];
-      read_outcome(r, tb.outcomes[static_cast<std::size_t>(j)], what);
+      read_outcome(r, tb.outcomes[static_cast<std::size_t>(j)],
+                   "journal record");
     }
   }
-  return told;
-}
 
-}  // namespace
-
-std::string serialize_checkpoint(const ShardCheckpoint& c) {
-  WireWriter w;
-  w.raw(kCheckpointMagic, sizeof kCheckpointMagic);
-  w.i64(c.seq);
-  w.i32(c.batches);
-  w.i32(c.rounds);
-  w.i32(c.in_round);
-  w.i32(c.exchange_skips);
-  write_skips(w, c.skipped);
-  write_told(w, c.told);
-  w.i32(static_cast<std::int32_t>(c.totals.size()));
-  for (const tune::ConfigTotals& t : c.totals) write_totals(w, t);
-  w.u8(c.has_exchange_state ? 1 : 0);
-  write_blob(w, c.full_bytes);
-  if (c.has_exchange_state) {
-    write_blob(w, c.mark_bytes);
-    write_blob(w, c.own_bytes);
-  }
-  // Payload-level checksum: the publish manifest already guards the file in
-  // transit, this trailer guards the bytes at the source — any flip or
-  // truncation is rejected before a single field is trusted.
-  const std::uint64_t sum = util::checksum64(w.out.data(), w.out.size());
-  w.raw(&sum, sizeof sum);
-  return std::move(w.out);
-}
-
-ShardCheckpoint parse_checkpoint(const std::string& payload,
-                                 const tune::Study& study,
-                                 const ShardRange& range) {
-  CRITTER_CHECK(payload.size() >= sizeof kCheckpointMagic + 8,
-                "shard checkpoint: payload too short");
-  WireReader r{payload, "shard checkpoint"};
-  char magic[sizeof kCheckpointMagic];
-  r.raw(magic, sizeof magic);
-  CRITTER_CHECK(std::memcmp(magic, kCheckpointMagic, sizeof magic) == 0,
-                "shard checkpoint: bad magic");
-  std::uint64_t declared = 0;
-  std::memcpy(&declared, payload.data() + payload.size() - 8, 8);
-  CRITTER_CHECK(util::checksum64(payload.data(), payload.size() - 8) ==
-                    declared,
-                "shard checkpoint: checksum trailer mismatch (corrupt or "
-                "torn checkpoint)");
-  ShardCheckpoint c;
-  c.seq = r.i64();
-  c.batches = r.i32();
-  c.rounds = r.i32();
-  c.in_round = r.i32();
-  c.exchange_skips = r.i32();
-  CRITTER_CHECK(c.seq >= 1 && c.batches >= 0 && c.rounds >= 0 &&
-                    c.in_round >= 0 && c.exchange_skips >= 0,
-                "shard checkpoint: implausible cursors");
-  c.skipped = read_skips(r, c.exchange_skips, range, "shard checkpoint");
-  c.told = read_told(r, c.batches, study, range, "shard checkpoint");
-  CRITTER_CHECK(static_cast<int>(c.told.size()) == c.batches,
-                "shard checkpoint: told-batch count does not match the "
-                "cursor");
   const std::int32_t ntotals = r.i32();
-  CRITTER_CHECK(ntotals == range.end - range.begin,
-                "shard checkpoint: totals do not cover the shard range");
-  c.totals.resize(static_cast<std::size_t>(ntotals));
-  for (std::int32_t i = 0; i < ntotals; ++i)
-    read_totals(r, c.totals[static_cast<std::size_t>(i)]);
-  c.has_exchange_state = r.u8() != 0;
-  c.full_bytes = read_blob(r);
-  if (c.has_exchange_state) {
-    c.mark_bytes = read_blob(r);
-    c.own_bytes = read_blob(r);
-  }
-  CRITTER_CHECK(r.remaining() == 8,
-                "shard checkpoint: trailing garbage");
-  c.full = decode_or_empty(c.full_bytes);
-  c.mark = decode_or_empty(c.mark_bytes);
-  c.own = decode_or_empty(c.own_bytes);
-  return c;
-}
-
-namespace {
-
-// Version 2: the statistics fields switched from StatSnapshot::diff deltas
-// (merged back on resume) to byte patches (spliced on resume).  Version 3:
-// the log frames and the snapshot chunks the patches carry are checksummed
-// with util::checksum64.  An older log cannot extend a CRCKINC3 reader's
-// base — its frames fail the scan or parse_increment rejects the old
-// magic, SessionJournal::resume stops at the first unreadable record, and
-// the resume costs at most the increments since the last full slot.
-constexpr char kIncrementMagic[8] = {'C', 'R', 'C', 'K', 'I', 'N', 'C', '3'};
-
-std::string read_patch_blob(WireReader& r) {
-  std::string out = read_blob(r);
-  // Shape check only ("" / sparse / full snapshot payload); the chunk-level
-  // validation happens when apply_increment splices and re-decodes.
-  CRITTER_CHECK(out.empty() || core::is_sparse_payload(out) ||
-                    out.front() == 'C',
-                "checkpoint increment: patch blob is neither empty, sparse, "
-                "nor a snapshot payload");
-  return out;
-}
-
-}  // namespace
-
-std::string serialize_increment(const CheckpointIncrement& inc) {
-  WireWriter w;
-  w.raw(kIncrementMagic, sizeof kIncrementMagic);
-  w.i64(inc.base_seq);
-  w.i64(inc.seq);
-  w.i32(inc.batches);
-  w.i32(inc.rounds);
-  w.i32(inc.in_round);
-  w.i32(inc.exchange_skips);
-  write_skips(w, inc.new_skipped);
-  write_told(w, inc.new_told);
-  w.i32(static_cast<std::int32_t>(inc.dirty_totals.size()));
-  for (const auto& [idx, t] : inc.dirty_totals) {
-    w.i32(idx);
-    write_totals(w, t);
-  }
-  w.u8(inc.has_exchange_state ? 1 : 0);
-  write_blob(w, inc.full_patch);
-  if (inc.has_exchange_state) {
-    write_blob(w, inc.mark_patch);
-    write_blob(w, inc.own_patch);
-  }
-  return std::move(w.out);
-}
-
-CheckpointIncrement parse_increment(const std::string& payload,
-                                    const tune::Study& study,
-                                    const ShardRange& range) {
-  WireReader r{payload, "checkpoint increment"};
-  char magic[sizeof kIncrementMagic];
-  r.raw(magic, sizeof magic);
-  CRITTER_CHECK(std::memcmp(magic, kIncrementMagic, sizeof magic) == 0,
-                "checkpoint increment: bad magic");
-  CheckpointIncrement inc;
-  inc.base_seq = r.i64();
-  inc.seq = r.i64();
-  inc.batches = r.i32();
-  inc.rounds = r.i32();
-  inc.in_round = r.i32();
-  inc.exchange_skips = r.i32();
-  CRITTER_CHECK(inc.base_seq >= 1 && inc.seq > inc.base_seq &&
-                    inc.batches >= 0 && inc.rounds >= 0 && inc.in_round >= 0 &&
-                    inc.exchange_skips >= 0,
-                "checkpoint increment: implausible cursors");
-  inc.new_skipped =
-      read_skips(r, inc.exchange_skips, range, "checkpoint increment");
-  inc.new_told = read_told(r, inc.batches, study, range,
-                           "checkpoint increment");
-  const std::int32_t ndirty = r.i32();
   const std::int32_t nrange = range.end - range.begin;
-  CRITTER_CHECK(ndirty >= 0 && ndirty <= nrange,
-                "checkpoint increment: implausible dirty-totals count");
-  inc.dirty_totals.resize(static_cast<std::size_t>(ndirty));
-  for (std::int32_t i = 0; i < ndirty; ++i) {
+  CRITTER_CHECK(ntotals >= 0 && ntotals <= nrange,
+                "journal record: implausible totals count");
+  rec.totals.resize(static_cast<std::size_t>(ntotals));
+  for (std::int32_t i = 0; i < ntotals; ++i) {
     const std::int32_t idx = r.i32();
     CRITTER_CHECK(idx >= 0 && idx < nrange &&
-                      (i == 0 || inc.dirty_totals[i - 1].first < idx),
-                  "checkpoint increment: dirty-totals index outside the "
-                  "shard range or out of order");
-    inc.dirty_totals[static_cast<std::size_t>(i)].first = idx;
-    read_totals(r, inc.dirty_totals[static_cast<std::size_t>(i)].second);
+                      (i == 0 || rec.totals[i - 1].first < idx),
+                  "journal record: totals index outside the shard range or "
+                  "out of order");
+    rec.totals[static_cast<std::size_t>(i)].first = idx;
+    read_totals(r, rec.totals[static_cast<std::size_t>(i)].second);
   }
-  inc.has_exchange_state = r.u8() != 0;
-  inc.full_patch = read_patch_blob(r);
-  if (inc.has_exchange_state) {
-    inc.mark_patch = read_patch_blob(r);
-    inc.own_patch = read_patch_blob(r);
+
+  rec.has_exchange_state = r.u8() != 0;
+  rec.full_patch = read_patch(r);
+  if (rec.has_exchange_state) {
+    rec.mark_patch = read_patch(r);
+    rec.own_patch = read_patch(r);
   }
-  CRITTER_CHECK(r.done(), "checkpoint increment: trailing garbage");
-  return inc;
+  CRITTER_CHECK(r.done(), "journal record: trailing garbage");
+  return rec;
 }
 
-namespace {
-
-/// Move an increment's cursors, new batches, new skips and dirty totals
-/// into `ck` — everything but the statistics payloads.
-void advance(ShardCheckpoint& ck, CheckpointIncrement&& inc) {
-  ck.seq = inc.seq;
-  ck.batches = inc.batches;
-  ck.rounds = inc.rounds;
-  ck.in_round = inc.in_round;
-  ck.exchange_skips = inc.exchange_skips;
-  ck.skipped.insert(ck.skipped.end(), inc.new_skipped.begin(),
-                    inc.new_skipped.end());
-  for (ShardCheckpoint::ToldBatch& tb : inc.new_told)
-    ck.told.push_back(std::move(tb));
-  for (auto& [idx, t] : inc.dirty_totals)
-    ck.totals[static_cast<std::size_t>(idx)] = t;
-}
-
-}  // namespace
-
-void apply_increment(ShardCheckpoint& ck, std::int64_t base_seq,
-                     CheckpointIncrement&& inc) {
-  CRITTER_CHECK(inc.base_seq == base_seq,
-                "checkpoint increment: extends a different base checkpoint");
-  CRITTER_CHECK(inc.seq == ck.seq + 1, "checkpoint increment: sequence gap");
-  CRITTER_CHECK(inc.batches ==
-                    ck.batches + static_cast<int>(inc.new_told.size()),
-                "checkpoint increment: batch cursor does not add up");
-  CRITTER_CHECK(inc.exchange_skips ==
-                    ck.exchange_skips + static_cast<int>(inc.new_skipped.size()),
-                "checkpoint increment: skip cursor does not add up");
-  CRITTER_CHECK(inc.rounds >= ck.rounds,
-                "checkpoint increment: round cursor went backwards");
-  CRITTER_CHECK(inc.has_exchange_state == ck.has_exchange_state,
-                "checkpoint increment: exchange-state flag mismatch");
-  for (const auto& [idx, t] : inc.dirty_totals)
-    CRITTER_CHECK(static_cast<std::size_t>(idx) < ck.totals.size(),
-                  "checkpoint increment: dirty-totals index out of range");
-  // Resolve every byte patch (and re-decode the results — which validates
-  // each spliced payload chunk by chunk) before mutating anything, so a
-  // patch that does not fit its base leaves `ck` untouched.
-  std::string full_bytes = patched_bytes(ck.full_bytes, inc.full_patch);
+void apply_record(ShardCheckpoint& ck, std::int64_t base_seq,
+                  JournalRecord&& rec) {
+  CRITTER_CHECK(rec.base_seq == base_seq,
+                "journal record: extends a different base checkpoint");
+  // A full checkpoint rebuilds the empty state; any other record follows
+  // the previous one.
+  CRITTER_CHECK(rec.base_seq == 0 ? ck.seq == 0 : rec.seq == ck.seq + 1,
+                "journal record: sequence gap");
+  CRITTER_CHECK(rec.batches == ck.batches + static_cast<int>(rec.told.size()),
+                "journal record: batch cursor does not add up");
+  CRITTER_CHECK(rec.exchange_skips ==
+                    ck.exchange_skips + static_cast<int>(rec.skipped.size()),
+                "journal record: skip cursor does not add up");
+  CRITTER_CHECK(rec.rounds >= ck.rounds,
+                "journal record: round cursor went backwards");
+  CRITTER_CHECK(rec.has_exchange_state == ck.has_exchange_state,
+                "journal record: exchange-state flag mismatch");
+  CRITTER_CHECK(rec.base_seq != 0 || rec.totals.size() == ck.totals.size(),
+                "journal record: a full checkpoint must hold totals for the "
+                "whole shard range");
+  for (const auto& [idx, t] : rec.totals)
+    CRITTER_CHECK(idx >= 0 && static_cast<std::size_t>(idx) < ck.totals.size(),
+                  "journal record: totals index out of range");
+  // Resolve every patch before anything moves, so a patch that does not fit
+  // its base leaves `ck` untouched.
+  std::string full_bytes = patched_bytes(ck.full_bytes, rec.full_patch);
   std::string mark_bytes, own_bytes;
-  if (inc.has_exchange_state) {
-    mark_bytes = patched_bytes(ck.mark_bytes, inc.mark_patch);
-    own_bytes = patched_bytes(ck.own_bytes, inc.own_patch);
+  if (rec.has_exchange_state) {
+    mark_bytes = patched_bytes(ck.mark_bytes, rec.mark_patch);
+    own_bytes = patched_bytes(ck.own_bytes, rec.own_patch);
   }
-  core::StatSnapshot full, mark, own;
-  if (!inc.full_patch.empty()) full = decode_or_empty(full_bytes);
-  if (!inc.mark_patch.empty()) mark = decode_or_empty(mark_bytes);
-  if (!inc.own_patch.empty()) own = decode_or_empty(own_bytes);
-  advance(ck, std::move(inc));
+  advance(ck, rec);
   ck.full_bytes = std::move(full_bytes);
-  if (!inc.full_patch.empty()) ck.full = std::move(full);
-  if (inc.has_exchange_state) {
+  if (rec.has_exchange_state) {
     ck.mark_bytes = std::move(mark_bytes);
     ck.own_bytes = std::move(own_bytes);
-    if (!inc.mark_patch.empty()) ck.mark = std::move(mark);
-    if (!inc.own_patch.empty()) ck.own = std::move(own);
   }
+}
+
+std::string seal_slot(std::string record) {
+  // The publish manifest guards the file in transit; this trailer guards
+  // the bytes at the source, so a flip or a truncation is rejected before a
+  // single field is trusted.
+  const std::uint64_t sum = util::checksum64(record.data(), record.size());
+  record.append(reinterpret_cast<const char*>(&sum), sizeof sum);
+  return record;
+}
+
+std::string_view open_slot(std::string_view slot) {
+  CRITTER_CHECK(slot.size() >= sizeof kRecordMagic + 8,
+                "journal slot: payload too short");
+  CRITTER_CHECK(std::memcmp(slot.data(), kRecordMagic, sizeof kRecordMagic) ==
+                    0,
+                "journal slot: bad magic");
+  std::uint64_t declared = 0;
+  std::memcpy(&declared, slot.data() + slot.size() - 8, 8);
+  CRITTER_CHECK(util::checksum64(slot.data(), slot.size() - 8) == declared,
+                "journal slot: checksum trailer mismatch (corrupt or torn "
+                "slot)");
+  return slot.substr(0, slot.size() - 8);
 }
 
 std::string frame_log_record(const std::string& payload) {
@@ -387,7 +322,7 @@ std::string make_patch(const std::string& base, const std::string& cur) {
   if (base == cur) return {};
   if (base.empty()) return cur;
   CRITTER_CHECK(!cur.empty(),
-                "checkpoint increment: statistics state reset to empty");
+                "journal record: statistics state reset to empty");
   return core::encode_sparse_patch(base, cur);
 }
 
@@ -400,6 +335,14 @@ namespace {
 constexpr const char* kSlotNames[2] = {"ckpt_a.bin", "ckpt_b.bin"};
 constexpr const char* kLogName = "ckpt_log.bin";
 
+/// The state before any record: what a full checkpoint applies to.
+ShardCheckpoint empty_state(const ShardRange& range, bool exchanging) {
+  ShardCheckpoint ck;
+  ck.totals.resize(static_cast<std::size_t>(range.end - range.begin));
+  ck.has_exchange_state = exchanging;
+  return ck;
+}
+
 }  // namespace
 
 SessionJournal::SessionJournal(std::string dir, ShardRange range,
@@ -409,9 +352,7 @@ SessionJournal::SessionJournal(std::string dir, ShardRange range,
 }
 
 void SessionJournal::reset() {
-  state_ = {};
-  state_.totals.resize(static_cast<std::size_t>(range_.end - range_.begin));
-  state_.has_exchange_state = exchanging_;
+  state_ = empty_state(range_, exchanging_);
   base_seq_ = 0;
   next_slot_ = 0;
   force_full_ = false;
@@ -423,12 +364,13 @@ bool SessionJournal::resume(const tune::Study& study, Decoded* decoded) {
   for (int slot = 0; slot < 2; ++slot) {
     if (!core::published(dir_, kSlotNames[slot])) continue;
     try {
-      ShardCheckpoint c = parse_checkpoint(
-          core::read_published(dir_, kSlotNames[slot]), study, range_);
-      if (best_slot < 0 || c.seq > best.seq) {
-        best = std::move(c);
-        best_slot = slot;
-      }
+      const std::string bytes = core::read_published(dir_, kSlotNames[slot]);
+      JournalRecord rec = parse_record(open_slot(bytes), study, range_);
+      if (best_slot >= 0 && rec.seq <= best.seq) continue;
+      ShardCheckpoint ck = empty_state(range_, exchanging_);
+      apply_record(ck, 0, std::move(rec));
+      best = std::move(ck);
+      best_slot = slot;
     } catch (const std::exception&) {
       // Torn or corrupt slot: fall back to the other one, or clean restart.
     }
@@ -441,21 +383,25 @@ bool SessionJournal::resume(const tune::Study& study, Decoded* decoded) {
     for (const std::string& payload :
          scan_log_records(core::read_file(log_path))) {
       try {
-        apply_increment(best, base_seq,
-                        parse_increment(payload, study, range_));
+        apply_record(best, base_seq, parse_record(payload, study, range_));
       } catch (const std::exception&) {
         break;  // discontinuity (e.g. a log outliving its base): stop here
       }
     }
   }
-  if (decoded != nullptr)
-    *decoded = {std::move(best.full), std::move(best.mark),
-                std::move(best.own)};
-  best.full = best.mark = best.own = {};
+  // The one decode: every chunk was validated as it was spliced in.
+  if (decoded != nullptr) {
+    const auto decode = [](const std::string& bytes) {
+      return bytes.empty() ? core::StatSnapshot{}
+                           : core::StatSnapshot::from_string(bytes);
+    };
+    *decoded = {decode(best.full_bytes), decode(best.mark_bytes),
+                decode(best.own_bytes)};
+  }
   state_ = std::move(best);
   base_seq_ = base_seq;
   next_slot_ = 1 - best_slot;
-  // Whatever the log held, re-base: an increment appended behind a torn,
+  // Whatever the log held, re-base: a record appended behind a torn,
   // corrupt or stale tail would be unreachable by the next resume.
   force_full_ = had_log;
   return true;
@@ -483,52 +429,64 @@ void SessionJournal::replace_bytes(std::string full_bytes) {
 void SessionJournal::record(Step step,
                             const std::vector<tune::ConfigTotals>& totals) {
   const bool full_slot = next_is_full();
-  CheckpointIncrement inc;
-  inc.base_seq = base_seq_;
-  inc.seq = state_.seq + 1;
-  inc.batches = state_.batches + static_cast<int>(step.told.size());
-  inc.rounds = exchanging_ ? step.rounds : 0;
-  inc.in_round = exchanging_ ? step.in_round : inc.batches;
-  inc.exchange_skips =
+  JournalRecord rec;
+  rec.base_seq = full_slot ? 0 : base_seq_;
+  rec.seq = state_.seq + 1;
+  rec.batches = state_.batches + static_cast<int>(step.told.size());
+  rec.rounds = exchanging_ ? step.rounds : 0;
+  rec.in_round = exchanging_ ? step.in_round : rec.batches;
+  rec.exchange_skips =
       state_.exchange_skips + static_cast<int>(step.skipped.size());
-  inc.new_skipped = std::move(step.skipped);
-  inc.new_told = std::move(step.told);
-  // The totals a record rewrites are those of its new batches' positions:
-  // a tell touches no others.
+  rec.skipped = std::move(step.skipped);
+  rec.told = std::move(step.told);
+  // A record rewrites the totals at its new batches' positions, since a
+  // tell touches no others; a full slot rewrites the whole range.
   std::vector<int> dirty;
-  for (const ShardCheckpoint::ToldBatch& tb : inc.new_told)
-    for (int pos : tb.positions) dirty.push_back(pos - range_.begin);
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  for (int idx : dirty)
-    inc.dirty_totals.emplace_back(
-        idx, totals[static_cast<std::size_t>(range_.begin + idx)]);
-  inc.has_exchange_state = exchanging_;
-  inc.full_patch = std::move(step.full_patch);
-  inc.mark_patch = std::move(step.mark_patch);
-  inc.own_patch = std::move(step.own_patch);
-  // Take the new payloads and free the old ones before the record buffers
-  // are allocated, which keeps the peak heap (and the pages it faults in)
-  // down.  A move-assignment would hand each old buffer to `step` instead,
-  // keeping it alive through the write.
-  if (step.full_bytes) state_.full_bytes.swap(*step.full_bytes);
-  if (step.mark_bytes) state_.mark_bytes.swap(*step.mark_bytes);
-  if (step.own_bytes) state_.own_bytes.swap(*step.own_bytes);
-  step = {};
-  const std::string framed =
-      full_slot ? std::string() : frame_log_record(serialize_increment(inc));
-  advance(state_, std::move(inc));
-  // Until this write lands the disk is behind state_, and only a full slot
-  // can catch it up.
-  force_full_ = true;
   if (full_slot) {
-    state_.totals.assign(totals.begin() + range_.begin,
-                         totals.begin() + range_.end);
-    write(true, serialize_checkpoint(state_));
+    for (int idx = 0; idx < range_.end - range_.begin; ++idx)
+      dirty.push_back(idx);
+  } else {
+    for (const ShardCheckpoint::ToldBatch& tb : rec.told)
+      for (int pos : tb.positions) dirty.push_back(pos - range_.begin);
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  }
+  for (int idx : dirty)
+    rec.totals.emplace_back(
+        idx, totals[static_cast<std::size_t>(range_.begin + idx)]);
+  rec.has_exchange_state = exchanging_;
+  rec.full_patch = std::move(step.full_patch);
+  rec.mark_patch = std::move(step.mark_patch);
+  rec.own_patch = std::move(step.own_patch);
+  // state_ takes the record with the step's payloads, and swapping them
+  // twice gives them back.  The replaced payloads wait in `step`.
+  const auto swap_payloads = [&] {
+    if (step.full_bytes) state_.full_bytes.swap(*step.full_bytes);
+    if (step.mark_bytes) state_.mark_bytes.swap(*step.mark_bytes);
+    if (step.own_bytes) state_.own_bytes.swap(*step.own_bytes);
+  };
+  // Until this record lands the disk is behind the owner, and only a full
+  // slot can catch it up.  If the write throws, state_ stays at the last
+  // durable record and the next record is a full slot.
+  force_full_ = true;
+  if (!full_slot) {
+    write(false, frame_log_record(serialize_record(rec)));
+    advance(state_, rec);
+    swap_payloads();
+  } else {
+    // A full slot is the state after this record, written whole: take the
+    // record first, and give it back if the write throws.
+    advance(state_, rec);
+    swap_payloads();
+    try {
+      write(true, seal_slot(serialize_record(state_)));
+    } catch (...) {
+      swap_payloads();
+      retreat(state_, rec);
+      throw;
+    }
     base_seq_ = state_.seq;
     next_slot_ = 1 - next_slot_;
-  } else {
-    write(false, framed);
   }
   force_full_ = false;
 }

@@ -1,42 +1,52 @@
-// Shard checkpoint format: the durable record a session journal publishes
-// so a relaunched shard worker or a restarted tuner daemon can resume its
-// session bit-identically (DESIGN.md §10).
+// The session journal's one record format: what a shard worker or a tuner
+// daemon session journals so that, relaunched or restarted, it resumes its
+// session bit-identically (DESIGN.md §10, §11).
 //
-// A checkpoint is the full replay recipe of a session prefix:
+// A record advances a session's journaled state.  It carries:
 //
-//   * the progress cursor (completed batches, completed exchange rounds,
-//     batches into the current round);
-//   * every batch told so far — positions plus raw outcome bits — so the
-//     resumed session can re-ask/re-tell the strategy into the exact state
-//     the crashed worker had (asks are a pure function of told outcomes and
-//     ingested priors, and tell() contributes no kernel statistics);
-//   * the accumulated per-configuration totals, which tell() does not
-//     carry;
-//   * the session's statistics snapshots: the full state (wholesale
-//     import on resume), and with mid-sweep exchange on, the delta
-//     baseline `mark` and the shard's own-contribution `own`;
-//   * the non-strict exchange skips taken so far, so replay skips the
-//     same (round, peer) pairs the live run skipped.
+//   * the cursors after it, as absolute values: sequence number, completed
+//     batches, completed exchange rounds, batches into the current round,
+//     and exchange skips;
+//   * the batches told since the state it extends, with positions and raw
+//     outcome bits.  The resumed session re-asks and re-tells the strategy
+//     into the exact state the live one had: asks are a pure function of
+//     told outcomes and ingested priors, and tell() adds no kernel
+//     statistics;
+//   * the non-strict exchange skips taken since, so replay skips the same
+//     (round, peer) pairs;
+//   * the totals of the configurations those batches touched, which tell()
+//     does not carry;
+//   * one byte-patch field per statistics payload: the session statistics
+//     and, with mid-sweep exchange on, the delta baseline `mark` and the
+//     shard's own contribution `own`.
 //
-// The payload starts with the "CRCKPT02" magic and ends in a
-// util::checksum64 trailer over everything before it, so any truncation or
-// byte flip is rejected by parse_checkpoint() even when the publish
-// manifest happens to match (e.g. corruption at the source).  The magic is
-// checked first: a slot of an older format fails as "bad magic".
+// A full checkpoint is the record that extends nothing: base 0, every told
+// batch, every skip, the whole range's totals, and full payloads in its
+// patch fields, since a patch against the empty state is the payload itself
+// (patched_bytes).  Any other record names the full checkpoint it extends.
+// So one apply_record serves both: resume applies the best slot's record to
+// the empty state, then the longest valid log prefix on top.
 //
-// SessionJournal (bottom of this file) is the one writer and reader of the
-// format: full checkpoints in two alternating slots, CRCKINC3 increments in
-// an append-only log between them.  Shard workers and tuner-daemon sessions
-// both journal through it.  A torn or corrupt latest slot falls back to the
-// previous one, and a worker with no valid checkpoint restarts cleanly —
-// which is still bit-identical, since round deltas persist in the exchange
-// mailbox and re-publishing is idempotent.
+// Two envelopes hold records.  A slot is one record followed by a
+// util::checksum64 trailer over it, published through core::publish_file.
+// The log is a run of [u64 len][u64 checksum64][record] frames.  Every
+// record starts with the "CRCKREC1" identifier.  A slot's reader checks it
+// before the trailer, so a slot of an older format fails as "bad magic",
+// not as corruption.
+//
+// SessionJournal (bottom of this file) is the one writer and reader: a full
+// checkpoint in one of two alternating slots, then up to 16 records in the
+// log, then a full checkpoint again.  A torn or corrupt newest slot falls
+// back to the other one, and a worker with no valid slot restarts clean.
+// That is still bit-identical, since round deltas persist in the exchange
+// mailbox and publishing them again is idempotent.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,8 +56,9 @@
 
 namespace critter::dist {
 
+/// The journaled state of a session: what its records add up to.
 struct ShardCheckpoint {
-  std::int64_t seq = 0;     ///< monotonically increasing per shard
+  std::int64_t seq = 0;     ///< sequence number of the last record
   int batches = 0;          ///< completed (told) batches — the cursor
   int rounds = 0;           ///< completed exchange rounds
   int in_round = 0;         ///< batches into the current round
@@ -61,82 +72,75 @@ struct ShardCheckpoint {
   bool has_exchange_state = false;
   /// Serialized payloads of the session statistics, and with exchange on
   /// of the delta baseline and the own-contribution accumulator ("" =
-  /// empty snapshot).  serialize_checkpoint writes these bytes verbatim,
-  /// so a slot is the exact byte string the log's byte patches splice onto.
+  /// empty snapshot): the exact byte strings the records' patches splice
+  /// onto.  A resume decodes them once, for an owner that asks.
   std::string full_bytes;
   std::string mark_bytes;
   std::string own_bytes;
-  /// The same three payloads decoded.  Read side only: parse_checkpoint
-  /// and apply_increment fill them for a resume; nothing serializes them,
-  /// and a SessionJournal's state() never holds them.
-  core::StatSnapshot full;
-  core::StatSnapshot mark;
-  core::StatSnapshot own;
 };
 
-/// Incremental checkpoint record.  Between two full checkpoints the journal
-/// appends one framed increment per record to its append-only log instead
-/// of rewriting the whole replay recipe — the full
-/// snapshot, the complete told history, and the totals grow with the sweep,
-/// while what a single checkpoint actually adds stays constant-sized.  An
-/// increment carries only the change since the previous record (full or
-/// increment): the advanced cursors, the newly told batches and skips, the
-/// totals of the configurations those batches touched, and *byte patches*
-/// for the session statistics and — with exchange on — the mark/own
-/// snapshots.  Each patch field is one of:
+/// One journal record: a full checkpoint when `base_seq` is 0, otherwise
+/// the change since the previous record of the log extending slot
+/// `base_seq`.  Each patch field is one of:
 ///
-///   * "" — the snapshot's serialized bytes are unchanged;
+///   * "" — the payload's bytes are unchanged;
 ///   * a mode-0 sparse payload (core::encode_sparse_patch, DESIGN.md §13)
-///     that splices dirty rank chunks onto the previous record's bytes;
-///   * a full CRSTAT payload — wholesale replacement, used when the
-///     previous record had no snapshot to patch (empty -> non-empty), and
-///     by the tuner daemon whenever a client TELLs full state.
+///     that splices dirty rank chunks onto the previous bytes;
+///   * a full CRSTAT payload that replaces them: every non-empty payload of
+///     a full checkpoint, the empty -> non-empty transition of a log record,
+///     and whatever a tuner-daemon client TELLs in full.
 ///
-/// Byte patches replace the StatSnapshot::diff deltas of the original
-/// CRCKINC1 scheme: a spliced payload is the *exact* byte string the worker
-/// held, where diff + merge reconstruction — though exact by the merge
-/// algebra — still paid a full semantic walk on both ends.  Resume loads
-/// the best full slot and replays the longest valid prefix of the log on
-/// top of it (apply_increment), so a torn append costs at most one
-/// checkpoint of progress, never the base.
-struct CheckpointIncrement {
-  std::int64_t base_seq = 0;  ///< seq of the full checkpoint the log extends
-  std::int64_t seq = 0;       ///< overall checkpoint sequence number
+/// Patches are byte splices, so the payload a resume rebuilds is the exact
+/// byte string the owner held — no diff/merge round trip (DESIGN.md §13).
+struct JournalRecord {
+  std::int64_t base_seq = 0;  ///< seq of the full checkpoint extended; 0 = none
+  std::int64_t seq = 0;       ///< sequence number of this record
   // Absolute cursor values as of this record.
   int batches = 0;
   int rounds = 0;
   int in_round = 0;
   int exchange_skips = 0;
-  std::vector<std::pair<int, int>> new_skipped;
-  std::vector<ShardCheckpoint::ToldBatch> new_told;
-  /// Rewritten totals, as (range-relative index, value), ascending — the
-  /// dirty subset named by the new batches' positions.
-  std::vector<std::pair<int, tune::ConfigTotals>> dirty_totals;
-  std::string full_patch;  ///< session-stats byte patch since previous record
+  std::vector<std::pair<int, int>> skipped;        ///< new skips
+  std::vector<ShardCheckpoint::ToldBatch> told;    ///< new batches
+  /// Rewritten totals as (range-relative index, value), ascending: the
+  /// positions of the new batches, or the whole range for a full checkpoint.
+  std::vector<std::pair<int, tune::ConfigTotals>> totals;
   bool has_exchange_state = false;
+  std::string full_patch;  ///< session-statistics byte patch
   std::string mark_patch;  ///< delta-baseline byte patch (exchange on)
   std::string own_patch;   ///< own-contribution byte patch (exchange on)
 };
 
-std::string serialize_checkpoint(const ShardCheckpoint& c);
-std::string serialize_increment(const CheckpointIncrement& inc);
+std::string serialize_record(const JournalRecord& rec);
 
-/// Parse and validate one increment payload (unframed).  Shape checks
-/// mirror parse_checkpoint: positions inside the shard range and ordered,
-/// plausible counts, no trailing bytes.  Continuity against the base is
-/// apply_increment's job.
-CheckpointIncrement parse_increment(const std::string& payload,
-                                    const tune::Study& study,
-                                    const ShardRange& range);
+/// The record that extends nothing and rebuilds `ck` whole: what a full
+/// checkpoint slot holds.  Also the exact image of a journaled state.
+std::string serialize_record(const ShardCheckpoint& ck);
 
-/// Extend `ck` — a full checkpoint, possibly already extended — by one
-/// increment.  Byte patches splice onto ck's *_bytes fields and the decoded
-/// snapshots are refreshed from the spliced payloads (which re-validates
-/// every patched chunk).  Throws on any discontinuity: wrong base, sequence
-/// gap, cursors that do not add up, or a patch that does not fit its base;
-/// `ck` is unchanged on throw.
-void apply_increment(ShardCheckpoint& ck, std::int64_t base_seq,
-                     CheckpointIncrement&& inc);
+/// Parse one record (unframed).  Shape checks only: the identifier, plausible
+/// cursors and counts, batch positions inside `range` and ordered, totals
+/// indices inside the range and ordered, no trailing bytes.  `study` rebinds
+/// the outcome configurations.  Continuity is apply_record's job.
+JournalRecord parse_record(std::string_view payload, const tune::Study& study,
+                           const ShardRange& range);
+
+/// Extend `ck` by one record, whose base must be `base_seq`.  A record with
+/// base 0 (a full checkpoint) applies only to the empty state and must
+/// cover the whole range with totals; any other must follow `ck` in
+/// sequence.  The cursors must add up,
+/// the exchange flag must match, and every patch must fit the bytes it
+/// splices onto: patched_bytes validates each incoming chunk, and nothing is
+/// decoded.  Throws on any discontinuity with `ck` unchanged.
+void apply_record(ShardCheckpoint& ck, std::int64_t base_seq,
+                  JournalRecord&& rec);
+
+/// The slot envelope: `record` followed by its checksum64 trailer.
+std::string seal_slot(std::string record);
+
+/// The record inside a slot.  Checks the identifier, then the trailer, so a
+/// slot of an older format fails as "bad magic" and a torn or corrupt one
+/// as a checksum mismatch.
+std::string_view open_slot(std::string_view slot);
 
 /// Log framing: [u64 payload length][u64 checksum64 of payload][payload].
 std::string frame_log_record(const std::string& payload);
@@ -146,21 +150,12 @@ std::string frame_log_record(const std::string& payload);
 /// torn or corrupt append is still trusted.
 std::vector<std::string> scan_log_records(const std::string& blob);
 
-/// Parse and fully validate a checkpoint payload; `study`/`range` rebind
-/// the outcome configurations and bound every cursor.  Throws on any
-/// corruption — bad magic, truncation, byte flips (checksum trailer),
-/// implausible counters, positions outside the range — before returning
-/// partial state.
-ShardCheckpoint parse_checkpoint(const std::string& payload,
-                                 const tune::Study& study,
-                                 const ShardRange& range);
-
 /// The payload bytes one patch field turns `base` into: "" leaves them
 /// unchanged, a mode-0 sparse patch (DESIGN.md §13) splices dirty rank
 /// chunks onto them, and a full payload replaces them.  Every incoming
 /// chunk is checked with the decoder's structural rules, but no table is
-/// built.  Increment replay and the tuner daemon's TELL both resolve
-/// patches here.
+/// built.  Journal replay and the tuner daemon's TELL both resolve patches
+/// here.
 std::string patched_bytes(const std::string& base, const std::string& patch);
 
 /// The inverse of patched_bytes: the patch field that turns `base` into
@@ -171,16 +166,16 @@ std::string patched_bytes(const std::string& base, const std::string& patch);
 std::string make_patch(const std::string& base, const std::string& cur);
 
 /// The durable journal of one tuning session (DESIGN.md §10, §11): a full
-/// checkpoint slot, then up to kIncrementsPerFull increments appended to
-/// the log, then a full slot in the other slot, and so on.  Two owners use
-/// it — a shard worker (with exchange state) and a tuner-daemon session
-/// (without) — and each only says what a record adds.  The journal holds
-/// the one copy of the journaled state and makes every durable decision:
-/// full slot or increment, which slot, publishing a new slot before it
-/// removes the log, and re-basing after a resume.
+/// checkpoint slot, then up to kIncrementsPerFull records appended to the
+/// log, then a full slot in the other slot, and so on.  Two owners use it —
+/// a shard worker (with exchange state) and a tuner-daemon session
+/// (without) — and each only says what a record adds.  The journal holds the
+/// one copy of the journaled state and makes every durable decision: full
+/// slot or log record, which slot, publishing a new slot before it removes
+/// the log, and re-basing after a resume or a failed write.
 class SessionJournal {
  public:
-  /// A full slot, then up to this many increments, then a full slot.
+  /// A full slot, then up to this many log records, then a full slot.
   static constexpr std::int64_t kIncrementsPerFull = 16;
 
   /// What one record adds to state(): the newly told batches and skips,
@@ -198,14 +193,14 @@ class SessionJournal {
     std::string full_patch, mark_patch, own_patch;
   };
 
-  /// How a fault-injected write reaches the disk.  Torn: half an increment
-  /// is appended, or a full slot's payload is renamed in without its
+  /// How a fault-injected write reaches the disk.  Torn: half a log
+  /// record is appended, or a full slot's payload is renamed in without its
   /// manifest.  Corrupt: the record is written with one byte corrupted.
   enum class Damage { None, Torn, Corrupt };
   /// The fault-injection seam on the journal's write step (tests only).
   /// Once set, every record is written by calling the `write` the seam is
   /// handed, exactly once, with the damage to inflict.  A seam that
-  /// inflicts damage must end the process: the journal does not go on.
+  /// inflicts damage must end the process or throw.
   using WriteSeam =
       std::function<void(const std::function<void(Damage)>& write)>;
 
@@ -219,18 +214,18 @@ class SessionJournal {
     core::StatSnapshot full, mark, own;
   };
 
-  /// Load the newest valid full slot, then apply the longest valid prefix
-  /// of the log to it; the decoded payloads go to `decoded` if given, and
-  /// state() keeps bytes only.  If a log file was present, the next record
-  /// is a full slot: increments appended after a torn or stale tail could
-  /// not be reached by a later resume.  False, with state() unchanged, when
-  /// no slot is usable.
+  /// Apply the newest valid slot's record to the empty state, then the
+  /// longest valid prefix of the log.  The final payloads are decoded once,
+  /// into `decoded`, and only if it is given; state() keeps bytes only.  If
+  /// a log file was present, the next record is a full slot: records
+  /// appended after a torn or stale tail could not be reached by a later
+  /// resume.  False, with state() unchanged, when no slot is usable.
   bool resume(const tune::Study& study, Decoded* decoded = nullptr);
 
   /// Clean restart: remove both slots and the log, and reset state().
   void discard();
 
-  /// The journaled state as of the last record or resume.
+  /// The journaled state as of the last durable record or resume.
   const ShardCheckpoint& state() const { return state_; }
 
   /// True when the next record will be a full slot; patches are not read.
@@ -239,14 +234,19 @@ class SessionJournal {
   /// Make the next record a full slot.
   void force_full() { force_full_ = true; }
 
-  /// Replace the session statistics bytes out of band (a warm start, an
-  /// import).  Increments after it would patch bytes no resume can
-  /// rebuild, so the next record is a full slot.
+  /// Replace the session statistics bytes out of band (a warm start).
+  /// Log records after it would patch bytes no resume can rebuild, so the
+  /// next record is a full slot.
   void replace_bytes(std::string full_bytes);
 
   /// Journal one record.  `totals` are the session's per-configuration
   /// totals, indexed by study position; a record stores the entries its
-  /// new batches touched (a full slot stores the whole range).
+  /// new batches touched (a full slot stores the whole range).  state()
+  /// advances only once the write has landed: if it throws, state() stays
+  /// at the last durable record and the next record is a full slot.  The
+  /// step is consumed either way, so an owner that retries rebuilds it
+  /// from state() (the tuner daemon does); a shard worker ends its attempt
+  /// instead and resumes from the disk.
   void record(Step step, const std::vector<tune::ConfigTotals>& totals);
 
   void set_write_seam(WriteSeam seam) { seam_ = std::move(seam); }

@@ -98,19 +98,18 @@ void ShardSession::record(SessionJournal& journal) {
   pending_.rounds = rounds_;
   pending_.in_round = in_round_;
   pending_.full_bytes = bytes_of(tuner_.export_state());
+  // mark/own only move at exchange rounds: while their version vectors
+  // match the last durable record's, their bytes provably do too, and the
+  // record skips both the serialization and the patch.  The first record
+  // of an attempt always serializes them.
+  std::vector<std::uint64_t> mv, ov;
   if (exchanging()) {
-    // mark/own only move at exchange rounds: while their version vectors
-    // match the last record's, their bytes provably do too, and the record
-    // skips both the serialization and the patch.  The first record of an
-    // attempt always serializes them.
-    std::vector<std::uint64_t> mv = version_vector(mark_);
-    std::vector<std::uint64_t> ov = version_vector(own_);
+    mv = version_vector(mark_);
+    ov = version_vector(own_);
     if (mark_vers_.empty() || mv != mark_vers_)
       pending_.mark_bytes = bytes_of(mark_);
     if (own_vers_.empty() || ov != own_vers_)
       pending_.own_bytes = bytes_of(own_);
-    mark_vers_ = std::move(mv);
-    own_vers_ = std::move(ov);
   }
   if (!journal.next_is_full()) {
     // Byte patches against the journaled payloads (DESIGN.md §13).
@@ -127,6 +126,8 @@ void ShardSession::record(SessionJournal& journal) {
   }
   journal.record(std::move(pending_), tuner_.totals());
   pending_ = {};
+  mark_vers_ = std::move(mv);
+  own_vers_ = std::move(ov);
 }
 
 bool ShardSession::resume(

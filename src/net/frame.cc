@@ -63,7 +63,6 @@ bool known_verb(std::uint32_t verb) {
     case kBlobPut:
     case kBlobGet:
     case kBlobExists:
-    case kBlobAppend:
     case kBlobRemove:
     case kBlobPublish:
     case kBlobPublished:
@@ -72,7 +71,6 @@ bool known_verb(std::uint32_t verb) {
     case kTuneAsk:
     case kTuneTell:
     case kTuneExport:
-    case kTuneImport:
     case kTuneStatus:
     case kTuneShutdown:
       return true;

@@ -35,6 +35,8 @@ inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
 /// Every verb any critter service speaks, in one table so the decode
 /// whitelist is the closed set (values are wire-stable; never renumber).
+/// Retired, never to be reused: 0x13 (blob append, which no store served)
+/// and 0x24 (tuner import, which no client sent).
 enum Verb : std::uint32_t {
   // Handshake + generic replies, shared by all services.
   kHello = 0x01,
@@ -44,7 +46,6 @@ enum Verb : std::uint32_t {
   kBlobPut = 0x10,
   kBlobGet = 0x11,
   kBlobExists = 0x12,
-  kBlobAppend = 0x13,
   kBlobRemove = 0x14,
   kBlobPublish = 0x15,
   kBlobPublished = 0x16,
@@ -54,7 +55,6 @@ enum Verb : std::uint32_t {
   kTuneAsk = 0x21,
   kTuneTell = 0x22,
   kTuneExport = 0x23,
-  kTuneImport = 0x24,
   kTuneStatus = 0x25,
   kTuneShutdown = 0x26,
 };

@@ -396,25 +396,36 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       // the session Tuner, which never reads statistics, imports nothing.
       // The journal record carries the field verbatim as its patch.
       dist::SessionJournal::Step step;
-      if (!trq.state.empty()) {
-        const bool sparse = core::is_sparse_payload(trq.state);
+      const bool changed = !trq.state.empty();
+      const bool sparse = core::is_sparse_payload(trq.state);
+      if (changed) {
         CRITTER_CHECK(!sparse || trq.base_gen == s.state_gen,
                       "tune tell: sparse state patch against a stale "
                       "generation — re-ask and send full state");
         step.full_bytes =
             dist::patched_bytes(s.journal->state().full_bytes, trq.state);
         step.full_patch = std::move(trq.state);
+      }
+      // The record lands before anything changes: a failed write leaves the
+      // claim open on a Tuner that still holds it, so the client re-asks the
+      // same batch.  decode_tell_body sized the outcomes and totals to the
+      // claimed batch and bound each outcome to its position, which is all
+      // tell_evaluated checks beyond the claim itself.
+      std::vector<tune::ConfigTotals> totals = s.tuner->totals();
+      for (std::size_t k = 0; k < trq.batch.size(); ++k)
+        totals[static_cast<std::size_t>(trq.batch[k])] += trq.totals[k];
+      step.told.push_back({trq.batch, trq.outcomes});
+      journal_record(*s.journal, std::move(step), totals);
+      s.tuner->tell_evaluated(trq.outcomes, trq.totals);
+      if (changed) {
+        ++s.state_gen;
         if (sparse) {
           ++s.sparse_tells;
           obs::counter("serve.tells.sparse").add();
         } else {
           obs::counter("serve.tells.full").add();
         }
-        ++s.state_gen;
       }
-      s.tuner->tell_evaluated(trq.outcomes, trq.totals);
-      step.told.push_back({trq.batch, std::move(trq.outcomes)});
-      journal_record(*s.journal, std::move(step), s.tuner->totals());
       s.claimed = false;
       s.owner = 0;
       s.batch.clear();
@@ -429,22 +440,6 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       // The cache IS the serialized state (serialize ∘ parse is exact) —
       // no per-export re-serialization.
       return {net::kOk, s.journal->state().full_bytes};
-    }
-    case net::kTuneImport: {
-      std::string name, snapshot;
-      decode_import(rq.payload, &name, &snapshot);
-      Session& s = resolve_session(name);
-      std::lock_guard<std::mutex> lk(s.mu);
-      s.bytes_in += static_cast<std::int64_t>(rq.payload.size());
-      // from_string expands mode-1 sparse deltas; to_string canonicalizes
-      // the bytes to the full binary payload either way.  import_state
-      // enforces the before-the-first-ask rule.
-      const StatSnapshot imported = StatSnapshot::from_string(snapshot);
-      s.tuner->import_state(imported);
-      // Out of band: the journal re-bases with a full slot at the next tell.
-      s.journal->replace_bytes(imported.to_string());
-      ++s.state_gen;
-      return {net::kOk, ""};
     }
     case net::kTuneStatus: {
       Session& s = resolve_session(decode_session_ref(rq.payload));

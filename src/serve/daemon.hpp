@@ -25,21 +25,23 @@
 // the next asker, the §10 degrade/skip analogue: churn costs wall-clock,
 // never a different answer.
 //
-// Durability: every TELL is journaled before it is acknowledged, through
-// the session's dist::SessionJournal — the journal shard workers use
-// (dist/checkpoint.hpp, DESIGN.md §10-§11).  A TELL becomes one CRCKINC3
-// increment whose session patch is the TELL's state field *verbatim* (""
+// Durability: every TELL is journaled before it changes the session,
+// through the session's dist::SessionJournal — the journal shard workers
+// use (dist/checkpoint.hpp, DESIGN.md §10-§11).  A TELL becomes one journal
+// record whose session patch is the TELL's state field *verbatim* (""
 // = unchanged, sparse patch, or full payload), with a full checkpoint slot
-// every 17th record and after an import.  Resume byte-splices the patches
-// onto the base slot's serialized statistics (DESIGN.md §13), so the
-// reconstructed state is the exact byte string the live daemon held, at
-// O(tells) journal bytes.  A daemon killed outright (kill -9 included) and
-// restarted on the same state directory replays each session — best full
-// slot, longest valid log prefix, re-ask/re-tell strategy-only — into the
-// exact state it held at its last journaled tell; a torn append costs at
-// most that one tell, and the first record after such a resume re-bases
-// with a full slot.  SIGTERM/SIGINT flush a final full checkpoint per
-// session before exit.
+// every 17th record and after a failed write.  Only once the record has
+// landed does the session's Tuner hear the outcomes and the claim close, so
+// a TELL whose write fails leaves the claim open and its batch re-issues.
+// Resume byte-splices the patches onto the base slot's serialized
+// statistics (DESIGN.md §13) and decodes nothing, so the reconstructed
+// state is the exact byte string the live daemon held, at O(tells) journal
+// bytes.  A daemon killed outright (kill -9 included) and restarted on the
+// same state directory replays each session — best full slot, longest
+// valid log prefix, re-ask/re-tell strategy-only — into the exact state it
+// held at its last journaled tell; a torn append costs at most that one
+// tell, and the first record after such a resume re-bases with a full slot.
+// SIGTERM/SIGINT flush a final full checkpoint per session before exit.
 #pragma once
 
 #include <atomic>

@@ -32,7 +32,9 @@ namespace critter::serve {
 /// Version 3: STATUS replies carry the daemon's process-wide metrics
 /// snapshot (obs::metrics_json(), DESIGN.md §14) after the per-session
 /// wire accounting — `tunectl status --json` and `tunectl watch` read it.
-inline constexpr const char* kTuneService = "critter-tune/3";
+/// Version 4: the IMPORT verb is gone; OPEN's warm snapshot seeds a
+/// session.
+inline constexpr const char* kTuneService = "critter-tune/4";
 
 /// Session names become journal directory names: a restrictive charset
 /// keeps them shell- and path-safe (no separators, no leading dot).
@@ -307,27 +309,6 @@ inline std::uint64_t decode_tell_reply(const std::string& payload) {
   const std::uint64_t gen = r.u64();
   CRITTER_CHECK(r.done(), "tune tell reply: trailing bytes");
   return gen;
-}
-
-// --- kTuneImport -----------------------------------------------------------
-
-/// Seed a fresh session's statistics (legal only before its first ask, the
-/// same rule as Tuner::import_state).  kTuneExport's reply payload is the
-/// raw serialized snapshot, no codec needed.
-inline std::string encode_import(const std::string& session,
-                                 const std::string& snapshot) {
-  core::WireWriter w;
-  w.str(session);
-  w.str(snapshot);
-  return std::move(w.out);
-}
-
-inline void decode_import(const std::string& payload, std::string* session,
-                          std::string* snapshot) {
-  core::WireReader r{payload, "tune import"};
-  *session = r.str();
-  *snapshot = read_blob(r);
-  CRITTER_CHECK(r.done(), "tune import: trailing bytes");
 }
 
 // --- kTuneStatus -----------------------------------------------------------

@@ -238,13 +238,8 @@ void Tuner::tell_evaluated(const std::vector<ConfigOutcome>& outcomes,
   CRITTER_CHECK(batch_totals.size() == pending_.size(),
                 "tell_evaluated() totals must cover the claimed batch");
   evaluated_ = true;
-  for (std::size_t k = 0; k < pending_.size(); ++k) {
-    ConfigTotals& t = totals_[pending_[k]];
-    t.tuning_time += batch_totals[k].tuning_time;
-    t.full_time += batch_totals[k].full_time;
-    t.kernel_time += batch_totals[k].kernel_time;
-    t.full_kernel_time += batch_totals[k].full_kernel_time;
-  }
+  for (std::size_t k = 0; k < pending_.size(); ++k)
+    totals_[pending_[k]] += batch_totals[k];
   tell(outcomes);
 }
 

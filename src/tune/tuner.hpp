@@ -54,6 +54,14 @@ struct ConfigTotals {
   double full_time = 0.0;
   double kernel_time = 0.0;
   double full_kernel_time = 0.0;
+
+  ConfigTotals& operator+=(const ConfigTotals& o) {
+    tuning_time += o.tuning_time;
+    full_time += o.full_time;
+    kernel_time += o.kernel_time;
+    full_kernel_time += o.full_kernel_time;
+    return *this;
+  }
 };
 
 /// How the sweep actually executed (recorded in TuneResult so drivers can

@@ -1,7 +1,7 @@
 // Fault tolerance of the subprocess shard fleet (DESIGN.md §10): crashed,
 // hung, and misbehaving workers are classified and relaunched with backoff,
 // relaunches resume from checkpoints bit-identically, non-strict exchange
-// degrades gracefully, and the checkpoint format rejects every corruption.
+// degrades gracefully, and the journal record rejects every corruption.
 //
 // This binary is its own shard worker: the subprocess executor re-execs it
 // with --shard-worker, so main() routes that entry point before gtest.
@@ -442,115 +442,8 @@ TEST(CheckpointIntegrity, DamagedFirstSlotRestartsCleanBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint wire format: roundtrip plus exhaustive corruption fuzz
-// ---------------------------------------------------------------------------
-
-namespace {
-
-dist::ShardCheckpoint sample_checkpoint(const tune::Study& study,
-                                        const dist::ShardRange& range) {
-  dist::ShardCheckpoint c;
-  c.seq = 3;
-  c.batches = 2;
-  c.rounds = 1;
-  c.in_round = 1;
-  c.exchange_skips = 1;
-  c.skipped = {{0, 0}};
-  c.told.resize(2);
-  c.told[0].positions = {range.begin, range.begin + 1};
-  c.told[1].positions = {range.begin + 2};
-  for (auto& tb : c.told) {
-    for (int pos : tb.positions) {
-      tune::ConfigOutcome oc;
-      oc.config = study.configs[pos];
-      oc.evaluated = true;
-      oc.true_time = 1.5 + pos;
-      oc.pred_time = 1.25 + pos;
-      oc.err = 0.125;
-      oc.executed = 10 + pos;
-      oc.skipped = 3;
-      oc.samples_used = 1;
-      tb.outcomes.push_back(oc);
-    }
-  }
-  c.totals.resize(static_cast<std::size_t>(range.end - range.begin));
-  for (std::size_t i = 0; i < c.totals.size(); ++i) {
-    c.totals[i].tuning_time = 0.5 * static_cast<double>(i + 1);
-    c.totals[i].full_time = 2.0 * static_cast<double>(i + 1);
-  }
-  return c;
-}
-
-}  // namespace
-
-TEST(CheckpointFormat, RoundtripPreservesEveryField) {
-  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
-  const dist::ShardRange range{1, 4, 8};
-  const dist::ShardCheckpoint c = sample_checkpoint(study, range);
-  const std::string payload = dist::serialize_checkpoint(c);
-  const dist::ShardCheckpoint back =
-      dist::parse_checkpoint(payload, study, range);
-  EXPECT_EQ(back.seq, c.seq);
-  EXPECT_EQ(back.batches, c.batches);
-  EXPECT_EQ(back.rounds, c.rounds);
-  EXPECT_EQ(back.in_round, c.in_round);
-  EXPECT_EQ(back.exchange_skips, c.exchange_skips);
-  EXPECT_EQ(back.skipped, c.skipped);
-  ASSERT_EQ(back.told.size(), c.told.size());
-  for (std::size_t b = 0; b < c.told.size(); ++b)
-    EXPECT_EQ(back.told[b].positions, c.told[b].positions);
-  EXPECT_EQ(back.has_exchange_state, c.has_exchange_state);
-  // Deep equality via the canonical encoding: re-serializing the parse
-  // must reproduce the exact bytes.
-  EXPECT_EQ(dist::serialize_checkpoint(back), payload);
-}
-
-TEST(CheckpointFormat, EveryTruncationIsRejected) {
-  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
-  const dist::ShardRange range{1, 4, 8};
-  const std::string payload =
-      dist::serialize_checkpoint(sample_checkpoint(study, range));
-  for (std::size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_THROW(
-        dist::parse_checkpoint(payload.substr(0, len), study, range),
-        std::runtime_error)
-        << "truncation to " << len << " bytes accepted";
-  }
-}
-
-TEST(CheckpointFormat, EveryByteFlipIsRejected) {
-  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
-  const dist::ShardRange range{1, 4, 8};
-  const std::string payload =
-      dist::serialize_checkpoint(sample_checkpoint(study, range));
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    for (unsigned char mask : {0x01, 0x80, 0xff}) {
-      std::string bad = payload;
-      bad[i] = static_cast<char>(bad[i] ^ mask);
-      EXPECT_THROW(dist::parse_checkpoint(bad, study, range),
-                   std::runtime_error)
-          << "flip of byte " << i << " mask " << static_cast<int>(mask)
-          << " accepted";
-    }
-  }
-}
-
-TEST(CheckpointFormat, WrongRangeOrStudyIsRejectedEvenWithValidChecksum) {
-  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
-  const dist::ShardRange range{1, 4, 8};
-  const std::string payload =
-      dist::serialize_checkpoint(sample_checkpoint(study, range));
-  // A checkpoint from a different shard plan must not resume this one.
-  EXPECT_THROW(
-      dist::parse_checkpoint(payload, study, dist::ShardRange{0, 0, 4}),
-      std::runtime_error);
-  EXPECT_THROW(
-      dist::parse_checkpoint(payload, study, dist::ShardRange{1, 4, 6}),
-      std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental checkpoint records: roundtrip, log framing, continuity fuzz
+// Journal records in both envelopes — a full checkpoint in its slot and a
+// log record in its frame: roundtrip, exhaustive corruption fuzz, continuity
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -576,106 +469,239 @@ core::StatSnapshot small_snapshot(int salt) {
   return s;
 }
 
-/// An increment that validly extends sample_checkpoint (seq 3 -> 4): one
-/// more told batch, one more skip, one more exchange round, the dirty
-/// total of the new batch's position, and a non-empty statistics byte
-/// patch (wholesale payloads, since the sample base carries no snapshot).
-dist::CheckpointIncrement sample_increment(const tune::Study& study,
-                                           const dist::ShardRange& range,
-                                           bool exchange_state = false) {
-  dist::CheckpointIncrement inc;
-  inc.base_seq = 3;
-  inc.seq = 4;
-  inc.batches = 3;
-  inc.rounds = 2;
-  inc.in_round = 0;
-  inc.exchange_skips = 2;
-  inc.new_skipped = {{1, 0}};
-  inc.new_told.resize(1);
-  const int pos = range.begin + 3;
-  inc.new_told[0].positions = {pos};
-  tune::ConfigOutcome oc;
-  oc.config = study.configs[pos];
-  oc.evaluated = true;
-  oc.true_time = 4.5;
-  oc.pred_time = 4.25;
-  oc.err = 0.0625;
-  oc.executed = 7;
-  oc.skipped = 2;
-  oc.samples_used = 1;
-  inc.new_told[0].outcomes = {oc};
-  tune::ConfigTotals ct;
-  ct.tuning_time = 8.0;
-  ct.full_time = 16.0;
-  inc.dirty_totals = {{3, ct}};
-  inc.full_patch = small_snapshot(1).to_string();
-  inc.has_exchange_state = exchange_state;
-  if (exchange_state) {
-    inc.mark_patch = small_snapshot(2).to_string();
-    inc.own_patch = small_snapshot(3).to_string();
+/// A told batch at `positions` whose outcome bits depend on `k`.
+dist::ShardCheckpoint::ToldBatch told_batch(const tune::Study& study,
+                                            std::vector<int> positions,
+                                            int k) {
+  dist::ShardCheckpoint::ToldBatch tb;
+  for (int pos : positions) {
+    tune::ConfigOutcome oc;
+    oc.config = study.configs[static_cast<std::size_t>(pos)];
+    oc.evaluated = true;
+    oc.true_time = 1.0 + k + 0.125 * pos;
+    oc.pred_time = 1.25 + k;
+    oc.executed = 10 + k;
+    oc.samples_used = 1;
+    tb.outcomes.push_back(oc);
   }
-  return inc;
+  tb.positions = std::move(positions);
+  return tb;
+}
+
+/// A full checkpoint of `range` (four configurations) at seq 3: two told
+/// batches, one skip, one exchange round, the whole range's totals, and
+/// full payloads in its patch fields.
+dist::JournalRecord sample_full(const tune::Study& study,
+                                const dist::ShardRange& range,
+                                bool exchange_state = false) {
+  dist::JournalRecord rec;
+  rec.seq = 3;
+  rec.batches = 2;
+  rec.rounds = 1;
+  rec.in_round = 1;
+  rec.exchange_skips = 1;
+  rec.skipped = {{0, 0}};
+  rec.told = {told_batch(study, {range.begin, range.begin + 1}, 1),
+              told_batch(study, {range.begin + 2}, 2)};
+  for (auto& tb : rec.told) {
+    for (tune::ConfigOutcome& oc : tb.outcomes) {
+      oc.err = 0.125;
+      oc.skipped = 3;
+    }
+  }
+  for (int i = 0; i < range.end - range.begin; ++i) {
+    tune::ConfigTotals t;
+    t.tuning_time = 0.5 * (i + 1);
+    t.full_time = 2.0 * (i + 1);
+    rec.totals.emplace_back(i, t);
+  }
+  rec.full_patch = small_snapshot(0).to_string();
+  rec.has_exchange_state = exchange_state;
+  if (exchange_state) {
+    rec.mark_patch = small_snapshot(2).to_string();
+    rec.own_patch = small_snapshot(3).to_string();
+  }
+  return rec;
+}
+
+/// A log record that validly extends sample_full (seq 3 -> 4): one more
+/// told batch, one more skip, one more exchange round, the total at the new
+/// batch's position, and a sparse byte patch of every payload.
+dist::JournalRecord sample_increment(const tune::Study& study,
+                                     const dist::ShardRange& range,
+                                     bool exchange_state = false) {
+  dist::JournalRecord rec;
+  rec.base_seq = 3;
+  rec.seq = 4;
+  rec.batches = 3;
+  rec.rounds = 2;
+  rec.in_round = 0;
+  rec.exchange_skips = 2;
+  rec.skipped = {{1, 0}};
+  rec.told = {told_batch(study, {range.begin + 3}, 3)};
+  rec.told[0].outcomes[0].err = 0.0625;
+  rec.told[0].outcomes[0].skipped = 2;
+  tune::ConfigTotals t;
+  t.tuning_time = 8.0;
+  t.full_time = 16.0;
+  rec.totals = {{3, t}};
+  const auto patch = [](int from, int to) {
+    return dist::make_patch(small_snapshot(from).to_string(),
+                            small_snapshot(to).to_string());
+  };
+  rec.full_patch = patch(0, 1);
+  rec.has_exchange_state = exchange_state;
+  if (exchange_state) {
+    rec.mark_patch = patch(2, 4);
+    rec.own_patch = patch(3, 5);
+  }
+  return rec;
+}
+
+using RecordReader = dist::JournalRecord (*)(const std::string&,
+                                             const tune::Study&,
+                                             const dist::ShardRange&);
+
+dist::JournalRecord read_slot(const std::string& bytes,
+                              const tune::Study& study,
+                              const dist::ShardRange& range) {
+  return dist::parse_record(dist::open_slot(bytes), study, range);
+}
+
+dist::JournalRecord read_log(const std::string& bytes,
+                             const tune::Study& study,
+                             const dist::ShardRange& range) {
+  const std::vector<std::string> records = dist::scan_log_records(bytes);
+  if (records.size() != 1)
+    throw std::runtime_error("log frame: no complete record");
+  return dist::parse_record(records[0], study, range);
+}
+
+/// One record in the envelope it travels in, with that envelope's reader.
+struct Enveloped {
+  std::string name;
+  dist::JournalRecord rec;
+  std::string bytes;
+  RecordReader read;
+};
+
+/// Both inputs: a full checkpoint in the slot envelope, and a log record
+/// in a log frame.
+std::vector<Enveloped> both_envelopes(const tune::Study& study,
+                                      const dist::ShardRange& range,
+                                      bool exchange_state) {
+  dist::JournalRecord full = sample_full(study, range, exchange_state);
+  dist::JournalRecord inc = sample_increment(study, range, exchange_state);
+  std::string slot = dist::seal_slot(dist::serialize_record(full));
+  std::string frame = dist::frame_log_record(dist::serialize_record(inc));
+  std::vector<Enveloped> out;
+  out.push_back({"full checkpoint in a slot", std::move(full),
+                 std::move(slot), read_slot});
+  out.push_back({"log record in a frame", std::move(inc), std::move(frame),
+                 read_log});
+  return out;
 }
 
 }  // namespace
 
-TEST(IncrementFormat, RoundtripPreservesEveryField) {
+TEST(JournalRecord, RoundtripPreservesEveryFieldInBothEnvelopes) {
   const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
   const dist::ShardRange range{1, 4, 8};
   for (bool exchange : {false, true}) {
-    const dist::CheckpointIncrement inc =
-        sample_increment(study, range, exchange);
-    const std::string payload = dist::serialize_increment(inc);
-    const dist::CheckpointIncrement back =
-        dist::parse_increment(payload, study, range);
-    EXPECT_EQ(back.base_seq, inc.base_seq);
-    EXPECT_EQ(back.seq, inc.seq);
-    EXPECT_EQ(back.batches, inc.batches);
-    EXPECT_EQ(back.rounds, inc.rounds);
-    EXPECT_EQ(back.in_round, inc.in_round);
-    EXPECT_EQ(back.exchange_skips, inc.exchange_skips);
-    EXPECT_EQ(back.new_skipped, inc.new_skipped);
-    ASSERT_EQ(back.new_told.size(), inc.new_told.size());
-    EXPECT_EQ(back.new_told[0].positions, inc.new_told[0].positions);
-    ASSERT_EQ(back.dirty_totals.size(), inc.dirty_totals.size());
-    EXPECT_EQ(back.dirty_totals[0].first, inc.dirty_totals[0].first);
-    EXPECT_EQ(back.has_exchange_state, inc.has_exchange_state);
-    EXPECT_EQ(back.full_patch, inc.full_patch);
-    // Deep equality via the canonical encoding.
-    EXPECT_EQ(dist::serialize_increment(back), payload);
-  }
-}
-
-TEST(IncrementFormat, EveryTruncationIsRejected) {
-  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
-  const dist::ShardRange range{1, 4, 8};
-  const std::string payload =
-      dist::serialize_increment(sample_increment(study, range, true));
-  for (std::size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_THROW(
-        dist::parse_increment(payload.substr(0, len), study, range),
-        std::runtime_error)
-        << "truncation to " << len << " bytes accepted";
-  }
-}
-
-TEST(IncrementLog, EveryFramedByteFlipIsRejected) {
-  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
-  const dist::ShardRange range{1, 4, 8};
-  const std::string framed = dist::frame_log_record(
-      dist::serialize_increment(sample_increment(study, range)));
-  for (std::size_t i = 0; i < framed.size(); ++i) {
-    for (unsigned char mask : {0x01, 0x80, 0xff}) {
-      std::string bad = framed;
-      bad[i] = static_cast<char>(bad[i] ^ mask);
-      EXPECT_TRUE(dist::scan_log_records(bad).empty())
-          << "flip of byte " << i << " mask " << static_cast<int>(mask)
-          << " accepted";
+    for (const Enveloped& in : both_envelopes(study, range, exchange)) {
+      const dist::JournalRecord& rec = in.rec;
+      const dist::JournalRecord back = in.read(in.bytes, study, range);
+      EXPECT_EQ(back.base_seq, rec.base_seq) << in.name;
+      EXPECT_EQ(back.seq, rec.seq) << in.name;
+      EXPECT_EQ(back.batches, rec.batches) << in.name;
+      EXPECT_EQ(back.rounds, rec.rounds) << in.name;
+      EXPECT_EQ(back.in_round, rec.in_round) << in.name;
+      EXPECT_EQ(back.exchange_skips, rec.exchange_skips) << in.name;
+      EXPECT_EQ(back.skipped, rec.skipped) << in.name;
+      ASSERT_EQ(back.told.size(), rec.told.size()) << in.name;
+      for (std::size_t b = 0; b < rec.told.size(); ++b) {
+        EXPECT_EQ(back.told[b].positions, rec.told[b].positions) << in.name;
+        ASSERT_EQ(back.told[b].outcomes.size(), rec.told[b].outcomes.size())
+            << in.name;
+        for (std::size_t o = 0; o < rec.told[b].outcomes.size(); ++o) {
+          const tune::ConfigOutcome& got = back.told[b].outcomes[o];
+          const tune::ConfigOutcome& want = rec.told[b].outcomes[o];
+          EXPECT_EQ(got.true_time, want.true_time) << in.name;
+          EXPECT_EQ(got.err, want.err) << in.name;
+          EXPECT_EQ(got.executed, want.executed) << in.name;
+          EXPECT_EQ(got.skipped, want.skipped) << in.name;
+        }
+      }
+      ASSERT_EQ(back.totals.size(), rec.totals.size()) << in.name;
+      for (std::size_t i = 0; i < rec.totals.size(); ++i)
+        EXPECT_EQ(back.totals[i].first, rec.totals[i].first) << in.name;
+      EXPECT_EQ(back.has_exchange_state, rec.has_exchange_state) << in.name;
+      EXPECT_EQ(back.full_patch, rec.full_patch) << in.name;
+      EXPECT_EQ(back.mark_patch, rec.mark_patch) << in.name;
+      EXPECT_EQ(back.own_patch, rec.own_patch) << in.name;
+      // Deep equality via the canonical encoding.
+      EXPECT_EQ(dist::serialize_record(back), dist::serialize_record(rec))
+          << in.name;
     }
   }
 }
 
-TEST(IncrementLog, ScanKeepsThePrefixBeforeATornOrCorruptRecord) {
+TEST(JournalRecord, EveryTruncationIsRejectedInBothEnvelopes) {
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
+  const dist::ShardRange range{1, 4, 8};
+  for (const Enveloped& in : both_envelopes(study, range, true)) {
+    for (std::size_t len = 0; len < in.bytes.size(); ++len) {
+      EXPECT_THROW(in.read(in.bytes.substr(0, len), study, range),
+                   std::runtime_error)
+          << in.name << ": truncation to " << len << " bytes accepted";
+    }
+    // The record parser alone, without the envelope's checksum.
+    const std::string bare = dist::serialize_record(in.rec);
+    for (std::size_t len = 0; len < bare.size(); ++len) {
+      EXPECT_THROW(dist::parse_record(bare.substr(0, len), study, range),
+                   std::runtime_error)
+          << in.name << ": bare record truncated to " << len
+          << " bytes accepted";
+    }
+  }
+}
+
+TEST(JournalRecord, EveryByteFlipIsRejectedInBothEnvelopes) {
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
+  const dist::ShardRange range{1, 4, 8};
+  for (const Enveloped& in : both_envelopes(study, range, true)) {
+    for (std::size_t i = 0; i < in.bytes.size(); ++i) {
+      for (unsigned char mask : {0x01, 0x80, 0xff}) {
+        std::string bad = in.bytes;
+        bad[i] = static_cast<char>(bad[i] ^ mask);
+        EXPECT_THROW(in.read(bad, study, range), std::runtime_error)
+            << in.name << ": flip of byte " << i << " mask "
+            << static_cast<int>(mask) << " accepted";
+      }
+    }
+  }
+}
+
+TEST(JournalRecord, WrongRangeOrStudyIsRejectedInBothEnvelopes) {
+  // A record from a different shard plan or study must not resume this one,
+  // even with every checksum valid.
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
+  const tune::Study smaller = subset(tune::capital_cholesky_study(false), 6);
+  const dist::ShardRange range{1, 4, 8};
+  for (const Enveloped& in : both_envelopes(study, range, false)) {
+    ASSERT_NO_THROW(in.read(in.bytes, study, range)) << in.name;
+    EXPECT_THROW(in.read(in.bytes, study, dist::ShardRange{0, 0, 4}),
+                 std::runtime_error)
+        << in.name;
+    EXPECT_THROW(in.read(in.bytes, study, dist::ShardRange{1, 4, 6}),
+                 std::runtime_error)
+        << in.name;
+    EXPECT_THROW(in.read(in.bytes, smaller, range), std::runtime_error)
+        << in.name;
+  }
+}
+
+TEST(JournalLog, ScanKeepsThePrefixBeforeATornOrCorruptRecord) {
   const std::vector<std::string> payloads = {"first record", "second",
                                              "third and longest record"};
   std::string log;
@@ -702,15 +728,28 @@ TEST(IncrementLog, ScanKeepsThePrefixBeforeATornOrCorruptRecord) {
   EXPECT_EQ(got[0], payloads[0]);
 }
 
-TEST(IncrementApply, ExtendsTheBaseAndRejectsEveryContinuityGap) {
+TEST(JournalRecord, ApplyExtendsTheStateAndRejectsEveryContinuityGap) {
   const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
   const dist::ShardRange range{1, 4, 8};
-  const dist::ShardCheckpoint base = sample_checkpoint(study, range);
+  dist::ShardCheckpoint empty;
+  empty.totals.resize(4);
 
-  // The well-formed increment applies and advances every cursor.
+  // The full checkpoint applies to the empty state and rebuilds it whole:
+  // the state it makes is the record that made it.
+  dist::ShardCheckpoint base = empty;
+  dist::apply_record(base, 0, sample_full(study, range));
+  EXPECT_EQ(base.seq, 3);
+  EXPECT_EQ(base.batches, 2);
+  EXPECT_EQ(base.told.size(), 2u);
+  EXPECT_EQ(base.totals[3].tuning_time, 2.0);
+  EXPECT_EQ(base.full_bytes, small_snapshot(0).to_string());
+  EXPECT_EQ(dist::serialize_record(base),
+            dist::serialize_record(sample_full(study, range)));
+
+  // The log record extends it and advances every cursor.
   {
     dist::ShardCheckpoint ck = base;
-    dist::apply_increment(ck, 3, sample_increment(study, range));
+    dist::apply_record(ck, 3, sample_increment(study, range));
     EXPECT_EQ(ck.seq, 4);
     EXPECT_EQ(ck.batches, 3);
     EXPECT_EQ(ck.rounds, 2);
@@ -720,49 +759,62 @@ TEST(IncrementApply, ExtendsTheBaseAndRejectsEveryContinuityGap) {
     ASSERT_EQ(ck.skipped.size(), 2u);
     EXPECT_EQ(ck.skipped[1], (std::pair<int, int>{1, 0}));
     EXPECT_EQ(ck.totals[3].tuning_time, 8.0);
-    EXPECT_TRUE(ck.full.same_statistics(small_snapshot(1)));
+    EXPECT_EQ(ck.full_bytes, small_snapshot(1).to_string());
   }
 
-  // Each discontinuity throws and leaves the checkpoint untouched.
-  const std::string before = dist::serialize_checkpoint(base);
-  const auto rejects = [&](dist::CheckpointIncrement inc,
-                           std::int64_t base_seq, const char* what) {
-    dist::ShardCheckpoint ck = base;
-    EXPECT_THROW(dist::apply_increment(ck, base_seq, std::move(inc)),
+  // Each discontinuity throws and leaves the state untouched.
+  const auto rejects = [&](const dist::ShardCheckpoint& from,
+                           dist::JournalRecord rec, std::int64_t base_seq,
+                           const std::string& what) {
+    dist::ShardCheckpoint ck = from;
+    EXPECT_THROW(dist::apply_record(ck, base_seq, std::move(rec)),
                  std::runtime_error)
         << what;
-    EXPECT_EQ(dist::serialize_checkpoint(ck), before)
-        << what << " mutated the checkpoint before throwing";
+    EXPECT_EQ(dist::serialize_record(ck), dist::serialize_record(from))
+        << what << " mutated the state before throwing";
   };
-  rejects(sample_increment(study, range), 2, "wrong base seq");
+  using Edit = std::function<void(dist::JournalRecord&)>;
+  const std::vector<std::pair<std::string, Edit>> gaps = {
+      {"batch cursor mismatch",
+       [](dist::JournalRecord& r) { ++r.batches; }},  // one batch too many
+      {"skip cursor mismatch",
+       [](dist::JournalRecord& r) { ++r.exchange_skips; }},
+      {"round cursor went backwards",  // the base completed round 1
+       [](dist::JournalRecord& r) { r.rounds = r.base_seq == 0 ? -1 : 0; }},
+      {"exchange-state flag mismatch",
+       [](dist::JournalRecord& r) { r.has_exchange_state = true; }},
+      {"totals index out of range",  // the range has 4 totals
+       [](dist::JournalRecord& r) { r.totals.back().first = 5; }},
+  };
+  for (const auto& [what, edit] : gaps) {
+    dist::JournalRecord full = sample_full(study, range);
+    edit(full);
+    rejects(empty, std::move(full), 0, "full checkpoint: " + what);
+    dist::JournalRecord inc = sample_increment(study, range);
+    edit(inc);
+    rejects(base, std::move(inc), 3, "log record: " + what);
+  }
+  rejects(base, sample_increment(study, range), 2, "wrong base seq");
   {
-    auto inc = sample_increment(study, range);
-    inc.seq = 5;  // base is at seq 3; 5 skips a record
-    rejects(std::move(inc), 3, "sequence gap");
+    dist::JournalRecord rec = sample_increment(study, range);
+    rec.seq = 5;  // base is at seq 3; 5 skips a record
+    rejects(base, std::move(rec), 3, "sequence gap");
+  }
+  rejects(empty, sample_full(study, range), 3,
+          "a full checkpoint where a log record is due");
+  rejects(base, sample_full(study, range), 0,
+          "a full checkpoint over a non-empty state");
+  {
+    dist::JournalRecord rec = sample_full(study, range);
+    rec.totals.erase(rec.totals.begin() + 1);
+    rejects(empty, std::move(rec), 0,
+            "a full checkpoint that leaves a range index without totals");
   }
   {
-    auto inc = sample_increment(study, range);
-    inc.batches = 4;  // claims one more batch than new_told carries
-    rejects(std::move(inc), 3, "batch cursor mismatch");
-  }
-  {
-    auto inc = sample_increment(study, range);
-    inc.exchange_skips = 3;  // claims one more skip than new_skipped
-    rejects(std::move(inc), 3, "skip cursor mismatch");
-  }
-  {
-    auto inc = sample_increment(study, range);
-    inc.rounds = 0;  // base already completed round 1
-    rejects(std::move(inc), 3, "round cursor went backwards");
-  }
-  {
-    auto inc = sample_increment(study, range, true);
-    rejects(std::move(inc), 3, "exchange-state flag mismatch");
-  }
-  {
-    auto inc = sample_increment(study, range);
-    inc.dirty_totals[0].first = 5;  // base has 4 range-relative totals
-    rejects(std::move(inc), 3, "dirty-totals index out of range");
+    dist::JournalRecord rec = sample_full(study, range);
+    rec.full_patch = sample_increment(study, range).full_patch;
+    rejects(empty, std::move(rec), 0,
+            "a full checkpoint whose payload is a sparse patch");
   }
 }
 
@@ -799,25 +851,6 @@ core::StatSnapshot evolving_snapshot(int step, int salt) {
     t.epoch = 1;
   }
   return s;
-}
-
-/// A told batch at `positions` whose outcome bits depend on `k`.
-dist::ShardCheckpoint::ToldBatch told_batch(const tune::Study& study,
-                                            std::vector<int> positions,
-                                            int k) {
-  dist::ShardCheckpoint::ToldBatch tb;
-  for (int pos : positions) {
-    tune::ConfigOutcome oc;
-    oc.config = study.configs[static_cast<std::size_t>(pos)];
-    oc.evaluated = true;
-    oc.true_time = 1.0 + k + 0.125 * pos;
-    oc.pred_time = 1.25 + k;
-    oc.executed = 10 + k;
-    oc.samples_used = 1;
-    tb.outcomes.push_back(oc);
-  }
-  tb.positions = std::move(positions);
-  return tb;
 }
 
 /// A scripted journal session: `step(k, journal)` returns record k's step
@@ -867,8 +900,8 @@ void expect_next_record_reachable(const Script& sc, dist::SessionJournal& j,
   ASSERT_TRUE(again.resume(sc.study)) << what;
   // Boolean comparisons: a failure names the crash point, not 1 KB of
   // checkpoint bytes.
-  EXPECT_TRUE(dist::serialize_checkpoint(again.state()) ==
-              dist::serialize_checkpoint(j.state()))
+  EXPECT_TRUE(dist::serialize_record(again.state()) ==
+              dist::serialize_record(j.state()))
       << what << ": the record after the resume is unreachable";
 }
 
@@ -882,7 +915,7 @@ void expect_resumes_to(const Script& sc, const DirImage& img,
   const bool resumed = j.resume(sc.study);
   EXPECT_EQ(resumed, !expect.empty()) << what;
   if (resumed) {
-    EXPECT_TRUE(dist::serialize_checkpoint(j.state()) == expect) << what;
+    EXPECT_TRUE(dist::serialize_record(j.state()) == expect) << what;
   }
   expect_next_record_reachable(sc, j, dir, what);
   core::remove_dir_tree(dir);
@@ -913,7 +946,7 @@ void enumerate_crash_points(const Script& sc) {
     full.push_back(j.next_is_full());
     j.record(std::move(step), totals);
     images.push_back(image_of(live_dir));
-    live.push_back(dist::serialize_checkpoint(j.state()));
+    live.push_back(dist::serialize_record(j.state()));
     ++(full.back() ? slots : increments);
   }
   core::remove_dir_tree(live_dir);
@@ -1035,6 +1068,59 @@ TEST(JournalCrashPoints, WorkerShapedSessionResumesFromEveryCrashPoint) {
     return step;
   };
   enumerate_crash_points(sc);
+}
+
+TEST(SessionJournal, AFailedWriteLeavesTheStateAtTheLastDurableRecord) {
+  // A write that tears its record and then throws (a full disk, a vanished
+  // directory) must leave state() at the last durable record, so the owner
+  // can retry the same step.  The retry re-bases with a full slot in the
+  // slot that does not hold the base, and a fresh resume reaches it.
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
+  const dist::ShardRange range{0, 0, 8};
+  const std::string dir = core::make_temp_dir("critter_journal_fail");
+  dist::SessionJournal j(dir, range, /*exchanging=*/false);
+  bool fail = false;
+  j.set_write_seam([&fail](const auto& write) {
+    if (!fail) return write(dist::SessionJournal::Damage::None);
+    write(dist::SessionJournal::Damage::Torn);
+    throw std::runtime_error("injected write failure");
+  });
+  std::vector<tune::ConfigTotals> totals(study.configs.size());
+  const auto step = [&](int k) {
+    totals[static_cast<std::size_t>(k)].tuning_time = 1.0 + k;
+    dist::SessionJournal::Step s;
+    s.told.push_back(told_batch(study, {k}, k));
+    const std::string cur = evolving_snapshot(k, 0).to_string();
+    s.full_patch = dist::make_patch(j.state().full_bytes, cur);
+    s.full_bytes = cur;
+    return s;
+  };
+  j.record(step(1), totals);  // a full slot
+  j.record(step(2), totals);  // a log record
+  // Record 3 fails twice: first as a torn append, then as the full slot
+  // the failed append forces, torn at its publish.
+  for (bool full_slot : {false, true}) {
+    const std::string what = full_slot ? "torn slot" : "torn append";
+    ASSERT_EQ(j.next_is_full(), full_slot) << what;
+    const std::string durable = dist::serialize_record(j.state());
+    fail = true;
+    EXPECT_THROW(j.record(step(3), totals), std::runtime_error) << what;
+    fail = false;
+    EXPECT_TRUE(dist::serialize_record(j.state()) == durable)
+        << what << ": a failed write advanced state()";
+    EXPECT_TRUE(j.next_is_full()) << what;
+  }
+  j.record(step(3), totals);
+  EXPECT_TRUE(core::published(dir, "ckpt_a.bin") &&
+              core::published(dir, "ckpt_b.bin"))
+      << "the retry overwrote the base slot";
+  dist::SessionJournal again(dir, range, /*exchanging=*/false);
+  ASSERT_TRUE(again.resume(study));
+  EXPECT_EQ(again.state().batches, 3);
+  EXPECT_TRUE(dist::serialize_record(again.state()) ==
+              dist::serialize_record(j.state()))
+      << "the record after the failed writes is unreachable";
+  core::remove_dir_tree(dir);
 }
 
 int main(int argc, char** argv) {

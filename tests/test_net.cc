@@ -43,11 +43,10 @@ TEST(Frame, RoundTripEveryVerbAndPayloadShape) {
   const std::vector<std::uint32_t> verbs = {
       net::kHello,       net::kOk,           net::kErr,
       net::kBlobPut,     net::kBlobGet,      net::kBlobExists,
-      net::kBlobAppend,  net::kBlobRemove,   net::kBlobPublish,
-      net::kBlobPublished, net::kBlobReadPublished,
+      net::kBlobRemove,  net::kBlobPublish,  net::kBlobPublished,
+      net::kBlobReadPublished,
       net::kTuneOpen,    net::kTuneAsk,      net::kTuneTell,
-      net::kTuneExport,  net::kTuneImport,   net::kTuneStatus,
-      net::kTuneShutdown};
+      net::kTuneExport,  net::kTuneStatus,   net::kTuneShutdown};
   for (std::uint32_t verb : verbs) {
     EXPECT_TRUE(net::known_verb(verb));
     for (const std::string& payload :
@@ -63,6 +62,9 @@ TEST(Frame, RoundTripEveryVerbAndPayloadShape) {
   }
   EXPECT_FALSE(net::known_verb(0));
   EXPECT_FALSE(net::known_verb(0x7F));
+  // Retired verbs stay unknown: blob append (0x13) and tuner import (0x24).
+  EXPECT_FALSE(net::known_verb(0x13));
+  EXPECT_FALSE(net::known_verb(0x24));
 }
 
 TEST(Frame, ConcatenatedFramesDecodeInSequence) {
@@ -418,7 +420,7 @@ void expect_rejected(Decode&& decode, const std::string& verb,
 }  // namespace
 
 TEST(TuneProtocol, ForgedLengthsAndCountsAreRejectedBeforeSizingABuffer) {
-  // The daemon decodes OPEN, TELL and IMPORT straight from client frames,
+  // The daemon decodes OPEN and TELL straight from client frames,
   // and the client decodes ASK replies: a tiny payload that declares a
   // 1 GiB byte field or a 2^20-entry batch must fail on the bytes actually
   // present, not after allocating what it claims.
@@ -471,14 +473,6 @@ TEST(TuneProtocol, ForgedLengthsAndCountsAreRejectedBeforeSizingABuffer) {
   const std::string tell_state = with_last_i32(told, kGiB);
   expect_rejected([&] { decode_tell(tell_state); }, "tune tell",
                   "TELL state");
-
-  const std::string import = with_last_i32(serve::encode_import("s", ""), kGiB);
-  expect_rejected(
-      [&] {
-        std::string session, snapshot;
-        serve::decode_import(import, &session, &snapshot);
-      },
-      "tune import", "IMPORT snapshot");
 
   EXPECT_LT(peak_rss_kib() - rss_before, 64 * 1024)
       << "a forged length or count sized a buffer before it was checked";

@@ -295,6 +295,41 @@ TEST(Daemon, JournalAppendsSparseRecordsBetweenFullSlots) {
   EXPECT_TRUE(core::file_exists(sdir + "/ckpt_log.bin"));
 }
 
+TEST(Daemon, AFailedJournalWriteFailsOneTellAndTheSessionRecovers) {
+  // Every TELL is journaled before it changes the session.  A journal
+  // append that fails (the log replaced by a directory) fails that TELL
+  // and leaves its claim open on the session's Tuner; once the obstruction
+  // is gone, the same session re-issues the batch and finishes with
+  // run_study()'s answer.
+  const tune::Study study = small_study();
+  const tune::TuneOptions opt = adaptive_options();
+  const tune::TuneResult ref = tune::run_study(study, opt);
+
+  TempDir dir("critter_serve_obstructed");
+  serve::TunerDaemon daemon({dir.path});
+  serve::ClientOptions partial = client_options(daemon.port());
+  partial.max_batches = 2;  // a full slot, then a log record
+  serve::TunerClient before(study, opt, "obstructed", partial);
+  ASSERT_EQ(before.run().tells, 2);
+
+  const std::string log = dir.path + "/sessions/obstructed/ckpt_log.bin";
+  ASSERT_TRUE(core::file_exists(log));
+  ASSERT_EQ(std::remove(log.c_str()), 0);
+  core::make_dir(log);
+  serve::ClientOptions once = client_options(daemon.port());
+  once.max_reconnects = 0;  // give up after the one failed TELL
+  serve::TunerClient blocked(study, opt, "obstructed", once);
+  EXPECT_THROW(blocked.run(), std::runtime_error);
+
+  core::remove_dir_tree(log);
+  serve::TunerClient after(study, opt, "obstructed",
+                           client_options(daemon.port()));
+  serve::ClientReport rep;
+  ASSERT_NO_THROW(rep = after.run());
+  EXPECT_TRUE(rep.done);
+  expect_matches_in_process(after, ref, "after a failed journal write");
+}
+
 TEST(Daemon, WarmSessionReproducesTheInProcessWarmSweep) {
   // A warm-started session must evaluate warm: its statistics start from
   // the published warm snapshot, so the first ASK ships them to the

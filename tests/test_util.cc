@@ -157,32 +157,30 @@ TEST(Checksum64, PreviousFormatsFailByIdentifierNotAsCorrupt) {
                 .find("bad frame magic"),
             std::string::npos);
 
-  // Shard checkpoints: "CRCKPT01" -> "CRCKPT02", magic before trailer.
+  // Session-journal records: the full slot's "CRCKPT02" and the log
+  // increment's "CRCKINC3" retired into one record, "CRCKREC1".  A slot's
+  // identifier is checked before its trailer, a record's before any field.
   tune::Study study = tune::capital_cholesky_study(false);
   study.configs.resize(2);
   const dist::ShardRange range{0, 0, 2};
   dist::ShardCheckpoint ck;
   ck.seq = 1;
   ck.totals.resize(2);
-  std::string slot = dist::serialize_checkpoint(ck);
-  EXPECT_EQ(slot.substr(0, 8), "CRCKPT02");
-  EXPECT_NO_THROW(dist::parse_checkpoint(slot, study, range));
-  slot[7] = '1';
+  const std::string record = dist::serialize_record(ck);
+  EXPECT_EQ(record.substr(0, 8), "CRCKREC1");
+  const std::string slot = dist::seal_slot(record);
+  EXPECT_NO_THROW(dist::parse_record(dist::open_slot(slot), study, range));
+  std::string old_slot = slot;
+  old_slot.replace(0, 8, "CRCKPT02");
   const std::string slot_error =
-      error_of([&] { dist::parse_checkpoint(slot, study, range); });
+      error_of([&] { dist::open_slot(old_slot); });
   EXPECT_NE(slot_error.find("bad magic"), std::string::npos) << slot_error;
-
-  // Checkpoint increments: "CRCKINC2" -> "CRCKINC3".
-  dist::CheckpointIncrement inc;
-  inc.base_seq = 1;
-  inc.seq = 2;
-  std::string record = dist::serialize_increment(inc);
-  EXPECT_EQ(record.substr(0, 8), "CRCKINC3");
-  EXPECT_NO_THROW(dist::parse_increment(record, study, range));
-  record[7] = '2';
-  EXPECT_NE(error_of([&] { dist::parse_increment(record, study, range); })
-                .find("bad magic"),
-            std::string::npos);
+  std::string old_record = record;
+  old_record.replace(0, 8, "CRCKINC3");
+  const std::string record_error =
+      error_of([&] { dist::parse_record(old_record, study, range); });
+  EXPECT_NE(record_error.find("bad magic"), std::string::npos)
+      << record_error;
 
   // Publish manifests: the checksum key moved from "fnv=" to "xxh64=".
   const std::string manifest = core::publish_manifest("artifact");
