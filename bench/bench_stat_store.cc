@@ -1,8 +1,7 @@
 // Statistics-pipeline microbenchmark: the cost of moving snapshot state —
 // merge, exact-inverse diff, binary serialization, in-memory parse, and
-// file load through both paths (mmap-backed vs stream read).  These are
-// the operations the distributed executors pay per exchange round and per
-// checkpoint, isolated from any simulation work.
+// file load.  These are the operations the distributed executors pay per
+// exchange round and per checkpoint, isolated from any simulation work.
 //
 // Emits the BENCH_*.json perf-trajectory shape (see bench_json.hpp) to
 // BENCH_stat_store.json.  CRITTER_BENCH_RANKS (default 16) and
@@ -10,8 +9,6 @@
 // CRITTER_BENCH_REPS scales the iteration counts.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_json.hpp"
@@ -188,8 +185,7 @@ int main() {
     if (sink < 0) std::printf("%f", sink);
   }
 
-  // File load, both paths: load_file prefers an mmap of the file and
-  // decodes in place; the read path reads the file into a string first.
+  // File load: read the file, then decode it in place.
   const std::string path = "/tmp/critter_bench_snapshot.bin";
   evolved.save_file(path);
   {
@@ -198,20 +194,6 @@ int main() {
     double sink = 0;
     for (int i = 0; i < iters; ++i)
       sink += core::StatSnapshot::load_file(path).ranks.size();
-    report(t, "load_mmap", static_cast<double>(iters), now_s() - t0,
-           "loads/s");
-    if (sink < 0) std::printf("%f", sink);
-  }
-  {
-    const int iters = 100 * reps;
-    const double t0 = now_s();
-    double sink = 0;
-    for (int i = 0; i < iters; ++i) {
-      std::ifstream is(path, std::ios::binary);
-      std::ostringstream buf;
-      buf << is.rdbuf();
-      sink += core::StatSnapshot::from_string(buf.view()).ranks.size();
-    }
     report(t, "load_read", static_cast<double>(iters), now_s() - t0,
            "loads/s");
     if (sink < 0) std::printf("%f", sink);
@@ -219,7 +201,6 @@ int main() {
   std::remove(path.c_str());
 
   t.print();
-  g_json.ratio("load_mmap_vs_read", "load_mmap_per_sec", "load_read_per_sec");
   // Lower is better: the fraction of the full payload the sparse wire
   // formats actually move (one dirty rank of nranks, so ~1/nranks).
   g_json.ratio("sparse_patch_vs_full_bytes", "sparse_patch_bytes",

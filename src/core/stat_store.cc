@@ -2,17 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
+#include "core/fsio.hpp"
 #include "core/wire_codec.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -927,11 +919,7 @@ std::string expand_sparse_delta(std::string_view sparse) {
 }
 
 void StatSnapshot::save_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  CRITTER_CHECK(os.is_open(), "stat snapshot: cannot open " + path);
-  const std::string bytes = to_string();
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  CRITTER_CHECK(os.good(), "stat snapshot: write failed");
+  write_file(path, to_string());
 }
 
 KernelStats moments_to_stats(const KernelMoments& m) {
@@ -975,45 +963,12 @@ std::vector<KernelMoments> extract_moments(const StatSnapshot& snap) {
 }
 
 StatSnapshot StatSnapshot::load_file(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  // Map the file and decode in place: the span-based reader never copies a
-  // rank chunk, so an mmap'ed load touches each byte exactly twice (checksum,
-  // decode) with zero intermediate buffers.  Irregular or empty files — and
-  // any mmap failure — fall back to the stream path below.
-  struct FdGuard {
-    int fd;
-    ~FdGuard() { if (fd >= 0) ::close(fd); }
-  } fg{::open(path.c_str(), O_RDONLY)};
-  CRITTER_CHECK(fg.fd >= 0, "stat snapshot: cannot open " + path);
-  struct stat st{};
-  if (::fstat(fg.fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-    const auto size = static_cast<std::size_t>(st.st_size);
-    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fg.fd, 0);
-    if (map != MAP_FAILED) {
-      struct MapGuard {
-        void* p;
-        std::size_t n;
-        ~MapGuard() { ::munmap(p, n); }
-      } mg{map, size};
-      try {
-        return from_string(
-            std::string_view(static_cast<const char*>(map), size));
-      } catch (const std::exception& e) {
-        // Re-anchor deep parse failures to the file: "which snapshot file
-        // was bad" is the actionable part when a sweep folds many of them.
-        throw std::runtime_error("stat snapshot: failed to load '" + path +
-                                 "': " + e.what());
-      }
-    }
-  }
-#endif
-  std::ifstream is(path, std::ios::binary);
-  CRITTER_CHECK(is.is_open(), "stat snapshot: cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
+  const std::string bytes = read_file(path);
   try {
-    return from_string(buf.view());
+    return from_string(bytes);
   } catch (const std::exception& e) {
+    // Re-anchor deep parse failures to the file: "which snapshot file was
+    // bad" is the actionable part when a sweep folds many of them.
     throw std::runtime_error("stat snapshot: failed to load '" + path +
                              "': " + e.what());
   }

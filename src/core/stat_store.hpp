@@ -148,9 +148,8 @@ struct StatSnapshot {
   /// consulted.  Throws std::runtime_error on truncated, corrupt, or
   /// unsupported-version input — always before returning partial state.
   /// from_string decodes a borrowed payload in place (rank chunks are
-  /// checksummed and parsed without copying); load_file prefers an mmap of
-  /// the file for the same zero-copy decode, falling back to reading the
-  /// file into memory.
+  /// checksummed and parsed without copying); load_file reads the file
+  /// (core::read_file) and decodes that, naming the file in a parse error.
   static StatSnapshot from_string(std::string_view bytes);
   static StatSnapshot load_file(const std::string& path);
 };

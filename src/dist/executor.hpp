@@ -190,15 +190,12 @@ struct SubprocessOptions {
   /// Per-shard retry/backoff/deadline/checkpoint policy.  The defaults
   /// reproduce the historical behavior (no retries, no checkpoints, abort
   /// on the first fault) with stall detection now progress-based (per-shard
-  /// heartbeats) instead of a whole-run wall clock.
+  /// heartbeats) instead of a whole-run wall clock.  Faults are injected
+  /// for tests by the CRITTER_SHARD_FAULT environment variable alone
+  /// ("<shard>:<mode>[:<arg>[:<times>]]", DESIGN.md §10), which every
+  /// worker and relaunch inherits.
   FaultPolicy fault;
   bool keep_run_dir = false;
-  /// Test-only fault injection, written into the run manifest:
-  /// "<shard>:<mode>[:<arg>[:<times>]]" — see DESIGN.md §10 for the modes
-  /// (crash-after-batch, crash-on-start, hang-after-batch, corrupt-delta,
-  /// corrupt-checkpoint, kill-mid-checkpoint, slow-exchange, skip-result).
-  /// The CRITTER_SHARD_FAULT environment variable overrides this knob.
-  std::string fault_injection;
   /// How the fleet shares its coordination artifacts (DESIGN.md §12.2):
   /// "dir" (default) — the run directory, byte-identical to the historical
   /// file protocol; "socket" — an in-memory store served over TCP from the

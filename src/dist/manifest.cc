@@ -157,9 +157,7 @@ std::string build_run_manifest(const tune::Study& study, bool paper_scale,
                                const tune::TuneOptions& opt,
                                const std::vector<ShardRange>& shards,
                                const ExchangePolicy& exchange,
-                               const FaultPolicy& fault,
-                               const std::string& fault_injection,
-                               bool warm) {
+                               const FaultPolicy& fault, bool warm) {
   std::string out;
   write_study_identity(out, study, paper_scale);
   write_tune_options(out, opt);
@@ -176,9 +174,6 @@ std::string build_run_manifest(const tune::Study& study, bool paper_scale,
   os << "gc_exchange="
      << (fault.checkpoint_every <= 0 && fault.max_retries == 0 ? 1 : 0)
      << "\n";
-  CRITTER_CHECK(fault_injection.find('\n') == std::string::npos,
-                "fault-injection spec must be single-line");
-  os << "fault=" << fault_injection << "\n";
   os << "nshards=" << shards.size() << "\n";
   os << "warm_start=" << (warm ? 1 : 0) << "\n";
   // An in-memory model prior travels as a published snapshot, exactly like

@@ -54,13 +54,12 @@ tune::TuneOptions rebuild_options(const Manifest& m);
 bool detect_paper_scale(const tune::Study& study);
 
 /// The full subprocess-run manifest (study + options + shard plan +
-/// exchange/fault policy + injection spec).
+/// exchange/fault policy).
 std::string build_run_manifest(const tune::Study& study, bool paper_scale,
                                const tune::TuneOptions& opt,
                                const std::vector<ShardRange>& shards,
                                const ExchangePolicy& exchange,
-                               const FaultPolicy& fault,
-                               const std::string& fault_injection, bool warm);
+                               const FaultPolicy& fault, bool warm);
 
 /// Parse this shard's "shard<k>=begin,end" line.
 ShardRange shard_range_of(const Manifest& m, int shard);

@@ -188,8 +188,8 @@ std::string progress_name(int shard) {
 // ---------------------------------------------------------------------------
 
 /// "<index>:<mode>[:<arg>[:<times>]]" from the CRITTER_SHARD_FAULT
-/// environment variable (overrides) or the run manifest's `fault=` key.
-/// Modes and their `arg`:
+/// environment variable, which every worker (relaunches too) inherits from
+/// the launcher.  Modes and their `arg`:
 ///   crash-after-batch   _exit(42) after `arg` batches of the attempt (1)
 ///   crash-on-start      _exit(41) before doing anything
 ///   hang-after-batch    stop beating and sleep forever after `arg` batches
@@ -211,15 +211,11 @@ struct FaultSpec {
   long times = 1;
 };
 
-FaultSpec shard_fault(int index, const Manifest& m) {
-  std::string s;
-  if (const char* env = std::getenv("CRITTER_SHARD_FAULT"); env != nullptr)
-    s = env;
-  else if (const auto it = m.find("fault"); it != m.end())
-    s = it->second;
-  if (s.empty()) return {};
+FaultSpec shard_fault(int index) {
+  const char* spec = std::getenv("CRITTER_SHARD_FAULT");
+  if (spec == nullptr) return {};
   std::vector<std::string> tok;
-  std::istringstream is(s);
+  std::istringstream is(spec);
   std::string t;
   while (std::getline(is, t, ':')) tok.push_back(t);
   if (tok.size() < 2) return {};
@@ -438,7 +434,7 @@ int worker_body(const WorkerArgs& args) {
   const std::string shard_dir =
       args.run_dir + "/shard" + std::to_string(args.shard);
   const std::string shard_key = "shard" + std::to_string(args.shard);
-  const FaultSpec fault = shard_fault(args.shard, m);
+  const FaultSpec fault = shard_fault(args.shard);
 
   Heartbeat hb{&store, shard_key + "/heartbeat"};
   if (fault.mode == "crash-on-start" && fault_fires(shard_dir, fault))
@@ -1033,7 +1029,7 @@ std::vector<ShardResult> SubprocessExecutor::run(
   const bool warm = opt.warm_start != nullptr && !opt.warm_start->empty();
   store->put("run.txt",
              build_run_manifest(study, paper_scale, opt, shards, exchange,
-                                opts_.fault, opts_.fault_injection, warm));
+                                opts_.fault, warm));
 
   const std::vector<ShardResult> results =
       run_fleet(study, opt, shards, exchange, opts_.fault, binary, run_dir,

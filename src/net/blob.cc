@@ -29,6 +29,40 @@ std::string pack_key_content(const std::string& key,
   return std::move(w.out);
 }
 
+/// Answer one blob request from `store`, in the payload shapes above.
+std::string dispatch(Store& store, const Frame& req) {
+  core::WireReader r{req.payload};
+  const std::string key = r.str();
+  // Content is bounded by the frame, not by str()'s key bound: its length
+  // is checked against the bytes remaining before any copy.
+  const auto content = [&r] {
+    const std::int32_t n = r.i32();
+    CRITTER_CHECK(n >= 0, "blob server: negative content length");
+    return std::string(r.bytes(static_cast<std::size_t>(n)));
+  };
+  switch (req.verb) {
+    case kBlobPut:
+      store.put(key, content());
+      return {};
+    case kBlobGet:
+      return store.get(key);
+    case kBlobExists:
+      return store.exists(key) ? "1" : "0";
+    case kBlobPublish:
+      store.publish(key, content());
+      return {};
+    case kBlobPublished:
+      return store.published(key) ? "1" : "0";
+    case kBlobReadPublished:
+      return store.read_published(key);
+    case kBlobRemove:
+      store.remove(key);
+      return {};
+  }
+  throw std::runtime_error("blob server: verb " + std::to_string(req.verb) +
+                           " is not a blob operation");
+}
+
 /// Split "exchange/s0_r1.snap" under `root` into its directory and leaf
 /// for the two-step publish helpers, creating intermediate directories
 /// (EEXIST-tolerant) so a fresh DirStore works on an empty root.
@@ -131,149 +165,41 @@ void MemStore::remove(const std::string& key) {
   blobs_.erase(key);
 }
 
-BlobServer::BlobServer(Store& store, int port) : store_(store) {
-  listener_ = std::make_unique<Listener>(port);
-  port_ = listener_->port();
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-BlobServer::~BlobServer() { stop(); }
-
-void BlobServer::stop() {
-  if (stop_.exchange(true)) return;
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_->close();
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
-}
-
-void BlobServer::accept_loop() {
-  while (!stop_.load()) {
-    Connection conn = listener_->accept(0.1);
-    if (!conn.valid()) continue;
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    conn_threads_.emplace_back(
-        [this, c = std::move(conn)]() mutable { serve_connection(std::move(c)); });
-  }
-}
-
-void BlobServer::serve_connection(Connection conn) {
-  try {
-    // Handshake first: refuse streams meant for another service.
-    const Frame hello = recv_frame(conn, 10.0);
-    if (hello.verb != kHello || hello.payload != kBlobService) {
-      send_frame(conn, kErr, "blob server: bad handshake", 10.0);
-      return;
-    }
-    send_frame(conn, kOk, "", 10.0);
-    while (!stop_.load()) {
-      if (!conn.readable(0.2)) continue;
-      Frame req;
-      if (!recv_frame_opt(conn, req, 30.0)) return;  // orderly client exit
-      std::string reply;
-      std::uint32_t verb = kOk;
-      try {
-        core::WireReader r{req.payload};
-        const std::string key = r.str();
-        // Content is bounded by the frame, not by str()'s key bound: its
-        // length is checked against the bytes remaining before any copy.
-        const auto content = [&r] {
-          const std::int32_t n = r.i32();
-          CRITTER_CHECK(n >= 0, "blob server: negative content length");
-          return std::string(r.bytes(static_cast<std::size_t>(n)));
-        };
-        switch (req.verb) {
-          case kBlobPut:
-            store_.put(key, content());
-            break;
-          case kBlobGet:
-            reply = store_.get(key);
-            break;
-          case kBlobExists:
-            reply = store_.exists(key) ? '1' : '0';
-            break;
-          case kBlobPublish:
-            store_.publish(key, content());
-            break;
-          case kBlobPublished:
-            reply = store_.published(key) ? '1' : '0';
-            break;
-          case kBlobReadPublished:
-            reply = store_.read_published(key);
-            break;
-          case kBlobRemove:
-            store_.remove(key);
-            break;
-          default:
-            verb = kErr;
-            reply = "blob server: verb " + std::to_string(req.verb) +
-                    " is not a blob operation";
-        }
-      } catch (const std::exception& e) {
-        verb = kErr;
-        reply = e.what();
-      }
-      send_frame(conn, verb, reply, 30.0);
-    }
-  } catch (const std::exception&) {
-    // A torn frame or timed-out peer kills this connection, not the
-    // server; the dist layer's retry/degrade machinery owns recovery.
-  }
-}
+BlobServer::BlobServer(Store& store, int port)
+    : Server(port, kBlobService, [&store](const Frame& req, std::uint64_t) {
+        return dispatch(store, req);
+      }) {}
 
 BlobClient::BlobClient(const std::string& host, int port,
                        double connect_deadline_s, double op_deadline_s)
-    : op_deadline_s_(op_deadline_s) {
-  conn_ = Connection::connect(host, port, connect_deadline_s);
-  send_frame(conn_, kHello, kBlobService, connect_deadline_s);
-  const Frame ack = recv_frame(conn_, connect_deadline_s);
-  CRITTER_CHECK(ack.verb == kOk,
-                "net: blob handshake refused: " + ack.payload);
-}
-
-std::string BlobClient::request(std::uint32_t verb,
-                                const std::string& payload) {
-  std::lock_guard<std::mutex> lk(mu_);
-  send_frame(conn_, verb, payload, op_deadline_s_);
-  const Frame reply = recv_frame(conn_, op_deadline_s_);
-  if (reply.verb == kErr) throw std::runtime_error(reply.payload);
-  CRITTER_CHECK(reply.verb == kOk,
-                "net: unexpected blob reply verb " +
-                    std::to_string(reply.verb));
-  return reply.payload;
-}
+    : client_(host, port, kBlobService, connect_deadline_s, op_deadline_s) {}
 
 void BlobClient::put(const std::string& key, const std::string& content) {
-  request(kBlobPut, pack_key_content(key, content));
+  client_.request(kBlobPut, pack_key_content(key, content));
 }
 
 std::string BlobClient::get(const std::string& key) {
-  return request(kBlobGet, pack_key(key));
+  return client_.request(kBlobGet, pack_key(key));
 }
 
 bool BlobClient::exists(const std::string& key) {
-  return request(kBlobExists, pack_key(key)) == "1";
+  return client_.request(kBlobExists, pack_key(key)) == "1";
 }
 
 void BlobClient::publish(const std::string& key, const std::string& payload) {
-  request(kBlobPublish, pack_key_content(key, payload));
+  client_.request(kBlobPublish, pack_key_content(key, payload));
 }
 
 bool BlobClient::published(const std::string& key) {
-  return request(kBlobPublished, pack_key(key)) == "1";
+  return client_.request(kBlobPublished, pack_key(key)) == "1";
 }
 
 std::string BlobClient::read_published(const std::string& key) {
-  return request(kBlobReadPublished, pack_key(key));
+  return client_.request(kBlobReadPublished, pack_key(key));
 }
 
 void BlobClient::remove(const std::string& key) {
-  request(kBlobRemove, pack_key(key));
+  client_.request(kBlobRemove, pack_key(key));
 }
 
 }  // namespace critter::net

@@ -8,20 +8,16 @@
 // exactly that surface; the dist executors are written against it, so the
 // same worker loop runs over a local directory (DirStore), in-memory
 // (MemStore, which also backs the TCP server), or across machines
-// (BlobClient speaking frames to a BlobServer).  Keys are relative paths
+// (BlobClient speaking frames to a BlobServer, both on the one frame
+// service of net/service.hpp).  Keys are relative paths
 // ("exchange/s0_r1.snap", "shard0/result.bin") — same layout everywhere.
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
-#include "net/frame.hpp"
-#include "net/socket.hpp"
+#include "net/service.hpp"
 
 namespace critter::net {
 
@@ -83,31 +79,17 @@ class MemStore final : public Store {
   std::unordered_map<std::string, std::string> manifests_;
 };
 
-/// Serves a Store over frames: one thread per connection, request/reply
-/// (kBlob* in, kOk/kErr out).  Store exceptions travel back as kErr with
-/// the original message, so a remote "stale manifest" reads identically
-/// to a local one.
-class BlobServer {
+/// The service name a BlobClient says hello with and a BlobServer
+/// requires, so a blob stream never cross-wires into another service.
+inline constexpr const char* kBlobService = "critter-blob/1";
+
+/// Serves a Store over frames: each kBlob* request is one Store call.  A
+/// Store exception travels back as kErr with its message, so a remote
+/// "stale manifest" reads identically to a local one.  The store must
+/// outlive the server.
+class BlobServer : public Server {
  public:
-  /// Binds 127.0.0.1:`port` (0 = ephemeral; see port()) and starts the
-  /// accept loop.  The store must outlive the server.
-  BlobServer(Store& store, int port = 0);
-  ~BlobServer();
-  int port() const { return port_; }
-  /// Stop accepting, wake every connection thread, join all.  Idempotent.
-  void stop();
-
- private:
-  void accept_loop();
-  void serve_connection(Connection conn);
-
-  Store& store_;
-  std::unique_ptr<Listener> listener_;
-  int port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> conn_threads_;
+  explicit BlobServer(Store& store, int port = 0);
 };
 
 /// A Store whose backend is a BlobServer across a socket.  Thread-safe
@@ -126,15 +108,7 @@ class BlobClient final : public Store {
   void remove(const std::string& key) override;
 
  private:
-  std::string request(std::uint32_t verb, const std::string& payload);
-
-  std::mutex mu_;
-  Connection conn_;
-  double op_deadline_s_;
+  Client client_;
 };
-
-/// The service name BlobClient offers in its kHello (and BlobServer
-/// requires) so a blob stream never cross-wires into another service.
-inline constexpr const char* kBlobService = "critter-blob/1";
 
 }  // namespace critter::net

@@ -1,7 +1,7 @@
 // Blocking-socket layer of the network subsystem (DESIGN.md §12): a
 // listener and a connection with per-operation deadlines, nothing more.
-// Framing lives in net/frame.hpp, services (the blob store, the tuner
-// daemon) on top of that.
+// Framing lives in net/frame.hpp, the one server and client in
+// net/service.hpp, services (the blob store, the tuner daemon) on top.
 //
 // Deadlines are relative seconds per call, enforced with poll() over
 // non-blocking descriptors — a slow or dead peer surfaces as a thrown
@@ -100,7 +100,7 @@ class Listener {
 
   /// Accept one connection, waiting at most `timeout_s`; an invalid
   /// Connection means the timeout elapsed (poll again — this is how the
-  /// serve daemon's accept loop observes its shutdown flag).
+  /// frame server's accept loop observes its shutdown flag).
   Connection accept(double timeout_s);
 
  private:

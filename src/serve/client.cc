@@ -6,8 +6,6 @@
 #include "core/fsio.hpp"
 #include "core/stat_store.hpp"
 #include "dist/manifest.hpp"
-#include "net/frame.hpp"
-#include "net/socket.hpp"
 #include "tune/evaluator.hpp"
 #include "tune/sweep.hpp"
 #include "util/check.hpp"
@@ -54,35 +52,23 @@ TunerClient::TunerClient(const tune::Study& study,
 
 TunerClient::~TunerClient() = default;
 
-net::Frame TunerClient::request(std::uint32_t verb,
-                                const std::string& payload) {
-  net::send_frame(*conn_, verb, payload, copt_.op_deadline_s);
-  net::Frame reply = net::recv_frame(*conn_, copt_.op_deadline_s);
-  if (reply.verb == net::kErr)
-    throw std::runtime_error("tuner daemon error: " + reply.payload);
-  CRITTER_CHECK(reply.verb == net::kOk, "tuner client: unexpected reply verb");
-  return reply;
-}
-
-void TunerClient::ensure_open() {
-  if (opened_ && conn_ != nullptr && conn_->valid()) return;
-  opened_ = false;
+net::Client& TunerClient::connection() {
+  if (conn_ != nullptr) return *conn_;
   // A (re)connect invalidates the generation cache: tokens are only
   // comparable within one daemon lifetime, and a restarted daemon restarts
   // them — the first ask after any reconnect must fetch full state.
   held_state_.clear();
   held_gen_ = 0;
-  conn_ = std::make_unique<net::Connection>(net::Connection::connect(
-      copt_.host, copt_.port, copt_.connect_deadline_s));
-  net::send_frame(*conn_, net::kHello, kTuneService, copt_.op_deadline_s);
-  const net::Frame hello = net::recv_frame(*conn_, copt_.op_deadline_s);
-  CRITTER_CHECK(hello.verb == net::kOk,
-                "tuner daemon rejected the handshake: " + hello.payload);
-  const net::Frame orp = request(net::kTuneOpen, open_payload_);
-  const OpenReply rp = decode_open_reply(orp.payload);
+  auto conn = std::make_unique<net::Client>(copt_.host, copt_.port,
+                                            kTuneService,
+                                            copt_.connect_deadline_s,
+                                            copt_.op_deadline_s);
+  const OpenReply rp =
+      decode_open_reply(conn->request(net::kTuneOpen, open_payload_));
   CRITTER_CHECK(rp.nconfigs == static_cast<std::int32_t>(study_.configs.size()),
                 "tuner daemon session disagrees about the study size");
-  opened_ = true;
+  conn_ = std::move(conn);
+  return *conn_;
 }
 
 ClientReport TunerClient::run() {
@@ -93,12 +79,13 @@ ClientReport TunerClient::run() {
   while (true) {
     if (copt_.max_batches > 0 && rep.tells >= copt_.max_batches) break;
     try {
-      ensure_open();
+      net::Client& conn = connection();
       double t0 = core::monotonic_s();
       AskRequest arq;
       arq.session = session_;
       arq.have_gen = held_gen_;
-      const net::Frame arf = request(net::kTuneAsk, encode_ask_request(arq));
+      const std::string arf =
+          conn.request(net::kTuneAsk, encode_ask_request(arq));
       rep.ask_tell_wall_s += core::monotonic_s() - t0;
       ++rep.asks;
       ++lifetime_asks_;
@@ -106,12 +93,11 @@ ClientReport TunerClient::run() {
           lifetime_asks_ >= copt_.drop_after_asks) {
         // Injected churn: walk away with the claim open; the daemon must
         // re-issue it unchanged.
-        conn_->close();
-        opened_ = false;
+        conn_.reset();
         rep.dropped = true;
         break;
       }
-      const AskReply ar = decode_ask_reply(arf.payload);
+      const AskReply ar = decode_ask_reply(arf);
       if (ar.done) {
         rep.done = true;
         break;
@@ -167,9 +153,9 @@ ClientReport TunerClient::run() {
         }
       }
       t0 = core::monotonic_s();
-      const net::Frame trf = request(net::kTuneTell, encode_tell(trq));
+      const std::string trf = conn.request(net::kTuneTell, encode_tell(trq));
       rep.ask_tell_wall_s += core::monotonic_s() - t0;
-      held_gen_ = decode_tell_reply(trf.payload);
+      held_gen_ = decode_tell_reply(trf);
       if (!trq.state.empty()) held_state_ = std::move(after_bytes);
       ++rep.tells;
       consecutive_failures = 0;
@@ -178,8 +164,7 @@ ClientReport TunerClient::run() {
       // Abandon the in-flight operation and restart from ASK: if the tell
       // landed, the re-ask claims the next batch; if not, the orphaned one
       // re-issues and re-evaluates to the identical result.
-      if (conn_) conn_->close();
-      opened_ = false;
+      conn_.reset();
       ++rep.reconnects;
       if (++consecutive_failures > copt_.max_reconnects)
         throw std::runtime_error(
@@ -194,19 +179,17 @@ ClientReport TunerClient::run() {
 }
 
 std::string TunerClient::export_stats() {
-  ensure_open();
-  return request(net::kTuneExport, encode_session_ref(session_)).payload;
+  return connection().request(net::kTuneExport,
+                              encode_session_ref(session_));
 }
 
 StatusReply TunerClient::status() {
-  ensure_open();
   return decode_status_reply(
-      request(net::kTuneStatus, encode_session_ref(session_)).payload);
+      connection().request(net::kTuneStatus, encode_session_ref(session_)));
 }
 
 void TunerClient::shutdown_daemon() {
-  ensure_open();
-  request(net::kTuneShutdown, "");
+  connection().request(net::kTuneShutdown, "");
 }
 
 }  // namespace critter::serve

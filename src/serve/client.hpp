@@ -12,18 +12,19 @@
 // same bytes for the same claim, which is why client churn and concurrency
 // never change the tuned answer.
 //
+// It talks to the daemon through the one frame client (net/service.hpp).
 // Fault handling mirrors the dist layer's degrade-not-abort stance: any
-// connection failure mid-iteration abandons the in-flight operation,
-// reconnects with exponential backoff, and restarts from ASK.  If the tell
-// had landed before the cut, the re-ask claims the next batch; if not, the
-// daemon re-issues the orphaned one and the client re-evaluates it to the
-// identical result.
+// failure mid-iteration abandons the connection and the in-flight
+// operation, reconnects with exponential backoff, and restarts from ASK.
+// If the tell had landed before the cut, the re-ask claims the next batch;
+// if not, the daemon re-issues the orphaned one and the client
+// re-evaluates it to the identical result.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "net/frame.hpp"
+#include "net/service.hpp"
 #include "serve/protocol.hpp"
 #include "tune/tuner.hpp"
 
@@ -80,8 +81,9 @@ class TunerClient {
   TunerClient& operator=(const TunerClient&) = delete;
 
  private:
-  void ensure_open();
-  net::Frame request(std::uint32_t verb, const std::string& payload);
+  /// The connection with the session open on it: connects and OPENs when
+  /// there is none.
+  net::Client& connection();
 
   tune::Study study_;
   tune::TuneOptions opt_;        ///< mirror options (warm/prior stripped)
@@ -89,8 +91,7 @@ class TunerClient {
   ClientOptions copt_;
   std::string open_payload_;     ///< identity + snapshots, rebuilt per open
   std::unique_ptr<tune::SweepDriver> mirror_;
-  std::unique_ptr<net::Connection> conn_;
-  bool opened_ = false;
+  std::unique_ptr<net::Client> conn_;  ///< null until opened, after failure
   int lifetime_asks_ = 0;
   /// Generation-tracked state mirror (DESIGN.md §13): the exact serialized
   /// session statistics this client last synchronized with the daemon, and

@@ -108,38 +108,31 @@ TunerDaemon::TunerDaemon(DaemonOptions opt) : opt_(std::move(opt)) {
   core::make_dir(opt_.state_dir);
   core::make_dir(opt_.state_dir + "/sessions");
   load_sessions();
-  listener_ = std::make_unique<net::Listener>(opt_.port);
+  server_ = std::make_unique<net::Server>(
+      opt_.port, kTuneService,
+      [this](const net::Frame& rq, std::uint64_t conn) {
+        return handle_request(rq, conn);
+      },
+      [this](std::uint64_t conn) { release_claims(conn); },
+      opt_.op_deadline_s);
   // Port file last: a reader that sees it can connect immediately.
   core::write_file_atomic(opt_.state_dir + "/port",
-                          std::to_string(listener_->port()) + "\n");
-  accept_thread_ = std::thread([this] { accept_loop(); });
+                          std::to_string(server_->port()) + "\n");
 }
 
 TunerDaemon::~TunerDaemon() { stop(); }
 
-int TunerDaemon::port() const { return listener_->port(); }
+int TunerDaemon::port() const { return server_->port(); }
 
 bool TunerDaemon::stopping() const { return stop_.load(); }
-
-void TunerDaemon::wait() {
-  while (!stop_.load()) core::sleep_ms(20);
-}
 
 void TunerDaemon::stop() {
   // Runs once: the destructor calls stop() again after an explicit one,
   // and a second final flush would rewrite every slot for nothing — or
   // fail loudly once the owner has removed the state directory.
   std::call_once(stop_once_, [this] {
-    stop_.store(true);
-    if (accept_thread_.joinable()) accept_thread_.join();
-    std::vector<std::thread> threads;
-    {
-      std::lock_guard<std::mutex> lk(conn_mu_);
-      threads.swap(conn_threads_);
-    }
-    for (std::thread& t : threads)
-      if (t.joinable()) t.join();
-    if (listener_) listener_->close();
+    stop_.store(true);  // askers blocked on a claim give up
+    server_->stop();
     // Final flush: a full checkpoint per session — including sessions
     // opened or resumed but not told since — so a restart resumes from here
     // without replaying any increment log.
@@ -254,50 +247,6 @@ TunerDaemon::Session& TunerDaemon::resolve_session(const std::string& name) {
 // Serving
 // ---------------------------------------------------------------------------
 
-void TunerDaemon::accept_loop() {
-  while (!stop_.load()) {
-    net::Connection conn = listener_->accept(0.2);
-    if (!conn.valid()) continue;
-    const std::uint64_t id = next_conn_id_.fetch_add(1);
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    conn_threads_.emplace_back(
-        [this, id](net::Connection c) { serve_connection(std::move(c), id); },
-        std::move(conn));
-  }
-}
-
-void TunerDaemon::serve_connection(net::Connection conn,
-                                   std::uint64_t conn_id) {
-  const double deadline = opt_.op_deadline_s;
-  try {
-    net::Frame hello = net::recv_frame(conn, deadline);
-    if (hello.verb != net::kHello || hello.payload != kTuneService) {
-      net::send_frame(conn, net::kErr, "tuner daemon: bad handshake",
-                      deadline);
-      release_claims(conn_id);
-      return;
-    }
-    net::send_frame(conn, net::kOk, "", deadline);
-    while (!stop_.load()) {
-      if (!conn.readable(0.2)) continue;
-      net::Frame rq;
-      if (!net::recv_frame_opt(conn, rq, deadline)) break;
-      net::Frame rp;
-      try {
-        rp = handle_request(rq, conn_id);
-      } catch (const std::exception& e) {
-        rp = {net::kErr, e.what()};
-      }
-      net::send_frame(conn, rp.verb, rp.payload, deadline);
-      if (rq.verb == net::kTuneShutdown) break;
-    }
-  } catch (const std::exception&) {
-    // A torn frame or timed-out peer ends this connection only; its claim
-    // (if any) re-issues to the next asker below.
-  }
-  release_claims(conn_id);
-}
-
 void TunerDaemon::release_claims(std::uint64_t conn_id) {
   std::lock_guard<std::mutex> lk(sessions_mu_);
   for (auto& [name, s] : sessions_) {
@@ -311,8 +260,8 @@ void TunerDaemon::release_claims(std::uint64_t conn_id) {
   }
 }
 
-net::Frame TunerDaemon::handle_request(const net::Frame& rq,
-                                       std::uint64_t conn_id) {
+std::string TunerDaemon::handle_request(const net::Frame& rq,
+                                        std::uint64_t conn_id) {
   switch (rq.verb) {
     case net::kTuneOpen: {
       const OpenRequest orq = decode_open(rq.payload);
@@ -322,7 +271,7 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       rp.nconfigs = static_cast<std::int32_t>(s.study.configs.size());
       rp.tells = s.journal->state().batches;
       rp.done = s.tuner->done();
-      return {net::kOk, encode_open_reply(rp)};
+      return encode_open_reply(rp);
     }
     case net::kTuneAsk: {
       obs::ScopedSpan span("serve.ask", "serve");
@@ -343,14 +292,14 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
           rp.done = true;
           const std::string payload = encode_ask_reply(rp);
           s.bytes_out += static_cast<std::int64_t>(payload.size());
-          return {net::kOk, payload};
+          return payload;
         }
         const std::vector<int> batch = s.tuner->ask();
         if (batch.empty()) {
           rp.done = true;
           const std::string payload = encode_ask_reply(rp);
           s.bytes_out += static_cast<std::int64_t>(payload.size());
-          return {net::kOk, payload};
+          return payload;
         }
         s.batch = batch;
         s.claimed = true;
@@ -371,7 +320,7 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       }
       const std::string payload = encode_ask_reply(rp);
       s.bytes_out += static_cast<std::int64_t>(payload.size());
-      return {net::kOk, payload};
+      return payload;
     }
     case net::kTuneTell: {
       obs::ScopedSpan span("serve.tell", "serve");
@@ -432,14 +381,14 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       s.cv.notify_all();
       const std::string payload = encode_tell_reply(s.state_gen);
       s.bytes_out += static_cast<std::int64_t>(payload.size());
-      return {net::kOk, payload};
+      return payload;
     }
     case net::kTuneExport: {
       Session& s = resolve_session(decode_session_ref(rq.payload));
       std::lock_guard<std::mutex> lk(s.mu);
       // The cache IS the serialized state (serialize ∘ parse is exact) —
       // no per-export re-serialization.
-      return {net::kOk, s.journal->state().full_bytes};
+      return s.journal->state().full_bytes;
     }
     case net::kTuneStatus: {
       Session& s = resolve_session(decode_session_ref(rq.payload));
@@ -465,11 +414,11 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
                 std::to_string(rp.bytes_out) + "B out, " +
                 std::to_string(rp.sparse_tells) + " sparse tells";
       rp.metrics = obs::metrics_json();
-      return {net::kOk, encode_status_reply(rp)};
+      return encode_status_reply(rp);
     }
     case net::kTuneShutdown: {
       stop_.store(true);
-      return {net::kOk, ""};
+      return "";
     }
     default:
       throw std::runtime_error("tuner daemon: unexpected verb " +

@@ -2,10 +2,13 @@
 // (DESIGN.md §12.3-§12.5).
 //
 // The daemon owns the authoritative Tuner session per (session name); any
-// number of clients connect over TCP (net/socket.hpp, net/frame.hpp) and
-// speak the serve/protocol.hpp verbs.  Evaluation happens *client-side*: an
-// ASK hands out the claimed batch, the evaluation hints, and the session's
-// shared statistics; the client mirrors evaluate() with its own SweepDriver
+// number of clients connect over TCP and speak the serve/protocol.hpp
+// verbs.  The daemon is a request handler on the one frame service
+// (net/service.hpp), which owns the listener, the connection threads and
+// the hello; a close hook releases a departed connection's claims.
+// Evaluation happens *client-side*: an ASK hands out the claimed batch,
+// the evaluation hints, and the session's shared statistics; the client
+// mirrors evaluate() with its own SweepDriver
 // and TELLs back outcomes, totals contributions, and its post-evaluation
 // statistics (a sparse patch or a full payload).  The TELL *replaces* the
 // session's statistics bytes with the client's — sound because the mirror
@@ -50,11 +53,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "net/frame.hpp"
-#include "net/socket.hpp"
+#include "net/service.hpp"
 #include "serve/protocol.hpp"
 
 namespace critter::serve {
@@ -74,24 +74,21 @@ struct DaemonOptions {
 
 class TunerDaemon {
  public:
-  /// Binds, resumes journaled sessions, publishes the port file, and starts
-  /// serving.  Throws on a bad state directory or an unusable port.
+  /// Resumes journaled sessions, starts serving, then publishes the port
+  /// file.  Throws on a bad state directory or an unusable port.
   explicit TunerDaemon(DaemonOptions opt);
   ~TunerDaemon();
 
   int port() const;
 
-  /// Graceful shutdown: stop accepting, drain connection threads, flush a
-  /// final full checkpoint per session.  Idempotent; the destructor calls
-  /// it.  kTuneShutdown triggers the same path.
+  /// Graceful shutdown: stop serving (every connection thread joined),
+  /// then flush a final full checkpoint per session.  Runs once; the
+  /// destructor calls it.  kTuneShutdown only asks for it: see stopping().
   void stop();
 
-  /// True once stop() ran or a client sent kTuneShutdown.
+  /// True once stop() ran or a client sent kTuneShutdown; the owner polls
+  /// it and then calls stop().
   bool stopping() const;
-
-  /// Block until stopping() (polling; signal handlers just set a flag and
-  /// let the owner call stop()).
-  void wait();
 
   TunerDaemon(const TunerDaemon&) = delete;
   TunerDaemon& operator=(const TunerDaemon&) = delete;
@@ -99,9 +96,7 @@ class TunerDaemon {
  private:
   struct Session;
 
-  void accept_loop();
-  void serve_connection(net::Connection conn, std::uint64_t conn_id);
-  net::Frame handle_request(const net::Frame& rq, std::uint64_t conn_id);
+  std::string handle_request(const net::Frame& rq, std::uint64_t conn_id);
   void release_claims(std::uint64_t conn_id);
 
   Session& resolve_session(const std::string& name);
@@ -110,15 +105,13 @@ class TunerDaemon {
   std::unique_ptr<Session> load_session(const std::string& name);
 
   DaemonOptions opt_;
-  std::unique_ptr<net::Listener> listener_;
   std::atomic<bool> stop_{false};
   std::once_flag stop_once_;
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::atomic<std::uint64_t> next_conn_id_{1};
   std::mutex sessions_mu_;
   std::map<std::string, std::unique_ptr<Session>> sessions_;
+  /// Last member: destroyed (and so stopped) first, while the sessions its
+  /// handlers touch are still alive.
+  std::unique_ptr<net::Server> server_;
 };
 
 /// Poll <state_dir>/port until the daemon publishes it (or the deadline

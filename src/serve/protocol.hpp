@@ -8,8 +8,8 @@
 //
 // Every request is one frame; every reply is one frame (kOk with the
 // verb-specific payload below, or kErr carrying a human-readable reason).
-// A connection speaks the protocol after a hello exchange: the client sends
-// kHello with kTuneService, the daemon answers kOk.
+// A connection speaks the protocol after the frame service's hello
+// (net/service.hpp) names kTuneService.
 #pragma once
 
 #include <string>

@@ -87,6 +87,15 @@ dist::FaultPolicy quick_fault(int max_retries, int checkpoint_every = 0) {
   return f;
 }
 
+/// Test-only fault injection for the worker fleet (see dist/subprocess.cc):
+/// every worker the launcher starts while this lives inherits the spec.
+struct ScopedShardFault {
+  explicit ScopedShardFault(const std::string& spec) {
+    ::setenv("CRITTER_SHARD_FAULT", spec.c_str(), 1);
+  }
+  ~ScopedShardFault() { ::unsetenv("CRITTER_SHARD_FAULT"); }
+};
+
 const tune::ShardRecovery& recovery_of(const tune::TuneResult& r, int shard) {
   for (const tune::ShardRecovery& sr : r.shard_recovery)
     if (sr.shard == shard) return sr;
@@ -109,8 +118,8 @@ TEST(CrashRecovery, MidSweepCrashResumesBitIdenticalExchangeOff) {
 
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/1);
-  sopts.fault_injection = "1:crash-after-batch:2";
   dist::SubprocessExecutor sub(sopts);
+  const ScopedShardFault injected("1:crash-after-batch:2");
   const tune::TuneResult r = dist::run_sharded(study, opt, 4, sub);
 
   expect_equal_results(clean, r, "crash-recover, exchange off");
@@ -151,8 +160,8 @@ TEST(CrashRecovery, MidSweepCrashResumesBitIdenticalExchangeOnStrict) {
 
     dist::SubprocessOptions sopts;
     sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/1);
-    sopts.fault_injection = in.fault;
     dist::SubprocessExecutor sub(sopts);
+    const ScopedShardFault injected(in.fault);
     const tune::TuneResult r =
         dist::run_sharded(study, opt, in.nshards, sub, every1);
 
@@ -176,8 +185,8 @@ TEST(CrashRecovery, CrashOnStartRecoversByCleanRestart) {
 
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/1);
-  sopts.fault_injection = "0:crash-on-start";
   dist::SubprocessExecutor sub(sopts);
+  const ScopedShardFault injected("0:crash-on-start");
   const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub);
 
   expect_equal_results(clean, r, "crash-on-start recovery");
@@ -197,8 +206,8 @@ TEST(CrashRecovery, HungWorkerIsStallKilledAndRelaunched) {
   // A worker making no heartbeat progress within the deadline is killed
   // and relaunched — the hang mode stops beating on purpose.
   sopts.fault.progress_deadline_s = 1.0;
-  sopts.fault_injection = "1:hang-after-batch";
   dist::SubprocessExecutor sub(sopts);
+  const ScopedShardFault injected("1:hang-after-batch");
   const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub);
 
   expect_equal_results(clean, r, "hang recovery");
@@ -224,8 +233,9 @@ TEST(RetryExhaustion, PersistentCrashAbortsNamingShardAndRelaunches) {
   const tune::Study study = subset(tune::capital_cholesky_study(false), 4);
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/1);
-  sopts.fault_injection = "0:crash-on-start:0:99";  // fires every attempt
   dist::SubprocessExecutor sub(sopts);
+  // Fires on every attempt.
+  const ScopedShardFault injected("0:crash-on-start:0:99");
   std::string run_dir;
   try {
     dist::run_sharded(study, isolated_options(), 2, sub);
@@ -256,8 +266,9 @@ TEST(RetryExhaustion, DegradeCompletesTheShardInProcessBitIdentically) {
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/1);
   sopts.fault.on_exhausted = dist::FaultPolicy::OnExhausted::Degrade;
-  sopts.fault_injection = "1:crash-on-start:0:99";  // unrecoverable shard
   dist::SubprocessExecutor sub(sopts);
+  // An unrecoverable shard.
+  const ScopedShardFault injected("1:crash-on-start:0:99");
   const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub);
 
   expect_equal_results(clean, r, "degraded completion, exchange off");
@@ -304,8 +315,9 @@ TEST(NonStrictExchange, NoFaultsMeansNoSkipsAndBitIdenticalToStrict) {
 TEST(NonStrictExchange, CorruptDeltaIsSkippedAndTheSweepCompletes) {
   const tune::Study study = subset(tune::slate_cholesky_study(false), 6);
   dist::SubprocessOptions sopts;
-  sopts.fault_injection = "0:corrupt-delta";  // round-0 delta of shard 0
   dist::SubprocessExecutor sub(sopts);
+  // The round-0 delta of shard 0.
+  const ScopedShardFault injected("0:corrupt-delta");
   const tune::TuneResult r =
       dist::run_sharded(study, shared_options(), 2, sub,
                         dist::ExchangePolicy{1, /*strict=*/false});
@@ -318,8 +330,8 @@ TEST(NonStrictExchange, CorruptDeltaIsSkippedAndTheSweepCompletes) {
 TEST(NonStrictExchange, CorruptDeltaUnderStrictAbortsTheFleet) {
   const tune::Study study = subset(tune::slate_cholesky_study(false), 6);
   dist::SubprocessOptions sopts;
-  sopts.fault_injection = "0:corrupt-delta";
   dist::SubprocessExecutor sub(sopts);
+  const ScopedShardFault injected("0:corrupt-delta");
   try {
     dist::run_sharded(study, shared_options(), 2, sub,
                       dist::ExchangePolicy{1, /*strict=*/true});
@@ -337,8 +349,9 @@ TEST(NonStrictExchange, SlowPeerPastDeadlineIsSkipped) {
   const tune::Study study = subset(tune::slate_cholesky_study(false), 6);
   dist::SubprocessOptions sopts;
   sopts.fault.exchange_deadline_s = 0.3;
-  sopts.fault_injection = "0:slow-exchange:1500";  // 1.5s late round-0 delta
   dist::SubprocessExecutor sub(sopts);
+  // The round-0 delta arrives 1.5 s late.
+  const ScopedShardFault injected("0:slow-exchange:1500");
   const tune::TuneResult r =
       dist::run_sharded(study, shared_options(), 2, sub,
                         dist::ExchangePolicy{1, /*strict=*/false});
@@ -362,8 +375,8 @@ TEST(CheckpointIntegrity, CorruptLatestSlotFallsBackToPreviousBitIdentically) {
   sopts.fault = quick_fault(/*max_retries=*/1, /*checkpoint_every=*/1);
   // Checkpoint #2 (slot b) is corrupted at the source and the worker dies;
   // the relaunch must reject slot b by checksum and resume from slot a.
-  sopts.fault_injection = "1:corrupt-checkpoint:2";
   dist::SubprocessExecutor sub(sopts);
+  const ScopedShardFault injected("1:corrupt-checkpoint:2");
   const tune::TuneResult r = dist::run_sharded(study, opt, 4, sub);
 
   expect_equal_results(clean, r, "corrupt-checkpoint fallback");
@@ -381,8 +394,8 @@ TEST(CheckpointIntegrity, Kill9MidCheckpointPublishResumesBitIdentically) {
   sopts.fault = quick_fault(/*max_retries=*/1, /*checkpoint_every=*/1);
   // SIGKILL lands between checkpoint #2's payload rename and its manifest
   // write — the torn slot is unpublished, the previous slot still valid.
-  sopts.fault_injection = "1:kill-mid-checkpoint:2";
   dist::SubprocessExecutor sub(sopts);
+  const ScopedShardFault injected("1:kill-mid-checkpoint:2");
   const tune::TuneResult r = dist::run_sharded(study, opt, 4, sub);
 
   expect_equal_results(clean, r, "kill-9 mid-checkpoint resume");
@@ -406,8 +419,8 @@ TEST(CheckpointIntegrity, RelaunchAfterATornAppendRebasesSoTheNextResumeReachesI
   for (const char* mode : {"kill-mid-checkpoint", "corrupt-checkpoint"}) {
     dist::SubprocessOptions sopts;
     sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/1);
-    sopts.fault_injection = std::string("1:") + mode + ":2:2";
     dist::SubprocessExecutor sub(sopts);
+    const ScopedShardFault injected(std::string("1:") + mode + ":2:2");
     const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub);
 
     expect_equal_results(clean, r, mode);
@@ -429,8 +442,8 @@ TEST(CheckpointIntegrity, DamagedFirstSlotRestartsCleanBitIdentically) {
   for (const char* mode : {"kill-mid-checkpoint", "corrupt-checkpoint"}) {
     dist::SubprocessOptions sopts;
     sopts.fault = quick_fault(/*max_retries=*/1, /*checkpoint_every=*/1);
-    sopts.fault_injection = std::string("1:") + mode + ":1";
     dist::SubprocessExecutor sub(sopts);
+    const ScopedShardFault injected(std::string("1:") + mode + ":1");
     const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub);
 
     expect_equal_results(clean, r, mode);

@@ -3,12 +3,15 @@
 // flipped byte), the blob Store implementations (directory, in-memory, and
 // the framed client/server pair, which must agree on semantics and error
 // wording), the socket layer's deadline behavior (a dead or silent peer
-// throws, never hangs), and the tuner protocol's decoders against forged
-// lengths and counts.
+// throws, never hangs), the tuner protocol's decoders against forged
+// lengths and counts, and the servers' connection threads (a closed
+// connection keeps none).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "net/blob.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "serve/daemon.hpp"
 
 namespace core = critter::core;
 namespace net = critter::net;
@@ -476,4 +480,72 @@ TEST(TuneProtocol, ForgedLengthsAndCountsAreRejectedBeforeSizingABuffer) {
 
   EXPECT_LT(peak_rss_kib() - rss_before, 64 * 1024)
       << "a forged length or count sized a buffer before it was checked";
+}
+
+// ---------------------------------------------------------------------------
+// Servers: a closed connection leaves nothing behind
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Lines of /proc/self/maps.  Every thread stack is a mapping plus its
+/// guard page, so a finished connection thread nobody joined shows here.
+int mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  int n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+}  // namespace
+
+TEST(Server, AClosedConnectionLeavesNothingBehind) {
+  // Both services, 200 sequential connections each: hello, one request,
+  // close.  A server that kept each finished connection's thread until it
+  // stops would hold 200 stacks (two mappings each) here.
+  net::MemStore backing;
+  net::BlobServer blob(backing, 0);
+  const std::string dir = core::make_temp_dir("critter_server_threads");
+  serve::TunerDaemon daemon({dir});
+  struct Input {
+    const char* name;
+    std::function<void()> connect_once;
+  };
+  const Input inputs[] = {
+      {"blob server",
+       [&blob] {
+         net::BlobClient client("127.0.0.1", blob.port(), 5.0, 5.0);
+         EXPECT_FALSE(client.exists("run.txt"));
+       }},
+      {"tuner daemon",
+       [&daemon] {
+         net::Connection conn =
+             net::Connection::connect("127.0.0.1", daemon.port(), 5.0);
+         net::send_frame(conn, net::kHello, serve::kTuneService, 5.0);
+         EXPECT_EQ(net::recv_frame(conn, 5.0).verb, net::kOk);
+         net::send_frame(conn, net::kTuneStatus,
+                         serve::encode_session_ref("none"), 5.0);
+         EXPECT_EQ(net::recv_frame(conn, 5.0).verb, net::kErr);
+       }},
+  };
+  for (const Input& in : inputs) {
+    // The first few dozen threads map memory that later threads reuse:
+    // malloc arenas, and under TSan the traces it keeps of recently
+    // finished threads.  Connect that many first, so that only what a
+    // connection keeps is counted.
+    for (int i = 0; i < 50; ++i) in.connect_once();
+    const int before = mapping_count();
+    for (int i = 0; i < 200; ++i) in.connect_once();
+    const double deadline = core::monotonic_s() + 2.0;
+    int after = mapping_count();
+    while (after > before + 20 && core::monotonic_s() < deadline) {
+      core::sleep_ms(50);
+      after = mapping_count();
+    }
+    EXPECT_LE(after, before + 20)
+        << in.name << ": " << before << " mappings before the connections";
+  }
+  blob.stop();
+  daemon.stop();
+  core::remove_dir_tree(dir);
 }

@@ -16,8 +16,10 @@
 // session as an evaluating client — run several concurrently to fan one
 // sweep across processes or machines; --drop-after-asks=N injects the
 // disconnect-mid-batch fault (the claim must re-issue to surviving
-// clients).  `status`/`export`/`shutdown` speak to existing sessions
-// without opening one, so they need no study flags.  `status --json`
+// clients).  `status`/`watch`/`export`/`shutdown` speak to existing
+// sessions without opening one, so they need no study flags; each sends
+// one request over its own net::Client connection (net/service.hpp), one
+// per command, or one per poll for `watch`.  `status --json`
 // emits one machine-readable object embedding the daemon's process-wide
 // metrics snapshot (DESIGN.md §14); `watch` polls status every
 // --interval-ms (default 1000) until the sweep is done or --polls polls
@@ -29,8 +31,7 @@
 #include <tuple>
 
 #include "core/fsio.hpp"
-#include "net/frame.hpp"
-#include "net/socket.hpp"
+#include "net/service.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "tune/strategy.hpp"
@@ -84,20 +85,12 @@ net::Address resolve_daemon(const critter::util::Options& opt) {
   return {"127.0.0.1", serve::read_daemon_port(state_dir)};
 }
 
-/// Sessionless verbs go over a raw framed connection — no OPEN, so no
-/// study flags needed to inspect or stop a running daemon.
-net::Frame raw_request(const net::Address& addr, std::uint32_t verb,
-                       const std::string& payload) {
-  net::Connection conn = net::Connection::connect(addr.host, addr.port, 10.0);
-  net::send_frame(conn, net::kHello, serve::kTuneService, 30.0);
-  net::Frame hello = net::recv_frame(conn, 30.0);
-  if (hello.verb != net::kOk)
-    throw std::runtime_error("handshake rejected: " + hello.payload);
-  net::send_frame(conn, verb, payload, 30.0);
-  net::Frame reply = net::recv_frame(conn, 30.0);
-  if (reply.verb == net::kErr)
-    throw std::runtime_error("daemon error: " + reply.payload);
-  return reply;
+/// Sessionless verbs send one request on a fresh connection — no OPEN,
+/// so no study flags needed to inspect or stop a running daemon.
+std::string request(const net::Address& addr, std::uint32_t verb,
+                    const std::string& payload) {
+  return net::Client(addr.host, addr.port, serve::kTuneService, 10.0, 30.0)
+      .request(verb, payload);
 }
 
 int cmd_serve(const critter::util::Options& opt) {
@@ -155,9 +148,8 @@ int cmd_tune(const critter::util::Options& opt) {
 
 serve::StatusReply fetch_status(const net::Address& addr,
                                 const std::string& session) {
-  const net::Frame reply = raw_request(addr, net::kTuneStatus,
-                                       serve::encode_session_ref(session));
-  return serve::decode_status_reply(reply.payload);
+  return serve::decode_status_reply(request(
+      addr, net::kTuneStatus, serve::encode_session_ref(session)));
 }
 
 /// One stable JSON object per status poll: the decoded per-session fields,
@@ -235,17 +227,16 @@ int cmd_export(const critter::util::Options& opt) {
   const std::string session = opt.get("session", "");
   const std::string out = opt.get("out", "");
   if (session.empty() || out.empty()) return usage();
-  const net::Frame reply =
-      raw_request(resolve_daemon(opt), net::kTuneExport,
-                  serve::encode_session_ref(session));
-  critter::core::write_file_atomic(out, reply.payload);
+  const std::string stats = request(resolve_daemon(opt), net::kTuneExport,
+                                    serve::encode_session_ref(session));
+  critter::core::write_file_atomic(out, stats);
   std::printf("exported %zu bytes of session '%s' statistics to %s\n",
-              reply.payload.size(), session.c_str(), out.c_str());
+              stats.size(), session.c_str(), out.c_str());
   return 0;
 }
 
 int cmd_shutdown(const critter::util::Options& opt) {
-  raw_request(resolve_daemon(opt), net::kTuneShutdown, "");
+  request(resolve_daemon(opt), net::kTuneShutdown, "");
   std::printf("daemon acknowledged shutdown\n");
   return 0;
 }
