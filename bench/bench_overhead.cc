@@ -4,6 +4,8 @@
 // price of running the figure benches.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/kernels.hpp"
 #include "core/mpi.hpp"
 #include "core/profiler.hpp"
@@ -41,8 +43,8 @@ static void BM_InterceptedComputeKernel(benchmark::State& state) {
 BENCHMARK(BM_InterceptedComputeKernel);
 
 static void BM_InterceptedAllreduce(benchmark::State& state) {
-  // Single-rank world: measures the pure interception cost (IntMsg pack,
-  // fold, unpack, statistics) without cross-rank scheduling.
+  // Single-rank world: measures the pure interception cost (the consensus
+  // fold, statistics) without cross-rank scheduling.
   critter::Config cfg;
   critter::Store store(1, cfg);
   sim::Engine eng(1, sim::Machine::noiseless());
@@ -57,22 +59,29 @@ static void BM_InterceptedAllreduce(benchmark::State& state) {
 }
 BENCHMARK(BM_InterceptedAllreduce);
 
-static void BM_IntMsgPackFold(benchmark::State& state) {
+static void BM_ConsensusFold(benchmark::State& state) {
+  // The typed fold of a 4-member collective's consensus with every ~K slot
+  // in use: the longest path is the last member's, so the other three adopt
+  // its table.
   const int cap = static_cast<int>(state.range(0));
-  critter::RankProfiler rp;
-  rp.table.channels.init_world(64);
-  for (int i = 0; i < cap; ++i) rp.tilde[critter::util::mix64(i)] = i + 1;
-  critter::core::IntMsg a(cap, 32), b(cap, 32);
   critter::Config cfg;
-  auto fold = critter::core::IntMsg::fold_fn(cap, 32);
-  for (auto _ : state) {
-    a.pack(rp, true);
-    fold(a.data(), b.data(), a.bytes());
-    benchmark::DoNotOptimize(b.data());
+  cfg.tilde_capacity = cap;
+  std::vector<critter::RankProfiler> members(4);
+  std::vector<critter::core::Vote> votes;
+  for (critter::RankProfiler& rp : members) {
+    rp.table.channels.init_world(64);
+    for (int i = 0; i < cap; ++i) rp.tilde[critter::util::mix64(i)] = i + 1;
+    votes.push_back({&rp, &cfg, 0, false});
   }
-  state.SetBytesProcessed(state.iterations() * a.bytes());
+  std::vector<void*> args;
+  for (critter::core::Vote& v : votes) args.push_back(&v);
+  for (auto _ : state) {
+    for (int m = 0; m < 4; ++m) members[m].path.exec_time = m + 1.0;
+    benchmark::DoNotOptimize(critter::core::agree(args.data(), 4));
+  }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IntMsgPackFold)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_ConsensusFold)->Arg(64)->Arg(256)->Arg(1024);
 
 static void BM_ChannelFactorization(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

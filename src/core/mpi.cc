@@ -1,7 +1,6 @@
 #include "core/mpi.hpp"
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -15,32 +14,28 @@ namespace {
 
 constexpr int kInternalTagOffset = 1 << 20;
 
-// Reusable wire buffers: two per *rank* (send-side and merged/received) —
-// they must not be shared across ranks, because a rank can yield inside a
-// sim call while its buffer is still pending staging or unpacking, and
-// another rank would otherwise overwrite it.  Rebuilt when capacities
-// change; a cached fold functor avoids a std::function allocation per op.
-// thread_local so concurrent tuner workers (one engine per thread) do not
-// share scratch state.
-core::IntMsg& scratch_msg(int tilde_cap, int eager_cap, int slot) {
+// One reusable point-to-point piggyback per *rank*: a rank can yield inside
+// a sim call while its message is still pending (a send before its payload
+// is copied, a receive until it arrives), and another rank would otherwise
+// overwrite it.  A rank runs one call at a time, so its sends and receives
+// share it.  Rebuilt when capacities change.  thread_local so concurrent
+// tuner workers (one engine per thread) do not share scratch state.
+core::IntMsg& scratch_msg(const Config& cfg) {
   const int rank = sim::world_rank();
-  thread_local std::vector<std::array<std::unique_ptr<core::IntMsg>, 2>> per_rank;
+  thread_local std::vector<std::unique_ptr<core::IntMsg>> per_rank;
   if (static_cast<int>(per_rank.size()) <= rank) per_rank.resize(rank + 1);
-  auto& p = per_rank[rank][slot];
-  if (!p || p->tilde_cap() != tilde_cap || p->eager_cap() != eager_cap)
-    p = std::make_unique<core::IntMsg>(tilde_cap, eager_cap);
+  auto& p = per_rank[rank];
+  if (!p || p->tilde_cap() != cfg.tilde_capacity ||
+      p->eager_cap() != cfg.eager_capacity)
+    p = std::make_unique<core::IntMsg>(cfg.tilde_capacity, cfg.eager_capacity);
   return *p;
 }
 
-const sim::ReduceFn& cached_fold(int tilde_cap, int eager_cap) {
-  thread_local sim::ReduceFn fn;
-  thread_local int tc = -1, ec = -1;
-  if (tc != tilde_cap || ec != eager_cap) {
-    fn = core::IntMsg::fold_fn(tilde_cap, eager_cap);
-    tc = tilde_cap;
-    ec = eager_cap;
-  }
-  return fn;
+/// Send this rank's piggyback: charged at the full wire size, but only the
+/// header and the ~K entries in use are copied.
+void send_piggyback(const core::IntMsg& msg, int dest, int tag, sim::Comm c) {
+  sim::engine().f_send(msg.data(), msg.bytes(), dest, tag + kInternalTagOffset,
+                       c, msg.payload());
 }
 
 core::KernelClass coll_kernel_class(sim::CollType t) {
@@ -125,29 +120,22 @@ void intercepted_coll(sim::CollType type, const void* sendbuf, void* recvbuf,
   critter::detail::note_invocation(rp, key, ks);
   const bool want = critter::detail::wants_execution(rp, cfg, key, ks);
 
-  // Internal allreduce: propagate path profiles, reach a consistent
-  // execute decision, and (eager) aggregate kernel statistics.
-  core::IntMsg& msg = scratch_msg(cfg.tilde_capacity, cfg.eager_capacity, 0);
-  msg.pack(rp, want);
-  if (cfg.policy == Policy::EagerPropagation)
-    core::pack_eager_entries(msg, rp, cfg, chan);
-  core::IntMsg& merged = scratch_msg(cfg.tilde_capacity, cfg.eager_capacity, 1);
+  // The consensus and the user collective are one engine operation: the
+  // members' votes fold into path profiles, a consistent execute decision
+  // and (eager) aggregated kernel statistics, charged as an allreduce of
+  // the internal message's wire size; the collective runs only on execute.
+  core::Vote vote{&rp, &cfg, chan, want};
+  sim::Consensus consensus{
+      &vote, core::IntMsg::wire_bytes(cfg.tilde_capacity, cfg.eager_capacity),
+      core::agree};
   const double t0 = sim::now();
-  sim::allreduce(msg.data(), merged.data(), msg.bytes(),
-                 cached_fold(cfg.tilde_capacity, cfg.eager_capacity), c);
-  rp.local.overhead_time += sim::now() - t0;
-  merged.unpack_into(rp, cfg, chan);
-  const bool execute = merged.header().execute != 0;
-
-  double measured = 0.0;
-  if (execute) {
-    const double t1 = sim::now();
-    sim::engine().f_coll(type, sendbuf, recvbuf, bytes, root, fn, c);
-    measured = sim::now() - t1;
-  }
+  sim::engine().f_coll(type, sendbuf, recvbuf, bytes, root, fn, c, &consensus);
+  rp.local.overhead_time += consensus.agreed - t0;
+  const double measured =
+      consensus.execute ? sim::now() - consensus.agreed : 0.0;
   const int p = sim::comm_size(c);
   const double words = sim::Machine::coll_bytes_moved(type, bytes, p) / 8.0;
-  account_comm(rp, ks, words, execute, measured);
+  account_comm(rp, ks, words, consensus.execute, measured);
 }
 
 }  // namespace
@@ -190,10 +178,10 @@ void send(const void* buf, int bytes, int dest, int tag, sim::Comm c) {
   critter::detail::note_invocation(rp, key, ks);
   const bool execute = critter::detail::wants_execution(rp, cfg, key, ks);
 
-  core::IntMsg& msg = scratch_msg(cfg.tilde_capacity, cfg.eager_capacity, 0);
+  core::IntMsg& msg = scratch_msg(cfg);
   msg.pack(rp, execute);
   const double t0 = sim::now();
-  sim::send(msg.data(), msg.bytes(), dest, tag + kInternalTagOffset, c);
+  send_piggyback(msg, dest, tag, c);
   rp.local.overhead_time += sim::now() - t0;
 
   double measured = 0.0;
@@ -218,11 +206,11 @@ void recv(void* buf, int bytes, int src, int tag, sim::Comm c) {
   core::KernelStats& ks = critter::detail::stats_for(rp, key);
   critter::detail::note_invocation(rp, key, ks);
 
-  core::IntMsg& peer = scratch_msg(cfg.tilde_capacity, cfg.eager_capacity, 1);
+  core::IntMsg& peer = scratch_msg(cfg);
   const double t0 = sim::now();
   sim::recv(peer.data(), peer.bytes(), src, tag + kInternalTagOffset, c);
   rp.local.overhead_time += sim::now() - t0;
-  peer.unpack_into(rp, cfg, chan);
+  peer.unpack_into(rp);
   // Sender-decides rule: the data transfer happens iff the sender executed.
   const bool execute = peer.header().execute != 0;
 
@@ -252,10 +240,10 @@ Request isend(const void* buf, int bytes, int dest, int tag, sim::Comm c) {
   critter::detail::note_invocation(rp, key, ks);
   const bool execute = critter::detail::wants_execution(rp, cfg, key, ks);
 
-  core::IntMsg& msg = scratch_msg(cfg.tilde_capacity, cfg.eager_capacity, 0);
+  core::IntMsg& msg = scratch_msg(cfg);
   msg.pack(rp, execute);
   const double t0 = sim::now();
-  sim::send(msg.data(), msg.bytes(), dest, tag + kInternalTagOffset, c);
+  send_piggyback(msg, dest, tag, c);
   rp.local.overhead_time += sim::now() - t0;
 
   if (execute) out.user = sim::isend(buf, bytes, dest, tag, c);

@@ -3,9 +3,10 @@
 // Application code calls critter::mpi::* exactly as it would call MPI (or
 // the raw sim API).  Each call:
 //   1. derives the kernel signature (routine, message size, channel),
-//   2. exchanges an internal message carrying the path profile, the ~K
-//      execution-count table, and the execute flag (allreduce for blocking
-//      collectives; a one-way sender->receiver message for point-to-point),
+//   2. propagates the path profile, the ~K execution-count table, and the
+//      execute flag (for blocking collectives a consensus that the engine
+//      runs in the same operation as the collective; for point-to-point a
+//      one-way sender->receiver message),
 //   3. selectively executes the user operation, and
 //   4. updates the kernel's statistics and the online critical-path model.
 //

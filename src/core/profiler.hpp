@@ -10,8 +10,9 @@
 // Selective execution: every intercepted kernel is either executed (sample
 // collected, virtual clock advances) or skipped (its sample mean is charged
 // to the online critical-path model P instead).  Communication kernels
-// reach a consistent execute/skip decision through an internal allreduce
-// (blocking collectives) or a piggybacked sender-side flag (point-to-point;
+// reach a consistent execute/skip decision through a consensus the engine
+// runs with the collective (blocking collectives; charged as an internal
+// allreduce) or a piggybacked sender-side flag (point-to-point;
 // see DESIGN.md for the deliberate divergence from Fig. 2's pseudocode).
 #pragma once
 

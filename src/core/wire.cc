@@ -2,10 +2,96 @@
 
 #include <algorithm>
 #include <cstring>
-
-#include "util/check.hpp"
+#include <utility>
 
 namespace critter::core {
+
+namespace {
+
+/// Visit `tilde` as a piggyback carries it: every entry in table order when
+/// it fits in `cap`, else the `cap` highest-frequency entries (they matter
+/// most for the sqrt(k) shrink), deterministically ordered.
+template <class F>
+void for_each_carried(const RankProfiler::CountMap& tilde, int cap, F&& f) {
+  if (static_cast<int>(tilde.size()) <= cap) {
+    tilde.for_each(f);
+    return;
+  }
+  std::vector<std::pair<std::int64_t, std::uint64_t>> order;
+  order.reserve(tilde.size());
+  tilde.for_each(
+      [&](std::uint64_t key, std::int64_t freq) { order.push_back({freq, key}); });
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  order.resize(cap);
+  for (const auto& [freq, key] : order) f(key, freq);
+}
+
+/// Visit the entries a rank offers for eager aggregation along `chan_hash`
+/// (steady, not yet globally propagated, coverage extendable), at most
+/// cfg.eager_capacity of them.
+template <class F>
+void for_each_eager_entry(const RankProfiler& rp, const Config& cfg,
+                          std::uint64_t chan_hash, F&& f) {
+  if (cfg.policy != Policy::EagerPropagation) return;
+  const double z = normal_quantile_cached(cfg.confidence);
+  int n = 0;
+  for (const auto& [key, ks] : rp.table.K) {
+    if (n >= cfg.eager_capacity) break;
+    if (ks.global_steady || ks.n < cfg.min_samples) continue;
+    if (!ks.is_steady(z, cfg.tolerance, 1, cfg.min_samples)) continue;
+    std::uint64_t combined = 0;
+    if (!rp.table.channels.try_extend_coverage(ks.agg_hash, chan_hash, &combined))
+      continue;
+    f(WireEager{key.hash(), ks.agg_hash, ks.n, ks.mean, ks.m2});
+    ++n;
+  }
+}
+
+/// Eager statistics aggregation (paper Fig. 2 aggregate_statistics): fold
+/// the agreed entries into the rank's K, or stash them for kernels it has
+/// not seen yet, and extend their channel coverage.
+void merge_eager_into(RankProfiler& rp, const Config& cfg,
+                      std::uint64_t chan_hash,
+                      const std::vector<WireEager>& entries) {
+  if (entries.empty()) return;
+  const double z = normal_quantile_cached(cfg.confidence);
+  for (const WireEager& e : entries) {
+    const auto kit = rp.table.key_of_hash.find(e.key);
+    KernelStats incoming;
+    incoming.n = e.n;
+    incoming.mean = e.mean;
+    incoming.m2 = e.m2;
+    if (kit == rp.table.key_of_hash.end()) {
+      // Kernel not seen locally yet: stash; merged when first encountered.
+      KernelStats& pend = rp.table.pending_eager[e.key];
+      pend.merge(incoming);
+      std::uint64_t combined = 0;
+      if (rp.table.channels.try_extend_coverage(e.agg, chan_hash, &combined))
+        pend.agg_hash = combined;
+      continue;
+    }
+    KernelStats& ks = rp.table.K.at(kit->second);
+    if (ks.global_steady) continue;
+    // Only merge when the aggregation base matches ours; otherwise the
+    // sample sets could overlap (the bias the paper's channel algebra
+    // exists to prevent).  Exception: a fresh local kernel (agg 0) adopts.
+    // Open rule (DESIGN §3): the agreed entry already holds this rank's own
+    // (n, mean, m2), so merging it back counts the rank's samples twice.
+    if (ks.agg_hash != e.agg && ks.agg_hash != 0) continue;
+    ks.merge(incoming);
+    std::uint64_t combined = 0;
+    if (rp.table.channels.try_extend_coverage(e.agg, chan_hash, &combined)) {
+      ks.agg_hash = combined;
+      if (rp.table.channels.covers_world(combined) &&
+          ks.is_steady(z, cfg.tolerance, 1, cfg.min_samples))
+        ks.global_steady = true;
+    }
+  }
+}
+
+}  // namespace
 
 IntMsg::IntMsg(int tilde_cap, int eager_cap)
     : tilde_cap_(tilde_cap), eager_cap_(eager_cap),
@@ -18,6 +104,11 @@ int IntMsg::wire_bytes(int tilde_cap, int eager_cap) {
                           eager_cap * sizeof(WireEager));
 }
 
+int IntMsg::payload() const {
+  return static_cast<int>(sizeof(WireHeader) +
+                          header().n_tilde * sizeof(WireTilde));
+}
+
 WireHeader& IntMsg::header() { return *reinterpret_cast<WireHeader*>(buf_.data()); }
 const WireHeader& IntMsg::header() const {
   return *reinterpret_cast<const WireHeader*>(buf_.data());
@@ -28,161 +119,97 @@ WireTilde* IntMsg::tilde() {
 const WireTilde* IntMsg::tilde() const {
   return reinterpret_cast<const WireTilde*>(buf_.data() + sizeof(WireHeader));
 }
-WireEager* IntMsg::eager() {
-  return reinterpret_cast<WireEager*>(buf_.data() + sizeof(WireHeader) +
-                                      tilde_cap_ * sizeof(WireTilde));
-}
-const WireEager* IntMsg::eager() const {
-  return reinterpret_cast<const WireEager*>(buf_.data() + sizeof(WireHeader) +
-                                            tilde_cap_ * sizeof(WireTilde));
-}
 
 void IntMsg::pack(const RankProfiler& rp, bool want_execute) {
   WireHeader& h = header();
   std::memcpy(h.metrics, rp.path.as_array(), sizeof h.metrics);
   h.execute = want_execute ? 1 : 0;
   h.n_eager = 0;
-
   WireTilde* t = tilde();
-  if (static_cast<int>(rp.tilde.size()) <= tilde_cap_) {
-    // fast path: everything fits, no ordering needed
-    std::int64_t n = 0;
-    rp.tilde.for_each(
-        [&](std::uint64_t key, std::int64_t freq) { t[n++] = WireTilde{key, freq}; });
-    h.n_tilde = n;
-    return;
-  }
-  // over capacity: keep the highest-frequency kernels (they matter most
-  // for the sqrt(k) shrink), deterministically ordered.
-  std::vector<std::pair<std::int64_t, std::uint64_t>> order;
-  order.reserve(rp.tilde.size());
-  rp.tilde.for_each(
-      [&](std::uint64_t key, std::int64_t freq) { order.push_back({freq, key}); });
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  std::int64_t n = 0;
+  for_each_carried(rp.tilde, tilde_cap_, [&](std::uint64_t key, std::int64_t freq) {
+    t[n++] = WireTilde{key, freq};
   });
-  order.resize(tilde_cap_);
-  h.n_tilde = static_cast<std::int64_t>(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i)
-    t[i] = WireTilde{order[i].second, order[i].first};
+  h.n_tilde = n;
 }
 
-void pack_eager_entries(IntMsg& msg, const RankProfiler& rp, const Config& cfg,
-                        std::uint64_t chan_hash) {
-  WireHeader& h = msg.header();
-  WireEager* e = msg.eager();
-  const double z = normal_quantile_cached(cfg.confidence);
-  for (const auto& [key, ks] : rp.table.K) {
-    if (h.n_eager >= msg.eager_cap()) break;
-    if (ks.global_steady || ks.n < cfg.min_samples) continue;
-    if (!ks.is_steady(z, cfg.tolerance, 1, cfg.min_samples)) continue;
-    std::uint64_t combined = 0;
-    if (!rp.table.channels.try_extend_coverage(ks.agg_hash, chan_hash, &combined))
-      continue;
-    e[h.n_eager++] =
-        WireEager{key.hash(), ks.agg_hash, ks.n, ks.mean, ks.m2};
-  }
-}
-
-void IntMsg::unpack_into(RankProfiler& rp, const Config& cfg,
-                         std::uint64_t chan_hash) const {
+void IntMsg::unpack_into(RankProfiler& rp) const {
   const WireHeader& h = header();
-  // Adopt the folded per-metric maxima.  If the folded execution-time path
-  // is longer than ours, its ~K table replaces ours (paper Fig. 2 lines
-  // 64-65); on ties we necessarily contributed the max, so keep ours.
+  // Adopt the per-metric maxima.  If the sender's execution-time path is
+  // longer than ours, its ~K table replaces ours (paper Fig. 2 lines
+  // 64-65); on ties keep ours.
   const bool adopt_tilde = h.metrics[0] > rp.path.exec_time;
-  PathMetrics folded;
-  std::memcpy(folded.as_array(), h.metrics, sizeof h.metrics);
-  rp.path.max_with(folded);
+  PathMetrics sent;
+  std::memcpy(sent.as_array(), h.metrics, sizeof h.metrics);
+  rp.path.max_with(sent);
   if (adopt_tilde) {
     rp.tilde.clear();
     const WireTilde* t = tilde();
     for (std::int64_t i = 0; i < h.n_tilde; ++i) rp.tilde[t[i].key] = t[i].freq;
   }
-
-  // Eager statistics aggregation (paper Fig. 2 aggregate_statistics).
-  const double z = normal_quantile_cached(cfg.confidence);
-  const WireEager* e = eager();
-  for (std::int64_t i = 0; i < h.n_eager; ++i) {
-    const auto kit = rp.table.key_of_hash.find(e[i].key);
-    KernelStats incoming;
-    incoming.n = e[i].n;
-    incoming.mean = e[i].mean;
-    incoming.m2 = e[i].m2;
-    if (kit == rp.table.key_of_hash.end()) {
-      // Kernel not seen locally yet: stash; merged when first encountered.
-      KernelStats& pend = rp.table.pending_eager[e[i].key];
-      pend.merge(incoming);
-      std::uint64_t combined = 0;
-      if (rp.table.channels.try_extend_coverage(e[i].agg, chan_hash, &combined))
-        pend.agg_hash = combined;
-      continue;
-    }
-    KernelStats& ks = rp.table.K.at(kit->second);
-    if (ks.global_steady) continue;
-    // Only merge when the aggregation base matches ours; otherwise the
-    // sample sets could overlap (the bias the paper's channel algebra
-    // exists to prevent).  Exception: a fresh local kernel (agg 0) adopts.
-    if (ks.agg_hash != e[i].agg && ks.agg_hash != 0) continue;
-    ks.merge(incoming);
-    std::uint64_t combined = 0;
-    if (rp.table.channels.try_extend_coverage(e[i].agg, chan_hash, &combined)) {
-      ks.agg_hash = combined;
-      if (rp.table.channels.covers_world(combined) &&
-          ks.is_steady(z, cfg.tolerance, 1, cfg.min_samples))
-        ks.global_steady = true;
-    }
-  }
 }
 
-sim::ReduceFn IntMsg::fold_fn(int tilde_cap, int eager_cap) {
-  return [tilde_cap, eager_cap](const void* in_v, void* inout_v, int bytes) {
-    CRITTER_CHECK(bytes == wire_bytes(tilde_cap, eager_cap),
-                  "IntMsg fold size mismatch");
-    const std::byte* inb = static_cast<const std::byte*>(in_v);
-    std::byte* iob = static_cast<std::byte*>(inout_v);
-    const auto* hin = reinterpret_cast<const WireHeader*>(inb);
-    auto* hio = reinterpret_cast<WireHeader*>(iob);
-    const double in_exec = hin->metrics[0];
-    const double io_exec = hio->metrics[0];
+void Agreement::start(const Vote& first) {
+  metrics = first.rp->path;
+  execute = first.want;
+  tilde_src = first.rp;
+  tilde_cap = first.cfg->tilde_capacity;
+  eager_cap = first.cfg->eager_capacity;
+  eager.clear();
+  for_each_eager_entry(*first.rp, *first.cfg, first.chan,
+                       [&](const WireEager& e) { eager.push_back(e); });
+}
 
-    for (int i = 0; i < PathMetrics::kFields; ++i)
-      hio->metrics[i] = std::max(hio->metrics[i], hin->metrics[i]);
-    hio->execute = std::max(hio->execute, hin->execute);
+void Agreement::fold(const Vote& in) {
+  // The running maximum before this member decides whose ~K is carried.
+  if (in.rp->path.exec_time > metrics.exec_time) tilde_src = in.rp;
+  metrics.max_with(in.rp->path);
+  execute = execute || in.want;
+  for_each_eager_entry(*in.rp, *in.cfg, in.chan,
+                       [&](const WireEager& e) { merge_eager(e); });
+}
 
-    if (in_exec > io_exec) {
-      // adopt the longer path's ~K table wholesale
-      hio->n_tilde = hin->n_tilde;
-      std::memcpy(iob + sizeof(WireHeader), inb + sizeof(WireHeader),
-                  static_cast<std::size_t>(tilde_cap) * sizeof(WireTilde));
+void Agreement::merge_eager(const WireEager& e) {
+  for (WireEager& mine : eager) {
+    if (mine.key != e.key) continue;
+    if (mine.agg == e.agg) {
+      // Chan parallel merge of (n, mean, m2)
+      KernelStats a, b;
+      a.n = mine.n; a.mean = mine.mean; a.m2 = mine.m2;
+      b.n = e.n; b.mean = e.mean; b.m2 = e.m2;
+      a.merge(b);
+      mine.n = a.n; mine.mean = a.mean; mine.m2 = a.m2;
+    } else if (e.n > mine.n) {
+      mine = e;  // different base: keep the better-sampled view
     }
+    return;
+  }
+  if (static_cast<int>(eager.size()) < eager_cap) eager.push_back(e);
+}
 
-    // Merge eager entries by kernel hash.
-    const auto* ein = reinterpret_cast<const WireEager*>(
-        inb + sizeof(WireHeader) + tilde_cap * sizeof(WireTilde));
-    auto* eio = reinterpret_cast<WireEager*>(
-        iob + sizeof(WireHeader) + tilde_cap * sizeof(WireTilde));
-    for (std::int64_t i = 0; i < hin->n_eager; ++i) {
-      const WireEager& e = ein[i];
-      bool merged = false;
-      for (std::int64_t j = 0; j < hio->n_eager; ++j) {
-        if (eio[j].key != e.key) continue;
-        if (eio[j].agg == e.agg) {
-          // Chan parallel merge of (n, mean, m2)
-          KernelStats a, b;
-          a.n = eio[j].n; a.mean = eio[j].mean; a.m2 = eio[j].m2;
-          b.n = e.n; b.mean = e.mean; b.m2 = e.m2;
-          a.merge(b);
-          eio[j].n = a.n; eio[j].mean = a.mean; eio[j].m2 = a.m2;
-        } else if (e.n > eio[j].n) {
-          eio[j] = e;  // different base: keep the better-sampled view
-        }
-        merged = true;
-        break;
-      }
-      if (!merged && hio->n_eager < eager_cap) eio[hio->n_eager++] = e;
-    }
+void Agreement::apply(const Vote& member) const {
+  RankProfiler& rp = *member.rp;
+  // On ties this member holds the longest path itself, so it keeps its ~K.
+  const bool adopt_tilde = metrics.exec_time > rp.path.exec_time;
+  rp.path.max_with(metrics);
+  if (adopt_tilde) {
+    rp.tilde.clear();
+    for_each_carried(tilde_src->tilde, tilde_cap,
+                     [&](std::uint64_t key, std::int64_t freq) { rp.tilde[key] = freq; });
+  }
+  merge_eager_into(rp, *member.cfg, member.chan, eager);
+}
+
+bool agree(void* const* votes, int n) {
+  // One accumulator per thread keeps the eager entries' capacity.
+  thread_local Agreement acc;
+  const auto vote = [votes](int i) -> const Vote& {
+    return *static_cast<const Vote*>(votes[i]);
   };
+  acc.start(vote(0));
+  for (int i = 1; i < n; ++i) acc.fold(vote(i));
+  for (int i = 0; i < n; ++i) acc.apply(vote(i));
+  return acc.execute;
 }
 
 }  // namespace critter::core

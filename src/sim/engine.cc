@@ -271,13 +271,15 @@ void Engine::f_advance(double seconds) {
   current().ctx.clock += seconds;
 }
 
-void Engine::f_send(const void* buf, int bytes, int dest, int tag, Comm c) {
+void Engine::f_send(const void* buf, int bytes, int dest, int tag, Comm c,
+                    int payload) {
   // Buffered semantics: the isend request is already complete.
-  const Request r = f_isend(buf, bytes, dest, tag, c);
+  const Request r = f_isend(buf, bytes, dest, tag, c, payload);
   reqs_.release(r.id);
 }
 
-Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c) {
+Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
+                        int payload) {
   RankState& rs = current();
   sync_to_min();
   const CommData& cd = comms_.at(c.id);
@@ -297,14 +299,12 @@ Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c) {
       rs.ctx.clock + machine_.beta * static_cast<double>(bytes) * noise;
   ++p2p_count_;
 
-  // Model-mode fast path: a null buffer ships no payload, so nothing is
-  // copied and no allocation happens on either side.
-  std::vector<std::byte> data;
-  if (buf != nullptr && bytes > 0) {
-    data = pool_acquire(bytes);
-    std::memcpy(data.data(), buf, bytes);
-  }
-
+  // Only the payload is copied: straight into a posted receive, or else
+  // into a pooled buffer that waits in the mailbox.  Model-mode fast path:
+  // a null buffer ships no payload, so nothing is copied and no allocation
+  // happens on either side.
+  const int copied = payload < 0 ? bytes : payload;
+  CRITTER_CHECK(copied <= bytes, "send payload exceeds its charged size");
   auto* pr = posted_recvs_.find(key);
   if (pr != nullptr && !pr->empty()) {
     const std::uint64_t rid = pr->front();
@@ -312,15 +312,19 @@ Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c) {
     ReqState* q = reqs_.find(rid);
     CRITTER_CHECK(q != nullptr, "posted recv request vanished");
     CRITTER_CHECK(q->bytes == bytes, "p2p message size mismatch");
-    if (q->recv_buf != nullptr && !data.empty())
-      std::memcpy(q->recv_buf, data.data(), bytes);
-    pool_release(std::move(data));
+    if (q->recv_buf != nullptr && buf != nullptr && copied > 0)
+      std::memcpy(q->recv_buf, buf, copied);
     q->done = true;
     q->done_time = avail;
     RankState& owner = ranks_[q->owner];
     if (owner.st == RankState::St::Blocked && owner.blocked_req == rid)
       make_ready(owner.ctx.rank, avail);
   } else {
+    std::vector<std::byte> data;
+    if (buf != nullptr && copied > 0) {
+      data = pool_acquire(copied);
+      std::memcpy(data.data(), buf, copied);
+    }
     mailbox_[key].push_back(MsgInFlight{avail, bytes, std::move(data)});
   }
 
@@ -356,7 +360,7 @@ Request Engine::f_irecv(void* buf, int bytes, int src, int tag, Comm c) {
     MsgInFlight& msg = mb->front();
     CRITTER_CHECK(msg.bytes == bytes, "p2p message size mismatch");
     if (buf != nullptr && !msg.data.empty())
-      std::memcpy(buf, msg.data.data(), bytes);
+      std::memcpy(buf, msg.data.data(), msg.data.size());
     q->done = true;
     q->done_time = msg.avail;
     pool_release(std::move(msg.data));
@@ -416,8 +420,22 @@ void Engine::release_coll(int slot) {
   colls_.release(slot);
 }
 
+double Engine::coll_cost(CollType type, int bytes, int p, int comm_id,
+                         std::uint64_t seq) const {
+  return machine_.coll_cost(type, bytes, p) *
+         noise_comm(util::hash_combine(0xC011EC71FULL,
+                                       static_cast<std::uint64_t>(comm_id)),
+                    seq);
+}
+
 Request Engine::f_icoll(CollType type, const void* sendbuf, void* recvbuf,
                         int bytes, int root, const ReduceFn& fn, Comm c) {
+  return post_coll(type, sendbuf, recvbuf, bytes, root, fn, c, nullptr);
+}
+
+Request Engine::post_coll(CollType type, const void* sendbuf, void* recvbuf,
+                          int bytes, int root, const ReduceFn& fn, Comm c,
+                          Consensus* consensus) {
   RankState& rs = current();
   sync_to_min();
   CommData& cd = comms_.at(c.id);
@@ -425,6 +443,7 @@ Request Engine::f_icoll(CollType type, const void* sendbuf, void* recvbuf,
   const int lr = cd.local_of_world[rs.ctx.rank];
   CRITTER_CHECK(lr >= 0, "caller not in communicator");
   const std::uint64_t seq = cd.seq[lr]++;
+  const int consensus_bytes = consensus != nullptr ? consensus->bytes : -1;
 
   int slot = -1;
   for (const auto& [sq, sl] : cd.active) {
@@ -456,24 +475,31 @@ Request Engine::f_icoll(CollType type, const void* sendbuf, void* recvbuf,
     op.req_ids.assign(p, 0);
     op.has_arrived.assign(p, false);
     op.arrival.assign(p, 0.0);
+    op.consensus.assign(consensus != nullptr ? p : 0, nullptr);
     op.colorkey.clear();
     if (type == CollType::Split) op.colorkey.resize(p);
     op.folded.clear();
     op.folded_done = false;
     op.split_done = false;
     op.outstanding_waits = p;
-    op.cost = machine_.coll_cost(type, bytes, p) *
-              noise_comm(util::hash_combine(0xC011EC71FULL,
-                                            static_cast<std::uint64_t>(c.id)),
-                         seq);
+    // A consensus is the operation's allreduce at sequence number `seq`;
+    // the user collective's cost is drawn only if it executes.
+    op.consensus_bytes = consensus_bytes;
+    if (consensus != nullptr)
+      op.consensus_cost =
+          coll_cost(CollType::Allreduce, consensus_bytes, p, c.id, seq);
+    else
+      op.cost = coll_cost(type, bytes, p, c.id, seq);
     ++coll_count_;
-  } else if (op.type != type || op.bytes != bytes || op.root != root) {
+  } else if (op.type != type || op.bytes != bytes || op.root != root ||
+             op.consensus_bytes != consensus_bytes) {
     // Diagnostic built only on actual mismatch: the happy path must not pay
     // for an ostringstream per collective arrival.
     std::ostringstream os;
     os << "collective mismatch on comm " << c.id << " seq " << seq << ": "
        << coll_name(op.type) << "/" << op.bytes << "/root " << op.root
-       << " vs " << coll_name(type) << "/" << bytes << "/root " << root;
+       << "/consensus " << op.consensus_bytes << " vs " << coll_name(type)
+       << "/" << bytes << "/root " << root << "/consensus " << consensus_bytes;
     CRITTER_CHECK(false, os.str());
   }
 
@@ -512,46 +538,87 @@ Request Engine::f_icoll(CollType type, const void* sendbuf, void* recvbuf,
   op.arrival[lr] = rs.ctx.clock;
   op.max_arrival = std::max(op.max_arrival, rs.ctx.clock);
 
+  // A consensus synchronizes every member before anything else happens.
+  if (consensus != nullptr) {
+    op.consensus[lr] = consensus;
+    if (op.arrived == p) complete_consensus(c.id, op, consensus->fold);
+    return r;
+  }
+
+  complete_arrival(c.id, op, lr, rs.ctx.clock);
+  return r;
+}
+
+void Engine::complete_arrival(int comm_id, CollOp& op, int lr, double t) {
+  const CommData& cd = comms_.at(comm_id);
+  const int p = static_cast<int>(cd.members.size());
   // Completion semantics depend on the operation's data-flow direction:
   //  * allreduce / allgather / barrier / split synchronize everyone;
   //  * bcast / scatter receivers depend on the root only (a pipelined MPI
   //    broadcast does not make receivers wait for one another);
   //  * reduce / gather contributors inject their payload and leave — only
   //    the root waits for everyone.
-  switch (type) {
+  switch (op.type) {
     case CollType::Allreduce:
     case CollType::Allgather:
     case CollType::Barrier:
     case CollType::Split:
-      if (op.arrived == p) complete_coll_sync(c.id, op);
+      if (op.arrived == p) complete_coll_sync(comm_id, op);
       break;
     case CollType::Bcast:
-    case CollType::Scatter: {
-      const CommData& cdata = comms_.at(c.id);
-      if (lr == root) {
+    case CollType::Scatter:
+      if (lr == op.root) {
         op.root_arrived = true;
-        op.root_time = rs.ctx.clock;
+        op.root_time = t;
         for (int m = 0; m < p; ++m)
           if (op.has_arrived[m])
-            finalize_coll_member(op, cdata, m,
+            finalize_coll_member(op, cd, m,
                                  std::max(op.arrival[m], op.root_time + op.cost));
       } else if (op.root_arrived) {
-        finalize_coll_member(op, cdata, lr,
-                             std::max(rs.ctx.clock, op.root_time + op.cost));
+        finalize_coll_member(op, cd, lr, std::max(t, op.root_time + op.cost));
       }
       break;
-    }
     case CollType::Reduce:
-    case CollType::Gather: {
-      const CommData& cdata = comms_.at(c.id);
-      if (lr != root)
-        finalize_coll_member(op, cdata, lr, rs.ctx.clock + machine_.alpha);
+    case CollType::Gather:
+      if (lr != op.root) finalize_coll_member(op, cd, lr, t + machine_.alpha);
       if (op.arrived == p)
-        finalize_coll_member(op, cdata, root, op.max_arrival + op.cost);
+        finalize_coll_member(op, cd, op.root, op.max_arrival + op.cost);
       break;
-    }
   }
-  return r;
+}
+
+void Engine::complete_consensus(int comm_id, CollOp& op,
+                                bool (*fold)(void* const*, int)) {
+  CommData& cd = comms_[comm_id];
+  const int p = static_cast<int>(cd.members.size());
+  const double agreed = op.max_arrival + op.consensus_cost;
+  fold_args_.resize(p);
+  for (int lr = 0; lr < p; ++lr) fold_args_[lr] = op.consensus[lr]->member;
+  const bool execute = fold(fold_args_.data(), p);
+  for (Consensus* m : op.consensus) {
+    m->agreed = agreed;
+    m->execute = execute;
+  }
+  if (!execute) {
+    for (int lr = 0; lr < p; ++lr) {
+      ReqState* q = reqs_.find(op.req_ids[lr]);
+      CRITTER_CHECK(q != nullptr, "collective request state missing");
+      finish_coll_request(*q, op.req_ids[lr], cd.members[lr], agreed);
+    }
+    return;
+  }
+  // The user collective is a collective of its own: it takes the next
+  // sequence number, and every member arrives at it at the agreed time.
+  ++coll_count_;
+  for (std::uint64_t& s : cd.seq) ++s;
+  op.cost = coll_cost(op.type, op.bytes, p, comm_id, op.seq + 1);
+  op.arrival.assign(p, agreed);
+  op.max_arrival = agreed;
+  op.arrived = 0;
+  for (int lr = 0; lr < p; ++lr) {
+    ++op.arrived;
+    complete_arrival(comm_id, op, lr, agreed);
+  }
 }
 
 void Engine::finalize_coll_member(CollOp& op, const CommData& cd, int lr,
@@ -560,11 +627,16 @@ void Engine::finalize_coll_member(CollOp& op, const CommData& cd, int lr,
   CRITTER_CHECK(q != nullptr, "collective request state missing");
   if (q->done) return;
   deliver_coll_data(op, cd, lr);
-  q->done = true;
-  q->done_time = when;
-  RankState& owner = ranks_[cd.members[lr]];
-  if (owner.st == RankState::St::Blocked && owner.blocked_req == op.req_ids[lr])
-    make_ready(owner.ctx.rank, when);
+  finish_coll_request(*q, op.req_ids[lr], cd.members[lr], when);
+}
+
+void Engine::finish_coll_request(ReqState& q, std::uint64_t id, int world_rank,
+                                 double when) {
+  q.done = true;
+  q.done_time = when;
+  RankState& owner = ranks_[world_rank];
+  if (owner.st == RankState::St::Blocked && owner.blocked_req == id)
+    make_ready(world_rank, when);
 }
 
 void Engine::complete_coll_sync(int comm_id, CollOp& op) {
@@ -577,12 +649,8 @@ void Engine::complete_coll_sync(int comm_id, CollOp& op) {
   for (int lr = 0; lr < p; ++lr) {
     ReqState* q = reqs_.find(op.req_ids[lr]);
     CRITTER_CHECK(q != nullptr, "collective request state missing");
-    if (q->done) continue;
-    q->done = true;
-    q->done_time = completion;
-    RankState& owner = ranks_[cd.members[lr]];
-    if (owner.st == RankState::St::Blocked && owner.blocked_req == op.req_ids[lr])
-      make_ready(owner.ctx.rank, completion);
+    if (!q->done)
+      finish_coll_request(*q, op.req_ids[lr], cd.members[lr], completion);
   }
 }
 
@@ -673,8 +741,9 @@ void Engine::deliver_coll_data(CollOp& op, const CommData& cd, int lr) {
 }
 
 void Engine::f_coll(CollType type, const void* sendbuf, void* recvbuf,
-                    int bytes, int root, const ReduceFn& fn, Comm c) {
-  f_wait(f_icoll(type, sendbuf, recvbuf, bytes, root, fn, c));
+                    int bytes, int root, const ReduceFn& fn, Comm c,
+                    Consensus* consensus) {
+  f_wait(post_coll(type, sendbuf, recvbuf, bytes, root, fn, c, consensus));
 }
 
 Comm Engine::f_split(Comm parent, int color, int key) {

@@ -13,6 +13,11 @@
 //    exactly like MPI;
 //  * all buffers may be null ("model mode"): costs accrue, no data moves.
 //
+// A blocking collective may carry a Consensus: an agreement that runs ahead
+// of the user operation, in the same engine operation, and decides whether
+// it runs at all (the critter profiler's execute/skip decision, DESIGN.md
+// §3).  A send may copy a payload shorter than the size it is charged.
+//
 // Hot-path data structures: the ready queue is a binary min-heap keyed on
 // (clock, rank); the per-pair message tables are open-addressed hash maps
 // over a hashed P2PKey; request and collective state live in slot/freelist
@@ -57,6 +62,25 @@ ReduceFn reduce_max_double();
 ReduceFn reduce_sum_i64();
 ReduceFn reduce_max_i64();
 
+/// The agreement a blocking collective runs before its user operation, as
+/// one engine operation (see f_coll).  Every member passes one, with the
+/// same `bytes` and `fold`.
+struct Consensus {
+  /// This member's typed object.  It must not move until f_coll returns:
+  /// the fold, run by whichever member arrives last, reads and writes every
+  /// member's object while all of them are blocked in the operation.
+  void* member = nullptr;
+  /// Charged as an allreduce of this many bytes; nothing is copied.
+  int bytes = 0;
+  /// Runs once, when every member has arrived, over the members' objects in
+  /// local-rank order; returns whether the user collective executes.
+  bool (*fold)(void* const* members, int n) = nullptr;
+  /// Set for every member when the fold has run: the virtual time of the
+  /// agreement (its allreduce's completion) and the fold's verdict.
+  double agreed = 0.0;
+  bool execute = false;
+};
+
 /// Per-rank execution context.  `user_data` is owned by higher layers
 /// (the critter profiler hangs its per-rank state here).
 struct RankCtx {
@@ -87,6 +111,8 @@ class Engine {
   const std::vector<double>& final_clocks() const { return final_clocks_; }
 
   /// Number of point-to-point messages / collective operations executed.
+  /// A consensus counts as a collective of its own, and its user collective
+  /// counts only if it executed.
   std::int64_t p2p_count() const { return p2p_count_; }
   std::int64_t coll_count() const { return coll_count_; }
 
@@ -104,15 +130,28 @@ class Engine {
   const std::vector<int>& comm_members(Comm c) const;
 
   void f_advance(double seconds);
-  void f_send(const void* buf, int bytes, int dest, int tag, Comm c);
-  Request f_isend(const void* buf, int bytes, int dest, int tag, Comm c);
+  /// A send is charged for `bytes`, but copies only the first `payload`
+  /// bytes of `buf` (all of them when negative) into the receiver's buffer,
+  /// whose size must still be `bytes`.
+  void f_send(const void* buf, int bytes, int dest, int tag, Comm c,
+              int payload = -1);
+  Request f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
+                  int payload = -1);
   void f_recv(void* buf, int bytes, int src, int tag, Comm c);
   Request f_irecv(void* buf, int bytes, int src, int tag, Comm c);
   void f_wait(Request r);
   bool f_test(Request r);  ///< poll without blocking (consumes if done)
 
+  /// A blocking collective.  With a `consensus`, the members first agree:
+  /// once all have arrived, the agreement completes at the latest arrival
+  /// plus an allreduce of `consensus->bytes` (this operation's sequence
+  /// number s draws its noise), and the fold runs.  If it says execute, the
+  /// user collective runs as if every member had arrived at the agreed time,
+  /// with sequence number s+1's noise; otherwise every member leaves at the
+  /// agreed time and the collective consumed one sequence number.
   void f_coll(CollType type, const void* sendbuf, void* recvbuf, int bytes,
-              int root, const ReduceFn& fn, Comm c);
+              int root, const ReduceFn& fn, Comm c,
+              Consensus* consensus = nullptr);
   Request f_icoll(CollType type, const void* sendbuf, void* recvbuf, int bytes,
                   int root, const ReduceFn& fn, Comm c);
   Comm f_split(Comm parent, int color, int key);
@@ -161,6 +200,8 @@ class Engine {
     std::uint64_t seq = 0;     ///< per-comm collective sequence number
     double max_arrival = 0.0;
     double cost = 0.0;         ///< noisy cost, fixed at op creation
+    int consensus_bytes = -1;  ///< charged consensus size, -1 without one
+    double consensus_cost = 0.0;
     bool root_arrived = false;
     double root_time = 0.0;
     ReduceFn fn;
@@ -169,6 +210,7 @@ class Engine {
     std::vector<std::uint64_t> req_ids;           // per local rank
     std::vector<bool> has_arrived;                // per local rank
     std::vector<double> arrival;                  // per local rank
+    std::vector<Consensus*> consensus;            // per local rank
     std::vector<std::array<int, 2>> colorkey;     // split payload
     std::vector<std::byte> folded;                // cached reduction result
     bool folded_done = false;
@@ -255,11 +297,26 @@ class Engine {
   void block_current(const char* why);
   void make_ready(int rank, double at_time);
   double noise_comm(std::uint64_t k1, std::uint64_t k2) const;
+  /// Noisy cost of a collective on `comm_id` with sequence number `seq`.
+  double coll_cost(CollType type, int bytes, int p, int comm_id,
+                   std::uint64_t seq) const;
+  Request post_coll(CollType type, const void* sendbuf, void* recvbuf,
+                    int bytes, int root, const ReduceFn& fn, Comm c,
+                    Consensus* consensus);
   /// Mark one participant's collective request done at `when`, deliver its
   /// data, and wake it if blocked.
   void finalize_coll_member(CollOp& op, const CommData& cd, int lr,
                             double when);
+  /// Mark a collective request done at `when` and wake its owner if blocked.
+  void finish_coll_request(ReqState& q, std::uint64_t id, int world_rank,
+                           double when);
   void complete_coll_sync(int comm_id, CollOp& op);
+  /// Complete what the arrival of local rank `lr` at time `t` completes.
+  void complete_arrival(int comm_id, CollOp& op, int lr, double t);
+  /// Run a consensus once every member has arrived: charge it, fold, and
+  /// finish the members or run the user collective.
+  void complete_consensus(int comm_id, CollOp& op,
+                          bool (*fold)(void* const*, int));
   void deliver_coll_data(CollOp& op, const CommData& cd, int lr);
   void release_coll(int slot);
   int register_comm(std::vector<int> members);
@@ -284,6 +341,7 @@ class Engine {
   ReqTable reqs_;
   CollTable colls_;
   std::vector<std::vector<std::byte>> pool_;  // recycled message payloads
+  std::vector<void*> fold_args_;  // consensus members, reused across folds
   double max_time_ = 0.0;
   std::vector<double> final_clocks_;
   std::int64_t p2p_count_ = 0;

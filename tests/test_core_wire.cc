@@ -1,12 +1,16 @@
-// Internal propagation message: wire layout, pack/unpack, and the
-// associative fold used as the internal allreduce operator; plus the byte
-// codec every file and frame format shares (core/wire_codec.hpp).
+// Internal propagation message: the point-to-point piggyback's wire layout
+// and pack/unpack, and the typed fold of a blocking collective's consensus;
+// plus the byte codec every file and frame format shares
+// (core/wire_codec.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/wire.hpp"
 #include "core/wire_codec.hpp"
@@ -24,6 +28,24 @@ RankProfiler make_profiler(double exec_time) {
   rp.path.comp_time = exec_time / 2;
   rp.path.sync_cost = 10;
   return rp;
+}
+
+/// Fold the members' votes (member 0 first), as the engine does once every
+/// member of a collective has arrived; returns the execute verdict.
+bool fold_votes(std::initializer_list<std::pair<RankProfiler*, bool>> members,
+                const Config& cfg) {
+  std::vector<core::Vote> votes;
+  for (const auto& [rp, want] : members)
+    votes.push_back(core::Vote{rp, &cfg, /*chan=*/0, want});
+  std::vector<void*> ptrs;
+  for (core::Vote& v : votes) ptrs.push_back(&v);
+  return core::agree(ptrs.data(), static_cast<int>(ptrs.size()));
+}
+
+Config tilde_cap(int cap) {
+  Config cfg;
+  cfg.tilde_capacity = cap;
+  return cfg;
 }
 
 }  // namespace
@@ -59,52 +81,60 @@ TEST(Wire, PackTruncatesToHighestFrequencies) {
 TEST(Wire, FoldTakesElementwiseMaxOfMetrics) {
   RankProfiler a = make_profiler(2.0), b = make_profiler(3.0);
   a.path.comm_cost = 100;  // a wins on comm even though b wins on exec
-  core::IntMsg ma(4, 0), mb(4, 0);
-  ma.pack(a, false);
-  mb.pack(b, true);
-  auto fold = core::IntMsg::fold_fn(4, 0);
-  fold(ma.data(), mb.data(), ma.bytes());
-  EXPECT_DOUBLE_EQ(mb.header().metrics[0], 3.0);  // exec max
-  EXPECT_DOUBLE_EQ(mb.header().metrics[4], 100.0);  // comm_cost max
-  EXPECT_EQ(mb.header().execute, 1);  // any-rank-wants => execute
+  // fold a into b: every member adopts the maxima
+  const bool execute = fold_votes({{&b, true}, {&a, false}}, tilde_cap(4));
+  for (const RankProfiler* rp : {&a, &b}) {
+    EXPECT_DOUBLE_EQ(rp->path.as_array()[0], 3.0);    // exec max
+    EXPECT_DOUBLE_EQ(rp->path.as_array()[4], 100.0);  // comm_cost max
+  }
+  EXPECT_TRUE(execute);  // any-rank-wants => execute
 }
 
 TEST(Wire, FoldAdoptsLongerPathsTildeTable) {
   RankProfiler longer = make_profiler(5.0), shorter = make_profiler(1.0);
   longer.tilde[42] = 7;
   shorter.tilde[99] = 3;
-  core::IntMsg ml(4, 0), ms(4, 0);
-  ml.pack(longer, false);
-  ms.pack(shorter, false);
-  auto fold = core::IntMsg::fold_fn(4, 0);
-  // fold longer INTO shorter: shorter's buffer must adopt longer's table
-  fold(ml.data(), ms.data(), ml.bytes());
-  ASSERT_EQ(ms.header().n_tilde, 1);
-  EXPECT_EQ(ms.tilde()[0].key, 42u);
-  EXPECT_EQ(ms.tilde()[0].freq, 7);
+  // fold longer INTO shorter: shorter must adopt longer's table
+  fold_votes({{&shorter, false}, {&longer, false}}, tilde_cap(4));
+  ASSERT_EQ(shorter.tilde.size(), 1u);
+  ASSERT_NE(shorter.tilde.find(42), nullptr);
+  EXPECT_EQ(*shorter.tilde.find(42), 7);
+}
+
+TEST(Wire, FoldCarriesTheFirstLongestPathsTildeAsPacked) {
+  // b and c tie on the longest path: the first of them is carried,
+  // truncated to the ~K capacity exactly as a piggyback packs it.
+  RankProfiler a = make_profiler(1.0), b = make_profiler(5.0),
+               c = make_profiler(5.0);
+  for (int i = 0; i < 20; ++i) b.tilde[1000 + i] = i + 1;
+  c.tilde[7] = 1;
+  core::IntMsg packed(4, 0);
+  packed.pack(b, false);
+  fold_votes({{&a, false}, {&b, false}, {&c, false}}, tilde_cap(4));
+  ASSERT_EQ(a.tilde.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    const core::WireTilde& t = packed.tilde()[i];
+    ASSERT_NE(a.tilde.find(t.key), nullptr);
+    EXPECT_EQ(*a.tilde.find(t.key), t.freq);
+  }
+  EXPECT_EQ(c.tilde.size(), 1u);  // on the longest path itself: keeps its own
 }
 
 TEST(Wire, FoldIsAssociativeOnMetrics) {
-  RankProfiler r1 = make_profiler(1.0), r2 = make_profiler(4.0),
-               r3 = make_profiler(2.5);
-  auto fold = core::IntMsg::fold_fn(4, 0);
+  const RankProfiler r1 = make_profiler(1.0), r2 = make_profiler(4.0),
+                     r3 = make_profiler(2.5);
+  const Config cfg = tilde_cap(4);
   // (r1 + r2) + r3
-  core::IntMsg a1(4, 0), a2(4, 0), a3(4, 0);
-  a1.pack(r1, false);
-  a2.pack(r2, false);
-  a3.pack(r3, true);
-  fold(a1.data(), a2.data(), a1.bytes());
-  fold(a2.data(), a3.data(), a2.bytes());
+  RankProfiler a1 = r1, a2 = r2, a3 = r3;
+  const bool a12 = fold_votes({{&a2, false}, {&a1, false}}, cfg);
+  const bool a_exec = fold_votes({{&a3, true}, {&a2, a12}}, cfg);
   // r1 + (r2 + r3)
-  core::IntMsg b1(4, 0), b2(4, 0), b3(4, 0);
-  b1.pack(r1, false);
-  b2.pack(r2, false);
-  b3.pack(r3, true);
-  fold(b2.data(), b3.data(), b2.bytes());
-  fold(b1.data(), b3.data(), b1.bytes());
+  RankProfiler b1 = r1, b2 = r2, b3 = r3;
+  const bool b23 = fold_votes({{&b3, true}, {&b2, false}}, cfg);
+  const bool b_exec = fold_votes({{&b3, b23}, {&b1, false}}, cfg);
   for (int i = 0; i < critter::PathMetrics::kFields; ++i)
-    EXPECT_DOUBLE_EQ(a3.header().metrics[i], b3.header().metrics[i]);
-  EXPECT_EQ(a3.header().execute, b3.header().execute);
+    EXPECT_DOUBLE_EQ(a3.path.as_array()[i], b3.path.as_array()[i]);
+  EXPECT_EQ(a_exec, b_exec);
 }
 
 TEST(Wire, UnpackAdoptsMaxima) {
@@ -115,8 +145,7 @@ TEST(Wire, UnpackAdoptsMaxima) {
 
   RankProfiler receiver = make_profiler(1.0);
   receiver.tilde[8] = 2;
-  Config cfg;
-  m.unpack_into(receiver, cfg, /*chan=*/0);
+  m.unpack_into(receiver);
   EXPECT_DOUBLE_EQ(receiver.path.exec_time, 9.0);
   // receiver's ~K replaced by the longer path's table
   EXPECT_EQ(receiver.tilde.count(7), 1u);
@@ -131,44 +160,29 @@ TEST(Wire, UnpackKeepsOwnTildeWhenLonger) {
 
   RankProfiler receiver = make_profiler(5.0);
   receiver.tilde[8] = 2;
-  Config cfg;
-  m.unpack_into(receiver, cfg, 0);
+  m.unpack_into(receiver);
   EXPECT_EQ(receiver.tilde.count(8), 1u);  // own (longer) table kept
 }
 
 TEST(Wire, EagerEntriesMergeByChanAlgebra) {
-  // Two messages carrying stats for the same kernel with the same
+  // Two members carrying stats for the same kernel with the same
   // aggregation base must Chan-merge (n adds, mean pools).
-  core::IntMsg a(2, 4), b(2, 4);
-  RankProfiler rp = make_profiler(1.0);
-  a.pack(rp, false);
-  b.pack(rp, false);
-  core::WireEager ea{/*key=*/5, /*agg=*/0, /*n=*/10, /*mean=*/2.0, /*m2=*/1.0};
-  core::WireEager eb{5, 0, 30, 4.0, 2.0};
-  a.header().n_eager = 1;
-  a.eager()[0] = ea;
-  b.header().n_eager = 1;
-  b.eager()[0] = eb;
-  auto fold = core::IntMsg::fold_fn(2, 4);
-  fold(a.data(), b.data(), a.bytes());
-  ASSERT_EQ(b.header().n_eager, 1);
-  EXPECT_EQ(b.eager()[0].n, 40);
-  EXPECT_NEAR(b.eager()[0].mean, (10 * 2.0 + 30 * 4.0) / 40.0, 1e-12);
+  core::Agreement acc;
+  acc.eager_cap = 4;
+  acc.eager = {core::WireEager{/*key=*/5, /*agg=*/0, /*n=*/30, /*mean=*/4.0,
+                               /*m2=*/2.0}};
+  acc.merge_eager(core::WireEager{5, 0, 10, 2.0, 1.0});
+  ASSERT_EQ(acc.eager.size(), 1u);
+  EXPECT_EQ(acc.eager[0].n, 40);
+  EXPECT_NEAR(acc.eager[0].mean, (10 * 2.0 + 30 * 4.0) / 40.0, 1e-12);
 }
 
 TEST(Wire, EagerRespectsCapacity) {
-  core::IntMsg a(2, 2), b(2, 2);
-  RankProfiler rp = make_profiler(1.0);
-  a.pack(rp, false);
-  b.pack(rp, false);
-  b.header().n_eager = 2;
-  b.eager()[0] = {1, 0, 1, 1.0, 0.0};
-  b.eager()[1] = {2, 0, 1, 1.0, 0.0};
-  a.header().n_eager = 1;
-  a.eager()[0] = {3, 0, 1, 1.0, 0.0};  // no room left in b
-  auto fold = core::IntMsg::fold_fn(2, 2);
-  fold(a.data(), b.data(), a.bytes());
-  EXPECT_EQ(b.header().n_eager, 2);  // capacity respected, entry dropped
+  core::Agreement acc;
+  acc.eager_cap = 2;
+  acc.eager = {{1, 0, 1, 1.0, 0.0}, {2, 0, 1, 1.0, 0.0}};
+  acc.merge_eager({3, 0, 1, 1.0, 0.0});  // no room left
+  EXPECT_EQ(acc.eager.size(), 2u);       // capacity respected, entry dropped
 }
 
 TEST(WireCodec, BytesAreBoundedByWhatRemainsAndNamedByTheFormat) {
