@@ -5,18 +5,19 @@
 //   ./autotune_cholesky [--workload=capital-cholesky]
 //                       [--strategy=ci-discard,margin=0.1]
 //                       [--policy=online] [--tolerance=0.125] [--samples=2]
-//                       [--workers=4] [--batch=4]
-//                       [--shards=2] [--exchange-every=4]
-//                       [--executor=subprocess|in-process]
-//                       [--max-retries=N] [--checkpoint-every=B]
-//                       [--exchange-strict=0|1]
+//                       [--workers=4] [--batch=4] [--reset=0|1]
 //                       [--prior=FILE] [--save-stats=FILE]
+//                       [--shards=2 --exchange-every=4 ...]
+//                       [--serve=DIR | --connect=HOST:PORT --session=S]
 //
-// --help lists the registered workloads and strategies.  Prints the
-// per-configuration predictions, the exhaustive-search cost with and
-// without selective execution, the selected configuration, and the
+// --help lists every flag and the registered workloads and strategies.
+// Prints the per-configuration predictions, the exhaustive-search cost with
+// and without selective execution, the selected configuration, and the
 // effective sweep mode (serial / parallel-isolated / parallel-batch-shared
-// — never a silent fallback).
+// — never a silent fallback).  The flags, the four deployments (local,
+// shards, daemon, client) and the shared report live in the front end
+// (app/front_end.hpp); this program adds its defaults, its table column
+// and its summary line.
 //
 // --save-stats=FILE persists the sweep's final statistics snapshot;
 // --prior=FILE feeds one to the model-based strategies — so the transfer
@@ -26,227 +27,26 @@
 //   ./autotune_cholesky --save-stats=small.snap
 //   CRITTER_PAPER_SCALE=1 ./autotune_cholesky \
 //       --strategy=copula-transfer --prior=small.snap
-//
-// --shards=N fans the sweep across N shards through a dist::ShardExecutor;
-// the default executor for N > 1 is "subprocess" (one worker process per
-// shard, re-execing this binary via --shard-worker and exchanging
-// StatSnapshot files through a run directory).  --exchange-every=B makes
-// shards trade statistics deltas every B batches mid-sweep instead of only
-// merging at the end.  Subprocess fleets are fault-tolerant:
-// --max-retries=N relaunches a crashed or stalled shard worker up to N
-// times (with exponential backoff), --checkpoint-every=B makes workers
-// publish a recovery checkpoint every B batches so a relaunch resumes
-// bit-identically instead of resweeping, and --exchange-strict=0 lets a
-// shard skip a peer whose round delta never arrives instead of aborting
-// the run.  A recovery summary prints whenever a shard retried, resumed,
-// or skipped.
-// --serve=DIR turns this binary into a persistent tuner daemon (state and
-// session journals under DIR, bound port published to DIR/port);
-// --connect=HOST:PORT joins it as an evaluating client instead of sweeping
-// locally — several clients on one --session share a single ask/tell
-// session and reproduce the in-process sweep bit-identically (tunectl is
-// the standalone CLI for the same protocol).
-#include <cmath>
 #include <cstdio>
 #include <string>
-#include <tuple>
 
-#include "dist/executor.hpp"
-#include "net/socket.hpp"
-#include "serve/client.hpp"
-#include "serve/daemon.hpp"
-#include "tune/strategy.hpp"
-#include "tune/tuner.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
+#include "app/front_end.hpp"
 
-namespace dist = critter::dist;
-namespace serve = critter::serve;
+namespace app = critter::app;
 namespace tune = critter::tune;
 
-namespace {
-
-critter::Policy parse_policy(const std::string& s) {
-  if (s == "conditional") return critter::Policy::ConditionalExecution;
-  if (s == "eager") return critter::Policy::EagerPropagation;
-  if (s == "local") return critter::Policy::LocalPropagation;
-  if (s == "online") return critter::Policy::OnlinePropagation;
-  if (s == "apriori") return critter::Policy::AprioriPropagation;
-  std::fprintf(stderr, "unknown policy '%s'\n", s.c_str());
-  std::exit(1);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  // Shard-worker re-entry: the subprocess executor re-execs this binary.
-  if (dist::is_shard_worker(argc, argv))
-    return dist::shard_worker_main(argc, argv);
-  // Daemon re-entry (--tuner-daemon --state-dir=DIR [--port=N]).
-  if (serve::is_tuner_daemon(argc, argv))
-    return serve::tuner_daemon_main(argc, argv);
-  critter::util::Options opt(argc, argv);
-  if (opt.has("help")) {
-    std::printf("usage: autotune_cholesky [--workload=NAME] "
-                "[--strategy=NAME[,key=val...]]\n"
-                "                         [--policy=online] [--tolerance=X] "
-                "[--samples=N]\n"
-                "                         [--workers=N] [--batch=N]\n"
-                "                         [--shards=N] [--exchange-every=B] "
-                "[--executor=subprocess|in-process]\n"
-                "                         [--max-retries=N] "
-                "[--checkpoint-every=B] [--exchange-strict=0|1]\n"
-                "                         [--prior=FILE] [--save-stats=FILE]"
-                "\n\n%s",
-                tune::registry_help().c_str());
-    return 0;
-  }
-  tune::TuneOptions topt;
-  topt.policy = parse_policy(opt.get("policy", "online"));
-  topt.tolerance = opt.get_double("tolerance", 0.125);
-  topt.samples = static_cast<int>(opt.get_int("samples", 2));
-  topt.workers = static_cast<int>(opt.get_int("workers", 1));
-  topt.batch = static_cast<int>(opt.get_int("batch", 0));
-  std::tie(topt.strategy, topt.strategy_options) =
-      tune::parse_strategy_spec(opt.get("strategy", "exhaustive"));
-  topt.prior_file = opt.get("prior", "");
-
-  // Daemon mode: serve ask/tell sessions instead of sweeping.  Routed
-  // through the canonical entry point so SIGTERM/SIGINT flush sessions.
-  const std::string serve_dir = opt.get("serve", "");
-  if (!serve_dir.empty()) {
-    const std::string sd = "--state-dir=" + serve_dir;
-    const std::string pt = "--port=" + std::to_string(opt.get_int("port", 0));
-    const char* dargv[] = {"autotune_cholesky", "--tuner-daemon", sd.c_str(),
-                           pt.c_str()};
-    return serve::tuner_daemon_main(4, const_cast<char**>(dargv));
-  }
-
-  const tune::Study study = tune::workload_study(
-      opt.get("workload", "capital-cholesky"), critter::util::paper_scale());
-
-  // Client mode: join a daemon session as a remote evaluator.
-  const std::string connect = opt.get("connect", "");
-  if (!connect.empty()) {
-    const critter::net::Address addr = critter::net::parse_address(connect);
-    serve::ClientOptions copt;
-    copt.host = addr.host;
-    copt.port = addr.port;
-    copt.max_batches = static_cast<int>(opt.get_int("max-batches", 0));
-    copt.drop_after_asks =
-        static_cast<int>(opt.get_int("drop-after-asks", 0));
-    serve::TunerClient client(study, topt, opt.get("session", study.name),
-                              copt);
-    const serve::ClientReport rep = client.run();
-    std::printf("%s: %d asks, %d tells, %d reconnects\n",
-                rep.done ? "sweep complete" : "client done", rep.asks,
-                rep.tells, rep.reconnects);
-    if (!rep.dropped) {
-      const serve::StatusReply st = client.status();
-      std::printf("%s\n", st.text.c_str());
-      if (st.done && st.best_predicted >= 0)
-        std::printf(
-            "selected config %d (%s)\n", st.best_predicted,
-            study.configs[static_cast<std::size_t>(st.best_predicted)]
-                .label()
-                .c_str());
-    }
-    return 0;
-  }
-
-  std::printf("autotuning %s: %d ranks, n=%d, %zu configurations, policy=%s, "
-              "eps=%.4f, strategy=%s\n",
-              study.name.c_str(), study.nranks, study.n, study.configs.size(),
-              critter::policy_name(topt.policy), topt.tolerance,
-              topt.strategy.c_str());
-
-  const int shards = static_cast<int>(opt.get_int("shards", 1));
-  dist::ExchangePolicy exchange;
-  exchange.every = static_cast<int>(opt.get_int("exchange-every", 0));
-  exchange.strict = opt.get_int("exchange-strict", 1) != 0;
-  dist::FaultPolicy fault;
-  fault.max_retries = static_cast<int>(opt.get_int("max-retries", 0));
-  fault.checkpoint_every =
-      static_cast<int>(opt.get_int("checkpoint-every", 0));
-  const tune::TuneResult r = dist::run_sharded_named(
-      study, topt, shards,
-      opt.get("executor", shards > 1 ? "subprocess" : "in-process"), exchange,
-      fault);
-
-  std::printf("sweep mode: %s, %d/%d workers%s%s%s\n",
-              tune::sweep_mode_name(r.mode), r.effective_workers,
-              r.requested_workers,
-              r.batch > 0 ? (", batch " + std::to_string(r.batch)).c_str() : "",
-              r.fallback_reason.empty() ? "" : " — ",
-              r.fallback_reason.c_str());
-  if (r.shards > 0) {
-    std::printf("sharded: %d shards via %s executor, exchange every %d "
-                "batches (%d rounds%s)\n",
-                r.shards, r.executor.c_str(), r.exchange_every,
-                r.exchange_rounds,
-                r.exchange_every > 0 && !r.exchange_strict ? ", non-strict"
-                                                           : "");
-    for (const tune::ShardRecovery& sr : r.shard_recovery) {
-      if (sr.retries == 0 && !sr.degraded && sr.exchange_skips == 0) continue;
-      std::printf("  shard %d: %d retr%s%s%s%s%s%s\n", sr.shard, sr.retries,
-                  sr.retries == 1 ? "y" : "ies",
-                  sr.recovered ? ", recovered" : "",
-                  sr.degraded ? ", degraded to in-process fallback" : "",
-                  sr.resumed_batches > 0
-                      ? (", resumed " + std::to_string(sr.resumed_batches) +
-                         " batches from checkpoint")
-                            .c_str()
-                      : "",
-                  sr.exchange_skips > 0
-                      ? (", skipped " + std::to_string(sr.exchange_skips) +
-                         " exchange round(s)")
-                            .c_str()
-                      : "",
-                  sr.last_failure.empty()
-                      ? ""
-                      : (" — last fault: " + sr.last_failure).c_str());
-    }
-  }
-
-  critter::util::Table t("per-configuration results");
-  t.header({"config", "params", "true(s)", "predicted(s)", "err(%)",
-            "skipped"});
-  for (const auto& c : r.per_config) {
-    if (!c.evaluated) continue;  // skipped by the search strategy
-    t.row({std::to_string(c.config.index), c.config.label(),
-           critter::util::Table::num(c.true_time, 5),
-           critter::util::Table::num(c.pred_time, 5),
-           critter::util::Table::num(100.0 * c.err, 2),
-           std::to_string(c.skipped)});
-  }
-  t.print();
-
-  std::printf("\nsearch: %.4fs with selective execution vs %.4fs "
-              "full (%.2fx speedup); %d/%zu configurations evaluated\n",
-              r.tuning_time, r.full_time, r.full_time / r.tuning_time,
-              r.evaluated_configs, r.per_config.size());
-  if (r.phases.total() > 0.0)
-    std::printf("phase breakdown: ask %.4fs, evaluate %.4fs, tell %.4fs, "
-                "exchange %.4fs, checkpoint %.4fs (wall, summed over "
-                "shards)\n",
-                r.phases.ask, r.phases.evaluate, r.phases.tell,
-                r.phases.exchange, r.phases.checkpoint);
-  std::printf("selected config %d (%s); optimum is %d — selection quality "
-              "%.1f%%\n",
-              r.best_predicted(),
-              r.per_config[r.best_predicted()].config.label().c_str(),
-              r.best_true(), 100.0 * r.selection_quality());
-
-  const std::string save_stats = opt.get("save-stats", "");
-  if (!save_stats.empty()) {
-    if (r.stats.empty())
-      std::printf("not saving %s: the sweep kept no shared statistics "
-                  "(isolated-parallel mode)\n", save_stats.c_str());
-    else {
-      r.stats.save_file(save_stats);
-      std::printf("saved statistics snapshot to %s (reusable via --prior or "
-                  "as a warm start)\n", save_stats.c_str());
-    }
-  }
-  return 0;
+  const app::Program program{
+      .name = "autotune_cholesky",
+      .column = "skipped",
+      .cell = [](const tune::ConfigOutcome& c) {
+        return std::to_string(c.skipped);
+      },
+      .summary = [](const tune::TuneResult& r) {
+        std::printf("\nsearch: %.4fs with selective execution vs %.4fs "
+                    "full (%.2fx speedup); %d/%zu configurations evaluated\n",
+                    r.tuning_time, r.full_time, r.full_time / r.tuning_time,
+                    r.evaluated_configs, r.per_config.size());
+      }};
+  return app::run_program(argc, argv, program);
 }

@@ -3,20 +3,18 @@
 //
 //   ./autotune_qr [--workload=candmc-qr] [--strategy=halving,eta=2]
 //                 [--policy=local] [--tolerance=0.25] [--samples=1]
-//                 [--workers=4] [--batch=4]
-//                 [--shards=2] [--exchange-every=4]
-//                 [--executor=subprocess|in-process]
-//                 [--max-retries=N] [--checkpoint-every=B]
-//                 [--exchange-strict=0|1]
-//                 [--prior=FILE] [--save-stats=FILE] [--reset=0|1]
+//                 [--workers=4] [--batch=4] [--reset=0|1]
+//                 [--prior=FILE] [--save-stats=FILE]
+//                 [--shards=2 --exchange-every=4 ...]
+//                 [--serve=DIR | --connect=HOST:PORT --session=S]
 //
-// --help lists the registered workloads and strategies.  Demonstrates the
-// paper's observation that CANDMC's shrinking trailing matrix creates many
-// distinct kernel signatures, limiting the end-to-end speedup while kernel
-// execution time itself drops sharply.  --shards/--exchange-every fan the
-// sweep across shard processes; --max-retries/--checkpoint-every/
-// --exchange-strict control the subprocess fleet's fault tolerance (see
-// autotune_cholesky for details).
+// --help lists every flag and the registered workloads and strategies.
+// Demonstrates the paper's observation that CANDMC's shrinking trailing
+// matrix creates many distinct kernel signatures, limiting the end-to-end
+// speedup while kernel execution time itself drops sharply.  The flags, the
+// deployments and the shared report live in the front end
+// (app/front_end.hpp); this program adds its defaults, its table column
+// and its summary line.
 //
 // --prior=FILE / --save-stats=FILE run the transfer-tuning workflow (tune
 // small, save the snapshot, prior a bigger sweep — see autotune_cholesky).
@@ -26,143 +24,32 @@
 // statistics when producing a prior.
 #include <algorithm>
 #include <cstdio>
-#include <string>
-#include <tuple>
 
-#include "dist/executor.hpp"
-#include "tune/strategy.hpp"
-#include "tune/tuner.hpp"
-#include "util/cli.hpp"
+#include "app/front_end.hpp"
 #include "util/table.hpp"
 
-namespace dist = critter::dist;
+namespace app = critter::app;
 namespace tune = critter::tune;
 
 int main(int argc, char** argv) {
-  if (dist::is_shard_worker(argc, argv))
-    return dist::shard_worker_main(argc, argv);
-  critter::util::Options opt(argc, argv);
-  if (opt.has("help")) {
-    std::printf("usage: autotune_qr [--workload=NAME] "
-                "[--strategy=NAME[,key=val...]]\n"
-                "                   [--policy=local] [--tolerance=X] "
-                "[--samples=N]\n"
-                "                   [--workers=N] [--batch=N]\n"
-                "                   [--shards=N] [--exchange-every=B] "
-                "[--executor=subprocess|in-process]\n"
-                "                   [--max-retries=N] [--checkpoint-every=B] "
-                "[--exchange-strict=0|1]\n"
-                "                   [--prior=FILE] [--save-stats=FILE] "
-                "[--reset=0|1]\n\n%s",
-                tune::registry_help().c_str());
-    return 0;
-  }
-  tune::TuneOptions topt;
-  const std::string pol = opt.get("policy", "local");
-  topt.policy = pol == "conditional" ? critter::Policy::ConditionalExecution
-                : pol == "online"    ? critter::Policy::OnlinePropagation
-                : pol == "apriori"   ? critter::Policy::AprioriPropagation
-                                     : critter::Policy::LocalPropagation;
-  topt.tolerance = opt.get_double("tolerance", 0.25);
-  topt.samples = static_cast<int>(opt.get_int("samples", 1));
-  topt.workers = static_cast<int>(opt.get_int("workers", 1));
-  topt.batch = static_cast<int>(opt.get_int("batch", 0));
-  // Paper protocol for CANDMC resets statistics per configuration;
-  // --reset=0 keeps them persistent (required to --save-stats a prior).
-  topt.reset_per_config = opt.get_int("reset", 1) != 0;
-  std::tie(topt.strategy, topt.strategy_options) =
-      tune::parse_strategy_spec(opt.get("strategy", "exhaustive"));
-  topt.prior_file = opt.get("prior", "");
-
-  const tune::Study study = tune::workload_study(
-      opt.get("workload", "candmc-qr"), critter::util::paper_scale());
-  std::printf("autotuning %s: %d ranks, %d x %d, %zu configurations, "
-              "strategy=%s\n",
-              study.name.c_str(), study.nranks, study.m, study.n,
-              study.configs.size(), topt.strategy.c_str());
-
-  const int shards = static_cast<int>(opt.get_int("shards", 1));
-  dist::ExchangePolicy exchange;
-  exchange.every = static_cast<int>(opt.get_int("exchange-every", 0));
-  exchange.strict = opt.get_int("exchange-strict", 1) != 0;
-  dist::FaultPolicy fault;
-  fault.max_retries = static_cast<int>(opt.get_int("max-retries", 0));
-  fault.checkpoint_every =
-      static_cast<int>(opt.get_int("checkpoint-every", 0));
-  const tune::TuneResult r = dist::run_sharded_named(
-      study, topt, shards,
-      opt.get("executor", shards > 1 ? "subprocess" : "in-process"), exchange,
-      fault);
-
-  std::printf("sweep mode: %s, %d/%d workers%s%s\n",
-              tune::sweep_mode_name(r.mode), r.effective_workers,
-              r.requested_workers, r.fallback_reason.empty() ? "" : " — ",
-              r.fallback_reason.c_str());
-  if (r.shards > 0) {
-    std::printf("sharded: %d shards via %s executor, exchange every %d "
-                "batches (%d rounds%s)\n",
-                r.shards, r.executor.c_str(), r.exchange_every,
-                r.exchange_rounds,
-                r.exchange_every > 0 && !r.exchange_strict ? ", non-strict"
-                                                           : "");
-    for (const tune::ShardRecovery& sr : r.shard_recovery) {
-      if (sr.retries == 0 && !sr.degraded && sr.exchange_skips == 0) continue;
-      std::printf("  shard %d: %d retr%s%s%s%s%s%s\n", sr.shard, sr.retries,
-                  sr.retries == 1 ? "y" : "ies",
-                  sr.recovered ? ", recovered" : "",
-                  sr.degraded ? ", degraded to in-process fallback" : "",
-                  sr.resumed_batches > 0
-                      ? (", resumed " + std::to_string(sr.resumed_batches) +
-                         " batches from checkpoint")
-                            .c_str()
-                      : "",
-                  sr.exchange_skips > 0
-                      ? (", skipped " + std::to_string(sr.exchange_skips) +
-                         " exchange round(s)")
-                            .c_str()
-                      : "",
-                  sr.last_failure.empty()
-                      ? ""
-                      : (" — last fault: " + sr.last_failure).c_str());
-    }
-  }
-
-  critter::util::Table t("per-configuration results");
-  t.header({"config", "params", "true(s)", "predicted(s)", "err(%)",
-            "sel-kernel-time(s)"});
-  for (const auto& c : r.per_config) {
-    if (!c.evaluated) continue;  // skipped by the search strategy
-    t.row({std::to_string(c.config.index), c.config.label(),
-           critter::util::Table::num(c.true_time, 5),
-           critter::util::Table::num(c.pred_time, 5),
-           critter::util::Table::num(100.0 * c.err, 2),
-           critter::util::Table::num(c.sel_kernel_time, 5)});
-  }
-  t.print();
-
-  std::printf("\ntuning %.4fs vs full %.4fs (%.2fx); kernel-time reduction "
-              "%.2fx; best=%d true-best=%d\n",
-              r.tuning_time, r.full_time, r.full_time / r.tuning_time,
-              r.full_kernel_time / std::max(r.kernel_time, 1e-300),
-              r.best_predicted(), r.best_true());
-  if (r.phases.total() > 0.0)
-    std::printf("phase breakdown: ask %.4fs, evaluate %.4fs, tell %.4fs, "
-                "exchange %.4fs, checkpoint %.4fs (wall, summed over "
-                "shards)\n",
-                r.phases.ask, r.phases.evaluate, r.phases.tell,
-                r.phases.exchange, r.phases.checkpoint);
-
-  const std::string save_stats = opt.get("save-stats", "");
-  if (!save_stats.empty()) {
-    if (r.stats.empty())
-      std::printf("not saving %s: the sweep kept no shared statistics "
-                  "(reset/isolated mode — pass --reset=0)\n",
-                  save_stats.c_str());
-    else {
-      r.stats.save_file(save_stats);
-      std::printf("saved statistics snapshot to %s (reusable via --prior or "
-                  "as a warm start)\n", save_stats.c_str());
-    }
-  }
-  return 0;
+  const app::Program program{
+      .name = "autotune_qr",
+      // The paper's CANDMC protocol resets statistics per configuration.
+      .defaults = {.workload = "candmc-qr",
+                   .policy = "local",
+                   .tolerance = 0.25,
+                   .samples = 1,
+                   .reset = true},
+      .column = "sel-kernel-time(s)",
+      .cell = [](const tune::ConfigOutcome& c) {
+        return critter::util::Table::num(c.sel_kernel_time, 5);
+      },
+      .summary = [](const tune::TuneResult& r) {
+        std::printf("\ntuning %.4fs vs full %.4fs (%.2fx); kernel-time "
+                    "reduction %.2fx; best=%d true-best=%d\n",
+                    r.tuning_time, r.full_time, r.full_time / r.tuning_time,
+                    r.full_kernel_time / std::max(r.kernel_time, 1e-300),
+                    r.best_predicted(), r.best_true());
+      }};
+  return app::run_program(argc, argv, program);
 }

@@ -18,6 +18,18 @@ const char* policy_name(Policy p) {
   return "?";
 }
 
+Policy parse_policy(const std::string& name) {
+  for (const Policy p :
+       {Policy::ConditionalExecution, Policy::EagerPropagation,
+        Policy::LocalPropagation, Policy::OnlinePropagation,
+        Policy::AprioriPropagation})
+    if (name == policy_name(p)) return p;
+  CRITTER_CHECK(false, "unknown policy '" + name +
+                           "' (known: conditional, eager, local, online, "
+                           "apriori)");
+  return Policy::ConditionalExecution;
+}
+
 void PathMetrics::max_with(const PathMetrics& o) {
   double* a = as_array();
   const double* b = o.as_array();

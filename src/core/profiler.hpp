@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -36,6 +37,9 @@ enum class Policy : std::uint8_t {
 };
 
 const char* policy_name(Policy p);
+/// The inverse of policy_name(); throws on an unknown name, listing the
+/// known ones.
+Policy parse_policy(const std::string& name);
 
 /// Model: kernels advance virtual time only (no data).  Real: kernels also
 /// perform actual linear algebra on caller buffers (for correctness tests).

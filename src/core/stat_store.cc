@@ -139,8 +139,8 @@ void KernelTable::merge(const KernelTable& other) {
   // side: absorb its samples there (they were collected for that kernel,
   // only ahead of its local sighting) and erase it.  Within one batch the
   // tombstone pass above already consumed the delta-absorbed entries; this
-  // sweep handles independent-table merges (merge_shards), where the two
-  // sides' pending samples are disjoint by construction.
+  // sweep handles independent-table merges (a sharded sweep's final fold),
+  // where the two sides' pending samples are disjoint by construction.
   for (auto it = pending_eager.begin(); it != pending_eager.end();) {
     const auto kit = key_of_hash.find(it->first);
     const auto kk = kit != key_of_hash.end() ? K.find(kit->second) : K.end();

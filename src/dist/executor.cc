@@ -44,7 +44,7 @@ std::vector<ShardResult> InProcessExecutor::run(
   // peers — each shard that reads peers absorbs theirs in ascending shard
   // order.  The sessions own every rule; this loop is only the barrier.
   // With exchange off no round is ever due, so every shard sweeps its
-  // range in one segment: the legacy merge_shards loop.
+  // range in one segment, one shard after the other.
   const int n = static_cast<int>(shards.size());
   std::deque<ShardSession> sessions;  // non-movable: a deque never relocates
   for (const ShardRange& sr : shards)
@@ -89,7 +89,7 @@ tune::TuneResult run_sharded(const tune::Study& study,
                              const tune::TuneOptions& opt, int nshards,
                              ShardExecutor& exec,
                              const ExchangePolicy& exchange) {
-  CRITTER_CHECK(nshards >= 1, "merge_shards needs at least one shard");
+  CRITTER_CHECK(nshards >= 1, "run_sharded needs at least one shard");
   const int nconf = static_cast<int>(study.configs.size());
   const int begin = std::clamp(opt.config_begin, 0, nconf);
   const int end =
@@ -171,28 +171,6 @@ tune::TuneResult run_sharded(const tune::Study& study,
     out.full_kernel_time += t.full_kernel_time;
   }
   return out;
-}
-
-tune::TuneResult run_sharded_named(const tune::Study& study,
-                                   const tune::TuneOptions& opt, int nshards,
-                                   const std::string& executor,
-                                   const ExchangePolicy& exchange,
-                                   const FaultPolicy& fault) {
-  if (nshards <= 1) return run_study(study, opt);
-  if (executor == "subprocess" || executor == "socket") {
-    SubprocessOptions sopts;
-    sopts.fault = fault;
-    if (executor == "socket") sopts.transport = "socket";
-    SubprocessExecutor exec(std::move(sopts));
-    return run_sharded(study, opt, nshards, exec, exchange);
-  }
-  if (executor == "in-process") {
-    InProcessExecutor exec(/*parallel_shards=*/true);
-    return run_sharded(study, opt, nshards, exec, exchange);
-  }
-  CRITTER_CHECK(false, "unknown shard executor '" + executor +
-                           "' (known: subprocess, socket, in-process)");
-  return {};
 }
 
 }  // namespace critter::dist

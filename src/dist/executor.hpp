@@ -1,13 +1,13 @@
 // Distributed sweep execution: shards as first-class execution units.
 //
-// merge_shards() partitions a sweep into contiguous shards; this layer owns
-// *how* those shards run.  A ShardExecutor runs every shard as an
-// independent Tuner session and returns per-shard products for the
-// deterministic fold in run_sharded():
+// run_sharded() partitions a sweep into contiguous shards and folds their
+// results; a ShardExecutor owns *how* those shards run.  It runs every
+// shard as an independent Tuner session and returns per-shard products for
+// the deterministic fold:
 //
-//   InProcessExecutor   — shards in this process, sequentially (the legacy
-//                         merge_shards semantics, bit-identical) or
-//                         thread-parallel across shards;
+//   InProcessExecutor   — shards in this process, sequentially (the
+//                         reference fold every other executor reproduces)
+//                         or thread-parallel across shards;
 //   SubprocessExecutor  — one worker process per shard (a re-exec of the
 //                         current binary through the --shard-worker entry
 //                         point), exchanging versioned StatSnapshot files
@@ -23,8 +23,8 @@
 // shard's own contribution is tracked separately so the final fold counts
 // every sample exactly once.  The result is deterministic for a fixed
 // (seed, shard count, exchange interval) and identical across executors;
-// with exchange off every executor reproduces the legacy merge_shards fold
-// bit-exactly.  DESIGN.md §8 has the full contract.
+// with exchange off every executor reproduces the sequential in-process
+// fold bit-exactly.  DESIGN.md §8 has the full contract.
 #pragma once
 
 #include <memory>
@@ -38,7 +38,7 @@ namespace critter::dist {
 
 /// Mid-sweep snapshot exchange schedule: every `every` strategy batches a
 /// shard publishes its delta and folds in its peers' (0 = exchange only
-/// through the final fold — the legacy merge_shards behavior).
+/// through the final fold).
 ///
 /// `strict` governs what a shard does when a peer's round delta is not
 /// available in time (missing past the exchange deadline, or published but
@@ -155,8 +155,8 @@ class ShardExecutor {
                                        const ExchangePolicy& exchange) = 0;
 };
 
-/// Shards inside this process.  Sequential by default — with exchange off
-/// this is bit-identical to the legacy merge_shards loop.  With
+/// Shards inside this process.  Sequential by default: one shard after the
+/// other, the reference fold.  With
 /// `parallel_shards`, shards run on a thread pool (one logical worker per
 /// shard, capped at the hardware concurrency); results are identical to
 /// the sequential run because shard segments are independent between
@@ -227,32 +227,22 @@ class SubprocessExecutor final : public ShardExecutor {
   SubprocessOptions opts_;
 };
 
-/// The contiguous balanced partition merge_shards has always used (empty
-/// slices of an over-sharded range are dropped; `index` numbers the kept
-/// shards densely).
+/// The contiguous balanced partition run_sharded() uses (empty slices of
+/// an over-sharded range are dropped; `index` numbers the kept shards
+/// densely).
 std::vector<ShardRange> partition_range(int begin, int end, int nshards);
 
 /// Run `study` sharded via `exec` and fold: outcomes and totals copy into
 /// place, aggregates re-reduce in configuration order over the whole range,
-/// shard statistics merge in shard order.  tune::merge_shards() is this
-/// with a sequential InProcessExecutor and exchange off.
+/// shard statistics merge in shard order.  With a sequential
+/// InProcessExecutor and exchange off this is the sharded-merge contract of
+/// DESIGN.md §7: each shard an independent session, bit-identical to the
+/// unsharded sweep when configurations are statistically isolated, and a
+/// deterministic function of (study, options, nshards) otherwise.
 tune::TuneResult run_sharded(const tune::Study& study,
                              const tune::TuneOptions& opt, int nshards,
                              ShardExecutor& exec,
                              const ExchangePolicy& exchange = {});
-
-/// CLI convenience (the examples' --shards/--executor/--exchange-every/
-/// --max-retries/--checkpoint-every/--exchange-strict flags): run through
-/// the executor named "subprocess" or "in-process" (thread-parallel
-/// shards), or plain run_study() when nshards <= 1.  `fault` only applies
-/// to the subprocess executor (in-process shards cannot crash
-/// independently).  Unknown names CRITTER_CHECK-fail listing the known
-/// ones.
-tune::TuneResult run_sharded_named(const tune::Study& study,
-                                   const tune::TuneOptions& opt, int nshards,
-                                   const std::string& executor,
-                                   const ExchangePolicy& exchange = {},
-                                   const FaultPolicy& fault = {});
 
 /// True when argv carries --shard-worker: main() must then hand the
 /// process to shard_worker_main() (and exit with its return value) before

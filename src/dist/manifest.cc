@@ -92,7 +92,7 @@ tune::Study rebuild_study(const Manifest& m) {
 
 void write_tune_options(std::string& out, const tune::TuneOptions& opt) {
   std::ostringstream os;
-  os << "policy=" << static_cast<int>(opt.policy) << "\n";
+  os << "policy=" << policy_name(opt.policy) << "\n";
   os << "tolerance=" << hex_double(opt.tolerance) << "\n";
   os << "samples=" << opt.samples << "\n";
   os << "reset_per_config=" << (opt.reset_per_config ? 1 : 0) << "\n";
@@ -110,17 +110,12 @@ void write_tune_options(std::string& out, const tune::TuneOptions& opt) {
                   "strategy options must be single-line");
     os << "strategy_opt." << k << "=" << v << "\n";
   }
-  CRITTER_CHECK(opt.prior_file.find('\n') == std::string::npos,
-                "prior_file must be single-line");
-  os << "prior_file=" << opt.prior_file << "\n";
   out += os.str();
 }
 
 tune::TuneOptions rebuild_options(const Manifest& m) {
   tune::TuneOptions opt;
-  const std::int64_t policy = manifest_int(m, "policy");
-  CRITTER_CHECK(policy >= 0 && policy < 8, "run manifest: bad policy");
-  opt.policy = static_cast<Policy>(policy);
+  opt.policy = parse_policy(manifest_get(m, "policy"));
   opt.tolerance = manifest_double(m, "tolerance");
   opt.samples = static_cast<int>(manifest_int(m, "samples"));
   opt.reset_per_config = manifest_int(m, "reset_per_config") != 0;
@@ -135,7 +130,6 @@ tune::TuneOptions rebuild_options(const Manifest& m) {
   for (const auto& [k, v] : m)
     if (k.rfind("strategy_opt.", 0) == 0)
       opt.strategy_options[k.substr(13)] = v;
-  opt.prior_file = manifest_get(m, "prior_file");
   return opt;
 }
 

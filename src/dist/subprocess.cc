@@ -7,6 +7,7 @@
 //                                options, shard ranges, exchange interval,
 //                                fault-injection spec
 //   <run_dir>/warm.snap[.ok]     optional warm-start snapshot
+//   <run_dir>/prior.snap[.ok]    optional model prior (TuneOptions::prior)
 //   <run_dir>/shard<k>/          per-shard: result.bin[.ok] (published
 //                                ShardResult), the session journal's
 //                                checkpoint slots and increment log

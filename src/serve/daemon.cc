@@ -64,10 +64,10 @@ void journal_record(dist::SessionJournal& journal,
 struct TunerDaemon::Session {
   std::string name;
   std::string dir;            ///< <state_dir>/sessions/<name>
-  std::string manifest_text;  ///< the identity clients must agree on
+  /// The identity clients must agree on: the manifest and the warm-start
+  /// and prior snapshots' bytes ("" = none), exactly as OPEN sent them.
+  std::string manifest_text, warm, prior;
   tune::Study study;
-  tune::TuneOptions opt;
-  StatSnapshot warm, prior;  ///< stable storage opt points into
   std::unique_ptr<tune::Tuner> tuner;
 
   std::mutex mu;
@@ -151,24 +151,25 @@ void TunerDaemon::stop() {
 }
 
 std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
-    const std::string& name) {
+    const std::string& name, std::string manifest, std::string warm,
+    std::string prior) {
   auto s = std::make_unique<Session>();
   s->name = name;
   s->dir = opt_.state_dir + "/sessions/" + name;
-  s->manifest_text = core::read_file(s->dir + "/manifest.txt");
-  const dist::Manifest m = dist::parse_manifest(s->manifest_text);
+  const dist::Manifest m = dist::parse_manifest(manifest);
   s->study = dist::rebuild_study(m);
-  s->opt = dist::rebuild_options(m);
-  if (dist::manifest_int(m, "warm_start") != 0) {
-    s->warm = StatSnapshot::from_string(core::read_published(s->dir, "warm.snap"));
-    s->opt.warm_start = &s->warm;
+  tune::TuneOptions opt = dist::rebuild_options(m);
+  // The Tuner copies what it keeps of both snapshots at construction.
+  StatSnapshot warm_snap, prior_snap;
+  if (!warm.empty()) {
+    warm_snap = StatSnapshot::from_string(warm);
+    opt.warm_start = &warm_snap;
   }
-  if (dist::manifest_int(m, "prior_snap") != 0) {
-    s->prior =
-        StatSnapshot::from_string(core::read_published(s->dir, "prior.snap"));
-    s->opt.prior = &s->prior;
+  if (!prior.empty()) {
+    prior_snap = StatSnapshot::from_string(prior);
+    opt.prior = &prior_snap;
   }
-  s->tuner = std::make_unique<tune::Tuner>(s->study, s->opt);
+  s->tuner = std::make_unique<tune::Tuner>(s->study, opt);
 
   // Journal replay: the best full slot, then the longest valid increment
   // prefix on top, kept as bytes.  Asks are a pure function of told
@@ -185,21 +186,28 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
   if (s->journal->resume(s->study)) {
     s->tuner->resume(/*stats=*/nullptr, s->journal->state().told,
                      s->journal->state().totals);
-  } else if (s->opt.warm_start != nullptr) {
+  } else if (!warm.empty()) {
     const StatSnapshot seeded = s->tuner->export_state();
     if (!seeded.empty()) s->journal->replace_bytes(seeded.to_string());
   }
+  s->manifest_text = std::move(manifest);
+  s->warm = std::move(warm);
+  s->prior = std::move(prior);
   return s;
 }
 
 void TunerDaemon::load_sessions() {
   for (const std::string& name :
        core::list_dir(opt_.state_dir + "/sessions")) {
-    if (!valid_session_name(name)) continue;
-    if (!core::file_exists(opt_.state_dir + "/sessions/" + name +
-                           "/manifest.txt"))
+    const std::string dir = opt_.state_dir + "/sessions/" + name;
+    if (!valid_session_name(name) || !core::file_exists(dir + "/manifest.txt"))
       continue;  // a torn create never got its identity; nothing to resume
-    sessions_[name] = load_session(name);
+    const auto snapshot = [&](const char* file) {
+      return core::published(dir, file) ? core::read_published(dir, file)
+                                        : std::string();
+    };
+    sessions_[name] = load_session(name, core::read_file(dir + "/manifest.txt"),
+                                   snapshot("warm.snap"), snapshot("prior.snap"));
   }
 }
 
@@ -214,22 +222,19 @@ TunerDaemon::Session& TunerDaemon::open_session(const OpenRequest& rq) {
     CRITTER_CHECK(rq.manifest == s.manifest_text,
                   "tune open: session '" + rq.session +
                       "' exists with a different study/options identity");
-    const std::string warm = s.warm.empty() ? std::string() : s.warm.to_string();
-    const std::string prior =
-        s.prior.empty() ? std::string() : s.prior.to_string();
-    CRITTER_CHECK(rq.warm == warm && rq.prior == prior,
+    CRITTER_CHECK(rq.warm == s.warm && rq.prior == s.prior,
                   "tune open: session '" + rq.session +
                       "' exists with different warm/prior snapshots");
     return s;
   }
-  // Fresh session: persist the identity first (manifest + snapshots), then
-  // build the in-memory state through the same loader a restart uses.
-  const std::string dir = opt_.state_dir + "/sessions/" + rq.session;
-  core::make_dir(dir);
-  if (!rq.warm.empty()) core::publish_file(dir, "warm.snap", rq.warm);
-  if (!rq.prior.empty()) core::publish_file(dir, "prior.snap", rq.prior);
-  core::write_file_atomic(dir + "/manifest.txt", rq.manifest);
-  auto s = load_session(rq.session);
+  // Fresh session: build it through the loader a restart uses, then
+  // persist the identity — snapshots first, the manifest last — so an OPEN
+  // the loader rejects leaves nothing on disk for a restart to trip on.
+  auto s = load_session(rq.session, rq.manifest, rq.warm, rq.prior);
+  core::make_dir(s->dir);
+  if (!s->warm.empty()) core::publish_file(s->dir, "warm.snap", s->warm);
+  if (!s->prior.empty()) core::publish_file(s->dir, "prior.snap", s->prior);
+  core::write_file_atomic(s->dir + "/manifest.txt", s->manifest_text);
   Session& ref = *s;
   sessions_[rq.session] = std::move(s);
   return ref;
@@ -452,23 +457,26 @@ bool is_tuner_daemon(int argc, char** argv) {
 }
 
 int tuner_daemon_main(int argc, char** argv) {
-  std::string state_dir;
-  int port = 0;
+  DaemonOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--state-dir=", 0) == 0) state_dir = a.substr(12);
-    if (a.rfind("--port=", 0) == 0) port = std::atoi(a.c_str() + 7);
+    if (a.rfind("--state-dir=", 0) == 0) opt.state_dir = a.substr(12);
+    if (a.rfind("--port=", 0) == 0) opt.port = std::atoi(a.c_str() + 7);
   }
-  if (state_dir.empty()) {
+  if (opt.state_dir.empty()) {
     obs::log_error("usage: --tuner-daemon --state-dir=DIR [--port=N]");
     return 2;
   }
+  return run_daemon(opt);
+}
+
+int run_daemon(const DaemonOptions& opt) {
   struct sigaction sa {};
   sa.sa_handler = daemon_signal_handler;
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
   try {
-    TunerDaemon daemon({state_dir, port});
+    TunerDaemon daemon(opt);
     std::printf("critter-tuner-daemon port=%d\n", daemon.port());
     std::fflush(stdout);
     while (!daemon.stopping() && g_daemon_terminate == 0) core::sleep_ms(20);

@@ -102,7 +102,13 @@ class TunerDaemon {
   Session& resolve_session(const std::string& name);
   Session& open_session(const OpenRequest& rq);
   void load_sessions();
-  std::unique_ptr<Session> load_session(const std::string& name);
+  /// The one session loader, for a fresh OPEN and a restart alike: builds
+  /// the session from its identity (the manifest and the warm-start and
+  /// prior bytes, "" = none) and resumes its journal, if it has one.
+  /// Writes nothing.
+  std::unique_ptr<Session> load_session(const std::string& name,
+                                        std::string manifest,
+                                        std::string warm, std::string prior);
 
   DaemonOptions opt_;
   std::atomic<bool> stop_{false};
@@ -124,9 +130,13 @@ int read_daemon_port(const std::string& state_dir, double deadline_s = 10.0);
 /// sessions rebuild their studies from the registry.
 bool is_tuner_daemon(int argc, char** argv);
 
-/// The --tuner-daemon entry point: --state-dir=DIR [--port=N].  Serves
-/// until SIGTERM/SIGINT (flushing every session) or a client's
-/// kTuneShutdown.  Returns 0 on a clean exit.
+/// The --tuner-daemon entry point: parses --state-dir=DIR [--port=N] and
+/// calls run_daemon().
 int tuner_daemon_main(int argc, char** argv);
+
+/// Serve in the foreground until SIGTERM/SIGINT (flushing every session)
+/// or a client's kTuneShutdown, printing the bound port first.  Returns 0
+/// on a clean exit, 1 when the daemon cannot start.
+int run_daemon(const DaemonOptions& opt);
 
 }  // namespace critter::serve

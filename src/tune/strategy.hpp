@@ -42,7 +42,7 @@ class SearchStrategy {
   virtual void observe(const ConfigOutcome& oc) = 0;
 
   /// Prior-statistics ingestion: the Tuner feeds the construction-time
-  /// prior (TuneOptions::prior_file / prior / warm_start) and every
+  /// prior (TuneOptions::prior, else warm_start) and every
   /// mid-sweep exchange delta (in fold order, between batches) here.
   /// Model-based strategies update their surrogate; others ignore it.
   virtual void ingest_prior(const core::StatSnapshot& snap) { (void)snap; }
@@ -65,7 +65,7 @@ struct StrategyContext {
   /// bindings model-based strategies regress on.  Always set by the Tuner;
   /// model strategies CRITTER_CHECK it.
   const Study* study = nullptr;
-  /// Prior statistics snapshot (TuneOptions::prior_file / prior /
+  /// Prior statistics snapshot (TuneOptions::prior, else
   /// warm_start), null when the sweep has none.
   const core::StatSnapshot* prior = nullptr;
 };

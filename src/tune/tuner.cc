@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/fsio.hpp"
-#include "dist/executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tune/evaluator.hpp"
@@ -107,24 +106,14 @@ std::string registry_help() {
 Tuner::Tuner(const Study& study, const TuneOptions& opt)
     : study_(study), opt_(opt) {
   driver_ = std::make_unique<SweepDriver>(study_, opt_);
-  // Model prior: an explicit file or in-memory snapshot, else the warm
-  // start doubles as one.  Delivered twice over: factories see it as
+  // Model prior: the in-memory snapshot, else the warm start doubles as
+  // one.  Delivered twice over: factories see it as
   // StrategyContext::prior (the copula factory's degradation decision),
   // and ingest_prior() feeds it before the first ask.  The pointer is
   // construction-scoped — strategies must not retain it — so no strategy
-  // that ignores priors pays for a snapshot copy.  A named prior file
-  // that is absent or corrupt fails here, exactly as StatSnapshot::load_file
-  // would — never ignored.
-  core::StatSnapshot loaded;
-  const core::StatSnapshot* prior = nullptr;
-  if (!opt_.prior_file.empty()) {
-    loaded = core::StatSnapshot::load_file(opt_.prior_file);
-    prior = &loaded;
-  } else if (opt_.prior != nullptr) {
-    prior = opt_.prior;
-  } else if (opt_.warm_start != nullptr) {
-    prior = opt_.warm_start;
-  }
+  // that ignores priors pays for a snapshot copy.
+  const core::StatSnapshot* prior =
+      opt_.prior != nullptr ? opt_.prior : opt_.warm_start;
   strategy_ = make_strategy(
       opt_.strategy,
       StrategyContext{driver_->config_begin(), driver_->config_end(),
@@ -245,13 +234,6 @@ void Tuner::tell_evaluated(const std::vector<ConfigOutcome>& outcomes,
 
 const EvalControl& Tuner::control() const { return *control_; }
 
-bool Tuner::step() {
-  const std::vector<int> batch = ask();
-  if (batch.empty()) return false;
-  tell(evaluate(batch));
-  return true;
-}
-
 core::StatSnapshot Tuner::export_state() const { return driver_->stats(); }
 
 void Tuner::import_state(const core::StatSnapshot& snap) {
@@ -320,22 +302,15 @@ TuneResult Tuner::result() const {
 }
 
 // ---------------------------------------------------------------------------
-// run_study / merge_shards: drivers over the session
+// run_study: the session's plain ask/evaluate/tell loop
 // ---------------------------------------------------------------------------
 
 TuneResult run_study(const Study& study, const TuneOptions& opt) {
   Tuner session(study, opt);
-  while (session.step()) {
-  }
+  for (std::vector<int> batch = session.ask(); !batch.empty();
+       batch = session.ask())
+    session.tell(session.evaluate(batch));
   return session.result();
-}
-
-TuneResult merge_shards(const Study& study, const TuneOptions& opt,
-                        int nshards) {
-  // The legacy semantics exactly: sequential in-process shards, statistics
-  // exchanged only through the final fold.
-  dist::InProcessExecutor exec;
-  return dist::run_sharded(study, opt, nshards, exec);
 }
 
 }  // namespace critter::tune

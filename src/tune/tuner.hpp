@@ -20,14 +20,18 @@
 //                     and their deltas merge in configuration order);
 //   Tuner           — the stateful ask/tell session over all of the above:
 //                     ask() yields a batch, evaluate() runs it, tell()
-//                     feeds outcomes back, export_state()/import_state()
-//                     move the shared statistics across processes, and
-//                     resume() rebuilds a session from a journaled history
-//                     (the shard worker's and the tuner daemon's).
+//                     feeds outcomes back, export_state() hands the shared
+//                     statistics out (TuneOptions::warm_start seeds them),
+//                     and resume() rebuilds a session from a journaled
+//                     history (the shard worker's and the tuner daemon's).
 //
-// run_study() is a thin loop over a Tuner session (bit-identical to the
-// pre-session sweep, asserted in tests); merge_shards() fans a sweep across
-// independent session shards and merges their statistics deterministically.
+// A study runs through one of four paths: run_study(), a thin loop over a
+// Tuner session (bit-identical to the pre-session sweep, asserted in
+// tests); dist::run_sharded() with a ShardExecutor (dist/executor.hpp),
+// which fans the sweep across shard sessions and merges their statistics
+// deterministically; a hand-driven Tuner; or a serve::TunerClient
+// evaluating a daemon's session.  app/front_end.hpp picks one from the
+// command line.  Nothing in tune/ depends on dist/ or serve/.
 #pragma once
 
 #include <functional>
@@ -113,7 +117,7 @@ struct TuneOptions {
   /// Restrict the sweep to configurations [config_begin, config_end)
   /// (config_end < 0: to the end).  Noise salts stay indexed by absolute
   /// configuration index, so a sweep split into ranges — e.g. interrupted
-  /// and warm-started, or sharded via merge_shards() — reproduces the
+  /// and warm-started, or sharded via dist::run_sharded() — reproduces the
   /// uninterrupted sweep exactly when configurations are statistically
   /// isolated.
   int config_begin = 0;
@@ -122,17 +126,17 @@ struct TuneOptions {
   /// TuneResult::stats round-tripped through StatSnapshot::save/load).
   /// Honored by serial and batch-shared sweeps; isolated-parallel sweeps
   /// reset statistics per configuration and ignore it.  Consumed at Tuner
-  /// construction (equivalent to import_state before the first ask).
+  /// construction, which copies it into the session.
   const core::StatSnapshot* warm_start = nullptr;
   /// Prior snapshot feeding model-based strategies ("copula-transfer",
-  /// and anything user-registered that overrides ingest_prior): loaded
-  /// from `prior_file` at Tuner construction (StatSnapshot::load_file errors
-  /// propagate — a named-but-unreadable prior is never silently ignored)
-  /// or supplied in-memory via `prior`; when neither is set, warm_start
-  /// doubles as the prior.  Unlike warm_start, the prior does NOT seed the
-  /// sweep's kernel statistics — it only informs the search model; combine
-  /// both to get the paper-exact warm-start behavior plus a model prior.
-  std::string prior_file;
+  /// and anything user-registered that overrides ingest_prior), consumed
+  /// at Tuner construction; when unset, warm_start doubles as the prior.
+  /// A prior travels only in memory: the front end (app/front_end.hpp)
+  /// loads --prior=FILE into it, the subprocess executor publishes it as
+  /// prior.snap and the daemon client ships its bytes in OPEN.  Unlike
+  /// warm_start, the prior does NOT seed the sweep's kernel statistics — it
+  /// only informs the search model; combine both to get the paper-exact
+  /// warm-start behavior plus a model prior.
   const core::StatSnapshot* prior = nullptr;
 };
 
@@ -191,7 +195,7 @@ struct ShardRecovery {
 struct TuneResult {
   std::vector<ConfigOutcome> per_config;
   /// Per-configuration contributions to the aggregate costs below, indexed
-  /// like per_config.  merge_shards() re-reduces these in configuration
+  /// like per_config.  dist::run_sharded() re-reduces these in configuration
   /// order, so its aggregates are bit-identical to an unsharded sweep's.
   std::vector<ConfigTotals> per_config_totals;
   double tuning_time = 0.0;       ///< exhaustive-search time with critter
@@ -255,11 +259,12 @@ struct TuneResult {
 ///   }
 ///   TuneResult r = session.result();
 ///
-/// step() bundles one ask/evaluate/tell round.  The session owns the shared
-/// statistics (the serial store or the batch-shared snapshot);
-/// export_state()/import_state() move them across processes so interrupted,
-/// warm-started, and sharded sweeps are first-class.  The study and options
-/// are copied in, so the session may outlive both.
+/// The session owns the shared statistics (the serial store or the
+/// batch-shared snapshot): TuneOptions::warm_start seeds them, export_state()
+/// hands them out, and merge_state()/resume() fold in a peer's or a
+/// journal's, so interrupted, warm-started, and sharded sweeps are
+/// first-class.  The study and options are copied in, so the session may
+/// outlive both.
 class Tuner {
  public:
   Tuner(const Study& study, const TuneOptions& opt);
@@ -298,30 +303,21 @@ class Tuner {
   /// what a remote evaluator needs to mirror evaluate() exactly.
   const EvalControl& control() const;
 
-  /// One ask/evaluate/tell round; false when the search was exhausted.
-  bool step();
-
   /// True once ask() returned an empty batch.
   bool done() const { return done_; }
 
   /// Current shared statistics (empty snapshot in isolated mode).
   core::StatSnapshot export_state() const;
 
-  /// Seed the shared statistics (warm start / sharded resume).  Only legal
-  /// before the first ask(); isolated-parallel sessions ignore the
-  /// snapshot (they have no shared statistics to seed — the documented
-  /// warm_start contract).
-  void import_state(const core::StatSnapshot& snap);
-
   /// Fold a peer's statistics delta into the session mid-sweep — the
   /// distributed executors' periodic-exchange hook.  Legal between tell()
   /// and the next ask() (never with a batch claimed: the claimed batch's
   /// evaluation must be a pure function of the statistics ask() saw).
-  /// Isolated sessions ignore it, like import_state().
+  /// Isolated sessions ignore it, like warm_start.
   void merge_state(const core::StatSnapshot& delta);
 
   /// Rebuild the session from a journaled history (a shard worker's
-  /// checkpoint, a tuner daemon's session).  Imports `stats` when given,
+  /// checkpoint, a tuner daemon's session).  Seeds `stats` when given,
   /// then re-asks and re-tells every batch of `told`, throwing if the
   /// strategy proposes any other batch (replay, not trust: asks are a pure
   /// function of told outcomes and ingested priors).  After the k-th batch
@@ -350,6 +346,12 @@ class Tuner {
   TuneResult result() const;
 
  private:
+  /// Seed the shared statistics (warm start, resume).  Only legal before
+  /// the first ask(); isolated-parallel sessions ignore the snapshot (they
+  /// have no shared statistics to seed — the documented warm_start
+  /// contract).
+  void import_state(const core::StatSnapshot& snap);
+
   Study study_;
   TuneOptions opt_;
   std::unique_ptr<SweepDriver> driver_;
@@ -366,27 +368,6 @@ class Tuner {
 };
 
 TuneResult run_study(const Study& study, const TuneOptions& opt);
-
-/// Fan the sweep range across `nshards` contiguous shards, run each as an
-/// independent Tuner session, and fold the results: outcomes and totals
-/// combine, and the shards' statistics snapshots merge in shard order (a
-/// deterministic fold — see core/stat_store.hpp's merge contract).  Each
-/// shard applies the options (workers, strategy) to its own sub-range.
-///
-/// When configurations are statistically isolated (reset_per_config,
-/// non-eager, non-extrapolate) the combined outcomes are bit-identical to
-/// the unsharded sweep.  Shared-statistics sweeps trade that identity for
-/// shard independence — each shard grows its own statistics, exactly as
-/// separate processes would — and the merged snapshot is still a
-/// deterministic function of (study, options, nshards).
-///
-/// This facade runs the shards sequentially in-process with no mid-sweep
-/// exchange; dist/executor.hpp's run_sharded() is the general form — pick
-/// an executor (in-process, optionally thread-parallel across shards, or
-/// one worker process per shard) and a periodic-exchange interval, with
-/// this exact fold as its exchange-off behavior.
-TuneResult merge_shards(const Study& study, const TuneOptions& opt,
-                        int nshards);
 
 /// One fully-instrumented full execution of a configuration (no skipping):
 /// the measurement backing the Fig. 3 cost/time panels.  Routed through the

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -54,6 +56,25 @@ void toy_program(int iters, int gemm_dim, int bytes) {
 }
 
 }  // namespace
+
+TEST(Policy, ParseRoundTripsEveryNameAndRejectsAnUnknownOne) {
+  for (const Policy p :
+       {Policy::ConditionalExecution, Policy::EagerPropagation,
+        Policy::LocalPropagation, Policy::OnlinePropagation,
+        Policy::AprioriPropagation})
+    EXPECT_EQ(critter::parse_policy(critter::policy_name(p)), p)
+        << critter::policy_name(p);
+  try {
+    critter::parse_policy("bogus");
+    FAIL() << "an unknown policy name was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "'bogus' (known: conditional, eager, local, online, "
+                  "apriori)"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Profiler, FullExecutionCountsEverything) {
   Config cfg;

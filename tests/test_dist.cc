@@ -109,7 +109,8 @@ TEST(InProcess, ExchangeOffMatchesLegacyMergeShardsAndUnsharded) {
   const tune::TuneOptions opt = isolated_options();
   const tune::TuneResult whole = tune::run_study(study, opt);
   for (int shards : {1, 2, 4}) {
-    const tune::TuneResult legacy = tune::merge_shards(study, opt, shards);
+    dist::InProcessExecutor seq;
+    const tune::TuneResult legacy = dist::run_sharded(study, opt, shards, seq);
     dist::InProcessExecutor exec;
     const tune::TuneResult r = dist::run_sharded(study, opt, shards, exec);
     EXPECT_EQ(r.shards, shards);
@@ -173,15 +174,16 @@ TEST(Subprocess, ExchangeOffBitIdenticalToInProcessFoldFor124Shards) {
     const tune::TuneResult iso =
         dist::run_sharded(iso_study, isolated_options(), shards, sub);
     EXPECT_EQ(iso.executor, "subprocess");
+    dist::InProcessExecutor seq;
     expect_equal_results(
-        tune::merge_shards(iso_study, isolated_options(), shards), iso,
+        dist::run_sharded(iso_study, isolated_options(), shards, seq), iso,
         "isolated, shards=" + std::to_string(shards));
 
     dist::SubprocessExecutor sub2;
     const tune::TuneResult shr =
         dist::run_sharded(shr_study, shared_options(), shards, sub2);
     expect_equal_results(
-        tune::merge_shards(shr_study, shared_options(), shards), shr,
+        dist::run_sharded(shr_study, shared_options(), shards, seq), shr,
         "shared stats, shards=" + std::to_string(shards));
   }
 }
@@ -316,9 +318,9 @@ TEST(Subprocess, WarmStartTravelsThroughRunDirectory) {
   ASSERT_FALSE(prev.stats.empty());
   tune::TuneOptions warmed = opt;
   warmed.warm_start = &prev.stats;
-  const tune::TuneResult legacy = tune::merge_shards(study, warmed, 2);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult legacy = dist::run_sharded(study, warmed, 2, seq);
   dist::SubprocessExecutor sub;
-  warmed.warm_start = &prev.stats;  // merge_shards copies consume it per run
   const tune::TuneResult r = dist::run_sharded(study, warmed, 2, sub);
   expect_equal_results(legacy, r, "warm-started subprocess shards");
 }
@@ -351,10 +353,9 @@ TEST(ModelStrategies, SurrogateEiWithExchangeIdenticalAcrossExecutors) {
 }
 
 TEST(ModelStrategies, CopulaPriorTravelsThroughRunDirectory) {
-  // Both prior transports — an in-memory snapshot (published as
-  // prior.snap) and a prior file path in the run manifest — must reach the
-  // shard workers and produce the identical copula-transfer sweep the
-  // in-process executor runs.
+  // The prior's one transport — an in-memory snapshot, published as
+  // prior.snap — must reach the shard workers and produce the identical
+  // copula-transfer sweep the in-process executor runs.
   const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
   const tune::TuneResult donor = tune::run_study(study, shared_options());
   ASSERT_FALSE(donor.stats.empty());
@@ -371,17 +372,6 @@ TEST(ModelStrategies, CopulaPriorTravelsThroughRunDirectory) {
   const tune::TuneResult b =
       dist::run_sharded(study, opt, 2, sub, dist::ExchangePolicy{1});
   expect_equal_results(a, b, "copula prior snapshot across executors");
-
-  const std::string path = ::testing::TempDir() + "dist_prior.snap";
-  donor.stats.save_file(path);
-  tune::TuneOptions by_file = shared_options();
-  by_file.strategy = "copula-transfer";
-  by_file.prior_file = path;
-  dist::SubprocessExecutor sub2;
-  const tune::TuneResult c =
-      dist::run_sharded(study, by_file, 2, sub2, dist::ExchangePolicy{1});
-  expect_equal_results(a, c, "copula prior file across executors");
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -484,16 +474,16 @@ TEST(MergeState, FoldsBetweenBatchesAndRejectsMidBatch) {
   EXPECT_THROW(session.merge_state(donor.stats), std::runtime_error);
   session.tell(session.evaluate(batch));
   session.merge_state(donor.stats);  // between batches: legal
-  while (session.step()) {
-  }
+  for (std::vector<int> b = session.ask(); !b.empty(); b = session.ask())
+    session.tell(session.evaluate(b));
   // The fold reached the shared statistics (deterministically): folding
   // the same donor twice must agree with itself.
   tune::Tuner repeat(study, opt);
   const std::vector<int> rb = repeat.ask();
   repeat.tell(repeat.evaluate(rb));
   repeat.merge_state(donor.stats);
-  while (repeat.step()) {
-  }
+  for (std::vector<int> b = repeat.ask(); !b.empty(); b = repeat.ask())
+    repeat.tell(repeat.evaluate(b));
   EXPECT_TRUE(
       session.export_state().same_statistics(repeat.export_state()));
   EXPECT_FALSE(session.export_state().same_statistics(donor.stats));

@@ -114,7 +114,8 @@ const tune::ShardRecovery& recovery_of(const tune::TuneResult& r, int shard) {
 TEST(CrashRecovery, MidSweepCrashResumesBitIdenticalExchangeOff) {
   const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
   const tune::TuneOptions opt = shared_options();
-  const tune::TuneResult clean = tune::merge_shards(study, opt, 4);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 4, seq);
 
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/1);
@@ -181,7 +182,8 @@ TEST(CrashRecovery, CrashOnStartRecoversByCleanRestart) {
   // bit-identical (nothing was published).
   const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
   const tune::TuneOptions opt = isolated_options();
-  const tune::TuneResult clean = tune::merge_shards(study, opt, 2);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 2, seq);
 
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/1);
@@ -199,7 +201,8 @@ TEST(CrashRecovery, CrashOnStartRecoversByCleanRestart) {
 TEST(CrashRecovery, HungWorkerIsStallKilledAndRelaunched) {
   const tune::Study study = subset(tune::capital_cholesky_study(false), 6);
   const tune::TuneOptions opt = isolated_options();
-  const tune::TuneResult clean = tune::merge_shards(study, opt, 2);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 2, seq);
 
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/1, /*checkpoint_every=*/1);
@@ -261,7 +264,8 @@ TEST(RetryExhaustion, PersistentCrashAbortsNamingShardAndRelaunches) {
 TEST(RetryExhaustion, DegradeCompletesTheShardInProcessBitIdentically) {
   const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
   const tune::TuneOptions opt = isolated_options();
-  const tune::TuneResult clean = tune::merge_shards(study, opt, 2);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 2, seq);
 
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/1);
@@ -369,7 +373,8 @@ TEST(NonStrictExchange, SlowPeerPastDeadlineIsSkipped) {
 TEST(CheckpointIntegrity, CorruptLatestSlotFallsBackToPreviousBitIdentically) {
   const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
   const tune::TuneOptions opt = shared_options();
-  const tune::TuneResult clean = tune::merge_shards(study, opt, 4);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 4, seq);
 
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/1, /*checkpoint_every=*/1);
@@ -388,7 +393,8 @@ TEST(CheckpointIntegrity, CorruptLatestSlotFallsBackToPreviousBitIdentically) {
 TEST(CheckpointIntegrity, Kill9MidCheckpointPublishResumesBitIdentically) {
   const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
   const tune::TuneOptions opt = shared_options();
-  const tune::TuneResult clean = tune::merge_shards(study, opt, 4);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 4, seq);
 
   dist::SubprocessOptions sopts;
   sopts.fault = quick_fault(/*max_retries=*/1, /*checkpoint_every=*/1);
@@ -414,7 +420,8 @@ TEST(CheckpointIntegrity, RelaunchAfterATornAppendRebasesSoTheNextResumeReachesI
   // full slot instead of appending behind the bad frame.
   const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
   const tune::TuneOptions opt = shared_options();
-  const tune::TuneResult clean = tune::merge_shards(study, opt, 2);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 2, seq);
 
   for (const char* mode : {"kill-mid-checkpoint", "corrupt-checkpoint"}) {
     dist::SubprocessOptions sopts;
@@ -437,7 +444,8 @@ TEST(CheckpointIntegrity, DamagedFirstSlotRestartsCleanBitIdentically) {
   // relaunch finds no usable slot and restarts clean.
   const tune::Study study = subset(tune::slate_cholesky_study(false), 8);
   const tune::TuneOptions opt = shared_options();
-  const tune::TuneResult clean = tune::merge_shards(study, opt, 2);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 2, seq);
 
   for (const char* mode : {"kill-mid-checkpoint", "corrupt-checkpoint"}) {
     dist::SubprocessOptions sopts;

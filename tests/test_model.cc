@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "app/front_end.hpp"
 #include "core/signature.hpp"
 #include "core/stat_store.hpp"
 #include "model/acquisition.hpp"
@@ -19,6 +20,7 @@
 #include "tune/strategy.hpp"
 #include "tune/tuner.hpp"
 
+namespace app = critter::app;
 namespace core = critter::core;
 namespace model = critter::model;
 namespace tune = critter::tune;
@@ -413,18 +415,23 @@ TEST(CopulaTransfer, NoPriorDegradesVisiblyToRandomSubset) {
 }
 
 TEST(CopulaTransfer, AbsentOrCorruptPriorFileErrorsLikeSnapshotLoad) {
-  const tune::Study study = subset(tune::capital_cholesky_study(false), 4);
-  tune::TuneOptions opt = isolated_options();
-  opt.strategy = "copula-transfer";
+  // The front end loads --prior=FILE once, at parse time, so a named prior
+  // that is absent or corrupt fails the parse with StatSnapshot::load_file's
+  // own error — never a silent sweep without it.
+  const auto parse_error = [](const std::string& path) {
+    const std::string prior = "--prior=" + path;
+    const char* argv[] = {"autotune", "--strategy=copula-transfer",
+                          prior.c_str()};
+    try {
+      app::parse(critter::util::Options(3, const_cast<char**>(argv)), {});
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
 
-  // Absent: the exact StatSnapshot::load_file failure, not a silent sweep.
-  opt.prior_file = "/nonexistent/prior.snap";
-  std::string tuner_err, load_err;
-  try {
-    tune::run_study(study, opt);
-  } catch (const std::exception& e) {
-    tuner_err = e.what();
-  }
+  // Absent: the exact StatSnapshot::load_file failure.
+  std::string tuner_err = parse_error("/nonexistent/prior.snap"), load_err;
   try {
     core::StatSnapshot::load_file("/nonexistent/prior.snap");
   } catch (const std::exception& e) {
@@ -439,14 +446,8 @@ TEST(CopulaTransfer, AbsentOrCorruptPriorFileErrorsLikeSnapshotLoad) {
     std::ofstream os(bad, std::ios::binary);
     os << "this is not a snapshot";
   }
-  opt.prior_file = bad;
-  tuner_err.clear();
+  tuner_err = parse_error(bad);
   load_err.clear();
-  try {
-    tune::run_study(study, opt);
-  } catch (const std::exception& e) {
-    tuner_err = e.what();
-  }
   try {
     core::StatSnapshot::load_file(bad);
   } catch (const std::exception& e) {
@@ -468,17 +469,18 @@ TEST(CopulaTransfer, PriorFileRoundTripIsDeterministicAndNamed) {
   ASSERT_FALSE(prev.stats.empty());
   const std::string path = ::testing::TempDir() + "model_prior.snap";
   prev.stats.save_file(path);
+  const core::StatSnapshot loaded = core::StatSnapshot::load_file(path);
 
   tune::TuneOptions opt = isolated_options();
   opt.strategy = "copula-transfer";
-  opt.prior_file = path;
+  opt.prior = &loaded;
   const tune::TuneResult a = tune::run_study(study, opt);
   EXPECT_EQ(a.strategy, "copula-transfer");
   EXPECT_EQ(a.evaluated_configs, 5);
 
-  // An in-memory prior behaves identically to the file.
+  // The snapshot that went through the file behaves identically to the
+  // one that never left memory.
   tune::TuneOptions mem = opt;
-  mem.prior_file.clear();
   mem.prior = &prev.stats;
   const tune::TuneResult b = tune::run_study(study, mem);
   ASSERT_EQ(a.per_config.size(), b.per_config.size());

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "core/fsio.hpp"
 #include "core/stat_store.hpp"
 #include "dist/checkpoint.hpp"
+#include "dist/manifest.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "serve/client.hpp"
@@ -238,6 +240,44 @@ TEST(Daemon, SessionlessVerbsAndUnknownSessionsError) {
   while (!daemon.stopping() && core::monotonic_s() < deadline)
     core::sleep_ms(10);
   EXPECT_TRUE(daemon.stopping());
+}
+
+TEST(Daemon, ARejectedOpenLeavesTheStateDirectoryStartable) {
+  // An OPEN the session loader rejects must leave nothing on disk: a
+  // manifest written before the rejection would make every later daemon on
+  // the directory fail to start with the same error.
+  TempDir dir("critter_serve_rejected");
+  {
+    serve::TunerDaemon daemon({dir.path});
+    tune::TuneOptions opt = adaptive_options();
+    opt.strategy = "bogus";
+    serve::ClientOptions copt = client_options(daemon.port());
+    copt.max_reconnects = 0;
+    serve::TunerClient client(small_study(), opt, "q", copt);
+    EXPECT_THROW(client.run(), std::runtime_error);
+  }
+  std::unique_ptr<serve::TunerDaemon> restarted;
+  EXPECT_NO_THROW(restarted = std::make_unique<serve::TunerDaemon>(
+                      serve::DaemonOptions{dir.path}));
+  EXPECT_TRUE(core::list_dir(dir.path + "/sessions").empty());
+}
+
+TEST(Daemon, AForgedPolicyInAnOpenManifestIsRejected) {
+  // The daemon rebuilds options from the manifest a network client sent;
+  // a policy outside the enum must fail the OPEN, not build a session.
+  TempDir dir("critter_serve_forged");
+  serve::TunerDaemon daemon({dir.path});
+  serve::OpenRequest orq;
+  orq.session = "forged";
+  dist::write_study_identity(orq.manifest, small_study(), false);
+  dist::write_tune_options(orq.manifest, adaptive_options());
+  orq.manifest += "warm_start=0\nprior_snap=0\n";
+  const std::size_t at = orq.manifest.find("\npolicy=") + 8;
+  orq.manifest.replace(at, orq.manifest.find('\n', at) - at, "7");
+  const net::Frame rp =
+      raw_request(daemon.port(), net::kTuneOpen, serve::encode_open(orq));
+  EXPECT_EQ(rp.verb, net::kErr);
+  EXPECT_FALSE(core::file_exists(dir.path + "/sessions/forged"));
 }
 
 TEST(Daemon, SparseTransportIsDefaultAndByteEquivalent) {

@@ -1,6 +1,7 @@
 // The generic tuning API: ParamSpace/Configuration, the workload registry,
 // the strategy registry, the ask/tell Tuner session (bit-identical to
-// run_study across all sweep modes and studies), merge_shards, and
+// run_study across all sweep modes and studies), the sharded merge through
+// dist::run_sharded with a sequential InProcessExecutor, and
 // registry-defined workloads round-tripping through save -> load -> resume.
 #include <gtest/gtest.h>
 
@@ -10,12 +11,14 @@
 
 #include "core/kernels.hpp"
 #include "core/mpi.hpp"
+#include "dist/executor.hpp"
 #include "sim/api.hpp"
 #include "tune/evaluator.hpp"
 #include "tune/strategy.hpp"
 #include "tune/tuner.hpp"
 
 namespace core = critter::core;
+namespace dist = critter::dist;
 namespace tune = critter::tune;
 using critter::Policy;
 
@@ -309,7 +312,8 @@ TEST(AskTell, ProtocolMisuseIsRejected) {
   const std::vector<int> batch = session.ask();
   ASSERT_FALSE(batch.empty());
   EXPECT_THROW(session.ask(), std::runtime_error);  // must tell first
-  EXPECT_THROW(session.import_state(core::StatSnapshot{}),
+  EXPECT_THROW(session.resume(nullptr, {},
+                              std::vector<tune::ConfigTotals>(3)),
                std::runtime_error);  // only before the first ask
   EXPECT_THROW(session.evaluate({99}), std::runtime_error);  // not the batch
   const std::vector<tune::ConfigOutcome> outcomes = session.evaluate(batch);
@@ -370,7 +374,7 @@ TEST(AskTell, ExternalOutcomesFlowThroughTell) {
 }
 
 // ---------------------------------------------------------------------------
-// merge_shards
+// The sharded merge: run_sharded with a sequential InProcessExecutor
 // ---------------------------------------------------------------------------
 
 TEST(MergeShards, IsolatedSweepMatchesUnshardedFor124Shards) {
@@ -381,7 +385,8 @@ TEST(MergeShards, IsolatedSweepMatchesUnshardedFor124Shards) {
   opt.reset_per_config = true;  // statistically isolated configurations
   const tune::TuneResult whole = tune::run_study(study, opt);
   for (int shards : {1, 2, 4}) {
-    const tune::TuneResult r = tune::merge_shards(study, opt, shards);
+    dist::InProcessExecutor seq;
+    const tune::TuneResult r = dist::run_sharded(study, opt, shards, seq);
     EXPECT_EQ(r.shards, shards);
     expect_equal_results(whole, r,
                          ("shards=" + std::to_string(shards)).c_str());
@@ -393,8 +398,9 @@ TEST(MergeShards, SharedStatsShardingIsDeterministicAndMergesSnapshots) {
   tune::TuneOptions opt;
   opt.policy = Policy::OnlinePropagation;
   opt.samples = 1;  // persistent statistics: shards grow independent state
-  const tune::TuneResult a = tune::merge_shards(study, opt, 3);
-  const tune::TuneResult b = tune::merge_shards(study, opt, 3);
+  dist::InProcessExecutor seq;
+  const tune::TuneResult a = dist::run_sharded(study, opt, 3, seq);
+  const tune::TuneResult b = dist::run_sharded(study, opt, 3, seq);
   expect_equal_results(a, b, "repeat");
   ASSERT_FALSE(a.stats.empty());
   EXPECT_EQ(a.stats.nranks(), study.nranks);
@@ -477,8 +483,8 @@ TEST(ToyWorkload, SessionStateRoundTripsThroughSaveLoadResume) {
   tune::TuneOptions first = opt;
   first.config_end = 2;
   tune::Tuner s1(study, first);
-  while (s1.step()) {
-  }
+  for (std::vector<int> b = s1.ask(); !b.empty(); b = s1.ask())
+    s1.tell(s1.evaluate(b));
   const std::string bytes = s1.export_state().to_string();
 
   // ...then a fresh session (fresh process, morally) resumes the rest from
@@ -486,10 +492,10 @@ TEST(ToyWorkload, SessionStateRoundTripsThroughSaveLoadResume) {
   const core::StatSnapshot loaded = core::StatSnapshot::from_string(bytes);
   tune::TuneOptions second = opt;
   second.config_begin = 2;
+  second.warm_start = &loaded;
   tune::Tuner s2(study, second);
-  s2.import_state(loaded);
-  while (s2.step()) {
-  }
+  for (std::vector<int> b = s2.ask(); !b.empty(); b = s2.ask())
+    s2.tell(s2.evaluate(b));
   const tune::TuneResult resumed = s2.result();
   for (int i = 2; i < 4; ++i) {
     EXPECT_EQ(full.per_config[i].pred_time, resumed.per_config[i].pred_time)
