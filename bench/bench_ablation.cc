@@ -37,18 +37,12 @@ int main() {
     bench::util::Table t("Ablation 2: internal-message capacity vs overhead, Capital");
     t.header({"tilde-capacity", "tuning-time(s)", "mean-err(%)"});
     for (int cap : {32, 128, 256, 1024}) {
-      // run_study builds its own store; adjust via a thin wrapper study run
       bench::tune::TuneOptions opt;
       opt.policy = critter::Policy::OnlinePropagation;
       opt.tolerance = 0.125;
       opt.samples = bench::sample_count();
-      // The capacity knob lives in the profiler config; run one tolerance
-      // with a custom store by temporarily shrinking the study.
-      auto s2 = study;
-      // (capacity is applied through a global default; emulate by running
-      // the study and reporting — capacity is taken from TuneOptions below)
       opt.tilde_capacity = cap;
-      auto r = bench::tune::run_study(s2, opt);
+      auto r = bench::tune::run_study(study, opt);
       t.row({std::to_string(cap), bench::util::Table::num(r.tuning_time, 4),
              bench::util::Table::num(100.0 * r.mean_err(), 2)});
     }

@@ -59,18 +59,14 @@ core::KernelClass coll_kernel_class(sim::CollType t) {
 /// ever names a p2p channel, and registering one forces the registry to
 /// combine it against every existing channel, which profiling shows
 /// dominates the instrumented-sim event loop on p2p-heavy workloads.
-/// Cached per (comm, peer) for the run so repeated messages on a pair skip
-/// even the factorization.
+/// It depends only on the two world ranks, so it is cached per peer world
+/// rank for the store's lifetime.
 std::uint64_t p2p_channel(sim::Comm c, int peer_local) {
   critter::RankProfiler& rp = critter::prof();
-  const std::uint64_t cache_key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.id)) << 32) |
-      static_cast<std::uint32_t>(peer_local);
-  std::uint64_t& cached = rp.p2p_chan[cache_key];
+  const int peer_world = sim::engine().comm_members(c)[peer_local];
+  std::uint64_t& cached = rp.pair_chan[peer_world];
   if (cached != 0) return cached;
-  const auto& members = sim::engine().comm_members(c);
   const int me_world = sim::Engine::ctx().rank;
-  const int peer_world = members[peer_local];
   std::vector<int> pair{std::min(me_world, peer_world),
                         std::max(me_world, peer_world)};
   if (pair[0] == pair[1]) pair.pop_back();  // self-message

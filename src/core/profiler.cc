@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace critter {
 
@@ -16,6 +17,11 @@ const char* policy_name(Policy p) {
     case Policy::AprioriPropagation: return "apriori";
   }
   return "?";
+}
+
+bool keeps_tilde(const Config& cfg) {
+  return cfg.policy == Policy::OnlinePropagation ||
+         (cfg.policy == Policy::AprioriPropagation && !cfg.selective);
 }
 
 Policy parse_policy(const std::string& name) {
@@ -41,7 +47,10 @@ Store::Store(int nranks, Config cfg) : cfg_(cfg), ranks_(nranks) {
   // Only the eager policy ships aggregation entries; dropping the section
   // otherwise shrinks every internal message (less profiling overhead).
   if (cfg_.policy != Policy::EagerPropagation) cfg_.eager_capacity = 0;
-  for (auto& rp : ranks_) rp.table.init_world(nranks);
+  for (auto& rp : ranks_) {
+    rp.table.init_world(nranks);
+    rp.pair_chan.assign(nranks, 0);
+  }
 }
 
 void Store::new_epoch() {
@@ -52,7 +61,7 @@ void Store::reset_statistics() {
   for (auto& rp : ranks_) {
     rp.table.clear_statistics();
     rp.apriori.clear();
-    rp.cached_idx = core::KernelArena::npos;  // indexed the cleared K
+    rp.forget_kernel_handles();  // they indexed the cleared K
   }
 }
 
@@ -75,7 +84,7 @@ void Store::restore(const core::StatSnapshot& snap) {
         std::max(ranks_[r].table.version, snap.ranks[r].version);
     ranks_[r].table = snap.ranks[r];
     ranks_[r].table.version = v + 1;
-    ranks_[r].cached_idx = core::KernelArena::npos;  // indexed the replaced K
+    ranks_[r].forget_kernel_handles();  // they indexed the replaced K
   }
 }
 
@@ -116,11 +125,10 @@ void start(Store& s) {
                 "store rank count does not match engine");
   RankProfiler& rp = s.rank(ctx.rank);
   rp.path = PathMetrics{};
+  rp.keep_tilde = keeps_tilde(s.config());
   rp.tilde.clear();
   rp.local = LocalCounters{};
-  rp.chan_of_comm.clear();
-  rp.p2p_chan.clear();  // comm ids are engine-local
-  rp.chan_of_comm[0] = rp.table.channels.world_hash();
+  rp.chan_of_comm.assign(1, rp.table.channels.world_hash());  // comm 0: world
   rp.start_clock = ctx.clock;
   rp.active = true;
   ctx.user_data = &rp;
@@ -144,13 +152,29 @@ namespace detail {
 
 std::uint64_t channel_of(sim::Comm c) {
   RankProfiler& rp = prof();
-  auto it = rp.chan_of_comm.find(c.id);
-  if (it != rp.chan_of_comm.end()) return it->second;
+  if (c.id >= static_cast<int>(rp.chan_of_comm.size()))
+    rp.chan_of_comm.resize(c.id + 1, 0);
+  std::uint64_t& h = rp.chan_of_comm[c.id];
+  if (h != 0) return h;
+  // A split orders its members by (key, world rank); sorted, every
+  // communicator over one rank set names one list.
+  thread_local std::vector<int> sorted;
   const std::vector<int>& members = sim::Engine::ctx().engine->comm_members(c);
-  std::vector<int> sorted = members;
+  sorted.assign(members.begin(), members.end());
   std::sort(sorted.begin(), sorted.end());
-  const std::uint64_t h = rp.table.channels.add_channel(sorted);
-  rp.chan_of_comm[c.id] = h;
+  const auto [it, inserted] = rp.chan_of_members.try_emplace(
+      util::checksum64(sorted.data(), sorted.size() * sizeof(int)));
+  RankProfiler::MemberChannel& mc = it->second;
+  if (inserted) {
+    mc.members = sorted;
+    mc.hash = rp.table.channels.add_channel(sorted);
+  } else {
+    CRITTER_CHECK(mc.members == sorted, "communicator member-list hash collision");
+    // add_channel on a known channel changes nothing; a registry that
+    // restore() installed may lack it, and then it registers.
+    if (!rp.table.channels.known(mc.hash)) rp.table.channels.add_channel(sorted);
+  }
+  h = mc.hash;
   return h;
 }
 
@@ -201,7 +225,7 @@ void note_invocation(RankProfiler& rp, const core::KernelKey& key,
                      core::KernelStats& ks) {
   ++ks.invocations_this_epoch;
   ++ks.total_invocations;
-  ++rp.tilde[key.hash()];
+  if (rp.keep_tilde) ++rp.tilde[key.hash()];
   if (!ks.registered) {
     // first sighting: register the hash and absorb any eager statistics
     // that arrived early

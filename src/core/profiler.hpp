@@ -16,6 +16,7 @@
 // see DESIGN.md for the deliberate divergence from Fig. 2's pseudocode).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -69,6 +70,14 @@ struct Config {
   bool extrapolate = false;
 };
 
+/// Whether a run under `cfg` keeps ~K, the per-run critical-path kernel
+/// counts.  Only two readers exist: the online policy's CI shrink
+/// (k_effective) and the a-priori offline pass, whose ~K stop() saves for
+/// set_apriori_from_last_run().  Every other run (full references, and
+/// conditional, eager, local and a-priori samples) neither bumps, packs nor
+/// adopts it; the piggyback is still charged its full wire size.
+bool keeps_tilde(const Config& cfg);
+
 /// Metrics propagated along execution paths.  Each metric is max-merged
 /// independently, i.e. each has its own critical path (paper Fig. 1).
 struct PathMetrics {
@@ -111,27 +120,46 @@ struct RankProfiler {
   core::KernelTable table;
   CountMap apriori;  // kernel hash -> critical-path count (per configuration)
 
+  // --- channel caches, valid for the store's lifetime ---
+  /// Peer world rank -> size-2 pair channel hash (0: not yet computed).  A
+  /// pair channel depends only on the two world ranks, and pair channels
+  /// are never registered (see mpi.cc p2p_channel).
+  std::vector<std::uint64_t> pair_chan;
+  /// Sorted member list -> the channel hash it factors into, keyed by the
+  /// list's checksum64; an entry keeps its list so a hit can be verified.
+  struct MemberChannel {
+    std::vector<int> members;
+    std::uint64_t hash = 0;
+  };
+  std::unordered_map<std::uint64_t, MemberChannel> chan_of_members;
+
   // --- per-run state ---
   PathMetrics path;
+  /// keeps_tilde(config) for this run, set at start().  A profiler built by
+  /// hand keeps ~K.
+  bool keep_tilde = true;
   CountMap tilde;  // ~K: cp counts
   LocalCounters local;
-  std::unordered_map<int, std::uint64_t> chan_of_comm;  // sim comm id -> hash
-  /// (comm id << 32 | peer) -> channel hash, so repeated p2p kernels skip
-  /// the registry's factorization/aggregation path.  Valid for one run
-  /// (comm ids are engine-local); cleared at start().
-  util::FlatMap<std::uint64_t, std::uint64_t, util::IdentityHash> p2p_chan;
-  /// One-entry interned-handle cache: tight kernel loops hit the same
-  /// signature repeatedly, so the last kernel's dense arena index is
-  /// remembered and revalidated with a single key compare (the entry holds
-  /// its key).  Indices survive inserts (the arena never moves entries) and
-  /// are invalidated on reset_statistics()/restore().
-  std::uint32_t cached_idx = core::KernelArena::npos;
+  /// Sim comm id -> channel hash (0: not yet resolved this run).  Comm ids
+  /// are engine-local and dense, so this is cleared at start().
+  std::vector<std::uint64_t> chan_of_comm;
+  /// Interned-handle cache, one slot per kernel class: a kernel loop
+  /// interleaves classes (gemm, trsm, bcast, ...) but tends to repeat each
+  /// class's signature, so each slot remembers its class's last dense
+  /// arena index and is revalidated with a single key compare (the entry
+  /// holds its key).  Indices survive inserts (the arena never moves
+  /// entries) and are invalidated on reset_statistics()/restore().
+  std::array<std::uint32_t, core::kKernelClassCount> cached_idx;
   double start_clock = 0.0;
   bool active = false;
 
   // --- snapshot of the last completed run (for a-priori propagation) ---
   double last_exec_time = 0.0;
-  CountMap last_tilde;
+  CountMap last_tilde;  // empty unless the run kept ~K
+
+  RankProfiler() { forget_kernel_handles(); }
+  /// Empty every cached_idx slot (K was cleared or replaced).
+  void forget_kernel_handles() { cached_idx.fill(core::KernelArena::npos); }
 };
 
 /// The profiler store shared by all ranks of a simulated job; persists
@@ -202,21 +230,21 @@ Report stop();
 
 // --- internals shared by the interception layers ---
 namespace detail {
-/// Channel hash for a communicator (registers it on first sight).
+/// Channel hash for a communicator: cached per run by comm id and per store
+/// by sorted member list; registered whenever the registry lacks it.
 std::uint64_t channel_of(sim::Comm c);
-/// K lookup through the rank's one-entry interned-handle cache: a hit is an
+/// K lookup through the rank's per-class interned-handle cache: a hit is an
 /// index load plus one key compare — no hashing, no probe.
 inline core::KernelStats& stats_for(RankProfiler& rp,
                                     const core::KernelKey& key) {
   core::KernelArena& K = rp.table.K;
-  if (rp.cached_idx != core::KernelArena::npos) {
-    core::KernelArena::value_type& e = K.entry(rp.cached_idx);
+  std::uint32_t& cached = rp.cached_idx[static_cast<int>(key.cls)];
+  if (cached != core::KernelArena::npos) {
+    core::KernelArena::value_type& e = K.entry(cached);
     if (e.first == key) return e.second;
   }
-  const auto [idx, inserted] = K.insert_index(key);
-  (void)inserted;
-  rp.cached_idx = idx;
-  return K.entry(idx).second;
+  cached = K.insert_index(key).first;
+  return K.entry(cached).second;
 }
 /// Effective critical-path count for the CI shrink, per policy.
 std::int64_t k_effective(const RankProfiler& rp, const Config& cfg,
@@ -225,7 +253,8 @@ std::int64_t k_effective(const RankProfiler& rp, const Config& cfg,
 /// Local execute decision for a kernel (before any inter-rank agreement).
 bool wants_execution(const RankProfiler& rp, const Config& cfg,
                      const core::KernelKey& key, const core::KernelStats& ks);
-/// Record a kernel on the local path: bumps ~K and invocation counters.
+/// Record a kernel on the local path: bumps the invocation counters, and ~K
+/// if the run keeps it.
 void note_invocation(RankProfiler& rp, const core::KernelKey& key,
                      core::KernelStats& ks);
 }  // namespace detail

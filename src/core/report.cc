@@ -85,7 +85,10 @@ Report stop() {
 
   // Snapshot for a-priori propagation.
   rp.last_exec_time = rp.path.exec_time;
-  rp.last_tilde = rp.tilde;
+  if (rp.keep_tilde)
+    rp.last_tilde = rp.tilde;
+  else
+    rp.last_tilde.clear();
 
   rp.active = false;
   ctx.user_data = nullptr;

@@ -25,6 +25,9 @@ enum class KernelClass : std::uint8_t {
   Send, Recv, Isend,
 };
 
+/// Number of kernel classes: every class casts to an index below it.
+inline constexpr int kKernelClassCount = static_cast<int>(KernelClass::Isend) + 1;
+
 constexpr bool is_comm_kernel(KernelClass c) {
   return c >= KernelClass::Bcast;
 }

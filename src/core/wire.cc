@@ -127,9 +127,10 @@ void IntMsg::pack(const RankProfiler& rp, bool want_execute) {
   h.n_eager = 0;
   WireTilde* t = tilde();
   std::int64_t n = 0;
-  for_each_carried(rp.tilde, tilde_cap_, [&](std::uint64_t key, std::int64_t freq) {
-    t[n++] = WireTilde{key, freq};
-  });
+  if (rp.keep_tilde)
+    for_each_carried(rp.tilde, tilde_cap_, [&](std::uint64_t key, std::int64_t freq) {
+      t[n++] = WireTilde{key, freq};
+    });
   h.n_tilde = n;
 }
 
@@ -137,8 +138,8 @@ void IntMsg::unpack_into(RankProfiler& rp) const {
   const WireHeader& h = header();
   // Adopt the per-metric maxima.  If the sender's execution-time path is
   // longer than ours, its ~K table replaces ours (paper Fig. 2 lines
-  // 64-65); on ties keep ours.
-  const bool adopt_tilde = h.metrics[0] > rp.path.exec_time;
+  // 64-65); on ties keep ours.  A run that keeps no ~K adopts none.
+  const bool adopt_tilde = rp.keep_tilde && h.metrics[0] > rp.path.exec_time;
   PathMetrics sent;
   std::memcpy(sent.as_array(), h.metrics, sizeof h.metrics);
   rp.path.max_with(sent);
@@ -190,12 +191,20 @@ void Agreement::merge_eager(const WireEager& e) {
 void Agreement::apply(const Vote& member) const {
   RankProfiler& rp = *member.rp;
   // On ties this member holds the longest path itself, so it keeps its ~K.
-  const bool adopt_tilde = metrics.exec_time > rp.path.exec_time;
+  // A run that keeps no ~K adopts none.
+  const bool adopt_tilde =
+      rp.keep_tilde && metrics.exec_time > rp.path.exec_time;
   rp.path.max_with(metrics);
   if (adopt_tilde) {
-    rp.tilde.clear();
-    for_each_carried(tilde_src->tilde, tilde_cap,
-                     [&](std::uint64_t key, std::int64_t freq) { rp.tilde[key] = freq; });
+    if (static_cast<int>(tilde_src->tilde.size()) <= tilde_cap) {
+      // Carried whole: take the table by copy, not entry by entry.  No
+      // reader depends on a ~K table's iteration order.
+      rp.tilde = tilde_src->tilde;
+    } else {
+      rp.tilde.clear();
+      for_each_carried(tilde_src->tilde, tilde_cap,
+                       [&](std::uint64_t key, std::int64_t freq) { rp.tilde[key] = freq; });
+    }
   }
   merge_eager_into(rp, *member.cfg, member.chan, eager);
 }

@@ -14,6 +14,10 @@
 // max of the path metrics, the OR of the execute flags, the ~K of the
 // longest path and the Chan merge of eager statistics.  Nothing is packed;
 // the engine still charges an allreduce of wire_bytes(tilde_cap, eager_cap).
+//
+// ~K travels only in runs that keep it (keeps_tilde, RankProfiler::
+// keep_tilde).  In every other run a piggyback carries the header alone and
+// neither path adopts a ~K, while the charged sizes stay as they are.
 #pragma once
 
 #include <cstddef>
@@ -70,11 +74,13 @@ class IntMsg {
   int eager_cap() const { return eager_cap_; }
 
   /// Fill from the current rank state: path metrics, execute flag, ~K
-  /// entries (largest-frequency first when over capacity).
+  /// entries (largest-frequency first when over capacity; none when the
+  /// run keeps no ~K).
   void pack(const RankProfiler& rp, bool want_execute);
 
   /// Merge a received message into the rank state: adopt metrics
-  /// (elementwise max with own) and the ~K of the longer path.
+  /// (elementwise max with own) and, if the run keeps ~K, the ~K of the
+  /// longer path.
   void unpack_into(RankProfiler& rp) const;
 
  private:
@@ -115,8 +121,9 @@ struct Agreement {
   /// append it while there is room.
   void merge_eager(const WireEager& e);
   /// Write the agreement into a member's profiler: adopt the metric maxima,
-  /// the longest path's ~K if it is longer than the member's own, and the
-  /// eager statistics.
+  /// the longest path's ~K if it is longer than the member's own and the
+  /// run keeps ~K (by copy when it fits in tilde_cap), and the eager
+  /// statistics.
   void apply(const Vote& member) const;
 };
 

@@ -126,7 +126,9 @@ class Engine {
   Comm world() const { return Comm{0}; }
   int comm_size(Comm c) const;
   int comm_rank(Comm c) const;  // local rank of the *current* fiber
-  /// Sorted world ranks of the communicator's group.
+  /// World ranks of the communicator's group, indexed by local rank: the
+  /// world communicator in rank order, a split's group ordered by (key,
+  /// world rank), so not sorted in general.
   const std::vector<int>& comm_members(Comm c) const;
 
   void f_advance(double seconds);

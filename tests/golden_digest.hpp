@@ -107,11 +107,45 @@ inline std::string digest_result(const tune::TuneResult& r) {
   return out;
 }
 
+/// The fixtures under tests/golden/, one file sweep_<name>.digest each.
+/// tools/gen_golden writes every one of them and the GoldenSweep tests
+/// compare against them; CI regenerates them all and diffs the directory.
+inline constexpr const char* kGoldenFixtures[] = {
+    "online",          "eager",           "batch",
+    "apriori",         "isolated",        "capital_online",
+    "capital_apriori", "candmc_online",   "slate_conditional",
+    "slate_local"};
+
 /// The deterministic sweeps whose outputs the golden files pin.  Any change
-/// to this list regenerates different fixtures — keep it in sync with
-/// tools/gen_golden (which writes the files) and the golden tests (which
-/// compare against them).
+/// to a sweep here regenerates a different fixture.
+///
+/// The first five are SLATE-Cholesky sweeps at tolerance 0.5.  The last
+/// five run at tolerance 2^-3 with persistent statistics and no
+/// extrapolation: there the policies' skip decisions differ, so the ~K
+/// path counts that online and a-priori propagation read (and the
+/// conditional and local policies do not) show in the digests.
 inline tune::TuneResult golden_sweep(const char* which) {
+  const std::string w = which;
+  const auto tight = [](tune::Study study, Policy policy) {
+    study.configs.resize(4);
+    tune::TuneOptions opt;
+    opt.samples = 2;
+    opt.tolerance = 0.125;
+    opt.policy = policy;
+    return tune::run_study(study, opt);
+  };
+  if (w == "capital_online")
+    return tight(tune::capital_cholesky_study(false), Policy::OnlinePropagation);
+  if (w == "capital_apriori")
+    return tight(tune::capital_cholesky_study(false), Policy::AprioriPropagation);
+  if (w == "candmc_online")
+    return tight(tune::candmc_qr_study(false), Policy::OnlinePropagation);
+  if (w == "slate_conditional")
+    return tight(tune::slate_cholesky_study(false),
+                 Policy::ConditionalExecution);
+  if (w == "slate_local")
+    return tight(tune::slate_cholesky_study(false), Policy::LocalPropagation);
+
   auto study = tune::slate_cholesky_study(false);
   study.configs.resize(4);
   tune::TuneOptions opt;
@@ -119,7 +153,6 @@ inline tune::TuneResult golden_sweep(const char* which) {
   opt.tolerance = 0.5;
   opt.extrapolate = true;
   opt.reset_per_config = false;
-  const std::string w = which;
   if (w == "online") {
     opt.policy = Policy::OnlinePropagation;
   } else if (w == "eager") {

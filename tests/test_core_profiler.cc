@@ -2,9 +2,12 @@
 // execution, path propagation, policies, and reports on small SPMD programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -53,6 +56,34 @@ void toy_program(int iters, int gemm_dim, int bytes) {
     critter::mpi::allreduce(nullptr, nullptr, bytes, sim::reduce_sum_double(),
                             sim::world());
   }
+}
+
+/// A program that gives ~K entries of every kind: compute kernels,
+/// collectives on the world and on split communicators, and point-to-point
+/// messages between rank pairs.
+void path_count_program() {
+  const int me = sim::world_rank();
+  sim::Comm half = critter::mpi::comm_split(sim::world(), me / 2, me);
+  for (int i = 0; i < 20; ++i) {
+    toy_program(1, 16, 512);
+    critter::mpi::bcast(nullptr, 256, 0, half);
+    if (me % 2 == 0) {
+      critter::mpi::send(nullptr, 1024, me + 1, 0, sim::world());
+      critter::mpi::recv(nullptr, 1024, me + 1, 0, sim::world());
+    } else {
+      critter::mpi::recv(nullptr, 1024, me - 1, 0, sim::world());
+      critter::mpi::send(nullptr, 1024, me - 1, 0, sim::world());
+    }
+  }
+}
+
+/// A count table's entries in key order.
+std::vector<std::pair<std::uint64_t, std::int64_t>> entries_of(
+    const critter::RankProfiler::CountMap& counts) {
+  std::vector<std::pair<std::uint64_t, std::int64_t>> out;
+  counts.for_each([&](std::uint64_t key, std::int64_t n) { out.push_back({key, n}); });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace
@@ -430,4 +461,77 @@ TEST(Profiler, KernelKeySeparatesChannels) {
   for (const auto& [key, ks] : store.rank(0).table.K)
     if (key.cls == critter::core::KernelClass::Bcast) ++bcast_keys;
   EXPECT_EQ(bcast_keys, 2);
+}
+
+TEST(Profiler, OnlyRunsThatReadPathCountsKeepThem) {
+  // ~K is read by the online policy's CI shrink and saved by the a-priori
+  // offline pass; no other run keeps it, so none bumps, packs or adopts it.
+  struct Case {
+    Policy policy;
+    bool selective;
+    bool keeps;
+  };
+  for (const Case c : {Case{Policy::ConditionalExecution, true, false},
+                       Case{Policy::EagerPropagation, true, false},
+                       Case{Policy::LocalPropagation, true, false},
+                       Case{Policy::ConditionalExecution, false, false},
+                       Case{Policy::OnlinePropagation, true, true},
+                       Case{Policy::AprioriPropagation, false, true}}) {
+    Config cfg;
+    cfg.policy = c.policy;
+    cfg.selective = c.selective;
+    Store store(4, cfg);
+    (void)run_under(store, 4, path_count_program);
+    for (int r = 0; r < 4; ++r) {
+      const critter::RankProfiler& rp = store.rank(r);
+      EXPECT_EQ(rp.tilde.empty(), !c.keeps)
+          << critter::policy_name(c.policy) << " selective=" << c.selective
+          << " rank " << r;
+      EXPECT_EQ(entries_of(rp.last_tilde), entries_of(rp.tilde))
+          << critter::policy_name(c.policy) << " selective=" << c.selective
+          << " rank " << r;
+    }
+  }
+}
+
+TEST(Profiler, AprioriSamplesLeaveTheInstalledCountsUnchanged) {
+  Config cfg;
+  cfg.policy = Policy::AprioriPropagation;
+  Store store(4, cfg);
+  store.config().selective = false;
+  (void)run_under(store, 4, path_count_program);
+  store.set_apriori_from_last_run();
+  store.config().selective = true;
+  const auto installed = entries_of(store.rank(0).apriori);
+  ASSERT_FALSE(installed.empty());
+  for (int s = 1; s <= 2; ++s) {
+    store.new_epoch();
+    (void)run_under(store, 4, path_count_program, 0.05, /*salt=*/s);
+    for (int r = 0; r < 4; ++r) {
+      const critter::RankProfiler& rp = store.rank(r);
+      EXPECT_EQ(entries_of(rp.apriori), installed) << "rank " << r;
+      EXPECT_TRUE(rp.tilde.empty()) << "rank " << r;
+      EXPECT_TRUE(rp.last_tilde.empty()) << "rank " << r;
+    }
+  }
+}
+
+TEST(Profiler, ChannelsARestoredRegistryLacksAreRegisteredAgain) {
+  // A rank resolves a communicator's channel once per store, but a restored
+  // registry may lack it; the next run must register it (and its
+  // aggregates) as the first run did.
+  Config cfg;
+  cfg.selective = false;
+  Store once(4, cfg), twice(4, cfg);
+  const critter::core::StatSnapshot world_only = twice.snapshot();
+  (void)run_under(once, 4, path_count_program);
+  (void)run_under(twice, 4, path_count_program);
+  twice.restore(world_only);
+  ASSERT_LT(twice.rank(0).table.channels.size(),
+            once.rank(0).table.channels.size());
+  (void)run_under(twice, 4, path_count_program);
+  for (int r = 0; r < 4; ++r)
+    EXPECT_TRUE(twice.rank(r).table.channels.same_channels(
+        once.rank(r).table.channels))
+        << "rank " << r;
 }

@@ -4,6 +4,7 @@
 // (core/wire_codec.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
@@ -14,6 +15,7 @@
 
 #include "core/wire.hpp"
 #include "core/wire_codec.hpp"
+#include "util/rng.hpp"
 
 namespace core = critter::core;
 using critter::Config;
@@ -46,6 +48,17 @@ Config tilde_cap(int cap) {
   Config cfg;
   cfg.tilde_capacity = cap;
   return cfg;
+}
+
+/// A ~K table's (key, count) entries in key order.
+std::vector<std::pair<std::uint64_t, std::int64_t>> entries_of(
+    const RankProfiler::CountMap& tilde) {
+  std::vector<std::pair<std::uint64_t, std::int64_t>> out;
+  tilde.for_each([&](std::uint64_t key, std::int64_t freq) {
+    out.push_back({key, freq});
+  });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace
@@ -162,6 +175,62 @@ TEST(Wire, UnpackKeepsOwnTildeWhenLonger) {
   receiver.tilde[8] = 2;
   m.unpack_into(receiver);
   EXPECT_EQ(receiver.tilde.count(8), 1u);  // own (longer) table kept
+}
+
+TEST(Wire, RunWithoutPathCountsPacksTheHeaderAlone) {
+  // A run whose policy reads no ~K carries none, but the piggyback is
+  // still charged the full wire size of the configured capacities.
+  RankProfiler rp = make_profiler(1.0);
+  rp.keep_tilde = false;
+  rp.tilde[111] = 5;
+  core::IntMsg m(8, 0);
+  m.pack(rp, true);
+  EXPECT_EQ(m.header().n_tilde, 0);
+  EXPECT_EQ(m.payload(), static_cast<int>(sizeof(core::WireHeader)));
+  EXPECT_EQ(m.bytes(), core::IntMsg::wire_bytes(8, 0));
+  EXPECT_DOUBLE_EQ(m.header().metrics[0], 1.0);
+}
+
+TEST(Wire, RunWithoutPathCountsTakesMaximaAndKeepsItsTilde) {
+  RankProfiler longer = make_profiler(5.0), shorter = make_profiler(1.0);
+  for (RankProfiler* rp : {&longer, &shorter}) rp->keep_tilde = false;
+  longer.tilde[42] = 7;
+  shorter.tilde[99] = 3;
+  const auto before = entries_of(shorter.tilde);
+  fold_votes({{&shorter, false}, {&longer, false}}, tilde_cap(4));
+  EXPECT_DOUBLE_EQ(shorter.path.exec_time, 5.0);
+  EXPECT_EQ(entries_of(shorter.tilde), before);
+
+  // The point-to-point path: the same rule on unpack.
+  RankProfiler receiver = make_profiler(1.0);
+  receiver.keep_tilde = false;
+  receiver.tilde[99] = 3;
+  core::IntMsg m(4, 0);
+  m.pack(make_profiler(9.0), true);
+  m.unpack_into(receiver);
+  EXPECT_DOUBLE_EQ(receiver.path.exec_time, 9.0);
+  EXPECT_EQ(entries_of(receiver.tilde), before);
+}
+
+TEST(Wire, AdoptionByCopyLeavesThePerEntrySet) {
+  // The longest path's ~K fits the capacity, so a collective's shorter
+  // member takes it by copy; a piggyback's receiver re-inserts it entry by
+  // entry.  Both end with the same (key, count) set, replacing their own.
+  RankProfiler longer = make_profiler(5.0);
+  for (int i = 0; i < 30; ++i) longer.tilde[critter::util::mix64(i)] = i % 7 + 1;
+  const auto with_own_table = [] {
+    RankProfiler rp = make_profiler(1.0);
+    for (int i = 0; i < 50; ++i) rp.tilde[critter::util::mix64(100 + i)] = 2;
+    return rp;
+  };
+  RankProfiler by_copy = with_own_table(), by_entry = with_own_table();
+  fold_votes({{&by_copy, false}, {&longer, false}}, tilde_cap(64));
+  core::IntMsg m(64, 0);
+  m.pack(longer, false);
+  m.unpack_into(by_entry);
+  ASSERT_EQ(m.header().n_tilde, 30);
+  EXPECT_EQ(entries_of(by_copy.tilde), entries_of(longer.tilde));
+  EXPECT_EQ(entries_of(by_entry.tilde), entries_of(longer.tilde));
 }
 
 TEST(Wire, EagerEntriesMergeByChanAlgebra) {

@@ -453,3 +453,26 @@ TEST(GoldenSweep, AprioriSharedBatchMatchesFixture) {
 TEST(GoldenSweep, IsolatedParallelMatchesFixture) {
   expect_matches_fixture("isolated");
 }
+
+// Tolerance 2^-3, persistent statistics, no extrapolation: here online and
+// a-priori propagation skip on the ~K path counts they read, so these pin
+// which runs keep ~K and how a collective adopts it.
+TEST(GoldenSweep, CapitalOnlineMatchesFixture) {
+  expect_matches_fixture("capital_online");
+}
+
+TEST(GoldenSweep, CapitalAprioriMatchesFixture) {
+  expect_matches_fixture("capital_apriori");
+}
+
+TEST(GoldenSweep, CandmcOnlineMatchesFixture) {
+  expect_matches_fixture("candmc_online");
+}
+
+TEST(GoldenSweep, SlateConditionalMatchesFixture) {
+  expect_matches_fixture("slate_conditional");
+}
+
+TEST(GoldenSweep, SlateLocalMatchesFixture) {
+  expect_matches_fixture("slate_local");
+}

@@ -1,13 +1,17 @@
 // Regenerates the golden bit-identity fixtures under tests/golden/.
 //
 // The fixtures pin the *statistics content* (not acceleration structures)
-// of five deterministic SLATE-Cholesky sweeps; see tests/golden_digest.hpp
-// for exactly what is digested.  The online, eager and batch fixtures were
-// produced by the pre-arena, pre-fast-path build; apriori and isolated by
-// the build before the evaluator's reference run became a pool task of
-// its own.  They must only ever be regenerated on purpose — a
-// performance refactor that changes these digests has broken the
-// determinism contract (DESIGN.md §6/§11), not "updated a baseline".
+// of the deterministic sweeps listed in tests/golden_digest.hpp
+// (kGoldenFixtures), which also says exactly what is digested.  The online,
+// eager and batch fixtures were produced by the pre-arena, pre-fast-path
+// build; apriori and isolated by the build before the evaluator's reference
+// run became a pool task of its own; the five tolerance-2^-3 fixtures
+// (capital_*, candmc_online, slate_conditional, slate_local) by the build
+// before runs whose policy reads no ~K stopped keeping it.  They must only
+// ever be regenerated on purpose — a performance refactor that changes
+// these digests has broken the determinism contract (DESIGN.md §6/§11),
+// not "updated a baseline".  CI regenerates every fixture into a scratch
+// directory and diffs it against tests/golden.
 //
 // Usage: gen_golden <output-dir>
 #include <cstdio>
@@ -17,7 +21,7 @@
 
 int main(int argc, char** argv) {
   const std::string dir = argc > 1 ? argv[1] : "tests/golden";
-  for (const char* which : {"online", "eager", "batch", "apriori", "isolated"}) {
+  for (const char* which : critter::testing::kGoldenFixtures) {
     const std::string digest = critter::testing::golden_digest(which);
     const std::string path = dir + "/sweep_" + which + ".digest";
     std::FILE* f = std::fopen(path.c_str(), "wb");
