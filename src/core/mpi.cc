@@ -14,12 +14,12 @@ namespace {
 
 constexpr int kInternalTagOffset = 1 << 20;
 
-// One reusable point-to-point piggyback per *rank*: a rank can yield inside
-// a sim call while its message is still pending (a send before its payload
-// is copied, a receive until it arrives), and another rank would otherwise
-// overwrite it.  A rank runs one call at a time, so its sends and receives
-// share it.  Rebuilt when capacities change.  thread_local so concurrent
-// tuner workers (one engine per thread) do not share scratch state.
+// One reusable point-to-point piggyback per *rank*: a send copies its
+// piggyback before it returns, but a receive blocks until its piggyback
+// arrives, and the ranks that run meanwhile would otherwise overwrite it.
+// A rank runs one call at a time, so its sends and receives share it.
+// Rebuilt when capacities change.  thread_local so concurrent tuner workers
+// (one engine per thread) do not share scratch state.
 core::IntMsg& scratch_msg(const Config& cfg) {
   const int rank = sim::world_rank();
   thread_local std::vector<std::unique_ptr<core::IntMsg>> per_rank;

@@ -186,6 +186,14 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
   if (s->journal->resume(s->study)) {
     s->tuner->resume(/*stats=*/nullptr, s->journal->state().told,
                      s->journal->state().totals);
+    // The replay re-asks only the journaled batches, and only an empty ask
+    // marks a Tuner done, so ask once more: a finished session reads as
+    // done before any client asks, and an unfinished one holds its next
+    // batch as an orphaned claim, which the next ASK re-issues unchanged.
+    if (!s->journal->state().told.empty()) {
+      s->batch = s->tuner->ask();
+      s->claimed = !s->batch.empty();
+    }
   } else if (!warm.empty()) {
     const StatSnapshot seeded = s->tuner->export_state();
     if (!seeded.empty()) s->journal->replace_bytes(seeded.to_string());

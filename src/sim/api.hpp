@@ -39,7 +39,6 @@ inline Request irecv(void* buf, int bytes, int src, int tag, Comm c) {
   return engine().f_irecv(buf, bytes, src, tag, c);
 }
 inline void wait(Request r) { engine().f_wait(r); }
-inline bool test(Request r) { return engine().f_test(r); }
 
 inline void sendrecv(const void* sbuf, int sbytes, int dest, int stag,
                      void* rbuf, int rbytes, int src, int rtag, Comm c) {

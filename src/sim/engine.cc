@@ -239,8 +239,9 @@ void Engine::sync_to_min() {
   if (rs.ctx.clock < ready_.top_time() ||
       (rs.ctx.clock == ready_.top_time() && rs.ctx.rank <= ready_.top_rank()))
     return;
-  // Another runnable rank is earlier in virtual time; let it act first so
-  // communication events are processed in order.
+  // Another runnable rank is earlier in virtual time; let it act first, so
+  // that what this rank's next operation reads of the others is what they
+  // had done by its clock (DESIGN.md §2).
   ready_.push(rs.ctx.clock, rs.ctx.rank);
   rs.st = RankState::St::Ready;
   const int self = running_;
@@ -281,7 +282,6 @@ void Engine::f_send(const void* buf, int bytes, int dest, int tag, Comm c,
 Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
                         int payload) {
   RankState& rs = current();
-  sync_to_min();
   const CommData& cd = comms_.at(c.id);
   CRITTER_CHECK(dest >= 0 && dest < static_cast<int>(cd.members.size()),
                 "send destination out of range");
@@ -340,7 +340,6 @@ Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
 
 Request Engine::f_irecv(void* buf, int bytes, int src, int tag, Comm c) {
   RankState& rs = current();
-  sync_to_min();
   const CommData& cd = comms_.at(c.id);
   const int me = cd.local_of_world[rs.ctx.rank];
   CRITTER_CHECK(me >= 0, "receiver not in communicator");
@@ -377,7 +376,6 @@ void Engine::f_recv(void* buf, int bytes, int src, int tag, Comm c) {
 
 void Engine::f_wait(Request r) {
   RankState& rs = current();
-  sync_to_min();
   ReqState* q = reqs_.find(r.id);
   CRITTER_CHECK(q != nullptr, "wait on unknown or already-waited request");
   CRITTER_CHECK(q->owner == rs.ctx.rank, "wait on another rank's request");
@@ -391,20 +389,6 @@ void Engine::f_wait(Request r) {
   reqs_.release(r.id);
   if (coll_slot >= 0 && --colls_[coll_slot].outstanding_waits == 0)
     release_coll(coll_slot);
-}
-
-bool Engine::f_test(Request r) {
-  RankState& rs = current();
-  sync_to_min();
-  ReqState* q = reqs_.find(r.id);
-  CRITTER_CHECK(q != nullptr, "test on unknown request");
-  if (!q->done) return false;
-  rs.ctx.clock = std::max(rs.ctx.clock, q->done_time);
-  const int coll_slot = q->coll_slot;
-  reqs_.release(r.id);
-  if (coll_slot >= 0 && --colls_[coll_slot].outstanding_waits == 0)
-    release_coll(coll_slot);
-  return true;
 }
 
 void Engine::release_coll(int slot) {
@@ -437,7 +421,6 @@ Request Engine::post_coll(CollType type, const void* sendbuf, void* recvbuf,
                           int bytes, int root, const ReduceFn& fn, Comm c,
                           Consensus* consensus) {
   RankState& rs = current();
-  sync_to_min();
   CommData& cd = comms_.at(c.id);
   const int p = static_cast<int>(cd.members.size());
   const int lr = cd.local_of_world[rs.ctx.rank];
@@ -748,6 +731,9 @@ void Engine::f_coll(CollType type, const void* sendbuf, void* recvbuf,
 
 Comm Engine::f_split(Comm parent, int color, int key) {
   RankState& rs = current();
+  // Communicator ids follow completion order and key the noise of
+  // everything later run on them (DESIGN.md §2).
+  sync_to_min();
   const int ck[2] = {color, key};
   f_coll(CollType::Split, ck, nullptr, 0, 0, nullptr, parent);
   CRITTER_CHECK(rs.split_result >= 0, "split produced no communicator");

@@ -1,9 +1,13 @@
 // Deterministic discrete-event engine simulating an MPI job.
 //
-// Each rank is a fiber with a virtual clock.  The scheduler always resumes
-// the runnable rank with the smallest (clock, rank) pair, so communication
-// events are processed in virtual-time order and the simulation is a
-// conservative, fully deterministic discrete-event execution.
+// Each rank is a fiber with a virtual clock.  A rank runs until it blocks
+// (waits on a receive or collective that cannot complete yet), finishes, or
+// reaches a split; the scheduler then resumes the runnable rank with the
+// smallest (clock, rank) pair.  No virtual time depends on that dispatch
+// order: matching is per-key FIFO, noise is keyed by logical identifiers,
+// and folds run in local-rank order.  Only a split first waits until its
+// rank is the earliest runnable one, because it numbers communicators in
+// completion order (DESIGN.md §1–§2).
 //
 // Semantics notes (documented divergences from MPI are deliberate; see
 // DESIGN.md for the full contract):
@@ -142,7 +146,6 @@ class Engine {
   void f_recv(void* buf, int bytes, int src, int tag, Comm c);
   Request f_irecv(void* buf, int bytes, int src, int tag, Comm c);
   void f_wait(Request r);
-  bool f_test(Request r);  ///< poll without blocking (consumes if done)
 
   /// A blocking collective.  With a `consensus`, the members first agree:
   /// once all have arrived, the agreement completes at the latest arrival
@@ -156,6 +159,9 @@ class Engine {
               Consensus* consensus = nullptr);
   Request f_icoll(CollType type, const void* sendbuf, void* recvbuf, int bytes,
                   int root, const ReduceFn& fn, Comm c);
+  /// Split `parent` by color, each group ordered by (key, world rank).  The
+  /// only operation that first waits for virtual-time order (sync_to_min):
+  /// new communicators are numbered in completion order.
   Comm f_split(Comm parent, int color, int key);
 
  private:
@@ -295,7 +301,10 @@ class Engine {
   };
 
   RankState& current();
-  void sync_to_min();                 // wait until this rank is globally minimal
+  /// Yield until this rank is the earliest runnable one by (clock, rank).
+  /// An operation whose result depends on what other ranks have done so far
+  /// must call it first; today only a split's arrival does (DESIGN.md §2).
+  void sync_to_min();
   void block_current(const char* why);
   void make_ready(int rank, double at_time);
   double noise_comm(std::uint64_t k1, std::uint64_t k2) const;

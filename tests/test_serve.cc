@@ -433,6 +433,43 @@ TEST(Daemon, StopFlushesOnceAndDestructionAfterStopIsANoOp) {
   EXPECT_FALSE(core::file_exists(dir.path));
 }
 
+TEST(Daemon, ARestartedFinishedSessionReportsDone) {
+  // A journal records tells, not the empty ask that finished a sweep, so a
+  // restarted daemon must find out by asking: `tunectl status` has to keep
+  // saying done, and `tunectl watch` has to stop polling.  A session cut
+  // short must still read as unfinished.
+  const tune::Study study = small_study();
+  const tune::TuneOptions opt = adaptive_options();
+  const tune::TuneResult ref = tune::run_study(study, opt);
+  TempDir dir("critter_serve_restart_done");
+  {
+    serve::TunerDaemon daemon({dir.path});
+    serve::TunerClient full(study, opt, "finished",
+                            client_options(daemon.port()));
+    EXPECT_TRUE(full.run().done);
+    EXPECT_TRUE(full.status().done);
+    serve::ClientOptions partial = client_options(daemon.port());
+    partial.max_batches = 2;
+    serve::TunerClient cut(study, opt, "cut", partial);
+    EXPECT_EQ(cut.run().tells, 2);
+  }
+
+  serve::TunerDaemon daemon({dir.path});
+  const auto status = [&](const std::string& session) {
+    const net::Frame f = raw_request(daemon.port(), net::kTuneStatus,
+                                     serve::encode_session_ref(session));
+    EXPECT_EQ(f.verb, net::kOk);
+    return serve::decode_status_reply(f.payload);
+  };
+  const serve::StatusReply finished = status("finished");
+  EXPECT_TRUE(finished.done) << finished.text;
+  EXPECT_NE(finished.text.find(", done"), std::string::npos) << finished.text;
+  EXPECT_EQ(finished.best_predicted, ref.best_predicted()) << finished.text;
+  const serve::StatusReply cut = status("cut");
+  EXPECT_FALSE(cut.done) << cut.text;
+  EXPECT_EQ(cut.tells, 2) << cut.text;
+}
+
 // ---------------------------------------------------------------------------
 // Daemon-as-a-process scenarios: kill -9 resume, SIGTERM flush
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/api.hpp"
 #include "sim/engine.hpp"
 #include "util/thread_pool.hpp"
@@ -158,6 +159,60 @@ TEST(Engine, SendrecvExchanges) {
     sim::sendrecv(&mine, sizeof mine, peer, 0, &theirs, sizeof theirs, peer, 0, w);
     EXPECT_EQ(theirs, peer);
   });
+}
+
+// A rank runs until it blocks.  A sender that never waits is dispatched
+// once however many messages it sends, and its receiver, whose messages are
+// all buffered by the time it runs, once more.
+TEST(Engine, ARankThatNeverBlocksIsDispatchedOnce) {
+  const critter::obs::Counter& switches =
+      critter::obs::counter("sim.fiber_switches");
+  const std::uint64_t before = switches.value();
+  sim::Engine e(2, quiet());
+  e.run([&](sim::RankCtx& ctx) {
+    sim::Comm w = sim::world();
+    double x = 0.0;
+    if (ctx.rank == 0) {
+      sim::advance(1.0);
+      for (int i = 0; i < 10; ++i) {
+        x = i;
+        sim::send(&x, sizeof x, 1, 0, w);
+      }
+    } else {
+      for (int i = 0; i < 10; ++i) {
+        sim::recv(&x, sizeof x, 0, 0, w);
+        EXPECT_EQ(x, i);
+      }
+    }
+  });
+  EXPECT_EQ(switches.value() - before, 2u);
+  EXPECT_EQ(e.p2p_count(), 10);
+}
+
+// Communicator ids are handed out in split completion order and key the
+// noise of everything later run on the new communicators, so concurrent
+// splits on disjoint groups complete in virtual-time order, whatever order
+// the scheduler happened to run their ranks in.
+TEST(Engine, ConcurrentSplitsNumberCommunicatorsInVirtualTimeOrder) {
+  // World split into {0,1} (id 1) and {2,3} (id 2); each half then splits
+  // into one communicator per rank.
+  const auto ids = [](double lo_half_advance, double hi_half_advance) {
+    std::vector<int> id(4, -1);
+    sim::Engine e(4, quiet());
+    e.run([&](sim::RankCtx& ctx) {
+      const int half = ctx.rank / 2;
+      const sim::Comm h = sim::split(sim::world(), half, ctx.rank);
+      EXPECT_EQ(h.id, 1 + half);
+      sim::advance(half == 0 ? lo_half_advance : hi_half_advance);
+      id[ctx.rank] = sim::split(h, ctx.rank, 0).id;
+    });
+    return id;
+  };
+  // {2,3} reaches its split first, in virtual time, so it gets the lower
+  // ids although ranks 0 and 1 get to run first.
+  EXPECT_EQ(ids(5.0, 4.0), (std::vector<int>{5, 6, 3, 4}));
+  // At equal clocks, rank order decides.
+  EXPECT_EQ(ids(4.0, 4.0), (std::vector<int>{3, 4, 5, 6}));
 }
 
 TEST(Engine, DeadlockIsDetectedAndReported) {
