@@ -9,17 +9,20 @@ namespace critter {
 namespace detail {
 
 namespace {
+/// Fixed per-kernel launch overhead added to the gamma*flops model (s).
+constexpr double kKernelOverhead = 5.0e-7;
+
 /// One noisy sample of the kernel's execution time: gamma*flops plus launch
 /// overhead, scaled by a unit-mean lognormal factor drawn deterministically
 /// from (machine seed, signature, rank, execution index).
-double noisy_cost(const Config& cfg, const core::KernelKey& key, double flops,
+double noisy_cost(const core::KernelKey& key, double flops,
                   std::int64_t draw_index) {
   const sim::Machine& m = sim::engine().machine();
   const double factor = util::lognormal_factor(
       m.comp_noise, util::hash_combine(m.seed, key.hash()),
       util::hash_combine(static_cast<std::uint64_t>(sim::world_rank()),
                          static_cast<std::uint64_t>(draw_index)));
-  return (m.gamma * flops + cfg.kernel_overhead) * factor;
+  return (m.gamma * flops + kKernelOverhead) * factor;
 }
 }  // namespace
 
@@ -31,7 +34,7 @@ double intercept_compute(const core::KernelKey& key, double flops,
     // cost distribution, no statistics, no decisions.
     RankProfiler& rp = prof();
     core::KernelStats& ks = detail::stats_for(rp, key);  // only used as a draw counter
-    const double dt = noisy_cost(cfg, key, flops, ks.total_executions++);
+    const double dt = noisy_cost(key, flops, ks.total_executions++);
     sim::advance(dt);
     if (cfg.mode == ExecMode::Real && real_work) real_work();
     return dt;
@@ -55,7 +58,7 @@ double intercept_compute(const core::KernelKey& key, double flops,
 
   double dt;
   if (execute) {
-    dt = noisy_cost(cfg, key, flops, ks.total_executions);
+    dt = noisy_cost(key, flops, ks.total_executions);
     sim::advance(dt);
     ks.add_sample(dt);
     ++ks.executions_this_epoch;

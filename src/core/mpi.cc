@@ -31,13 +31,6 @@ core::IntMsg& scratch_msg(const Config& cfg) {
   return *p;
 }
 
-/// Send this rank's piggyback: charged at the full wire size, but only the
-/// header and the ~K entries in use are copied.
-void send_piggyback(const core::IntMsg& msg, int dest, int tag, sim::Comm c) {
-  sim::engine().f_send(msg.data(), msg.bytes(), dest, tag + kInternalTagOffset,
-                       c, msg.payload());
-}
-
 core::KernelClass coll_kernel_class(sim::CollType t) {
   switch (t) {
     case sim::CollType::Bcast: return core::KernelClass::Bcast;
@@ -74,11 +67,20 @@ std::uint64_t p2p_channel(sim::Comm c, int peer_local) {
   return cached;
 }
 
-/// Shared bookkeeping after the execute/skip decision of a communication
-/// kernel: updates statistics, the path model P, and volumetric counters.
-/// `measured` is the user operation's duration if executed.
-void account_comm(critter::RankProfiler& rp, core::KernelStats& ks,
-                  double words, bool executed, double measured) {
+/// Virtual time this rank spends in `op`.
+template <typename Op>
+double timed(Op&& op) {
+  const double t0 = sim::now();
+  op();
+  return sim::now() - t0;
+}
+
+/// The timing half of a communication kernel's bookkeeping, once its
+/// execute/skip decision is known: an executed kernel adds its `measured`
+/// duration as a sample, a skipped one charges its mean; either way the
+/// time goes to the path model P.
+void account_time(critter::RankProfiler& rp, core::KernelStats& ks,
+                  bool executed, double measured) {
   double dt;
   if (executed) {
     dt = measured;
@@ -93,11 +95,45 @@ void account_comm(critter::RankProfiler& rp, core::KernelStats& ks,
   }
   rp.path.exec_time += dt;
   rp.path.comm_time += dt;
+  rp.local.modeled_comm_time += dt;
+}
+
+/// The structural half: one BSP superstep moving `words` words, charged
+/// whether the kernel executed or not.
+void account_words(critter::RankProfiler& rp, double words) {
   rp.path.sync_cost += 1.0;
   rp.path.comm_cost += words;
-  rp.local.modeled_comm_time += dt;
   rp.local.syncs += 1.0;
   rp.local.words += words;
+}
+
+/// The kernel a send or isend intercepted, and whether it executes.
+struct SendSide {
+  core::KernelKey key;
+  core::KernelStats& ks;
+  bool execute;
+};
+
+/// The sender's side of an intercepted send or isend: the kernel's
+/// execute/skip decision, piggybacked with this rank's path profile on the
+/// internal tag.  The piggyback is always sent, so the receiver learns the
+/// decision (DESIGN.md §4).  It is charged at the full wire size, but only
+/// the header and the ~K entries in use are copied.
+SendSide decide_and_piggyback(critter::RankProfiler& rp, const Config& cfg,
+                              core::KernelClass cls, int bytes, int dest,
+                              int tag, sim::Comm c) {
+  const core::KernelKey key{cls, {static_cast<std::int64_t>(bytes), 0, 0, 0},
+                            p2p_channel(c, dest)};
+  core::KernelStats& ks = critter::detail::stats_for(rp, key);
+  critter::detail::note_invocation(rp, key, ks);
+  const bool execute = critter::detail::wants_execution(rp, cfg, key, ks);
+  core::IntMsg& msg = scratch_msg(cfg);
+  msg.pack(rp, execute);
+  rp.local.overhead_time += timed([&] {
+    sim::engine().f_send(msg.data(), msg.bytes(), dest,
+                         tag + kInternalTagOffset, c, msg.payload());
+  });
+  return {key, ks, execute};
 }
 
 void intercepted_coll(sim::CollType type, const void* sendbuf, void* recvbuf,
@@ -130,8 +166,8 @@ void intercepted_coll(sim::CollType type, const void* sendbuf, void* recvbuf,
   const double measured =
       consensus.execute ? sim::now() - consensus.agreed : 0.0;
   const int p = sim::comm_size(c);
-  const double words = sim::Machine::coll_bytes_moved(type, bytes, p) / 8.0;
-  account_comm(rp, ks, words, consensus.execute, measured);
+  account_time(rp, ks, consensus.execute, measured);
+  account_words(rp, sim::Machine::coll_bytes_moved(type, bytes, p) / 8.0);
 }
 
 }  // namespace
@@ -167,26 +203,12 @@ void send(const void* buf, int bytes, int dest, int tag, sim::Comm c) {
     return;
   }
   critter::RankProfiler& rp = critter::prof();
-  core::KernelKey key{core::KernelClass::Send,
-                      {static_cast<std::int64_t>(bytes), 0, 0, 0},
-                      p2p_channel(c, dest)};
-  core::KernelStats& ks = critter::detail::stats_for(rp, key);
-  critter::detail::note_invocation(rp, key, ks);
-  const bool execute = critter::detail::wants_execution(rp, cfg, key, ks);
-
-  core::IntMsg& msg = scratch_msg(cfg);
-  msg.pack(rp, execute);
-  const double t0 = sim::now();
-  send_piggyback(msg, dest, tag, c);
-  rp.local.overhead_time += sim::now() - t0;
-
-  double measured = 0.0;
-  if (execute) {
-    const double t1 = sim::now();
-    sim::send(buf, bytes, dest, tag, c);
-    measured = sim::now() - t1;
-  }
-  account_comm(rp, ks, bytes / 8.0, execute, measured);
+  const SendSide s = decide_and_piggyback(rp, cfg, core::KernelClass::Send,
+                                          bytes, dest, tag, c);
+  const double measured =
+      s.execute ? timed([&] { sim::send(buf, bytes, dest, tag, c); }) : 0.0;
+  account_time(rp, s.ks, s.execute, measured);
+  account_words(rp, bytes / 8.0);
 }
 
 void recv(void* buf, int bytes, int src, int tag, sim::Comm c) {
@@ -203,20 +225,16 @@ void recv(void* buf, int bytes, int src, int tag, sim::Comm c) {
   critter::detail::note_invocation(rp, key, ks);
 
   core::IntMsg& peer = scratch_msg(cfg);
-  const double t0 = sim::now();
-  sim::recv(peer.data(), peer.bytes(), src, tag + kInternalTagOffset, c);
-  rp.local.overhead_time += sim::now() - t0;
+  rp.local.overhead_time += timed([&] {
+    sim::recv(peer.data(), peer.bytes(), src, tag + kInternalTagOffset, c);
+  });
   peer.unpack_into(rp);
   // Sender-decides rule: the data transfer happens iff the sender executed.
   const bool execute = peer.header().execute != 0;
-
-  double measured = 0.0;
-  if (execute) {
-    const double t1 = sim::now();
-    sim::recv(buf, bytes, src, tag, c);
-    measured = sim::now() - t1;
-  }
-  account_comm(rp, ks, bytes / 8.0, execute, measured);
+  const double measured =
+      execute ? timed([&] { sim::recv(buf, bytes, src, tag, c); }) : 0.0;
+  account_time(rp, ks, execute, measured);
+  account_words(rp, bytes / 8.0);
 }
 
 Request isend(const void* buf, int bytes, int dest, int tag, sim::Comm c) {
@@ -229,29 +247,14 @@ Request isend(const void* buf, int bytes, int dest, int tag, sim::Comm c) {
     return out;
   }
   critter::RankProfiler& rp = critter::prof();
-  core::KernelKey key{core::KernelClass::Isend,
-                      {static_cast<std::int64_t>(bytes), 0, 0, 0},
-                      p2p_channel(c, dest)};
-  core::KernelStats& ks = critter::detail::stats_for(rp, key);
-  critter::detail::note_invocation(rp, key, ks);
-  const bool execute = critter::detail::wants_execution(rp, cfg, key, ks);
-
-  core::IntMsg& msg = scratch_msg(cfg);
-  msg.pack(rp, execute);
-  const double t0 = sim::now();
-  send_piggyback(msg, dest, tag, c);
-  rp.local.overhead_time += sim::now() - t0;
-
-  if (execute) out.user = sim::isend(buf, bytes, dest, tag, c);
-  out.key = key;
-  out.executed = execute;
-
+  const SendSide s = decide_and_piggyback(rp, cfg, core::KernelClass::Isend,
+                                          bytes, dest, tag, c);
+  if (s.execute) out.user = sim::isend(buf, bytes, dest, tag, c);
+  out.key = s.key;
+  out.executed = s.execute;
   // Structural costs are attributed at post time; the timing sample is
   // collected at wait() (paper's MPI_Wait interception).
-  rp.path.sync_cost += 1.0;
-  rp.path.comm_cost += bytes / 8.0;
-  rp.local.syncs += 1.0;
-  rp.local.words += bytes / 8.0;
+  account_words(rp, bytes / 8.0);
   return out;
 }
 
@@ -284,29 +287,9 @@ void wait(Request& r) {
   }
   critter::RankProfiler& rp = critter::prof();
   core::KernelStats& ks = critter::detail::stats_for(rp, r.key);
-  double dt;
-  if (r.executed) {
-    const double t0 = sim::now();
-    sim::wait(r.user);
-    dt = sim::now() - t0;
-    ks.add_sample(dt);
-    ++ks.executions_this_epoch;
-    ++ks.total_executions;
-    rp.local.kernel_comm_time += dt;
-    ++rp.local.executed;
-  } else {
-    dt = ks.mean;
-    ++rp.local.skipped;
-  }
-  if (r.words > 0.0) {
-    rp.path.sync_cost += 1.0;
-    rp.path.comm_cost += r.words;
-    rp.local.syncs += 1.0;
-    rp.local.words += r.words;
-  }
-  rp.path.exec_time += dt;
-  rp.path.comm_time += dt;
-  rp.local.modeled_comm_time += dt;
+  const double measured = r.executed ? timed([&] { sim::wait(r.user); }) : 0.0;
+  account_time(rp, ks, r.executed, measured);
+  if (r.words > 0.0) account_words(rp, r.words);
 }
 
 sim::Comm comm_split(sim::Comm parent, int color, int key) {

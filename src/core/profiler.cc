@@ -76,14 +76,7 @@ void Store::restore(const core::StatSnapshot& snap) {
   CRITTER_CHECK(snap.nranks() == nranks(),
                 "stat snapshot rank count does not match store");
   for (int r = 0; r < nranks(); ++r) {
-    // The wholesale replacement is a mutation of this store's table, so the
-    // dirty-tracking counter must advance monotonically past both the old
-    // value and whatever the snapshot happens to carry (§13 pre-filter:
-    // equal versions may only ever mean unchanged bytes).
-    const std::uint64_t v =
-        std::max(ranks_[r].table.version, snap.ranks[r].version);
     ranks_[r].table = snap.ranks[r];
-    ranks_[r].table.version = v + 1;
     ranks_[r].forget_kernel_handles();  // they indexed the replaced K
   }
 }

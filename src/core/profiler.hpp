@@ -62,8 +62,6 @@ struct Config {
   /// communication kernel (ablated in bench_ablation).
   int tilde_capacity = 64;
   int eager_capacity = 16;
-  /// Fixed per-kernel launch overhead added to the gamma*flops model (s).
-  double kernel_overhead = 5.0e-7;
   /// §VIII extension: skip never-executed compute kernels whose (class,
   /// flags) bucket has a tight log-log size model fitted from steady
   /// kernels of other sizes.

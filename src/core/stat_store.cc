@@ -16,13 +16,11 @@ namespace critter::core {
 // ---------------------------------------------------------------------------
 
 void KernelTable::new_epoch() {
-  touch();
   ++epoch;
   for (auto& [key, ks] : K) ks.reset_epoch_counters();
 }
 
 void KernelTable::clear_statistics() {
-  touch();
   K.clear();
   key_of_hash.clear();
   pending_eager.clear();
@@ -97,7 +95,6 @@ bool size_model_equal(const SizeModel& a, const SizeModel& b) {
 }  // namespace
 
 void KernelTable::merge(const KernelTable& other) {
-  touch();  // covers kernel-moment, channel-registry-union, and refit growth
   for (const auto& [key, ks] : other.K) {
     auto [it, inserted] = K.try_emplace(key, ks);
     if (!inserted) merge_kernel_stats(it->second, ks);

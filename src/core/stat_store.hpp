@@ -60,18 +60,6 @@ struct KernelTable {
   ChannelRegistry channels;
   SizeModel size_model;  ///< cross-size extrapolation (§VIII)
   std::int64_t epoch = 0;
-  /// Dirty-tracking version counter (DESIGN.md §13): bumped by every
-  /// mutation path that can change the table's serialized bytes — merge,
-  /// epoch advance, statistics reset, wholesale restore.  Profiler writes
-  /// during a run are covered because every evaluation window opens with
-  /// new_epoch().  NOT serialized and NOT part of any equality: it is a
-  /// change *pre-filter* (an unchanged version means the chunk bytes are
-  /// unchanged; a changed version means "re-compare"), never the decider —
-  /// transport correctness always rests on byte comparison.
-  std::uint64_t version = 0;
-
-  /// Record a mutation for the dirty-tracking pre-filter.
-  void touch() { ++version; }
 
   /// Register the world communicator's channel (required before use).
   void init_world(int nranks) { channels.init_world(nranks); }
@@ -224,7 +212,7 @@ SparsePayloadInfo sparse_payload_info(std::string_view bytes);
 /// Encode the mode-0 patch turning full payload `base_full` into
 /// `new_full` (same rank count required).  A rank whose chunk bytes are
 /// unchanged — or differ only in the leading epoch field — ships no chunk;
-/// the decision is a byte comparison, never a version-counter shortcut.
+/// the decision is a byte comparison.
 std::string encode_sparse_patch(std::string_view base_full,
                                 std::string_view new_full);
 

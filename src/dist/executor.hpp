@@ -183,10 +183,6 @@ struct SubprocessOptions {
   /// caller-provided directory is created if needed, must not already
   /// contain a run manifest, and is always kept.
   std::string run_dir;
-  /// Binary to re-exec as the shard worker; empty: /proc/self/exe.  The
-  /// binary's main() must route --shard-worker invocations into
-  /// shard_worker_main() before any other argument handling.
-  std::string worker_binary;
   /// Per-shard retry/backoff/deadline/checkpoint policy.  The defaults
   /// reproduce the historical behavior (no retries, no checkpoints, abort
   /// on the first fault) with stall detection now progress-based (per-shard
@@ -195,7 +191,6 @@ struct SubprocessOptions {
   /// ("<shard>:<mode>[:<arg>[:<times>]]", DESIGN.md §10), which every
   /// worker and relaunch inherits.
   FaultPolicy fault;
-  bool keep_run_dir = false;
   /// How the fleet shares its coordination artifacts (DESIGN.md §12.2):
   /// "dir" (default) — the run directory, byte-identical to the historical
   /// file protocol; "socket" — an in-memory store served over TCP from the

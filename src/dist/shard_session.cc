@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "tune/sweep.hpp"
 #include "util/check.hpp"
@@ -15,17 +16,6 @@ tune::TuneOptions in_range(tune::TuneOptions opt, const ShardRange& range) {
   opt.config_begin = range.begin;
   opt.config_end = range.end;
   return opt;
-}
-
-/// Per-rank dirty-tracking versions of a snapshot (DESIGN.md §13).  Equal
-/// vectors mean "no table was reassigned or mutated since the last capture"
-/// — every mutation path bumps, and the profiler store's counters only
-/// grow, so equality is a sound pre-filter for skipping re-serialization.
-std::vector<std::uint64_t> version_vector(const core::StatSnapshot& s) {
-  std::vector<std::uint64_t> v;
-  v.reserve(s.ranks.size());
-  for (const core::KernelTable& t : s.ranks) v.push_back(t.version);
-  return v;
 }
 
 std::string bytes_of(const core::StatSnapshot& snap) {
@@ -44,6 +34,7 @@ ShardSession::ShardSession(const tune::Study& study,
   if (!exchanging()) return;
   mark_ = exchange_state();
   own_ = mark_;
+  mark_dirty_ = own_dirty_ = true;
 }
 
 core::StatSnapshot ShardSession::exchange_state() const {
@@ -75,6 +66,7 @@ core::StatSnapshot ShardSession::take_delta() {
   else
     own_ = delta;
   mark_ = std::move(now);
+  mark_dirty_ = own_dirty_ = true;
   return delta;
 }
 
@@ -91,6 +83,7 @@ void ShardSession::skip(int peer) {
 
 void ShardSession::end_round() {
   mark_ = exchange_state();
+  mark_dirty_ = true;
   next_round();
 }
 
@@ -98,19 +91,11 @@ void ShardSession::record(SessionJournal& journal) {
   pending_.rounds = rounds_;
   pending_.in_round = in_round_;
   pending_.full_bytes = bytes_of(tuner_.export_state());
-  // mark/own only move at exchange rounds: while their version vectors
-  // match the last durable record's, their bytes provably do too, and the
-  // record skips both the serialization and the patch.  The first record
-  // of an attempt always serializes them.
-  std::vector<std::uint64_t> mv, ov;
-  if (exchanging()) {
-    mv = version_vector(mark_);
-    ov = version_vector(own_);
-    if (mark_vers_.empty() || mv != mark_vers_)
-      pending_.mark_bytes = bytes_of(mark_);
-    if (own_vers_.empty() || ov != own_vers_)
-      pending_.own_bytes = bytes_of(own_);
-  }
+  // mark/own are assigned only at exchange rounds (and when the session
+  // starts or resumes): while neither was assigned since the last durable
+  // record, the record skips both the serialization and the patch.
+  if (mark_dirty_) pending_.mark_bytes = bytes_of(mark_);
+  if (own_dirty_) pending_.own_bytes = bytes_of(own_);
   if (!journal.next_is_full()) {
     // Byte patches against the journaled payloads (DESIGN.md §13).
     const ShardCheckpoint& prev = journal.state();
@@ -126,8 +111,7 @@ void ShardSession::record(SessionJournal& journal) {
   }
   journal.record(std::move(pending_), tuner_.totals());
   pending_ = {};
-  mark_vers_ = std::move(mv);
-  own_vers_ = std::move(ov);
+  mark_dirty_ = own_dirty_ = false;
 }
 
 bool ShardSession::resume(
@@ -161,6 +145,7 @@ bool ShardSession::resume(
   if (ck.has_exchange_state) {
     mark_ = std::move(decoded.mark);
     own_ = std::move(decoded.own);
+    mark_dirty_ = own_dirty_ = true;
   }
   skips_ = ck.exchange_skips;
   resumed_batches_ = ck.batches;

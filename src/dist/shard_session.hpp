@@ -9,9 +9,7 @@
 //   absorb() or skip() each peer in ascending shard order, end_round().
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "core/stat_store.hpp"
 #include "dist/checkpoint.hpp"
@@ -63,8 +61,8 @@ class ShardSession {
   void end_round();
 
   /// Journal the pending step: the statistics byte-patched against the
-  /// journal's bytes (DESIGN.md §13) — `mark` and `own` only when their
-  /// per-rank versions moved — or a full slot when no patch applies.
+  /// journal's bytes (DESIGN.md §13) — `mark` and `own` only when they were
+  /// assigned since the last record — or a full slot when no patch applies.
   void record(SessionJournal& journal);
 
   /// Resume a fresh session from the journal's newest checkpoint through
@@ -104,8 +102,8 @@ class ShardSession {
   int skips_ = 0, resumed_batches_ = 0;
   bool done_ = false;
   SessionJournal::Step pending_;
-  /// Versions of `mark` and `own` at the last record (empty: none yet).
-  std::vector<std::uint64_t> mark_vers_, own_vers_;
+  /// `mark` / `own` were assigned since the last record returned.
+  bool mark_dirty_ = false, own_dirty_ = false;
 };
 
 }  // namespace critter::dist

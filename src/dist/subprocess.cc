@@ -987,8 +987,7 @@ std::vector<ShardResult> SubprocessExecutor::run(
       "non-strict mode (ExchangePolicy::strict = false) — a degraded "
       "shard stops exchanging, which strict peers treat as a fault");
   const bool paper_scale = detect_paper_scale(study);
-  const std::string binary =
-      opts_.worker_binary.empty() ? self_binary() : opts_.worker_binary;
+  const std::string binary = self_binary();
 
   const bool temp_dir = opts_.run_dir.empty();
   const std::string run_dir =
@@ -1077,7 +1076,7 @@ std::vector<ShardResult> SubprocessExecutor::run(
   }
 
   if (server) server->stop();
-  if (temp_dir && !opts_.keep_run_dir) core::remove_dir_tree(run_dir);
+  if (temp_dir) core::remove_dir_tree(run_dir);
   return results;
 }
 

@@ -93,7 +93,8 @@ struct TunerDaemon::Session {
 
   // Wire accounting: request/reply payload bytes handled for this session,
   // and how many tells arrived as sparse patches (kTuneStatus surfaces
-  // them; bench_tuner derives bytes_per_tell).
+  // them; bench_tuner derives bytes_per_tell).  Not journaled: they count
+  // from this daemon's start, while the tell count survives a restart.
   std::int64_t bytes_in = 0;
   std::int64_t bytes_out = 0;
   std::int64_t sparse_tells = 0;
@@ -423,8 +424,8 @@ std::string TunerDaemon::handle_request(const net::Frame& rq,
                 (rp.best_predicted >= 0
                      ? ", best=" + std::to_string(rp.best_predicted)
                      : "") +
-                ", wire " + std::to_string(rp.bytes_in) + "B in/" +
-                std::to_string(rp.bytes_out) + "B out, " +
+                ", wire since daemon start " + std::to_string(rp.bytes_in) +
+                "B in/" + std::to_string(rp.bytes_out) + "B out, " +
                 std::to_string(rp.sparse_tells) + " sparse tells";
       rp.metrics = obs::metrics_json();
       return encode_status_reply(rp);

@@ -319,8 +319,8 @@ struct StatusReply {
   std::int32_t evaluated = 0;
   std::int32_t best_predicted = -1;  ///< -1 until anything evaluated
   /// Wire accounting for the session (request + reply payload bytes the
-  /// daemon handled on its behalf): sparse transport made the payloads
-  /// measurable, not vibes.
+  /// daemon handled on its behalf) since the daemon started: unlike the
+  /// tell count, these restart from zero with the daemon.
   std::int64_t bytes_in = 0;
   std::int64_t bytes_out = 0;
   std::int64_t sparse_tells = 0;  ///< tells whose state arrived as a patch

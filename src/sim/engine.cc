@@ -274,13 +274,6 @@ void Engine::f_advance(double seconds) {
 
 void Engine::f_send(const void* buf, int bytes, int dest, int tag, Comm c,
                     int payload) {
-  // Buffered semantics: the isend request is already complete.
-  const Request r = f_isend(buf, bytes, dest, tag, c, payload);
-  reqs_.release(r.id);
-}
-
-Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
-                        int payload) {
   RankState& rs = current();
   const CommData& cd = comms_.at(c.id);
   CRITTER_CHECK(dest >= 0 && dest < static_cast<int>(cd.members.size()),
@@ -289,8 +282,8 @@ Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
   CRITTER_CHECK(src_local >= 0, "sender not in communicator");
 
   rs.ctx.clock += machine_.alpha;  // injection overhead
-  const P2PKey key{c.id, dest, src_local, tag};
-  const std::uint64_t sq = pair_seq_[key]++;
+  P2PRecord& rec = p2p_[P2PKey{c.id, dest, src_local, tag}];
+  const std::uint64_t sq = rec.next_seq++;
   const double noise = noise_comm(
       util::hash_combine(static_cast<std::uint64_t>(c.id) * 1315423911ULL + tag,
                          (static_cast<std::uint64_t>(src_local) << 20) | dest),
@@ -300,15 +293,14 @@ Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
   ++p2p_count_;
 
   // Only the payload is copied: straight into a posted receive, or else
-  // into a pooled buffer that waits in the mailbox.  Model-mode fast path:
-  // a null buffer ships no payload, so nothing is copied and no allocation
-  // happens on either side.
+  // into a pooled buffer that waits in the key's queue.  Model-mode fast
+  // path: a null buffer ships no payload, so nothing is copied and no
+  // allocation happens on either side.
   const int copied = payload < 0 ? bytes : payload;
   CRITTER_CHECK(copied <= bytes, "send payload exceeds its charged size");
-  auto* pr = posted_recvs_.find(key);
-  if (pr != nullptr && !pr->empty()) {
-    const std::uint64_t rid = pr->front();
-    pr->pop_front();
+  if (!rec.posted.empty()) {
+    const std::uint64_t rid = rec.posted.front();
+    rec.posted.pop_front();
     ReqState* q = reqs_.find(rid);
     CRITTER_CHECK(q != nullptr, "posted recv request vanished");
     CRITTER_CHECK(q->bytes == bytes, "p2p message size mismatch");
@@ -325,16 +317,21 @@ Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
       data = pool_acquire(copied);
       std::memcpy(data.data(), buf, copied);
     }
-    mailbox_[key].push_back(MsgInFlight{avail, bytes, std::move(data)});
+    rec.sent.push_back(MsgInFlight{avail, bytes, std::move(data)});
   }
+}
 
+Request Engine::f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
+                        int payload) {
+  f_send(buf, bytes, dest, tag, c, payload);
   // Eager/buffered: the send buffer is copied, so the request is
   // immediately complete at the sender's current clock.
+  const RankCtx& me = current().ctx;
   ReqState* q = nullptr;
   Request r{reqs_.alloc(&q)};
   q->done = true;
-  q->done_time = rs.ctx.clock;
-  q->owner = rs.ctx.rank;
+  q->done_time = me.clock;
+  q->owner = me.rank;
   return r;
 }
 
@@ -345,27 +342,25 @@ Request Engine::f_irecv(void* buf, int bytes, int src, int tag, Comm c) {
   CRITTER_CHECK(me >= 0, "receiver not in communicator");
   CRITTER_CHECK(src >= 0 && src < static_cast<int>(cd.members.size()),
                 "recv source out of range (wildcards unsupported)");
-  const P2PKey key{c.id, me, src, tag};
 
   ReqState* q = nullptr;
   Request r{reqs_.alloc(&q)};
   q->owner = rs.ctx.rank;
-  q->is_recv = true;
   q->recv_buf = buf;
   q->bytes = bytes;
 
-  auto* mb = mailbox_.find(key);
-  if (mb != nullptr && !mb->empty()) {
-    MsgInFlight& msg = mb->front();
+  P2PRecord& rec = p2p_[P2PKey{c.id, me, src, tag}];
+  if (!rec.sent.empty()) {
+    MsgInFlight& msg = rec.sent.front();
     CRITTER_CHECK(msg.bytes == bytes, "p2p message size mismatch");
     if (buf != nullptr && !msg.data.empty())
       std::memcpy(buf, msg.data.data(), msg.data.size());
     q->done = true;
     q->done_time = msg.avail;
     pool_release(std::move(msg.data));
-    mb->pop_front();
+    rec.sent.pop_front();
   } else {
-    posted_recvs_[key].push_back(r.id);
+    rec.posted.push_back(r.id);
   }
   return r;
 }

@@ -23,9 +23,10 @@
 // §3).  A send may copy a payload shorter than the size it is charged.
 //
 // Hot-path data structures: the ready queue is a binary min-heap keyed on
-// (clock, rank); the per-pair message tables are open-addressed hash maps
-// over a hashed P2PKey; request and collective state live in slot/freelist
-// tables indexed by id, and message payloads recycle through a buffer pool.
+// (clock, rank); one open-addressed hash map over a hashed P2PKey holds one
+// record per message key, so a send or a receive looks its key up once;
+// request and collective state live in slot/freelist tables indexed by id,
+// and message payloads recycle through a buffer pool.
 // One engine instance is confined to one OS thread, but independent engines
 // may run concurrently on different threads (the tuner's worker pool does).
 #pragma once
@@ -138,7 +139,8 @@ class Engine {
   void f_advance(double seconds);
   /// A send is charged for `bytes`, but copies only the first `payload`
   /// bytes of `buf` (all of them when negative) into the receiver's buffer,
-  /// whose size must still be `bytes`.
+  /// whose size must still be `bytes`.  Sends are buffered, so a blocking
+  /// send is complete once posted, and f_isend's request is born complete.
   void f_send(const void* buf, int bytes, int dest, int tag, Comm c,
               int payload = -1);
   Request f_isend(const void* buf, int bytes, int dest, int tag, Comm c,
@@ -189,9 +191,19 @@ class Engine {
     std::vector<std::byte> data;
   };
 
+  /// Everything the engine keeps for one (comm, dst, src, tag) key: the
+  /// sequence number of its next message (it keys the message's noise),
+  /// its sent-but-unreceived messages and its posted receives (request
+  /// ids), both in FIFO order.  At most one of the two queues is non-empty.
+  /// Records are never erased: a key's sequence numbers must keep counting.
+  struct P2PRecord {
+    std::uint64_t next_seq = 0;
+    util::Fifo<MsgInFlight> sent;
+    util::Fifo<std::uint64_t> posted;
+  };
+
   struct ReqState {
     bool done = false;
-    bool is_recv = false;
     int owner = -1;
     int bytes = 0;
     int coll_slot = -1;  ///< owning collective op, -1 for p2p
@@ -346,9 +358,7 @@ class Engine {
   std::vector<CommData> comms_;
   ReadyHeap ready_;
   int running_ = -1;
-  util::FlatMap<P2PKey, util::Fifo<MsgInFlight>, P2PKeyHash> mailbox_;
-  util::FlatMap<P2PKey, util::Fifo<std::uint64_t>, P2PKeyHash> posted_recvs_;
-  util::FlatMap<P2PKey, std::uint64_t, P2PKeyHash> pair_seq_;
+  util::FlatMap<P2PKey, P2PRecord, P2PKeyHash> p2p_;
   ReqTable reqs_;
   CollTable colls_;
   std::vector<std::vector<std::byte>> pool_;  // recycled message payloads

@@ -2,9 +2,10 @@
 //
 // Deliberately minimal: insert, find, clear — no per-key erase.  That
 // restriction removes tombstones and keeps probes short, and it matches the
-// engine's per-pair message tables and the profiler's per-run count tables,
-// whose key populations only grow between clears.  Values live inline in
-// the slot array, so probing is cache-friendly.  clear() is O(1): slots are
+// engine's table of per-key message records (a key's sequence numbers keep
+// counting, so its record must outlive its queues) and the profiler's
+// per-run count tables, whose key populations only grow between clears.
+// Values live inline in the slot array, so probing is cache-friendly.  clear() is O(1): slots are
 // tagged with a map version and stale slots read as empty.  operator[] may
 // rehash, which invalidates pointers previously returned by find().
 #pragma once
@@ -108,9 +109,9 @@ struct IdentityHash {
 };
 
 /// FIFO over a contiguous buffer: a vector plus a head index.  Unlike
-/// std::deque it allocates nothing while empty (the engine keeps one per
-/// (comm, dst, src, tag) key, almost all of which are empty at any moment)
-/// and compacts to offset zero whenever it drains.
+/// std::deque it allocates nothing while empty (the engine keeps two per
+/// (comm, dst, src, tag) key, almost all of them empty at any moment) and
+/// compacts to offset zero whenever it drains.
 template <typename T>
 class Fifo {
  public:

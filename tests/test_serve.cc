@@ -470,6 +470,42 @@ TEST(Daemon, ARestartedFinishedSessionReportsDone) {
   EXPECT_EQ(cut.tells, 2) << cut.text;
 }
 
+TEST(Daemon, ARestartedDaemonCountsWireTrafficFromItsStart) {
+  // A session's wire counters live in memory only, so a restarted daemon
+  // counts them from zero and says so, while the journaled tells survive.
+  const tune::Study study = small_study();
+  const tune::TuneOptions opt = adaptive_options();
+  TempDir dir("critter_serve_restart_wire");
+  serve::StatusReply before;
+  {
+    serve::TunerDaemon daemon({dir.path});
+    serve::TunerClient client(study, opt, "wire",
+                              client_options(daemon.port()));
+    EXPECT_TRUE(client.run().done);
+    before = client.status();
+  }
+  EXPECT_GT(before.bytes_in, 0) << before.text;
+  EXPECT_GT(before.bytes_out, 0) << before.text;
+  EXPECT_GT(before.sparse_tells, 0) << before.text;
+  EXPECT_NE(before.text.find(", wire since daemon start "), std::string::npos)
+      << before.text;
+
+  serve::TunerDaemon daemon({dir.path});
+  const net::Frame f = raw_request(daemon.port(), net::kTuneStatus,
+                                   serve::encode_session_ref("wire"));
+  ASSERT_EQ(f.verb, net::kOk);
+  const serve::StatusReply after = serve::decode_status_reply(f.payload);
+  EXPECT_TRUE(after.done) << after.text;
+  EXPECT_EQ(after.tells, before.tells) << after.text;
+  EXPECT_EQ(after.bytes_in, 0) << after.text;
+  EXPECT_EQ(after.bytes_out, 0) << after.text;
+  EXPECT_EQ(after.sparse_tells, 0) << after.text;
+  EXPECT_NE(after.text.find(", wire since daemon start 0B in/0B out, 0 "
+                            "sparse tells"),
+            std::string::npos)
+      << after.text;
+}
+
 // ---------------------------------------------------------------------------
 // Daemon-as-a-process scenarios: kill -9 resume, SIGTERM flush
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -159,6 +160,104 @@ TEST(Engine, SendrecvExchanges) {
     sim::sendrecv(&mine, sizeof mine, peer, 0, &theirs, sizeof theirs, peer, 0, w);
     EXPECT_EQ(theirs, peer);
   });
+}
+
+// Point-to-point matching on a noisy machine, pinned to the clocks the
+// engine produced when it kept a key's sequence numbers, queued messages
+// and posted receives in three separate tables.  A message's noise is keyed
+// by its sequence number on its key, so a changed count, a FIFO mix-up or a
+// receive completed at the wrong time moves a clock.  Each rank adds up its
+// clock after every receive, so a completion time that a later one would
+// hide still shows.  Rank 0 posts its receives before anything is sent to
+// it; the other ranks find their messages queued.  Buffers are real or null
+// on either side, and one send copies a payload shorter than its size.
+TEST(Engine, PointToPointMatchingReproducesRecordedClocks) {
+  const auto value = [](int src, int tag, int i) {
+    return 1000.0 * src + 10.0 * tag + i;
+  };
+  std::vector<double> seen(4, 0.0);
+  sim::Engine e(4, sim::Machine::knl_like(), 3);
+  e.run([&](sim::RankCtx& ctx) {
+    const int r = ctx.rank;
+    const sim::Comm w = sim::world();
+    const int next = (r + 1) % 4, prev = (r + 3) % 4;
+    const auto done = [&](sim::Request q) {
+      sim::wait(q);
+      seen[r] += sim::now();
+    };
+    sim::advance(1e-6 * (r + 1));
+
+    // From `prev`, in the order it sends them: a real message, two on one
+    // key, a short payload and a real message into a null buffer; a null
+    // message on tag 2 comes last.
+    double in0[4] = {}, in1[2][4], in3[8];
+    std::fill(in3, in3 + 8, -1.0);
+    const std::vector<sim::Request> rq{
+        sim::irecv(in0, sizeof in0, prev, 0, w),
+        sim::irecv(in1[0], sizeof in1[0], prev, 1, w),
+        sim::irecv(in1[1], sizeof in1[1], prev, 1, w),
+        sim::irecv(in3, sizeof in3, prev, 3, w),
+        sim::irecv(nullptr, 32, prev, 4, w)};
+
+    double out0[4], out1[2][4], out3[8];
+    for (int i = 0; i < 4; ++i) {
+      out0[i] = value(r, 0, i);
+      for (int k = 0; k < 2; ++k) out1[k][i] = value(r, 1, 4 * k + i);
+    }
+    for (int i = 0; i < 8; ++i) out3[i] = value(r, 3, i);
+    sim::Request sq[2];
+    const auto send_all = [&] {
+      sim::send(out0, sizeof out0, next, 0, w);
+      for (int k = 0; k < 2; ++k)
+        sq[k] = sim::isend(out1[k], sizeof out1[k], next, 1, w);
+      sim::engine().f_send(out3, sizeof out3, next, 3, w, 2 * sizeof(double));
+      sim::send(out0, sizeof out0, next, 4, w);
+      sim::send(nullptr, 4096, next, 2, w);
+    };
+    if (r == 0) send_all();
+    for (const sim::Request& q : rq) done(q);
+    sim::recv(nullptr, 4096, prev, 2, w);
+    seen[r] += sim::now();
+    if (r != 0) send_all();
+    sim::wait(sq[1]);
+    sim::wait(sq[0]);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(in0[i], value(prev, 0, i));
+      for (int k = 0; k < 2; ++k) EXPECT_EQ(in1[k][i], value(prev, 1, 4 * k + i));
+    }
+    for (int i = 0; i < 8; ++i)
+      EXPECT_EQ(in3[i], i < 2 ? value(prev, 3, i) : -1.0) << i;
+
+    // The halves {0, 2} and {1, 3} of a split: both directions, three tags,
+    // two messages on tag 0, a null send to a real buffer, and receives
+    // waited in reverse posting order.
+    const sim::Comm h = sim::split(w, r % 2, r);
+    const int peer = 1 - sim::comm_rank(h);
+    const int peer_world = sim::engine().comm_members(h)[peer];
+    double hin[4] = {-1.0, -1.0, -1.0, -1.0}, hout[4];
+    sim::Request hr[4];
+    for (int k = 0; k < 4; ++k) {
+      hr[k] = sim::irecv(&hin[k], sizeof(double), peer, k % 3, h);
+      hout[k] = value(r, 10 + k, 0);
+    }
+    sim::advance(5e-7 * (r + 2));
+    sim::send(&hout[0], sizeof(double), peer, 0, h);
+    const sim::Request hs = sim::isend(&hout[1], sizeof(double), peer, 1, h);
+    sim::send(nullptr, sizeof(double), peer, 2, h);
+    sim::send(&hout[3], sizeof(double), peer, 0, h);
+    for (int k = 3; k >= 0; --k) done(hr[k]);
+    sim::wait(hs);
+    EXPECT_EQ(hin[0], value(peer_world, 10, 0));
+    EXPECT_EQ(hin[1], value(peer_world, 11, 0));
+    EXPECT_EQ(hin[2], -1.0);
+    EXPECT_EQ(hin[3], value(peer_world, 13, 0));
+  });
+  EXPECT_EQ(e.p2p_count(), 4 * 10);
+  EXPECT_EQ(seen, (std::vector<double>{0x1.508a6771c02ep-11, 0x1.7dc7aba36833ep-12,
+                                       0x1.dd66f7f2d0ec4p-12, 0x1.20cfdeaea103ap-11}));
+  EXPECT_EQ(e.final_clocks(),
+            (std::vector<double>{0x1.457ed02c12c14p-14, 0x1.479781873daa1p-14,
+                                 0x1.45786e23a17fp-14, 0x1.47914d17b83ccp-14}));
 }
 
 // A rank runs until it blocks.  A sender that never waits is dispatched

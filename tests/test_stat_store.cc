@@ -783,47 +783,3 @@ TEST(SparseTransport, ForgedRankIndicesAreRejected) {
   EXPECT_THROW(core::apply_sparse_patch(base_full, craft_sparse(3, 0, {})),
                std::runtime_error);
 }
-
-TEST(DirtyTracking, EveryMutationPathBumpsTheVersion) {
-  core::KernelTable t = make_table(4, 1);
-  std::uint64_t v = t.version;
-  t.merge(make_table(4, 2));
-  EXPECT_GT(t.version, v);
-  v = t.version;
-  t.new_epoch();
-  EXPECT_GT(t.version, v);
-  v = t.version;
-  t.clear_statistics();
-  EXPECT_GT(t.version, v);
-  v = t.version;
-  t.touch();
-  EXPECT_EQ(t.version, v + 1);
-  // Channel-registry-union growth travels through merge and therefore
-  // bumps: a peer that learned a new channel dirties the absorbing table.
-  core::KernelTable lhs = make_table(8, 1);
-  core::KernelTable rhs = make_table(8, 1);
-  rhs.channels.add_channel({0, 2, 4, 6});
-  v = lhs.version;
-  lhs.merge(rhs);
-  EXPECT_GT(lhs.version, v);
-  EXPECT_FALSE(lhs.channels.same_channels(make_table(8, 1).channels));
-}
-
-TEST(DirtyTracking, VersionIsTransportInvisible) {
-  // The counter is a local pre-filter, not state: it never serializes, and
-  // equality ignores it.
-  core::KernelTable t = make_table(2, 1);
-  t.touch();
-  t.touch();
-  core::StatSnapshot s;
-  s.ranks.push_back(t);
-  s.ranks.push_back(make_table(2, 2));
-  const core::StatSnapshot reloaded =
-      core::StatSnapshot::from_string(s.to_string());
-  EXPECT_TRUE(reloaded.same_statistics(s));
-  // Same bytes regardless of how often the source was touched.
-  core::StatSnapshot untouched;
-  untouched.ranks.push_back(make_table(2, 1));
-  untouched.ranks.push_back(make_table(2, 2));
-  EXPECT_EQ(untouched.to_string(), s.to_string());
-}
