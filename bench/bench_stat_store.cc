@@ -127,64 +127,6 @@ int main() {
     if (sink < 0) std::printf("%f", sink);
   }
 
-  // Sparse transport (DESIGN.md §13), one dirty rank out of nranks — the
-  // tell/exchange shape the dirty-rank codec exists for.  Encode is a
-  // chunk-granular byte comparison against the base payload; apply is a
-  // byte splice.  The size entries record what the wire actually carries
-  // versus shipping the full snapshot.
-  core::StatSnapshot dirtied = evolved;
-  dirtied.ranks[0].merge(make_snapshot(nranks, nkernels, 2).ranks[0]);
-  const std::string dirtied_payload = dirtied.to_string();
-  std::string patch;
-  {
-    const int iters = 200 * reps;
-    const double t0 = now_s();
-    for (int i = 0; i < iters; ++i)
-      patch = core::encode_sparse_patch(payload, dirtied_payload);
-    report(t, "sparse_encode", static_cast<double>(iters), now_s() - t0,
-           "patches/s");
-    g_json.add("sparse_patch_bytes", static_cast<double>(patch.size()),
-               "bytes");
-  }
-  {
-    const int iters = 200 * reps;
-    const double t0 = now_s();
-    double sink = 0;
-    for (int i = 0; i < iters; ++i)
-      sink += static_cast<double>(core::apply_sparse_patch(payload, patch)
-                                      .size());
-    report(t, "sparse_apply", static_cast<double>(iters), now_s() - t0,
-           "patches/s");
-    if (sink < 0) std::printf("%f", sink);
-  }
-
-  // Standalone mode-1 delta: the exchange-round publish when one rank
-  // progressed since the last round (diff() leaves every other rank as a
-  // clean chunk, which the sparse delta carries in the epoch array alone).
-  const core::StatSnapshot round_delta = dirtied.diff(evolved);
-  std::string sparse_delta;
-  {
-    const int iters = 200 * reps;
-    const double t0 = now_s();
-    for (int i = 0; i < iters; ++i)
-      sparse_delta = core::encode_sparse_delta(round_delta);
-    report(t, "sparse_delta_encode", static_cast<double>(iters),
-           now_s() - t0, "deltas/s");
-    g_json.add("sparse_delta_bytes",
-               static_cast<double>(sparse_delta.size()), "bytes");
-  }
-  {
-    const int iters = 200 * reps;
-    const double t0 = now_s();
-    double sink = 0;
-    for (int i = 0; i < iters; ++i)
-      sink += static_cast<double>(
-          core::expand_sparse_delta(sparse_delta).size());
-    report(t, "sparse_delta_expand", static_cast<double>(iters),
-           now_s() - t0, "deltas/s");
-    if (sink < 0) std::printf("%f", sink);
-  }
-
   // File load: read the file, then decode it in place.
   const std::string path = "/tmp/critter_bench_snapshot.bin";
   evolved.save_file(path);
@@ -201,12 +143,6 @@ int main() {
   std::remove(path.c_str());
 
   t.print();
-  // Lower is better: the fraction of the full payload the sparse wire
-  // formats actually move (one dirty rank of nranks, so ~1/nranks).
-  g_json.ratio("sparse_patch_vs_full_bytes", "sparse_patch_bytes",
-               "snapshot_bytes");
-  g_json.ratio("sparse_delta_vs_full_bytes", "sparse_delta_bytes",
-               "snapshot_bytes");
   g_json.write("stat_store", "BENCH_stat_store.json");
   return 0;
 }

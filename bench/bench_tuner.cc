@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
   dist::SubprocessExecutor subproc;
   const SweepStat shard_sub = sharded_rate(study, shared, shards, subproc, 2,
                                            t, "sharded_subprocess");
-  // The store traffic one exchange round costs with the sparse delta
-  // encoding (published deltas + live peer reads, fleet-wide).
+  // The store traffic one exchange round costs (published deltas + live
+  // peer reads, fleet-wide).
   if (shard_sub.exchange_rounds > 0)
     g_json.add("bytes_per_exchange_round",
                static_cast<double>(shard_sub.exchange_bytes) /
@@ -196,27 +196,21 @@ int main(int argc, char** argv) {
            util::Table::num(daemon_secs, 3), util::Table::num(daemon_rate, 2)});
     g_json.add("daemon_ask_tell_configs_per_sec", daemon_rate, "configs/s");
     g_json.add("ask_tell_round_trip_ms", rt_ms, "ms");
-    // Request-payload bytes the daemon handled per tell: with the
-    // dirty-rank transport a tell ships a sparse patch instead of the
-    // session's full snapshot, so this tracks the wire win directly.
+    // Request-payload bytes the daemon handled per tell, against the
+    // session's final statistics payload: a tell ships the whole state as
+    // it stood after its batch, so the ratio follows the state's growth.
     g_json.add("bytes_per_tell",
                st.tells > 0 ? static_cast<double>(st.bytes_in) /
                                   static_cast<double>(st.tells)
                             : 0.0,
                "bytes");
-    g_json.add("sparse_tells", static_cast<double>(st.sparse_tells),
-               "tells");
-    // The full-transport counterfactual: one session snapshot per tell.
-    // bytes_per_tell / session_state_bytes < 1 is the sparse win.
     g_json.add("session_state_bytes",
                static_cast<double>(client.export_stats().size()), "bytes");
     std::printf("tuner daemon: %d ask/tell round trips, %.3f ms mean "
-                "round-trip latency, %lld B in / %lld B out (%lld sparse "
-                "tells)\n",
+                "round-trip latency, %lld B in / %lld B out\n",
                 round_trips, rt_ms,
                 static_cast<long long>(st.bytes_in),
-                static_cast<long long>(st.bytes_out),
-                static_cast<long long>(st.sparse_tells));
+                static_cast<long long>(st.bytes_out));
     daemon.stop();
   }
   critter::core::remove_dir_tree(daemon_dir);
@@ -312,10 +306,6 @@ int main(int argc, char** argv) {
                "sharded_subprocess_ckpt_configs_per_sec");
   g_json.ratio("daemon_vs_serial", "daemon_ask_tell_configs_per_sec",
                "serial_shared_configs_per_sec");
-  // Lower is better: request bytes per tell as a fraction of shipping the
-  // full session snapshot every tell (the pre-sparse transport).
-  g_json.ratio("bytes_per_tell_vs_full", "bytes_per_tell",
-               "session_state_bytes");
   g_json.add("surrogate_configs_to_best",
              static_cast<double>(configs_to_best), "configs");
   g_json.add("surrogate_vs_exhaustive", to_best_ratio, "x");

@@ -33,11 +33,6 @@ bool CyclicMatrix::owns(int gi, int gj) const {
   return gi % grid_->c == grid_->li && gj % grid_->c == grid_->lj;
 }
 
-double CyclicMatrix::at_global(int gi, int gj) const {
-  CRITTER_CHECK(owns(gi, gj), "element not owned by this rank");
-  return (*local_)(gi / grid_->c, gj / grid_->c);
-}
-
 void CyclicMatrix::scatter_from_full(const la::Matrix& full) {
   CRITTER_CHECK(local_.has_value(), "scatter_from_full needs real storage");
   const int c = grid_->c;
@@ -64,15 +59,6 @@ la::Matrix CyclicMatrix::gather_full() const {
           full(a * c + li, b * c + lj) = blk[static_cast<std::size_t>(b) * nloc_ + a];
     }
   return full;
-}
-
-int CyclicMatrix::local_count(int lo, int hi, int coord) const {
-  const int c = grid_->c;
-  // count g in [lo, hi) with g % c == coord
-  if (hi <= lo) return 0;
-  const int first = lo + ((coord - lo) % c + c) % c;
-  if (first >= hi) return 0;
-  return (hi - 1 - first) / c + 1;
 }
 
 std::int64_t CyclicMatrix::share_bytes(int rows, int cols, int c) {

@@ -54,7 +54,6 @@ class CyclicMatrix {
   const double* data() const { return local_ ? local_->data() : nullptr; }
 
   double& at_local(int a, int b) { return (*local_)(a, b); }
-  double at_global(int gi, int gj) const;  ///< valid only on the owner
   bool owns(int gi, int gj) const;
 
   /// Fill from a full replicated matrix (each rank copies its entries).
@@ -63,9 +62,6 @@ class CyclicMatrix {
   /// (test/verification helper; collective over layer_comm).
   la::Matrix gather_full() const;
 
-  /// Number of locally owned rows/cols of the global range [lo, hi) —
-  /// indices g in the range with g % c == coord.
-  int local_count(int lo, int hi, int coord) const;
   /// Bytes of the local share of an r x s global sub-block (upper bound,
   /// identical on all ranks, used for uniform collective payloads).
   static std::int64_t share_bytes(int rows, int cols, int c);

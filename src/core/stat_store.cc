@@ -497,14 +497,6 @@ struct NullSink {
   void bucket(std::uint64_t, const SizeModelBucket&) {}
 };
 
-/// Structural check of one chunk body, building nothing: the decoder's own
-/// walk plus its no-trailing-bytes rule.
-void check_rank_chunk(std::string_view body) {
-  WireReader cr{body, "stat snapshot"};
-  walk_rank_binary(cr, NullSink{});
-  CRITTER_CHECK(cr.done(), "stat snapshot: trailing bytes in rank chunk");
-}
-
 std::string save_binary_string(const StatSnapshot& snap) {
   WireWriter w;
   w.raw(kMagic, sizeof kMagic);
@@ -529,7 +521,12 @@ std::string save_binary_string(const StatSnapshot& snap) {
   return std::move(w.out);
 }
 
-StatSnapshot load_binary(std::string_view bytes) {
+/// The one payload reader, for a decode and a validation alike: magic,
+/// version, rank count, then each rank chunk's length, checksum and
+/// records.  With `out` it builds every table (TableSink); without, it
+/// drops the records (NullSink), so a validation makes exactly the checks
+/// a decode makes.
+void walk_payload(std::string_view bytes, StatSnapshot* out) {
   WireReader r{bytes, "stat snapshot"};
   char magic[sizeof kMagic];
   r.raw(magic, sizeof magic);
@@ -547,9 +544,8 @@ StatSnapshot load_binary(std::string_view bytes) {
   // by the bytes present before building any table.
   CRITTER_CHECK(nranks <= r.remaining() / 16,
                 "stat snapshot: truncated payload");
-  StatSnapshot snap;
-  snap.ranks.resize(nranks);
-  for (KernelTable& t : snap.ranks) {
+  if (out != nullptr) out->ranks.resize(nranks);
+  for (std::uint32_t rank = 0; rank < nranks; ++rank) {
     const std::uint64_t len = r.u64();
     CRITTER_CHECK(len <= kMaxChunkBytes,
                   "stat snapshot: implausible rank-chunk size");
@@ -563,279 +559,16 @@ StatSnapshot load_binary(std::string_view bytes) {
                   "stat snapshot: rank-chunk checksum mismatch (corrupt or "
                   "truncated file)");
     WireReader cr{body, "stat snapshot"};
-    t.init_world(static_cast<int>(nranks));
-    walk_rank_binary(cr, TableSink{t});
+    if (out != nullptr) {
+      KernelTable& t = out->ranks[rank];
+      t.init_world(static_cast<int>(nranks));
+      walk_rank_binary(cr, TableSink{t});
+    } else {
+      walk_rank_binary(cr, NullSink{});
+    }
     CRITTER_CHECK(cr.done(), "stat snapshot: trailing bytes in rank chunk");
   }
   CRITTER_CHECK(r.done(), "stat snapshot: trailing content after final rank");
-  return snap;
-}
-
-// --- dirty-rank sparse transport (DESIGN.md §13) ---------------------------
-
-constexpr char kSparseMagic[8] = {'C', 'R', 'S', 'P', 'R', 'S', '1', '\n'};
-
-/// One rank chunk of a full binary payload, located in place.
-struct ChunkExtent {
-  const char* frame;   ///< start of the [len][sum] header
-  const char* body;    ///< start of the chunk records (epoch first)
-  std::uint64_t len;   ///< body byte count
-  std::uint64_t sum;   ///< recorded checksum64 of the body
-};
-
-/// Walk a full payload's frame structure without decoding any record (and
-/// without re-checksumming: the caller holds the payload as trusted — it
-/// was produced or checksum-verified locally).  Validates everything
-/// structural: magic, version (sparse transport requires the current
-/// chunked layout), rank count, chunk lengths against the bytes present,
-/// and that no trailing bytes follow the final chunk.
-std::vector<ChunkExtent> chunk_extents(std::string_view full,
-                                       const char* what) {
-  WireReader r{full, what};
-  char magic[sizeof kMagic];
-  r.raw(magic, sizeof magic);
-  CRITTER_CHECK(std::memcmp(magic, kMagic, sizeof kMagic) == 0,
-                std::string(what) + ": not a binary stat snapshot");
-  const std::uint32_t version = r.u32();
-  CRITTER_CHECK(version == kVersion,
-                std::string(what) +
-                    ": sparse transport requires the chunked version-" +
-                    std::to_string(kVersion) + " layout (got version " +
-                    std::to_string(version) + ")");
-  const std::uint32_t nranks = r.u32();
-  CRITTER_CHECK(nranks >= 1 && nranks <= kMaxRanks,
-                std::string(what) + ": implausible rank count");
-  CRITTER_CHECK(nranks <= r.remaining() / 16,
-                std::string(what) + ": truncated payload");
-  std::vector<ChunkExtent> out;
-  out.reserve(nranks);
-  for (std::uint32_t i = 0; i < nranks; ++i) {
-    ChunkExtent e{};
-    e.frame = full.data() + r.pos;
-    e.len = r.u64();
-    CRITTER_CHECK(e.len <= kMaxChunkBytes,
-                  std::string(what) + ": implausible rank-chunk size");
-    e.sum = r.u64();
-    e.body = r.bytes(e.len).data();
-    // Every chunk body leads with the i64 epoch — the field the sparse
-    // codec patches in place.
-    CRITTER_CHECK(e.len >= 8,
-                  std::string(what) + ": rank chunk shorter than its epoch");
-    out.push_back(e);
-  }
-  CRITTER_CHECK(r.done(),
-                std::string(what) + ": trailing content after final rank");
-  return out;
-}
-
-std::int64_t chunk_epoch(const ChunkExtent& e) {
-  std::int64_t epoch;
-  std::memcpy(&epoch, e.body, 8);
-  return epoch;
-}
-
-std::vector<std::int64_t> epochs_of(const std::vector<ChunkExtent>& chunks) {
-  std::vector<std::int64_t> epochs;
-  epochs.reserve(chunks.size());
-  for (const ChunkExtent& e : chunks) epochs.push_back(chunk_epoch(e));
-  return epochs;
-}
-
-/// The canonical "clean" delta chunk body: what write_rank_binary emits for
-/// a default-constructed table at `epoch` — the epoch followed by six zero
-/// record counts (kernels, keys, pending, tombstones, channels, buckets).
-constexpr std::size_t kCleanChunkBytes = 8 + 6 * 8;
-
-/// A full payload whose every rank holds the clean chunk at its epoch: the
-/// implicit base of a mode-1 standalone delta.
-std::string clean_payload(const std::vector<std::int64_t>& epochs) {
-  WireWriter w;
-  w.raw(kMagic, sizeof kMagic);
-  w.u32(kVersion);
-  w.u32(static_cast<std::uint32_t>(epochs.size()));
-  for (std::int64_t epoch : epochs) {
-    char body[kCleanChunkBytes] = {};
-    std::memcpy(body, &epoch, 8);
-    w.u64(sizeof body);
-    w.u64(checksum64(body, sizeof body));
-    w.raw(body, sizeof body);
-  }
-  return std::move(w.out);
-}
-
-/// A sparse payload parsed and fully validated in place: header bounds,
-/// strictly ascending rank indices (rejects duplicates and overlaps),
-/// per-chunk length, checksum, record structure and epoch, no trailing
-/// bytes.
-struct SparseEntry {
-  std::uint32_t rank;
-  std::uint64_t len;
-  std::uint64_t sum;
-  const char* body;
-};
-struct ParsedSparse {
-  std::uint32_t nranks = 0;
-  std::uint8_t mode = 0;
-  std::vector<std::int64_t> epochs;
-  std::vector<SparseEntry> entries;
-};
-
-ParsedSparse parse_sparse(std::string_view payload) {
-  WireReader r{payload, "sparse snapshot"};
-  char magic[sizeof kSparseMagic];
-  r.raw(magic, sizeof magic);
-  CRITTER_CHECK(std::memcmp(magic, kSparseMagic, sizeof kSparseMagic) == 0,
-                "sparse snapshot: bad magic");
-  const std::uint32_t version = r.u32();
-  CRITTER_CHECK(version == kVersion,
-                "sparse snapshot: unsupported chunk version " +
-                    std::to_string(version) + " (current " +
-                    std::to_string(kVersion) + ")");
-  ParsedSparse out;
-  out.nranks = r.u32();
-  CRITTER_CHECK(out.nranks >= 1 && out.nranks <= kMaxRanks,
-                "sparse snapshot: implausible rank count");
-  out.mode = r.u8();
-  CRITTER_CHECK(out.mode <= 1, "sparse snapshot: unknown mode " +
-                                   std::to_string(out.mode));
-  CRITTER_CHECK(out.nranks <= r.remaining() / 8,
-                "sparse snapshot: truncated payload");
-  out.epochs.resize(out.nranks);
-  for (std::int64_t& e : out.epochs) e = r.i64();
-  const std::uint32_t ndirty = r.u32();
-  CRITTER_CHECK(ndirty <= out.nranks,
-                "sparse snapshot: more dirty ranks than ranks");
-  out.entries.reserve(ndirty);
-  std::int64_t prev = -1;
-  for (std::uint32_t i = 0; i < ndirty; ++i) {
-    SparseEntry e{};
-    e.rank = r.u32();
-    CRITTER_CHECK(e.rank < out.nranks,
-                  "sparse snapshot: dirty rank index out of range");
-    CRITTER_CHECK(static_cast<std::int64_t>(e.rank) > prev,
-                  "sparse snapshot: dirty ranks must be strictly ascending "
-                  "(duplicate or overlapping rank)");
-    prev = e.rank;
-    e.len = r.u64();
-    CRITTER_CHECK(e.len <= kMaxChunkBytes,
-                  "sparse snapshot: implausible rank-chunk size");
-    e.sum = r.u64();
-    const std::string_view body = r.bytes(e.len);
-    CRITTER_CHECK(e.len >= 8,
-                  "sparse snapshot: rank chunk shorter than its epoch");
-    CRITTER_CHECK(checksum64(body.data(), body.size()) == e.sum,
-                  "sparse snapshot: rank-chunk checksum mismatch (corrupt "
-                  "or truncated payload)");
-    e.body = body.data();
-    // A chunk that checksums is not yet a chunk that decodes: walk its
-    // records (building nothing), so a holder that splices chunks without
-    // ever parsing them still admits only decodable bytes.
-    check_rank_chunk(body);
-    std::int64_t epoch;
-    std::memcpy(&epoch, e.body, 8);
-    CRITTER_CHECK(epoch == out.epochs[e.rank],
-                  "sparse snapshot: dirty chunk's epoch disagrees with the "
-                  "epoch array");
-    out.entries.push_back(e);
-  }
-  CRITTER_CHECK(r.done(),
-                "sparse snapshot: trailing content after final chunk");
-  return out;
-}
-
-void write_sparse_header(WireWriter& w, std::uint32_t nranks,
-                         std::uint8_t mode,
-                         const std::vector<std::int64_t>& epochs) {
-  w.raw(kSparseMagic, sizeof kSparseMagic);
-  w.u32(kVersion);
-  w.u32(nranks);
-  w.u8(mode);
-  for (std::int64_t e : epochs) w.i64(e);
-}
-
-void write_sparse_entry(WireWriter& w, std::uint32_t rank,
-                        const ChunkExtent& e) {
-  w.u32(rank);
-  w.u64(e.len);
-  w.u64(e.sum);
-  w.raw(e.body, static_cast<std::size_t>(e.len));
-}
-
-/// The sparse encoder of both modes: the ranks of `cur` whose chunk bytes
-/// differ from `base`'s beyond the epoch, plus `cur`'s epoch array.
-std::string encode_sparse(const std::vector<ChunkExtent>& base,
-                          const std::vector<ChunkExtent>& cur,
-                          std::uint8_t mode) {
-  CRITTER_CHECK(base.size() == cur.size(),
-                "sparse patch: base and target disagree on rank count");
-  WireWriter w;
-  write_sparse_header(w, static_cast<std::uint32_t>(cur.size()), mode,
-                      epochs_of(cur));
-  const std::size_t ndirty_at = w.out.size();
-  w.u32(0);  // dirty count backpatched below
-  std::uint32_t ndirty = 0;
-  for (std::uint32_t rank = 0; rank < cur.size(); ++rank) {
-    const ChunkExtent& b = base[rank];
-    const ChunkExtent& c = cur[rank];
-    // Byte comparison is the sole decider (§13): identical chunks are
-    // omitted outright; chunks whose only difference is the leading epoch
-    // are covered by the header's epoch array; anything else ships whole.
-    if (b.len == c.len) {
-      if (std::memcmp(b.body, c.body, static_cast<std::size_t>(c.len)) == 0)
-        continue;
-      if (std::memcmp(b.body + 8, c.body + 8,
-                      static_cast<std::size_t>(c.len) - 8) == 0)
-        continue;  // epoch-only change, carried by the epoch array
-    }
-    write_sparse_entry(w, rank, c);
-    ++ndirty;
-  }
-  std::memcpy(w.out.data() + ndirty_at, &ndirty, 4);
-  return std::move(w.out);
-}
-
-/// Splice a parsed sparse payload onto its base payload's extents (for a
-/// mode-1 delta, the clean payload): dirty ranks substitute their shipped
-/// chunk, epoch-only ranks get the 8-byte epoch overwritten in place with
-/// the chunk checksum recomputed, clean ranks copy through verbatim.
-std::string splice_sparse_patch(std::string_view base_full,
-                                const std::vector<ChunkExtent>& base,
-                                const ParsedSparse& patch) {
-  CRITTER_CHECK(base.size() == patch.nranks,
-                "sparse snapshot: patch rank count does not match the base "
-                "payload");
-  WireWriter w;
-  w.out.reserve(base_full.size() + (kCleanChunkBytes + 24) * 4);
-  w.raw(kMagic, sizeof kMagic);
-  w.u32(kVersion);
-  w.u32(patch.nranks);
-  std::size_t next = 0;
-  for (std::uint32_t rank = 0; rank < patch.nranks; ++rank) {
-    if (next < patch.entries.size() && patch.entries[next].rank == rank) {
-      const SparseEntry& e = patch.entries[next++];
-      w.u64(e.len);
-      w.u64(e.sum);
-      w.raw(e.body, static_cast<std::size_t>(e.len));
-      continue;
-    }
-    const ChunkExtent& b = base[rank];
-    if (chunk_epoch(b) == patch.epochs[rank]) {
-      // Unchanged rank: the base frame (header + body) copies through.
-      w.raw(b.frame, static_cast<std::size_t>(16 + b.len));
-      continue;
-    }
-    // Epoch-only change: patch the leading 8 bytes of the body and refresh
-    // the chunk checksum — still pure byte surgery.
-    w.u64(b.len);
-    const std::size_t sum_at = w.out.size();
-    w.u64(0);  // checksum backpatched below
-    const std::size_t body = w.out.size();
-    w.raw(b.body, static_cast<std::size_t>(b.len));
-    std::memcpy(w.out.data() + body, &patch.epochs[rank], 8);
-    const std::uint64_t sum = checksum64(w.out.data() + body, b.len);
-    std::memcpy(w.out.data() + sum_at, &sum, 8);
-  }
-  return std::move(w.out);
 }
 
 }  // namespace
@@ -845,74 +578,13 @@ std::uint32_t StatSnapshot::current_version() { return kVersion; }
 std::string StatSnapshot::to_string() const { return save_binary_string(*this); }
 
 StatSnapshot StatSnapshot::from_string(std::string_view bytes) {
-  // Sparse and full payloads lead with their 8-byte magics (both start with
-  // 'C', so the sparse check must compare the full magic).
-  CRITTER_CHECK(!bytes.empty(), "stat snapshot: empty input");
-  if (is_sparse_payload(bytes))
-    return from_string(expand_sparse_delta(bytes));
-  return load_binary(bytes);
+  StatSnapshot snap;
+  walk_payload(bytes, &snap);
+  return snap;
 }
 
-// --- dirty-rank sparse transport: public API (DESIGN.md §13) ----------------
-
-bool is_sparse_payload(std::string_view bytes) {
-  return bytes.size() >= sizeof kSparseMagic &&
-         std::memcmp(bytes.data(), kSparseMagic, sizeof kSparseMagic) == 0;
-}
-
-SparsePayloadInfo sparse_payload_info(std::string_view bytes) {
-  const ParsedSparse p = parse_sparse(bytes);
-  return SparsePayloadInfo{p.mode, p.nranks,
-                           static_cast<std::uint32_t>(p.entries.size())};
-}
-
-std::string encode_sparse_patch(std::string_view base_full,
-                                std::string_view new_full) {
-  return encode_sparse(chunk_extents(base_full, "sparse patch base"),
-                       chunk_extents(new_full, "sparse patch target"),
-                       /*mode=*/0);
-}
-
-std::string apply_sparse_patch(std::string_view base_full,
-                               std::string_view patch) {
-  const ParsedSparse p = parse_sparse(patch);
-  CRITTER_CHECK(p.mode == 0,
-                "sparse snapshot: expected a patch (mode 0), got a "
-                "standalone delta");
-  const std::vector<ChunkExtent> base =
-      chunk_extents(base_full, "sparse patch base");
-  return splice_sparse_patch(base_full, base, p);
-}
-
-void check_snapshot_payload(std::string_view full) {
-  for (const ChunkExtent& e : chunk_extents(full, "stat snapshot")) {
-    CRITTER_CHECK(checksum64(e.body, static_cast<std::size_t>(e.len)) == e.sum,
-                  "stat snapshot: rank-chunk checksum mismatch (corrupt or "
-                  "truncated payload)");
-    check_rank_chunk(std::string_view(e.body, e.len));
-  }
-}
-
-std::string encode_sparse_delta(const StatSnapshot& delta) {
-  // A standalone delta is a patch against the clean snapshot at the delta's
-  // own epochs: a rank a diff left untouched serializes as the clean chunk
-  // and ships nothing; everything else ships byte-for-byte.
-  const std::string full = save_binary_string(delta);
-  const std::vector<ChunkExtent> cur =
-      chunk_extents(full, "sparse delta source");
-  const std::string clean = clean_payload(epochs_of(cur));
-  return encode_sparse(chunk_extents(clean, "sparse delta base"), cur,
-                       /*mode=*/1);
-}
-
-std::string expand_sparse_delta(std::string_view sparse) {
-  const ParsedSparse p = parse_sparse(sparse);
-  CRITTER_CHECK(p.mode == 1,
-                "sparse snapshot: expected a standalone delta (mode 1), got "
-                "a patch that needs its base");
-  const std::string clean = clean_payload(p.epochs);
-  return splice_sparse_patch(clean, chunk_extents(clean, "sparse delta base"),
-                             p);
+void check_snapshot_payload(std::string_view bytes) {
+  walk_payload(bytes, nullptr);
 }
 
 void StatSnapshot::save_file(const std::string& path) const {

@@ -130,17 +130,24 @@ struct StatSnapshot {
   std::string to_string() const;
   void save_file(const std::string& path) const;
 
-  /// Decode a full payload or a mode-1 sparse delta (auto-detected from the
-  /// leading magic).  Any other version — including versions 1 and 2 —
-  /// fails with an unsupported-version error before any checksum is
-  /// consulted.  Throws std::runtime_error on truncated, corrupt, or
-  /// unsupported-version input — always before returning partial state.
+  /// Decode a payload of the current version.  Any other version —
+  /// including versions 1 and 2 — fails with an unsupported-version error
+  /// before any checksum is consulted.  Throws std::runtime_error on
+  /// truncated, corrupt, or unsupported-version input — always before
+  /// returning partial state.
   /// from_string decodes a borrowed payload in place (rank chunks are
   /// checksummed and parsed without copying); load_file reads the file
   /// (core::read_file) and decodes that, naming the file in a parse error.
   static StatSnapshot from_string(std::string_view bytes);
   static StatSnapshot load_file(const std::string& path);
 };
+
+/// Validate a payload the way from_string() decodes it — header, every
+/// chunk checksum, every chunk's record structure, no trailing bytes —
+/// without building any table.  Throws on the first defect.  A holder that
+/// keeps statistics only as bytes (the tuner daemon's session state, the
+/// session journal's payloads) admits nothing the decoder would reject.
+void check_snapshot_payload(std::string_view bytes);
 
 /// One kernel's pooled runtime moments, extracted read-only from a
 /// snapshot: the per-rank Welford accumulators of the same key merged
@@ -165,81 +172,5 @@ std::vector<KernelMoments> extract_moments(const StatSnapshot& snap);
 /// instead of re-deriving the moment algebra at every call site.
 KernelStats moments_to_stats(const KernelMoments& m);
 KernelMoments stats_to_moments(const KernelKey& key, const KernelStats& ks);
-
-// ---------------------------------------------------------------------------
-// Dirty-rank sparse transport (DESIGN.md §13)
-// ---------------------------------------------------------------------------
-//
-// The binary snapshot frames every rank table as a length-prefixed,
-// checksummed chunk.  The sparse codec rides that framing: a sparse
-// payload names only the *dirty* ranks and carries their chunks verbatim,
-// plus the authoritative per-rank epoch array (the epoch is the first 8
-// bytes of every chunk body, so a rank whose bytes changed only in its
-// epoch ships 8 bytes instead of its whole table).  Application is byte
-// splicing — chunk substitution plus an in-place epoch overwrite with a
-// checksum refresh — so sparse transport is *byte-equivalent* to shipping
-// the full snapshot: no float algebra, no ulp drift, bit-identity by
-// construction.  Two modes:
-//
-//   * mode 0 (patch): relative to a full base payload the receiver
-//     already holds — the tuner daemon's TELL and session-journal records;
-//   * mode 1 (standalone delta): a mode-0 patch whose base is implicit —
-//     the clean snapshot at the payload's own epochs, where every rank is
-//     the canonical "clean" delta chunk (its epoch, zero records), so a
-//     rank absent from the dirty list reconstructs as that chunk.  One
-//     encoder and one splice serve both modes.  The exchange mailbox
-//     publishes mode 1, and from_string() auto-detects and expands it, so
-//     every existing snapshot reader accepts sparse deltas unchanged.
-//
-// Every decoder is fuzz-hardened like the full codec: magic/version/mode
-// checked first, rank indices strictly ascending and bounded (duplicates
-// and overlaps rejected), every chunk length bounded by the bytes
-// remaining, every chunk checksum verified and its records walked by the
-// full decoder's own layout reader (counts, bounds, trailing bytes — no
-// table is built) before use, trailing bytes rejected.
-
-/// True when `bytes` lead with the sparse-payload magic ("CRSPRS1\n").
-bool is_sparse_payload(std::string_view bytes);
-
-/// Summary of a validated sparse payload.
-struct SparsePayloadInfo {
-  int mode = 0;               ///< 0 = patch-onto-base, 1 = standalone delta
-  std::uint32_t nranks = 0;   ///< rank count of the (base) snapshot
-  std::uint32_t ndirty = 0;   ///< ranks shipping a full chunk
-};
-SparsePayloadInfo sparse_payload_info(std::string_view bytes);
-
-/// Encode the mode-0 patch turning full payload `base_full` into
-/// `new_full` (same rank count required).  A rank whose chunk bytes are
-/// unchanged — or differ only in the leading epoch field — ships no chunk;
-/// the decision is a byte comparison.
-std::string encode_sparse_patch(std::string_view base_full,
-                                std::string_view new_full);
-
-/// Apply a mode-0 patch to a full payload, returning the new full payload:
-/// exactly the `new_full` bytes encode_sparse_patch() saw.  Every shipped
-/// chunk is validated as above, so a holder that keeps statistics only as
-/// bytes (the tuner daemon's session state) admits nothing the decoder
-/// would reject — without decoding anything itself.  `base_full` is
-/// trusted: its frames are walked, not re-checksummed.
-std::string apply_sparse_patch(std::string_view base_full,
-                               std::string_view patch);
-
-/// Validate a full binary payload of the current version the way the
-/// decoder would — header, every chunk checksum, every chunk's record
-/// structure — without building any table.  Throws on the first defect.
-void check_snapshot_payload(std::string_view full);
-
-/// Encode a snapshot as a mode-1 standalone sparse delta: its patch against
-/// the clean snapshot at its own epochs, so ranks whose chunk is the clean
-/// chunk (epoch + zero records — what diff() produces for an untouched
-/// rank) are carried by the epoch array alone.
-/// expand_sparse_delta(encode_sparse_delta(s)) == s.to_string().
-std::string encode_sparse_delta(const StatSnapshot& delta);
-
-/// Expand a mode-1 sparse delta to the exact full payload it encodes, by
-/// splicing it onto the clean snapshot.  Rejects mode-0 patches (those
-/// need a base only their producer holds).
-std::string expand_sparse_delta(std::string_view sparse);
 
 }  // namespace critter::core

@@ -1,9 +1,9 @@
 // The little string-backed binary writer/reader every byte-exact wire
-// format in the tree shares: the statistics snapshot and its sparse codec,
-// the dist layer's shard-result and checkpoint payloads, and the net
-// layer's frame payloads (which must serialize outcomes identically to the
-// file formats — a told batch journaled by the daemon replays bit-equal to
-// one a run directory would carry).
+// format in the tree shares: the statistics snapshot, the dist layer's
+// shard-result and checkpoint payloads, and the net layer's frame payloads
+// (which must serialize outcomes identically to the file formats — a told
+// batch journaled by the daemon replays bit-equal to one a run directory
+// would carry).
 //
 // Fixed-width little-endian-as-memcpy fields; strings are [i32 length] +
 // bytes with a plausibility bound so a corrupt length cannot allocate the

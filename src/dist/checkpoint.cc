@@ -20,22 +20,21 @@ namespace {
 // "bad magic", not as corruption.
 constexpr char kRecordMagic[8] = {'C', 'R', 'C', 'K', 'R', 'E', 'C', '1'};
 
-/// A length-prefixed patch field.
+/// A length-prefixed payload field.
 void write_blob(WireWriter& w, const std::string& bytes) {
   w.i64(static_cast<std::int64_t>(bytes.size()));
   w.raw(bytes.data(), bytes.size());
 }
 
-std::string read_patch(WireReader& r) {
+std::string read_payload_field(WireReader& r) {
   const std::int64_t len = r.i64();
   CRITTER_CHECK(len >= 0, "journal record: negative blob length");
   std::string out(r.bytes(static_cast<std::size_t>(len)));
-  // Shape check only ("" / sparse / full snapshot payload); apply_record
-  // validates every chunk when it resolves the patch.
-  CRITTER_CHECK(out.empty() || core::is_sparse_payload(out) ||
-                    out.front() == 'C',
-                "journal record: patch field is neither empty, sparse, nor "
-                "a snapshot payload");
+  // Shape check only; apply_record validates every chunk before it takes
+  // the payload.
+  CRITTER_CHECK(out.empty() || out.front() == 'C',
+                "journal record: payload field is neither empty nor a "
+                "snapshot payload");
   return out;
 }
 
@@ -134,7 +133,7 @@ std::string serialize_record(const JournalRecord& rec) {
 }
 
 std::string serialize_record(const ShardCheckpoint& ck) {
-  // Against the empty state a full payload is its own patch.
+  // Extending the empty state, every payload travels whole.
   return write_record(0, ck, ck.full_bytes, ck.mark_bytes, ck.own_bytes);
 }
 
@@ -212,10 +211,10 @@ JournalRecord parse_record(std::string_view payload, const tune::Study& study,
   }
 
   rec.has_exchange_state = r.u8() != 0;
-  rec.full_patch = read_patch(r);
+  rec.full_patch = read_payload_field(r);
   if (rec.has_exchange_state) {
-    rec.mark_patch = read_patch(r);
-    rec.own_patch = read_patch(r);
+    rec.mark_patch = read_payload_field(r);
+    rec.own_patch = read_payload_field(r);
   }
   CRITTER_CHECK(r.done(), "journal record: trailing garbage");
   return rec;
@@ -244,19 +243,25 @@ void apply_record(ShardCheckpoint& ck, std::int64_t base_seq,
   for (const auto& [idx, t] : rec.totals)
     CRITTER_CHECK(idx >= 0 && static_cast<std::size_t>(idx) < ck.totals.size(),
                   "journal record: totals index out of range");
-  // Resolve every patch before anything moves, so a patch that does not fit
-  // its base leaves `ck` untouched.
-  std::string full_bytes = patched_bytes(ck.full_bytes, rec.full_patch);
-  std::string mark_bytes, own_bytes;
+  // Check every payload before anything moves, so a field that is not a
+  // payload leaves `ck` untouched.  "" leaves the bytes as they are; a
+  // payload replaces them.
+  const auto check = [](const std::string& field) {
+    if (!field.empty()) core::check_snapshot_payload(field);
+  };
+  const auto take = [](std::string& bytes, std::string& field) {
+    if (!field.empty()) bytes = std::move(field);
+  };
+  check(rec.full_patch);
   if (rec.has_exchange_state) {
-    mark_bytes = patched_bytes(ck.mark_bytes, rec.mark_patch);
-    own_bytes = patched_bytes(ck.own_bytes, rec.own_patch);
+    check(rec.mark_patch);
+    check(rec.own_patch);
   }
   advance(ck, rec);
-  ck.full_bytes = std::move(full_bytes);
+  take(ck.full_bytes, rec.full_patch);
   if (rec.has_exchange_state) {
-    ck.mark_bytes = std::move(mark_bytes);
-    ck.own_bytes = std::move(own_bytes);
+    take(ck.mark_bytes, rec.mark_patch);
+    take(ck.own_bytes, rec.own_patch);
   }
 }
 
@@ -310,22 +315,6 @@ std::vector<std::string> scan_log_records(const std::string& blob) {
   return records;
 }
 
-std::string patched_bytes(const std::string& base, const std::string& patch) {
-  if (patch.empty()) return base;  // unchanged
-  if (core::is_sparse_payload(patch))
-    return core::apply_sparse_patch(base, patch);
-  core::check_snapshot_payload(patch);
-  return patch;  // full payload: wholesale replacement
-}
-
-std::string make_patch(const std::string& base, const std::string& cur) {
-  if (base == cur) return {};
-  if (base.empty()) return cur;
-  CRITTER_CHECK(!cur.empty(),
-                "journal record: statistics state reset to empty");
-  return core::encode_sparse_patch(base, cur);
-}
-
 // ---------------------------------------------------------------------------
 // SessionJournal
 // ---------------------------------------------------------------------------
@@ -341,6 +330,19 @@ ShardCheckpoint empty_state(const ShardRange& range, bool exchanging) {
   ck.totals.resize(static_cast<std::size_t>(range.end - range.begin));
   ck.has_exchange_state = exchanging;
   return ck;
+}
+
+/// What a log record carries for one payload: the step's bytes, whole,
+/// when they differ from the journaled `was`, and "" (unchanged) otherwise.
+const std::string& log_field(const std::optional<std::string>& now,
+                             const std::string& was) {
+  static const std::string unchanged;
+  return now && *now != was ? *now : unchanged;
+}
+
+/// True when a step empties a payload, which a log record's "" cannot say.
+bool empties(const std::optional<std::string>& now, const std::string& was) {
+  return now && now->empty() && !was.empty();
 }
 
 }  // namespace
@@ -428,7 +430,10 @@ void SessionJournal::replace_bytes(std::string full_bytes) {
 
 void SessionJournal::record(Step step,
                             const std::vector<tune::ConfigTotals>& totals) {
-  const bool full_slot = next_is_full();
+  const bool full_slot = next_is_full() ||
+                         empties(step.full_bytes, state_.full_bytes) ||
+                         empties(step.mark_bytes, state_.mark_bytes) ||
+                         empties(step.own_bytes, state_.own_bytes);
   JournalRecord rec;
   rec.base_seq = full_slot ? 0 : base_seq_;
   rec.seq = state_.seq + 1;
@@ -455,9 +460,6 @@ void SessionJournal::record(Step step,
     rec.totals.emplace_back(
         idx, totals[static_cast<std::size_t>(range_.begin + idx)]);
   rec.has_exchange_state = exchanging_;
-  rec.full_patch = std::move(step.full_patch);
-  rec.mark_patch = std::move(step.mark_patch);
-  rec.own_patch = std::move(step.own_patch);
   // state_ takes the record with the step's payloads, and swapping them
   // twice gives them back.  The replaced payloads wait in `step`.
   const auto swap_payloads = [&] {
@@ -470,7 +472,13 @@ void SessionJournal::record(Step step,
   // durable record and the next record is a full slot.
   force_full_ = true;
   if (!full_slot) {
-    write(false, frame_log_record(serialize_record(rec)));
+    // Written from the step's bytes in place: no payload is copied into
+    // the record first.
+    write(false, frame_log_record(write_record(
+                     rec.base_seq, rec,
+                     log_field(step.full_bytes, state_.full_bytes),
+                     log_field(step.mark_bytes, state_.mark_bytes),
+                     log_field(step.own_bytes, state_.own_bytes))));
     advance(state_, rec);
     swap_payloads();
   } else {

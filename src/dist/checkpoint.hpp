@@ -16,16 +16,17 @@
 //     (round, peer) pairs;
 //   * the totals of the configurations those batches touched, which tell()
 //     does not carry;
-//   * one byte-patch field per statistics payload: the session statistics
-//     and, with mid-sweep exchange on, the delta baseline `mark` and the
-//     shard's own contribution `own`.
+//   * one field per statistics payload — the session statistics and, with
+//     mid-sweep exchange on, the delta baseline `mark` and the shard's own
+//     contribution `own` — holding "" when the payload's bytes are
+//     unchanged, otherwise the whole new payload.
 //
 // A full checkpoint is the record that extends nothing: base 0, every told
-// batch, every skip, the whole range's totals, and full payloads in its
-// patch fields, since a patch against the empty state is the payload itself
-// (patched_bytes).  Any other record names the full checkpoint it extends.
-// So one apply_record serves both: resume applies the best slot's record to
-// the empty state, then the longest valid log prefix on top.
+// batch, every skip, the whole range's totals, and every payload whole,
+// since the empty state's payloads are "".  Any other record names the full
+// checkpoint it extends.  So one apply_record serves both: resume applies
+// the best slot's record to the empty state, then the longest valid log
+// prefix on top.
 //
 // Two envelopes hold records.  A slot is one record followed by a
 // util::checksum64 trailer over it, published through core::publish_file.
@@ -72,8 +73,8 @@ struct ShardCheckpoint {
   bool has_exchange_state = false;
   /// Serialized payloads of the session statistics, and with exchange on
   /// of the delta baseline and the own-contribution accumulator ("" =
-  /// empty snapshot): the exact byte strings the records' patches splice
-  /// onto.  A resume decodes them once, for an owner that asks.
+  /// empty snapshot): the exact byte strings the owner journaled.  A resume
+  /// decodes them once, for an owner that asks.
   std::string full_bytes;
   std::string mark_bytes;
   std::string own_bytes;
@@ -81,17 +82,11 @@ struct ShardCheckpoint {
 
 /// One journal record: a full checkpoint when `base_seq` is 0, otherwise
 /// the change since the previous record of the log extending slot
-/// `base_seq`.  Each patch field is one of:
-///
-///   * "" — the payload's bytes are unchanged;
-///   * a mode-0 sparse payload (core::encode_sparse_patch, DESIGN.md §13)
-///     that splices dirty rank chunks onto the previous bytes;
-///   * a full CRSTAT payload that replaces them: every non-empty payload of
-///     a full checkpoint, the empty -> non-empty transition of a log record,
-///     and whatever a tuner-daemon client TELLs in full.
-///
-/// Patches are byte splices, so the payload a resume rebuilds is the exact
-/// byte string the owner held — no diff/merge round trip (DESIGN.md §13).
+/// `base_seq`.  Each payload field (`*_patch`, the record's change to that
+/// payload) is "" when the payload's bytes are unchanged, and otherwise
+/// the whole CRSTAT payload that replaces them.  Bytes move whole, so the
+/// payload a resume rebuilds is the exact byte string the owner held — no
+/// diff/merge round trip (DESIGN.md §13).
 struct JournalRecord {
   std::int64_t base_seq = 0;  ///< seq of the full checkpoint extended; 0 = none
   std::int64_t seq = 0;       ///< sequence number of this record
@@ -106,9 +101,9 @@ struct JournalRecord {
   /// positions of the new batches, or the whole range for a full checkpoint.
   std::vector<std::pair<int, tune::ConfigTotals>> totals;
   bool has_exchange_state = false;
-  std::string full_patch;  ///< session-statistics byte patch
-  std::string mark_patch;  ///< delta-baseline byte patch (exchange on)
-  std::string own_patch;   ///< own-contribution byte patch (exchange on)
+  std::string full_patch;  ///< session statistics: "" or a whole payload
+  std::string mark_patch;  ///< delta baseline (exchange on): "" or whole
+  std::string own_patch;   ///< own contribution (exchange on): "" or whole
 };
 
 std::string serialize_record(const JournalRecord& rec);
@@ -127,10 +122,9 @@ JournalRecord parse_record(std::string_view payload, const tune::Study& study,
 /// Extend `ck` by one record, whose base must be `base_seq`.  A record with
 /// base 0 (a full checkpoint) applies only to the empty state and must
 /// cover the whole range with totals; any other must follow `ck` in
-/// sequence.  The cursors must add up,
-/// the exchange flag must match, and every patch must fit the bytes it
-/// splices onto: patched_bytes validates each incoming chunk, and nothing is
-/// decoded.  Throws on any discontinuity with `ck` unchanged.
+/// sequence.  The cursors must add up, the exchange flag must match, and
+/// every non-empty payload field must pass core::check_snapshot_payload;
+/// nothing is decoded.  Throws on any discontinuity with `ck` unchanged.
 void apply_record(ShardCheckpoint& ck, std::int64_t base_seq,
                   JournalRecord&& rec);
 
@@ -150,21 +144,6 @@ std::string frame_log_record(const std::string& payload);
 /// torn or corrupt append is still trusted.
 std::vector<std::string> scan_log_records(const std::string& blob);
 
-/// The payload bytes one patch field turns `base` into: "" leaves them
-/// unchanged, a mode-0 sparse patch (DESIGN.md §13) splices dirty rank
-/// chunks onto them, and a full payload replaces them.  Every incoming
-/// chunk is checked with the decoder's structural rules, but no table is
-/// built.  Journal replay and the tuner daemon's TELL both resolve patches
-/// here.
-std::string patched_bytes(const std::string& base, const std::string& patch);
-
-/// The inverse of patched_bytes: the patch field that turns `base` into
-/// `cur` — "" when the bytes are identical, `cur` wholesale when `base` is
-/// empty, otherwise a mode-0 sparse patch shipping only dirty rank chunks.
-/// Throws when the transition cannot be patched (state reset to empty,
-/// rank-count change); the journal's owner then asks for a full slot.
-std::string make_patch(const std::string& base, const std::string& cur);
-
 /// The durable journal of one tuning session (DESIGN.md §10, §11): a full
 /// checkpoint slot, then up to kIncrementsPerFull records appended to the
 /// log, then a full slot in the other slot, and so on.  Two owners use it —
@@ -179,9 +158,11 @@ class SessionJournal {
   static constexpr std::int64_t kIncrementsPerFull = 16;
 
   /// What one record adds to state(): the newly told batches and skips,
-  /// the exchange cursors, and each statistics payload's new bytes with
-  /// the byte patch that turns state()'s bytes into them.  A payload whose
-  /// bytes are left unset is unchanged, and its patch stays "".
+  /// the exchange cursors, and each statistics payload's new bytes.  A
+  /// payload left unset is unchanged.  A log record writes a payload whole
+  /// when its bytes differ from state()'s and "" otherwise; bytes that go
+  /// from non-empty to empty, which "" cannot say, make the record a full
+  /// slot.
   struct Step {
     std::vector<ShardCheckpoint::ToldBatch> told;
     std::vector<std::pair<int, int>> skipped;
@@ -190,7 +171,6 @@ class SessionJournal {
     int rounds = 0;
     int in_round = 0;
     std::optional<std::string> full_bytes, mark_bytes, own_bytes;
-    std::string full_patch, mark_patch, own_patch;
   };
 
   /// How a fault-injected write reaches the disk.  Torn: half a log
@@ -228,14 +208,15 @@ class SessionJournal {
   /// The journaled state as of the last durable record or resume.
   const ShardCheckpoint& state() const { return state_; }
 
-  /// True when the next record will be a full slot; patches are not read.
+  /// True when the next record will be a full slot whatever its step (a
+  /// step that empties a payload makes one too).
   bool next_is_full() const;
 
   /// Make the next record a full slot.
   void force_full() { force_full_ = true; }
 
   /// Replace the session statistics bytes out of band (a warm start).
-  /// Log records after it would patch bytes no resume can rebuild, so the
+  /// Log records after it would extend bytes no resume can rebuild, so the
   /// next record is a full slot.
   void replace_bytes(std::string full_bytes);
 

@@ -133,9 +133,9 @@ struct ShardResult {
   int checkpoints = 0;      ///< checkpoints the final worker attempt published
   int resumed_batches = 0;  ///< batches replayed from the resume checkpoint
   /// Exchange payload bytes the final worker attempt moved through the
-  /// store (published deltas + live peer reads) — the wire-accounting
-  /// companion to the sparse delta encoding (DESIGN.md §13): the bench
-  /// harness divides by exchange_rounds for bytes_per_exchange_round.
+  /// store (published deltas + live peer reads; DESIGN.md §13.2): the
+  /// bench harness divides by exchange_rounds for
+  /// bytes_per_exchange_round.
   std::int64_t exchange_bytes = 0;
   std::string failure;      ///< last classified failure, empty if none
 };

@@ -93,22 +93,9 @@ void ShardSession::record(SessionJournal& journal) {
   pending_.full_bytes = bytes_of(tuner_.export_state());
   // mark/own are assigned only at exchange rounds (and when the session
   // starts or resumes): while neither was assigned since the last durable
-  // record, the record skips both the serialization and the patch.
+  // record, the record skips their serialization.
   if (mark_dirty_) pending_.mark_bytes = bytes_of(mark_);
   if (own_dirty_) pending_.own_bytes = bytes_of(own_);
-  if (!journal.next_is_full()) {
-    // Byte patches against the journaled payloads (DESIGN.md §13).
-    const ShardCheckpoint& prev = journal.state();
-    try {
-      pending_.full_patch = make_patch(prev.full_bytes, *pending_.full_bytes);
-      if (pending_.mark_bytes)
-        pending_.mark_patch = make_patch(prev.mark_bytes, *pending_.mark_bytes);
-      if (pending_.own_bytes)
-        pending_.own_patch = make_patch(prev.own_bytes, *pending_.own_bytes);
-    } catch (const std::exception&) {
-      journal.force_full();  // not patchable (e.g. a reset): full record
-    }
-  }
   journal.record(std::move(pending_), tuner_.totals());
   pending_ = {};
   mark_dirty_ = own_dirty_ = false;

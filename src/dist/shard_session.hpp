@@ -60,9 +60,9 @@ class ShardSession {
   /// `mark` becomes the post-absorption state; the round advances.
   void end_round();
 
-  /// Journal the pending step: the statistics byte-patched against the
-  /// journal's bytes (DESIGN.md §13) — `mark` and `own` only when they were
-  /// assigned since the last record — or a full slot when no patch applies.
+  /// Journal the pending step with the statistics' bytes — `mark` and
+  /// `own` only when they were assigned since the last record.  The journal
+  /// writes each payload whole or as unchanged (DESIGN.md §13).
   void record(SessionJournal& journal);
 
   /// Resume a fresh session from the journal's newest checkpoint through

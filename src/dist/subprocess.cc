@@ -494,10 +494,7 @@ int worker_body(const WorkerArgs& args) {
                                static_cast<std::uint64_t>(round));
     const core::StatSnapshot delta = ss->take_delta();
     std::string payload;
-    // Mode-1 sparse encoding: ranks the round left untouched collapse to an
-    // entry in the epoch array.  Readers auto-expand via from_string to the
-    // exact full payload, so the fold stays bit-identical.
-    if (!delta.empty()) payload = core::encode_sparse_delta(delta);
+    if (!delta.empty()) payload = delta.to_string();
     if (fault.mode == "slow-exchange" && round == 0 &&
         fault_fires(shard_dir, fault)) {
       // A slow peer, not a dead one: keep beating while stalling so the

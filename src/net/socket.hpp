@@ -23,10 +23,9 @@ namespace critter::net {
 /// (net/frame.hpp) completes, land in one set of atomic counters — the
 /// substrate for `tunectl status --wire`, the shard workers'
 /// exchange-byte reporting, and the bench harness's bytes_per_tell /
-/// bytes_per_exchange_round metrics (sparse transport made the payloads
-/// worth metering, DESIGN.md §13).  Counters are monotonic within the
-/// process and cheap (relaxed atomics on the transfer path);
-/// reset_wire_counters() zeroes them for interval measurements.
+/// bytes_per_exchange_round metrics (DESIGN.md §13.2).  Counters are
+/// monotonic within the process and cheap (relaxed atomics on the transfer
+/// path); reset_wire_counters() zeroes them for interval measurements.
 struct WireCounters {
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;

@@ -130,33 +130,18 @@ ClientReport TunerClient::run() {
         trq.outcomes.push_back(out[static_cast<std::size_t>(pos)]);
         trq.totals.push_back(tot[static_cast<std::size_t>(pos)]);
       }
-      // Ship the post-evaluation state relative to the base the daemon
-      // issued the claim against: nothing when the bytes are unchanged, a
-      // mode-0 sparse patch when we hold the base (byte splicing, so the
-      // daemon's state stays bitwise what a full ship would make it —
-      // never a stats diff, whose merge round trip drifts by ulps), a full
-      // payload when we hold no base.  base_gen names the base; the
-      // daemon rejects a patch against a generation it no longer has.
+      // Ship the post-evaluation state whole — bytes, never a stats diff,
+      // whose merge round trip drifts by ulps — or nothing when its bytes
+      // are the ones the daemon issued the claim against.
       const StatSnapshot after = mirror_->stats();
       std::string after_bytes;
       if (!after.empty()) after_bytes = after.to_string();
-      trq.base_gen = held_gen_;
-      if (after_bytes == held_state_) {
-        // unchanged: trq.state stays "" and the daemon skips the import
-      } else if (held_state_.empty()) {
-        trq.state = after_bytes;
-      } else {
-        try {
-          trq.state = core::encode_sparse_patch(held_state_, after_bytes);
-        } catch (const std::exception&) {
-          trq.state = after_bytes;  // e.g. rank count changed: ship full
-        }
-      }
+      if (after_bytes != held_state_) trq.state = std::move(after_bytes);
       t0 = core::monotonic_s();
       const std::string trf = conn.request(net::kTuneTell, encode_tell(trq));
       rep.ask_tell_wall_s += core::monotonic_s() - t0;
       held_gen_ = decode_tell_reply(trf);
-      if (!trq.state.empty()) held_state_ = std::move(after_bytes);
+      if (!trq.state.empty()) held_state_ = std::move(trq.state);
       ++rep.tells;
       consecutive_failures = 0;
       backoff = copt_.backoff_initial_s;
@@ -186,10 +171,6 @@ std::string TunerClient::export_stats() {
 StatusReply TunerClient::status() {
   return decode_status_reply(
       connection().request(net::kTuneStatus, encode_session_ref(session_)));
-}
-
-void TunerClient::shutdown_daemon() {
-  connection().request(net::kTuneShutdown, "");
 }
 
 }  // namespace critter::serve

@@ -6,8 +6,8 @@
 // the ship entirely when its generation token proves the mirror already
 // holds them), runs the batch under the reply's evaluation hints — exactly
 // what Tuner::evaluate() would do — and TELLs back the outcomes, the
-// totals contributions, and the statistics it grew as a dirty-rank sparse
-// patch (DESIGN.md §13).  Because evaluation is a pure function of
+// totals contributions, and the statistics it grew, as the whole payload
+// (DESIGN.md §13).  Because evaluation is a pure function of
 // (study, options, statistics, batch, hints), every client computes the
 // same bytes for the same claim, which is why client churn and concurrency
 // never change the tuned answer.
@@ -75,7 +75,6 @@ class TunerClient {
   /// One-shot verbs (connect on demand).
   std::string export_stats();
   StatusReply status();
-  void shutdown_daemon();
 
   TunerClient(const TunerClient&) = delete;
   TunerClient& operator=(const TunerClient&) = delete;
@@ -96,10 +95,10 @@ class TunerClient {
   /// Generation-tracked state mirror (DESIGN.md §13): the exact serialized
   /// session statistics this client last synchronized with the daemon, and
   /// the daemon's generation token for them.  A matching token lets ASK
-  /// ship nothing (the mirror already holds the bytes) and lets TELL ship
-  /// a sparse patch against them.  Reset on ANY failure or reconnect —
-  /// generation tokens are only comparable within one daemon lifetime and
-  /// one uninterrupted exchange.
+  /// ship nothing (the mirror already holds the bytes), and TELL ships
+  /// nothing when the batch left them unchanged.  Reset on ANY failure or
+  /// reconnect — generation tokens are only comparable within one daemon
+  /// lifetime and one uninterrupted exchange.
   std::string held_state_;
   std::uint64_t held_gen_ = 0;
 };

@@ -84,20 +84,19 @@ struct TunerDaemon::Session {
   // the told batches and of the authoritative serialized statistics
   // (DESIGN.md §13): "" while empty, otherwise the exact full binary
   // payload.  The daemon holds them only as bytes — no strategy on this
-  // side reads statistics, so TELL splices and journals without decoding a
-  // table.  `state_gen` names the bytes — bumped exactly when they change,
-  // so a client whose generation token matches holds these exact bytes and
-  // ASK ships nothing.
+  // side reads statistics, so TELL validates and journals without decoding
+  // a table.  `state_gen` names the bytes — bumped whenever a TELL ships
+  // them, so a client whose generation token matches holds these exact
+  // bytes and ASK ships nothing.
   std::optional<dist::SessionJournal> journal;
   std::uint64_t state_gen = 1;
 
-  // Wire accounting: request/reply payload bytes handled for this session,
-  // and how many tells arrived as sparse patches (kTuneStatus surfaces
-  // them; bench_tuner derives bytes_per_tell).  Not journaled: they count
-  // from this daemon's start, while the tell count survives a restart.
+  // Wire accounting: request/reply payload bytes handled for this session
+  // (kTuneStatus surfaces them; bench_tuner derives bytes_per_tell).  Not
+  // journaled: they count from this daemon's start, while the tell count
+  // survives a restart.
   std::int64_t bytes_in = 0;
   std::int64_t bytes_out = 0;
-  std::int64_t sparse_tells = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -352,22 +351,15 @@ std::string TunerDaemon::handle_request(const net::Frame& rq,
                         "'");
       CRITTER_CHECK(s.owner == conn_id || s.owner == 0,
                     "tune tell: the claimed batch belongs to another client");
-      // Three-way state field (serve/protocol.hpp): "" = statistics
-      // unchanged; a mode-0 sparse patch against the generation the client
-      // was shipped at ASK; or a full payload.  Either splices into the
-      // session's bytes after a structural check — nothing is decoded, and
-      // the session Tuner, which never reads statistics, imports nothing.
-      // The journal record carries the field verbatim as its patch.
+      // The state field (serve/protocol.hpp) is "" (statistics unchanged)
+      // or the whole payload, which replaces the session's bytes once it
+      // passes the decoder's own checks — nothing is decoded, and the
+      // session Tuner, which never reads statistics, imports nothing.
       dist::SessionJournal::Step step;
       const bool changed = !trq.state.empty();
-      const bool sparse = core::is_sparse_payload(trq.state);
       if (changed) {
-        CRITTER_CHECK(!sparse || trq.base_gen == s.state_gen,
-                      "tune tell: sparse state patch against a stale "
-                      "generation — re-ask and send full state");
-        step.full_bytes =
-            dist::patched_bytes(s.journal->state().full_bytes, trq.state);
-        step.full_patch = std::move(trq.state);
+        core::check_snapshot_payload(trq.state);
+        step.full_bytes = std::move(trq.state);
       }
       // The record lands before anything changes: a failed write leaves the
       // claim open on a Tuner that still holds it, so the client re-asks the
@@ -382,12 +374,7 @@ std::string TunerDaemon::handle_request(const net::Frame& rq,
       s.tuner->tell_evaluated(trq.outcomes, trq.totals);
       if (changed) {
         ++s.state_gen;
-        if (sparse) {
-          ++s.sparse_tells;
-          obs::counter("serve.tells.sparse").add();
-        } else {
-          obs::counter("serve.tells.full").add();
-        }
+        obs::counter("serve.tells.full").add();
       }
       s.claimed = false;
       s.owner = 0;
@@ -417,7 +404,6 @@ std::string TunerDaemon::handle_request(const net::Frame& rq,
         rp.best_predicted = s.tuner->result().best_predicted();
       rp.bytes_in = s.bytes_in;
       rp.bytes_out = s.bytes_out;
-      rp.sparse_tells = s.sparse_tells;
       rp.text = "session " + s.name + ": " + std::to_string(rp.tells) +
                 " tells, " + std::to_string(rp.evaluated) + " evaluated" +
                 (rp.done ? ", done" : "") +
@@ -425,8 +411,7 @@ std::string TunerDaemon::handle_request(const net::Frame& rq,
                      ? ", best=" + std::to_string(rp.best_predicted)
                      : "") +
                 ", wire since daemon start " + std::to_string(rp.bytes_in) +
-                "B in/" + std::to_string(rp.bytes_out) + "B out, " +
-                std::to_string(rp.sparse_tells) + " sparse tells";
+                "B in/" + std::to_string(rp.bytes_out) + "B out";
       rp.metrics = obs::metrics_json();
       return encode_status_reply(rp);
     }

@@ -8,17 +8,17 @@
 // the hello; a close hook releases a departed connection's claims.
 // Evaluation happens *client-side*: an ASK hands out the claimed batch,
 // the evaluation hints, and the session's shared statistics; the client
-// mirrors evaluate() with its own SweepDriver
-// and TELLs back outcomes, totals contributions, and its post-evaluation
-// statistics (a sparse patch or a full payload).  The TELL *replaces* the
-// session's statistics bytes with the client's — sound because the mirror
-// started from exactly what ASK shipped and only one claim is ever
-// outstanding — so the state after every tell is bit-identical to having
-// evaluated locally, and N concurrent clients produce exactly the
-// single-process run_study() result.  The daemon holds those statistics
-// only as bytes: its Tuner drives the strategy from outcomes alone, so a
-// TELL validates and splices the incoming chunks but decodes no table.  A
-// fresh session's bytes start from its warm start, if it has one.
+// mirrors evaluate() with its own SweepDriver and TELLs back outcomes,
+// totals contributions, and its post-evaluation statistics (the whole
+// payload, or "" when unchanged).  The TELL *replaces* the session's
+// statistics bytes with the client's — sound because the mirror started
+// from exactly what ASK shipped and only one claim is ever outstanding —
+// so the state after every tell is bit-identical to having evaluated
+// locally, and N concurrent clients produce exactly the single-process
+// run_study() result.  The daemon holds those statistics only as bytes:
+// its Tuner drives the strategy from outcomes alone, so a TELL validates
+// the incoming payload but decodes no table.  A fresh session's bytes
+// start from its warm start, if it has one.
 //
 // Determinism across concurrent clients: a session has at most ONE
 // outstanding claim.  The first asker claims the next strategy batch;
@@ -31,15 +31,14 @@
 // Durability: every TELL is journaled before it changes the session,
 // through the session's dist::SessionJournal — the journal shard workers
 // use (dist/checkpoint.hpp, DESIGN.md §10-§11).  A TELL becomes one journal
-// record whose session patch is the TELL's state field *verbatim* (""
-// = unchanged, sparse patch, or full payload), with a full checkpoint slot
-// every 17th record and after a failed write.  Only once the record has
+// record whose session payload is the TELL's state, moved in whole ("" =
+// unchanged), with a full checkpoint slot every 17th record and after a
+// failed write.  Only once the record has
 // landed does the session's Tuner hear the outcomes and the claim close, so
 // a TELL whose write fails leaves the claim open and its batch re-issues.
-// Resume byte-splices the patches onto the base slot's serialized
-// statistics (DESIGN.md §13) and decodes nothing, so the reconstructed
-// state is the exact byte string the live daemon held, at O(tells) journal
-// bytes.  A daemon killed outright (kill -9 included) and restarted on the
+// Resume takes the newest payload the base slot and its log records hold
+// (DESIGN.md §13) and decodes nothing, so the reconstructed state is the
+// exact byte string the live daemon held.  A daemon killed outright (kill -9 included) and restarted on the
 // same state directory replays each session — best full slot, longest
 // valid log prefix, re-ask/re-tell strategy-only — into the exact state it
 // held at its last journaled tell; a torn append costs at most that one

@@ -24,17 +24,18 @@
 namespace critter::serve {
 
 /// Hello payload naming the protocol; bumped on incompatible change.
-/// Version 2: dirty-rank statistics transport (DESIGN.md §13) — ASK carries
-/// a generation token so an unchanged session state ships zero snapshot
-/// bytes, TELL may carry a sparse patch against the state the claim was
-/// issued on, and the TELL reply returns the session's new state
-/// generation.
+/// Version 2: ASK carries a generation token so an unchanged session state
+/// ships zero snapshot bytes, TELL could carry a sparse patch against the
+/// state the claim was issued on (retired in version 5), and the TELL reply
+/// returns the session's new state generation.
 /// Version 3: STATUS replies carry the daemon's process-wide metrics
 /// snapshot (obs::metrics_json(), DESIGN.md §14) after the per-session
 /// wire accounting — `tunectl status --json` and `tunectl watch` read it.
 /// Version 4: the IMPORT verb is gone; OPEN's warm snapshot seeds a
 /// session.
-inline constexpr const char* kTuneService = "critter-tune/4";
+/// Version 5: TELL's base generation is gone; its state is "" or the whole
+/// payload, never a sparse patch (DESIGN.md §13).
+inline constexpr const char* kTuneService = "critter-tune/5";
 
 /// Session names become journal directory names: a restrictive charset
 /// keeps them shell- and path-safe (no separators, no leading dot).
@@ -223,34 +224,26 @@ inline AskReply decode_ask_reply(const std::string& payload) {
 /// The remote evaluation's products, in batch order: outcomes (serialized
 /// exactly as the dist file formats do), the totals contributions the batch
 /// accumulated, and the mirror's post-evaluation statistics.  `state` is
-/// one of:
-///
-///   * "" — the evaluation changed no statistics bytes;
-///   * a mode-0 sparse patch (core::encode_sparse_patch) against the state
-///     the claim was issued on — `base_gen` MUST name that state's
-///     generation, and the daemon rejects a stale base outright (the client
-///     then re-asks and resends full);
-///   * a full serialized StatSnapshot — wholesale replacement, the v1
-///     behavior, used on the first tell after a (re)connect.
+/// "" when the evaluation left the statistics bytes the client last held
+/// from the daemon unchanged, and otherwise the whole serialized
+/// StatSnapshot, which replaces the session's.
 ///
 /// Replacement-by-bytes rather than merge-of-deltas is what keeps the
 /// daemon bitwise-exact: the mirror started from exactly what ASK shipped
-/// and one batch is ever outstanding, so the spliced state is the mirror's
+/// and one batch is ever outstanding, so the new state is the mirror's
 /// state to the last bit, where a diff/merge round trip is only
 /// float-algebraically exact.
 struct TellRequest {
   std::string session;
-  std::uint64_t base_gen = 0;  ///< generation `state` patches (sparse only)
   std::vector<int> batch;
   std::vector<tune::ConfigOutcome> outcomes;
   std::vector<tune::ConfigTotals> totals;
-  std::string state;  ///< "" | sparse patch | full serialized StatSnapshot
+  std::string state;  ///< "" | full serialized StatSnapshot
 };
 
 inline std::string encode_tell(const TellRequest& rq) {
   core::WireWriter w;
   w.str(rq.session);
-  w.u64(rq.base_gen);
   w.i32(static_cast<std::int32_t>(rq.batch.size()));
   for (std::size_t k = 0; k < rq.batch.size(); ++k) {
     w.i32(rq.batch[k]);
@@ -269,7 +262,6 @@ inline std::string decode_tell_session(core::WireReader& r) { return r.str(); }
 
 inline void decode_tell_body(core::WireReader& r, const tune::Study& study,
                              TellRequest* rq) {
-  rq->base_gen = r.u64();
   const std::int32_t n = r.i32();
   // Bound the count by the bytes present before sizing any vector: each
   // entry is an i32 position plus a fixed-width outcome and totals.
@@ -323,7 +315,9 @@ struct StatusReply {
   /// tell count, these restart from zero with the daemon.
   std::int64_t bytes_in = 0;
   std::int64_t bytes_out = 0;
-  std::int64_t sparse_tells = 0;  ///< tells whose state arrived as a patch
+  /// Always 0 since protocol version 5, which has no sparse tells.  Kept on
+  /// the wire because bench_e2e still reads it (ROADMAP item 8).
+  std::int64_t sparse_tells = 0;
   std::string text;               ///< one human-readable summary line
   /// The daemon's process-wide metrics snapshot (obs::metrics_json()):
   /// ask/tell latency histograms, journal flush cost, per-session wire

@@ -31,10 +31,6 @@ Machine Machine::noiseless() {
   return m;
 }
 
-double Machine::p2p_cost(std::int64_t bytes) const {
-  return alpha + beta * static_cast<double>(bytes);
-}
-
 double Machine::coll_cost(CollType type, std::int64_t bytes, int p) const {
   const double b = static_cast<double>(bytes);
   const double lg = log2p(p);

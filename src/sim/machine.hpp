@@ -42,9 +42,6 @@ struct Machine {
   /// Noise-free variant for exactness tests.
   static Machine noiseless();
 
-  /// Expected point-to-point cost (latency + payload) for one message.
-  double p2p_cost(std::int64_t bytes) const;
-
   /// Expected collective cost for `p` participants moving `bytes` per rank.
   double coll_cost(CollType type, std::int64_t bytes, int p) const;
 

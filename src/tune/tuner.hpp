@@ -218,9 +218,9 @@ struct TuneResult {
   int exchange_every = 0;
   int exchange_rounds = 0;
   /// Exchange payload bytes the shards moved through the shared store
-  /// (sparse deltas + live peer reads; zero for executors without wire
+  /// (published deltas + live peer reads; zero for executors without wire
   /// accounting, e.g. in-process shards) — divide by exchange_rounds for
-  /// the per-round transport cost the sparse codec is shrinking.
+  /// the per-round transport cost.
   std::int64_t exchange_bytes = 0;
   /// Exchange semantics of a sharded run (see dist::ExchangePolicy::strict)
   /// and the fleet-wide count of non-strict rounds skipped.

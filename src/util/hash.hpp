@@ -1,5 +1,5 @@
 // checksum64: XXH64 with seed 0 over a byte range — the one checksum every
-// framed format uses (stat-snapshot and sparse rank chunks, net frames,
+// framed format uses (stat-snapshot rank chunks, net frames,
 // checkpoint trailers, increment-log records, publish manifests).  It
 // consumes four 8-byte lanes per step, so it runs at memory speed where a
 // byte-serial hash would not.  Not cryptographic: it guards against

@@ -547,7 +547,7 @@ dist::JournalRecord sample_full(const tune::Study& study,
 
 /// A log record that validly extends sample_full (seq 3 -> 4): one more
 /// told batch, one more skip, one more exchange round, the total at the new
-/// batch's position, and a sparse byte patch of every payload.
+/// batch's position, and every payload whole.
 dist::JournalRecord sample_increment(const tune::Study& study,
                                      const dist::ShardRange& range,
                                      bool exchange_state = false) {
@@ -566,15 +566,11 @@ dist::JournalRecord sample_increment(const tune::Study& study,
   t.tuning_time = 8.0;
   t.full_time = 16.0;
   rec.totals = {{3, t}};
-  const auto patch = [](int from, int to) {
-    return dist::make_patch(small_snapshot(from).to_string(),
-                            small_snapshot(to).to_string());
-  };
-  rec.full_patch = patch(0, 1);
+  rec.full_patch = small_snapshot(1).to_string();
   rec.has_exchange_state = exchange_state;
   if (exchange_state) {
-    rec.mark_patch = patch(2, 4);
-    rec.own_patch = patch(3, 5);
+    rec.mark_patch = small_snapshot(4).to_string();
+    rec.own_patch = small_snapshot(5).to_string();
   }
   return rec;
 }
@@ -832,10 +828,12 @@ TEST(JournalRecord, ApplyExtendsTheStateAndRejectsEveryContinuityGap) {
             "a full checkpoint that leaves a range index without totals");
   }
   {
+    // A payload in the retired sparse-patch format, as older journals hold.
     dist::JournalRecord rec = sample_full(study, range);
-    rec.full_patch = sample_increment(study, range).full_patch;
+    rec.full_patch = "CRSPRS1\n" + small_snapshot(1).to_string();
     rejects(empty, std::move(rec), 0,
-            "a full checkpoint whose payload is a sparse patch");
+            "a full checkpoint whose payload field is not a snapshot "
+            "payload");
   }
 }
 
@@ -850,8 +848,8 @@ namespace {
 
 /// A three-rank snapshot as of journal step `step`: rank r gains a sample
 /// at every step s with s % 3 == r, so consecutive snapshots differ in one
-/// rank chunk — the shape sparse patches ship.  `salt` makes unrelated
-/// snapshots (a mark, an own, an imported state).
+/// rank chunk.  `salt` makes unrelated snapshots (a mark, an own, an
+/// imported state).
 core::StatSnapshot evolving_snapshot(int step, int salt) {
   constexpr int kRanks = 3;
   core::StatSnapshot s;
@@ -911,9 +909,7 @@ void expect_next_record_reachable(const Script& sc, dist::SessionJournal& j,
   step.told.push_back(told_batch(sc.study, {sc.range.begin}, 99));
   step.rounds = j.state().rounds;
   step.in_round = j.state().in_round + 1;
-  const std::string cur = evolving_snapshot(99, 7).to_string();
-  step.full_patch = dist::make_patch(j.state().full_bytes, cur);
-  step.full_bytes = cur;
+  step.full_bytes = evolving_snapshot(99, 7).to_string();
   std::vector<tune::ConfigTotals> totals(sc.study.configs.size());
   totals[static_cast<std::size_t>(sc.range.begin)].tuning_time = 99.0;
   j.record(std::move(step), totals);
@@ -1020,8 +1016,8 @@ void enumerate_crash_points(const Script& sc) {
 }  // namespace
 
 TEST(JournalCrashPoints, DaemonShapedSessionResumesFromEveryCrashPoint) {
-  // No exchange state; one batch per record; the session patch cycles
-  // through "" (unchanged), a sparse patch and a full payload — the three
+  // No exchange state; one batch per record; every third record leaves the
+  // session statistics unchanged and the others replace them — the two
   // shapes of a TELL's state field.  Record 18 is the cadence's full slot;
   // record 22 follows an import-style out-of-band replacement of the
   // statistics, which re-bases early.
@@ -1033,12 +1029,7 @@ TEST(JournalCrashPoints, DaemonShapedSessionResumesFromEveryCrashPoint) {
     if (k == 22) j.replace_bytes(evolving_snapshot(k, 40).to_string());
     dist::SessionJournal::Step step;
     step.told.push_back(told_batch(sc.study, {k % 8}, k));
-    if (k % 3 != 0) {
-      const std::string cur = evolving_snapshot(k, 0).to_string();
-      step.full_patch = k % 3 == 1 ? dist::make_patch(j.state().full_bytes, cur)
-                                   : cur;
-      step.full_bytes = cur;
-    }
+    if (k % 3 != 0) step.full_bytes = evolving_snapshot(k, 0).to_string();
     return step;
   };
   enumerate_crash_points(sc);
@@ -1048,8 +1039,8 @@ TEST(JournalCrashPoints, WorkerShapedSessionResumesFromEveryCrashPoint) {
   // Exchange on: mark/own move at every completed round (two batches a
   // round), records carry one or two batches and occasional peer skips.
   // Record 18 is the cadence's full slot; at record 20 the statistics reset
-  // to empty, a transition no patch expresses, so that record asks for a
-  // full slot.
+  // to empty, a transition no log record expresses, so that record asks for
+  // a full slot.
   Script sc;
   sc.study = subset(tune::capital_cholesky_study(false), 8);
   sc.range = {1, 4, 8};
@@ -1079,13 +1070,6 @@ TEST(JournalCrashPoints, WorkerShapedSessionResumesFromEveryCrashPoint) {
     }
     const dist::ShardCheckpoint& prev = j.state();
     if (step.full_bytes->empty() && !prev.full_bytes.empty()) j.force_full();
-    if (!j.next_is_full()) {
-      step.full_patch = dist::make_patch(prev.full_bytes, *step.full_bytes);
-      if (step.mark_bytes)
-        step.mark_patch = dist::make_patch(prev.mark_bytes, *step.mark_bytes);
-      if (step.own_bytes)
-        step.own_patch = dist::make_patch(prev.own_bytes, *step.own_bytes);
-    }
     return step;
   };
   enumerate_crash_points(sc);
@@ -1111,9 +1095,7 @@ TEST(SessionJournal, AFailedWriteLeavesTheStateAtTheLastDurableRecord) {
     totals[static_cast<std::size_t>(k)].tuning_time = 1.0 + k;
     dist::SessionJournal::Step s;
     s.told.push_back(told_batch(study, {k}, k));
-    const std::string cur = evolving_snapshot(k, 0).to_string();
-    s.full_patch = dist::make_patch(j.state().full_bytes, cur);
-    s.full_bytes = cur;
+    s.full_bytes = evolving_snapshot(k, 0).to_string();
     return s;
   };
   j.record(step(1), totals);  // a full slot
@@ -1141,6 +1123,34 @@ TEST(SessionJournal, AFailedWriteLeavesTheStateAtTheLastDurableRecord) {
   EXPECT_TRUE(dist::serialize_record(again.state()) ==
               dist::serialize_record(j.state()))
       << "the record after the failed writes is unreachable";
+  core::remove_dir_tree(dir);
+}
+
+TEST(SessionJournal, AStepThatEmptiesAPayloadWritesAFullSlot) {
+  // A log record's "" means unchanged, so it cannot empty a payload: the
+  // journal writes such a step as a full slot, whatever its cadence says,
+  // and a resume reaches the emptied bytes.
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
+  const dist::ShardRange range{0, 0, 8};
+  const std::string dir = core::make_temp_dir("critter_journal_empty");
+  dist::SessionJournal j(dir, range, /*exchanging=*/false);
+  std::vector<tune::ConfigTotals> totals(study.configs.size());
+  for (int k = 1; k <= 3; ++k) {
+    dist::SessionJournal::Step s;
+    s.told.push_back(told_batch(study, {k}, k));
+    s.full_bytes = k < 3 ? evolving_snapshot(k, 0).to_string() : "";
+    j.record(std::move(s), totals);
+    if (k == 2) {
+      ASSERT_FALSE(j.next_is_full());  // the cadence would append record 3
+    }
+  }
+  EXPECT_TRUE(j.state().full_bytes.empty());
+  EXPECT_FALSE(core::file_exists(dir + "/ckpt_log.bin"))
+      << "the emptying step was appended to the log";
+  dist::SessionJournal again(dir, range, /*exchanging=*/false);
+  ASSERT_TRUE(again.resume(study));
+  EXPECT_EQ(again.state().batches, 3);
+  EXPECT_TRUE(again.state().full_bytes.empty());
   core::remove_dir_tree(dir);
 }
 

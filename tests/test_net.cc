@@ -471,7 +471,7 @@ TEST(TuneProtocol, ForgedLengthsAndCountsAreRejectedBeforeSizingABuffer) {
   };
   ASSERT_NO_THROW(decode_tell(told));
   std::string tell_count = told;
-  std::memcpy(tell_count.data() + 4 + 1 + 8, &kCount, 4);  // session, gen
+  std::memcpy(tell_count.data() + 4 + 1, &kCount, 4);  // after the session
   expect_rejected([&] { decode_tell(tell_count); }, "tune tell",
                   "TELL batch");
   const std::string tell_state = with_last_i32(told, kGiB);

@@ -280,46 +280,44 @@ TEST(Daemon, AForgedPolicyInAnOpenManifestIsRejected) {
   EXPECT_FALSE(core::file_exists(dir.path + "/sessions/forged"));
 }
 
-TEST(Daemon, SparseTransportIsDefaultAndByteEquivalent) {
-  // Dirty-rank transport (DESIGN.md §13) is on by default: after the first
-  // full payload, every state-bearing TELL ships a sparse patch, and the
-  // daemon's spliced state cache must be byte-equivalent to what full
-  // transport would have produced.
+TEST(Daemon, WholeStateTellsAreByteEquivalent) {
+  // Every state-bearing TELL ships the client's whole statistics payload
+  // (DESIGN.md §13), and the daemon's state cache must hold exactly the
+  // bytes the client's mirror serialized.
   const tune::Study study = small_study();
   const tune::TuneOptions opt = adaptive_options();
   const tune::TuneResult ref = tune::run_study(study, opt);
 
-  TempDir dir("critter_serve_sparse");
+  TempDir dir("critter_serve_whole");
   serve::TunerDaemon daemon({dir.path});
-  serve::TunerClient client(study, opt, "sparse",
+  serve::TunerClient client(study, opt, "whole",
                             client_options(daemon.port()));
   const serve::ClientReport rep = client.run();
   EXPECT_TRUE(rep.done);
 
   const serve::StatusReply st = client.status();
-  EXPECT_GT(st.sparse_tells, 0) << st.text;
   // Wire accounting travels in the status reply and its text.
   EXPECT_GT(st.bytes_in, 0);
   EXPECT_GT(st.bytes_out, 0);
-  EXPECT_NE(st.text.find("sparse tells"), std::string::npos) << st.text;
 
-  // The byte-equivalence pin: the exported state was grown exclusively by
-  // splicing patches, yet it must be the canonical serialization of the
-  // statistics it decodes to — splicing may never bend a byte.
+  // The byte-equivalence pin: the exported state is the canonical
+  // serialization of the statistics it decodes to — moving bytes may never
+  // bend one.
   const std::string exported = client.export_stats();
   ASSERT_FALSE(exported.empty());
   EXPECT_EQ(core::StatSnapshot::from_string(exported).to_string(), exported);
-  // And the patches actually beat full transport on the wire: the total
-  // inbound traffic stays under the ship-the-full-state-every-tell bound.
+  // A tell ships the state as it stood after its batch, which is never
+  // larger than the final state, so the total inbound traffic stays under
+  // the ship-the-final-state-every-tell bound.
   EXPECT_LT(st.bytes_in,
             st.tells * static_cast<std::int64_t>(exported.size()));
-  expect_matches_in_process(client, ref, "sparse transport");
+  expect_matches_in_process(client, ref, "whole-state transport");
 }
 
-TEST(Daemon, JournalAppendsSparseRecordsBetweenFullSlots) {
+TEST(Daemon, JournalAppendsLogRecordsBetweenFullSlots) {
   // Mid-stride durability: tell 1 publishes a full checkpoint slot; tells
-  // 2..N (N < the full-slot period) append sparse records to the journal
-  // instead of rewriting the snapshot.
+  // 2..N (N < the full-slot period) append log records to the journal
+  // instead of rewriting the slot.
   const tune::Study study = small_study();
   const tune::TuneOptions opt = adaptive_options();
   TempDir dir("critter_serve_journal");
@@ -368,6 +366,77 @@ TEST(Daemon, AFailedJournalWriteFailsOneTellAndTheSessionRecovers) {
   ASSERT_NO_THROW(rep = after.run());
   EXPECT_TRUE(rep.done);
   expect_matches_in_process(after, ref, "after a failed journal write");
+}
+
+TEST(Daemon, ATellWhoseStateIsNotAWholePayloadIsRejected) {
+  // The daemon keeps statistics as bytes and decodes nothing, so a TELL's
+  // state must pass the decoder's own checks before it replaces them.  A
+  // payload with a flipped body byte and a blob in the retired sparse-patch
+  // format each get kErr and leave the session's bytes and generation
+  // unchanged, and the next ASK re-issues the same batch.
+  const tune::Study study = small_study();
+  const tune::TuneOptions opt = adaptive_options();
+  const tune::TuneResult ref = tune::run_study(study, opt);
+  TempDir dir("critter_serve_bad_state");
+  serve::TunerDaemon daemon({dir.path});
+  serve::ClientOptions partial = client_options(daemon.port());
+  partial.max_batches = 1;  // the session then holds bytes to corrupt
+  serve::TunerClient client(study, opt, "bad", partial);
+  ASSERT_EQ(client.run().tells, 1);
+  {
+    net::Client conn("127.0.0.1", daemon.port(), serve::kTuneService, 5.0,
+                     5.0);
+    const auto ask = [&conn] {
+      serve::AskRequest arq;
+      arq.session = "bad";
+      return serve::decode_ask_reply(
+          conn.request(net::kTuneAsk, serve::encode_ask_request(arq)));
+    };
+    const serve::AskReply first = ask();
+    ASSERT_FALSE(first.done);
+    ASSERT_FALSE(first.state.empty());
+    const std::string exported = client.export_stats();
+    ASSERT_EQ(exported, first.state);
+
+    std::string flipped = first.state;
+    flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+    // A header-only patch of the retired format: version 3, one rank,
+    // mode 0, its epoch, no dirty chunk.
+    core::WireWriter retired;
+    retired.raw("CRSPRS1\n", 8);
+    retired.u32(3);
+    retired.u32(1);
+    retired.u8(0);
+    retired.i64(0);
+    retired.u32(0);
+    const std::pair<const char*, std::string> bad[] = {
+        {"a flipped body byte", flipped},
+        {"the retired sparse-patch format", retired.out}};
+    for (const auto& [what, state] : bad) {
+      serve::TellRequest trq;
+      trq.session = "bad";
+      trq.batch = first.batch;
+      for (int pos : first.batch) {
+        trq.outcomes.emplace_back().config =
+            study.configs[static_cast<std::size_t>(pos)];
+        trq.totals.emplace_back();
+      }
+      trq.state = state;
+      EXPECT_THROW(conn.request(net::kTuneTell, serve::encode_tell(trq)),
+                   std::runtime_error)
+          << what;
+      EXPECT_EQ(client.export_stats(), exported) << what;
+      const serve::AskReply again = ask();
+      EXPECT_EQ(again.batch, first.batch) << what;
+      EXPECT_EQ(again.state_gen, first.state_gen) << what;
+      EXPECT_EQ(again.state, first.state) << what;
+    }
+  }
+  // The open claim re-issues to the next client, and the session finishes
+  // with run_study()'s answer.
+  serve::TunerClient rest(study, opt, "bad", client_options(daemon.port()));
+  EXPECT_TRUE(rest.run().done);
+  expect_matches_in_process(rest, ref, "after rejected tells");
 }
 
 TEST(Daemon, WarmSessionReproducesTheInProcessWarmSweep) {
@@ -486,7 +555,6 @@ TEST(Daemon, ARestartedDaemonCountsWireTrafficFromItsStart) {
   }
   EXPECT_GT(before.bytes_in, 0) << before.text;
   EXPECT_GT(before.bytes_out, 0) << before.text;
-  EXPECT_GT(before.sparse_tells, 0) << before.text;
   EXPECT_NE(before.text.find(", wire since daemon start "), std::string::npos)
       << before.text;
 
@@ -499,9 +567,7 @@ TEST(Daemon, ARestartedDaemonCountsWireTrafficFromItsStart) {
   EXPECT_EQ(after.tells, before.tells) << after.text;
   EXPECT_EQ(after.bytes_in, 0) << after.text;
   EXPECT_EQ(after.bytes_out, 0) << after.text;
-  EXPECT_EQ(after.sparse_tells, 0) << after.text;
-  EXPECT_NE(after.text.find(", wire since daemon start 0B in/0B out, 0 "
-                            "sparse tells"),
+  EXPECT_NE(after.text.find(", wire since daemon start 0B in/0B out"),
             std::string::npos)
       << after.text;
 }

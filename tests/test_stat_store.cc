@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "core/stat_store.hpp"
@@ -300,6 +301,17 @@ core::StatSnapshot small_snapshot(int nranks = 2) {
   return s;
 }
 
+/// The two ways a payload is admitted: decoded, or validated without
+/// building a table (what a holder that keeps statistics only as bytes
+/// checks).  Every fuzzed payload must be rejected by both.
+using Admit = void (*)(std::string_view);
+const std::pair<const char*, Admit> kAdmitters[] = {
+    {"from_string",
+     [](std::string_view b) { (void)core::StatSnapshot::from_string(b); }},
+    {"check_snapshot_payload",
+     [](std::string_view b) { core::check_snapshot_payload(b); }},
+};
+
 }  // namespace
 
 TEST(StatSnapshot, EveryBinaryTruncationIsRejected) {
@@ -308,14 +320,16 @@ TEST(StatSnapshot, EveryBinaryTruncationIsRejected) {
   // records, an allocation blow-up, or silently partial state).
   const std::string bytes = small_snapshot().to_string();
   ASSERT_GT(bytes.size(), 64u);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    try {
-      core::StatSnapshot::from_string(std::string_view(bytes).substr(0, len));
-      FAIL() << "truncation at byte " << len << " loaded successfully";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("stat snapshot"),
-                std::string::npos)
-          << "at byte " << len << ": " << e.what();
+  for (const auto& [name, admit] : kAdmitters) {
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      try {
+        admit(std::string_view(bytes).substr(0, len));
+        FAIL() << name << ": truncation at byte " << len << " accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("stat snapshot"),
+                  std::string::npos)
+            << name << " at byte " << len << ": " << e.what();
+      }
     }
   }
 }
@@ -325,11 +339,13 @@ TEST(StatSnapshot, EveryBinaryByteCorruptionIsRejected) {
   // magic/version/rank-count checks; anything inside a rank chunk trips
   // its checksum before a single record is decoded.
   const std::string bytes = small_snapshot().to_string();
-  for (std::size_t at = 0; at < bytes.size(); ++at) {
-    std::string corrupt = bytes;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
-    EXPECT_THROW(core::StatSnapshot::from_string(corrupt), std::runtime_error)
-        << "at byte " << at;
+  for (const auto& [name, admit] : kAdmitters) {
+    for (std::size_t at = 0; at < bytes.size(); ++at) {
+      std::string corrupt = bytes;
+      corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
+      EXPECT_THROW(admit(corrupt), std::runtime_error)
+          << name << " at byte " << at;
+    }
   }
 }
 
@@ -366,18 +382,6 @@ TEST(StatSnapshot, PreviousChecksumVersionFailsByVersionNotAsCorrupt) {
       EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
     }
     EXPECT_THROW(core::check_snapshot_payload(bytes), std::runtime_error);
-  }
-  // The same header check guards the sparse codec, which shares the version.
-  const auto base = small_snapshot();
-  std::string patch =
-      core::encode_sparse_patch(base.to_string(), base.to_string());
-  patch[8] = 2;
-  try {
-    core::sparse_payload_info(patch);
-    FAIL() << "version-2 sparse payload accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
-        << e.what();
   }
 }
 
@@ -496,290 +500,19 @@ TEST(StatSnapshot, GoldenSweepStatisticsSurviveSerializationBitIdentical) {
       << "save_file/load_file round-trip bent a statistic";
 }
 
-// ---------------------------------------------------------------------------
-// Dirty-rank sparse transport (DESIGN.md §13)
-// ---------------------------------------------------------------------------
-
-#include <cstring>
-
-namespace {
-
-/// The rank counts every sparse-transport test runs over: the degenerate
-/// single-rank world, the two-rank fuzz snapshot, and an odd count — so no
-/// helper can quietly assume a particular world size.
-constexpr int kRankCounts[] = {1, 2, 3};
-
-/// base -> evolved pair where only the last rank's chunk bytes change: the
-/// shape every sparse-transport test pivots on (every other rank must be
-/// omitted).
-std::pair<core::StatSnapshot, core::StatSnapshot> patch_pair(int nranks) {
-  const core::StatSnapshot base = small_snapshot(nranks);
-  core::StatSnapshot evolved = base;
-  evolved.ranks.back().merge(make_table(nranks, 7));
-  return {base, evolved};
-}
-
-void put_u32(std::string& s, std::uint32_t v) {
-  s.append(reinterpret_cast<const char*>(&v), 4);
-}
-void put_u64(std::string& s, std::uint64_t v) {
-  s.append(reinterpret_cast<const char*>(&v), 8);
-}
-void put_i64(std::string& s, std::int64_t v) {
-  s.append(reinterpret_cast<const char*>(&v), 8);
-}
-
-/// The canonical clean chunk body at epoch 5: the epoch, then six zero
-/// record counts.
-std::string clean_body() {
-  std::string body(8 + 6 * 8, '\0');
-  const std::int64_t epoch = 5;
-  std::memcpy(body.data(), &epoch, 8);
-  return body;
-}
-
-/// Hand-craft a sparse payload with attacker-chosen rank indices; every
-/// chunk is `body` (by default the clean one) under a *correct* checksum,
-/// so only the index structure or the body's records are under test.
-std::string craft_sparse(std::uint32_t nranks, std::uint8_t mode,
-                         const std::vector<std::uint32_t>& dirty_ranks,
-                         const std::string& body = clean_body()) {
-  std::string s;
-  s.append("CRSPRS1\n");
-  put_u32(s, core::StatSnapshot::current_version());
-  put_u32(s, nranks);
-  s.push_back(static_cast<char>(mode));
-  for (std::uint32_t r = 0; r < nranks; ++r) put_i64(s, 5);
-  put_u32(s, static_cast<std::uint32_t>(dirty_ranks.size()));
-  for (std::uint32_t rank : dirty_ranks) {
-    put_u32(s, rank);
-    put_u64(s, body.size());
-    put_u64(s, critter::util::checksum64(body.data(), body.size()));
-    s += body;
-  }
-  return s;
-}
-
-}  // namespace
-
-TEST(SparseTransport, PatchRoundTripIsByteIdentical) {
-  for (int nranks : kRankCounts) {
-    SCOPED_TRACE("nranks=" + std::to_string(nranks));
-    const auto [base, evolved] = patch_pair(nranks);
-    const std::string base_full = base.to_string();
-    const std::string new_full = evolved.to_string();
-    const std::string patch = core::encode_sparse_patch(base_full, new_full);
-
-    EXPECT_TRUE(core::is_sparse_payload(patch));
-    EXPECT_FALSE(core::is_sparse_payload(new_full));
-    const core::SparsePayloadInfo info = core::sparse_payload_info(patch);
-    EXPECT_EQ(info.mode, 0);
-    EXPECT_EQ(info.nranks, static_cast<std::uint32_t>(nranks));
-    EXPECT_EQ(info.ndirty, 1u);  // every untouched rank omitted outright
-    if (nranks > 1) EXPECT_LT(patch.size(), new_full.size());
-
-    // The transport contract: splicing reproduces the target bytes exactly.
-    EXPECT_EQ(core::apply_sparse_patch(base_full, patch), new_full);
-
-    // Identical payloads collapse to a header-only patch that round-trips.
-    const std::string none = core::encode_sparse_patch(base_full, base_full);
-    EXPECT_EQ(core::sparse_payload_info(none).ndirty, 0u);
-    EXPECT_EQ(core::apply_sparse_patch(base_full, none), base_full);
-  }
-}
-
-TEST(SparseTransport, EpochOnlyChangeShipsNoChunk) {
-  for (int nranks : kRankCounts) {
-    SCOPED_TRACE("nranks=" + std::to_string(nranks));
-    const core::StatSnapshot base = small_snapshot(nranks);
-    core::StatSnapshot evolved = base;
-    evolved.ranks[0].epoch += 7;  // only the leading 8 bytes of a chunk move
-    const std::string base_full = base.to_string();
-    const std::string new_full = evolved.to_string();
-    const std::string patch = core::encode_sparse_patch(base_full, new_full);
-    EXPECT_EQ(core::sparse_payload_info(patch).ndirty, 0u);
-    // Header + one epoch per rank + dirty count: nowhere near a table chunk.
-    EXPECT_LE(patch.size(), 64u);
-    EXPECT_EQ(core::apply_sparse_patch(base_full, patch), new_full);
-  }
-}
-
-TEST(SparseTransport, SplicedBytesChainAndDecodeToTheTarget) {
-  // A bytes-only holder (the tuner daemon's session) chains splices and
-  // never decodes; whatever it ends up holding must still decode to the
-  // statistics its producer serialized.
-  for (int nranks : kRankCounts) {
-    SCOPED_TRACE("nranks=" + std::to_string(nranks));
-    const auto [base, evolved] = patch_pair(nranks);
-    std::string bytes = base.to_string();
-    const std::string new_full = evolved.to_string();
-    bytes = core::apply_sparse_patch(
-        bytes, core::encode_sparse_patch(bytes, new_full));
-    EXPECT_EQ(bytes, new_full);
-    EXPECT_TRUE(
-        core::StatSnapshot::from_string(bytes).same_statistics(evolved));
-
-    // Chain a second patch (epoch-only this time) onto the spliced bytes.
-    core::StatSnapshot further = evolved;
-    further.ranks[0].epoch += 3;
-    const std::string next_full = further.to_string();
-    bytes = core::apply_sparse_patch(
-        bytes, core::encode_sparse_patch(bytes, next_full));
-    EXPECT_EQ(bytes, next_full);
-    const core::StatSnapshot decoded = core::StatSnapshot::from_string(bytes);
-    EXPECT_EQ(decoded.ranks[0].epoch, further.ranks[0].epoch);
-    EXPECT_TRUE(decoded.same_statistics(further));
-    EXPECT_NO_THROW(core::check_snapshot_payload(bytes));
-  }
-}
-
-TEST(SparseTransport, ChecksummedButMalformedChunksAreRejected) {
-  // A correct checksum only proves the bytes arrived as sent.  The splice
-  // must also walk each shipped chunk's records as the decoder would, or a
-  // holder that never decodes would store bytes no reader can load.
-  const std::string base_full = small_snapshot().to_string();
-  ASSERT_NO_THROW(
-      core::apply_sparse_patch(base_full, craft_sparse(2, 0, {1})));
-
-  std::string missing_records = clean_body();
-  const std::uint64_t one = 1;
-  std::memcpy(missing_records.data() + 8, &one, 8);  // 1 kernel, 0 bytes
-  std::string trailing = clean_body();
-  trailing.append(8, '\0');
-  std::string huge_count = clean_body();
-  const std::uint64_t huge = ~0ull;
-  std::memcpy(huge_count.data() + 8, &huge, 8);
-  std::string short_body(4, '\0');
-  for (const std::string& body :
-       {missing_records, trailing, huge_count, short_body}) {
-    const std::string patch = craft_sparse(2, 0, {1}, body);
-    EXPECT_THROW(core::apply_sparse_patch(base_full, patch),
-                 std::runtime_error);
-    EXPECT_THROW(core::sparse_payload_info(patch), std::runtime_error);
-  }
-  // A dirty chunk whose epoch contradicts the epoch array is refused too.
-  std::string other_epoch = clean_body();
-  const std::int64_t six = 6;
-  std::memcpy(other_epoch.data(), &six, 8);
-  EXPECT_THROW(
-      core::apply_sparse_patch(base_full, craft_sparse(2, 0, {0}, other_epoch)),
-      std::runtime_error);
-
-  // The full-payload check holds a recomputed checksum to the same rule.
+TEST(StatSnapshot, AChecksummedChunkWithMalformedRecordsIsRejected) {
+  // A correct checksum only proves the bytes arrived as sent.  The
+  // validator a bytes-only holder admits payloads by must also walk each
+  // chunk's records as the decoder would, or it would store bytes no
+  // reader can load.
   std::string full = small_snapshot(1).to_string();
   ASSERT_NO_THROW(core::check_snapshot_payload(full));
   const std::size_t body_at = 8 + 4 + 4 + 16;  // magic, version, nranks, frame
+  const std::uint64_t huge = ~0ull;
   std::memcpy(full.data() + body_at + 8, &huge, 8);  // kernel count
   const std::uint64_t sum = critter::util::checksum64(
       full.data() + body_at, full.size() - body_at);
   std::memcpy(full.data() + body_at - 8, &sum, 8);
   EXPECT_THROW(core::check_snapshot_payload(full), std::runtime_error);
   EXPECT_THROW(core::StatSnapshot::from_string(full), std::runtime_error);
-}
-
-TEST(SparseTransport, StandaloneDeltaExpandsBitIdentical) {
-  const auto [base, evolved] = patch_pair(2);
-  const core::StatSnapshot delta = evolved.diff(base);
-  const std::string full = delta.to_string();
-  const std::string sparse = core::encode_sparse_delta(delta);
-
-  const core::SparsePayloadInfo info = core::sparse_payload_info(sparse);
-  EXPECT_EQ(info.mode, 1);
-  EXPECT_EQ(info.ndirty, 1u);  // rank 0's clean chunk folds into the epochs
-  EXPECT_LT(sparse.size(), full.size());
-  EXPECT_EQ(core::expand_sparse_delta(sparse), full);
-
-  // Every snapshot reader accepts mode-1 payloads via auto-expansion.
-  EXPECT_TRUE(core::StatSnapshot::from_string(sparse).same_statistics(
-      core::StatSnapshot::from_string(full)));
-
-  // The modes do not cross: a delta is not a patch and vice versa.
-  const std::string patch =
-      core::encode_sparse_patch(base.to_string(), evolved.to_string());
-  EXPECT_THROW(core::expand_sparse_delta(patch), std::runtime_error);
-  EXPECT_THROW(core::apply_sparse_patch(base.to_string(), sparse),
-               std::runtime_error);
-}
-
-TEST(SparseTransport, EveryPatchTruncationIsRejected) {
-  for (int nranks : kRankCounts) {
-    SCOPED_TRACE("nranks=" + std::to_string(nranks));
-    const auto [base, evolved] = patch_pair(nranks);
-    const std::string base_full = base.to_string();
-    const std::string patch =
-        core::encode_sparse_patch(base_full, evolved.to_string());
-    for (std::size_t len = 0; len < patch.size(); ++len) {
-      EXPECT_THROW(core::apply_sparse_patch(
-                       base_full, std::string_view(patch).substr(0, len)),
-                   std::runtime_error)
-          << "truncation at byte " << len << " applied successfully";
-    }
-  }
-  const auto [base, evolved] = patch_pair(2);
-  const std::string sparse =
-      core::encode_sparse_delta(evolved.diff(base));
-  for (std::size_t len = 0; len < sparse.size(); ++len) {
-    EXPECT_THROW(core::expand_sparse_delta(
-                     std::string_view(sparse).substr(0, len)),
-                 std::runtime_error)
-        << "truncation at byte " << len << " expanded successfully";
-  }
-}
-
-TEST(SparseTransport, EveryPatchByteFlipIsRejectedOrStructurallySound) {
-  // Flip every byte in turn.  Flips in the magic, version, mode, counts,
-  // lengths, checksums, or chunk bodies must be rejected outright.  Flips
-  // inside a clean rank's epoch are data, not structure — they cannot be
-  // told from a legitimate epoch, so the *soundness* contract is that the
-  // splice still yields a payload the full decoder accepts (never an
-  // out-of-bounds splice, a torn chunk, or partial state).
-  for (int nranks : kRankCounts) {
-    SCOPED_TRACE("nranks=" + std::to_string(nranks));
-    const auto [base, evolved] = patch_pair(nranks);
-    const std::string base_full = base.to_string();
-    const std::string patch =
-        core::encode_sparse_patch(base_full, evolved.to_string());
-    int accepted = 0;
-    for (std::size_t at = 0; at < patch.size(); ++at) {
-      std::string corrupt = patch;
-      corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
-      try {
-        const std::string spliced =
-            core::apply_sparse_patch(base_full, corrupt);
-        ++accepted;
-        EXPECT_NO_THROW(core::StatSnapshot::from_string(spliced))
-            << "flip at byte " << at << " produced a torn full payload";
-      } catch (const std::runtime_error&) {
-        // rejected — the common case
-      }
-    }
-    // Only the clean ranks' epochs (8 bytes each) can possibly be accepted:
-    // the dirty rank's epoch must agree with its shipped chunk.
-    EXPECT_LE(accepted, 8 * (nranks - 1));
-  }
-}
-
-TEST(SparseTransport, ForgedRankIndicesAreRejected) {
-  // Duplicate, descending, and out-of-range dirty indices — each with a
-  // perfectly valid chunk behind it, so only the index check can object.
-  EXPECT_THROW(core::expand_sparse_delta(craft_sparse(2, 1, {1, 1})),
-               std::runtime_error);
-  EXPECT_THROW(core::expand_sparse_delta(craft_sparse(2, 1, {1, 0})),
-               std::runtime_error);
-  EXPECT_THROW(core::expand_sparse_delta(craft_sparse(2, 1, {2})),
-               std::runtime_error);
-  // An unknown mode byte is refused before any chunk is looked at.
-  EXPECT_THROW(core::sparse_payload_info(craft_sparse(2, 2, {0})),
-               std::runtime_error);
-  // Trailing bytes after the final chunk are refused.
-  std::string trailing = craft_sparse(2, 1, {0});
-  trailing.push_back('\0');
-  EXPECT_THROW(core::expand_sparse_delta(trailing), std::runtime_error);
-  // The well-formed craft itself expands (the forgeries above failed for
-  // their indices, not for the scaffolding).
-  EXPECT_NO_THROW(core::expand_sparse_delta(craft_sparse(2, 1, {0, 1})));
-  // A patch against a base with a different rank count is refused.
-  const std::string base_full = small_snapshot().to_string();
-  EXPECT_THROW(core::apply_sparse_patch(base_full, craft_sparse(3, 0, {})),
-               std::runtime_error);
 }

@@ -83,14 +83,12 @@ void print_status_json(const std::string& session,
   std::printf(
       "{\"session\":\"%s\",\"done\":%s,\"tells\":%d,\"evaluated\":%d,"
       "\"best_predicted\":%d,\"bytes_in\":%lld,\"bytes_out\":%lld,"
-      "\"sparse_tells\":%lld,"
       "\"client_wire\":{\"bytes_sent\":%llu,\"bytes_received\":%llu,"
       "\"frames_sent\":%llu,\"frames_received\":%llu},"
       "\"daemon_metrics\":%s}\n",
       session.c_str(), st.done ? "true" : "false", st.tells, st.evaluated,
       st.best_predicted, static_cast<long long>(st.bytes_in),
       static_cast<long long>(st.bytes_out),
-      static_cast<long long>(st.sparse_tells),
       static_cast<unsigned long long>(wc.bytes_sent),
       static_cast<unsigned long long>(wc.bytes_received),
       static_cast<unsigned long long>(wc.frames_sent),
