@@ -152,41 +152,6 @@ void bench_trace_overhead(util::Table& t) {
                "slate_cholesky_events_per_sec");
 }
 
-/// Serial vs thread-pooled reset_per_config sweep over 8 configurations.
-/// On a multi-core host the pooled sweep should approach `workers`x; the
-/// results are bit-identical either way (asserted in test_tune_parallel).
-void bench_tune_sweep(util::Table& t) {
-  namespace tune = critter::tune;
-  auto study = tune::slate_cholesky_study(false);
-  study.configs.resize(8);
-  tune::TuneOptions opt;
-  opt.policy = critter::Policy::OnlinePropagation;
-  opt.tolerance = 0.25;
-  opt.samples = 2;
-  opt.reset_per_config = true;
-
-  opt.workers = 1;
-  const double t0 = now_s();
-  auto serial = tune::run_study(study, opt);
-  const double serial_s = now_s() - t0;
-
-  opt.workers = 4;
-  const double t1 = now_s();
-  auto pooled = tune::run_study(study, opt);
-  const double pooled_s = now_s() - t1;
-  if (serial.per_config[0].pred_time != pooled.per_config[0].pred_time)
-    std::fprintf(stderr, "WARNING: pooled sweep diverged from serial\n");
-
-  t.row({"tune_sweep_serial", "8", util::Table::num(serial_s, 3),
-         util::Table::sci(8.0 / serial_s)});
-  t.row({"tune_sweep_4workers", "8", util::Table::num(pooled_s, 3),
-         util::Table::sci(8.0 / pooled_s)});
-  g_json.add("tune_sweep_serial_s", serial_s, "s");
-  g_json.add("tune_sweep_4workers_s", pooled_s, "s");
-  g_json.ratio("tune_sweep_speedup", "tune_sweep_serial_s",
-               "tune_sweep_4workers_s");
-}
-
 }  // namespace
 
 int main() {
@@ -200,7 +165,6 @@ int main() {
   bench_allreduce(256, 500 * reps, 1024, t);
   bench_slate_cholesky(t);
   bench_trace_overhead(t);
-  bench_tune_sweep(t);
   t.print();
 
   g_json.write("engine", "BENCH_engine.json");

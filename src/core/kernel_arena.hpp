@@ -7,10 +7,14 @@
 // instead of a pointer or a hash.  A FlatMap keyed on the (memoized) kernel
 // hash maps key -> index.
 //
+// A table costs only the kernels it holds: a block is raw storage, an
+// entry is constructed in place when it is inserted, and a copy copies
+// only the size() live entries.
+//
 // Guarantees the rest of the system relies on:
-//   * references returned by entry()/operator[]/at() are stable for the
-//     lifetime of the arena (blocks never move or shrink) — exactly the
-//     stability the old node-based map provided;
+//   * references returned by entry()/operator[]/at() are stable until the
+//     next clear() or assignment (blocks never move or shrink) — exactly
+//     the stability the old node-based map provided;
 //   * iteration order is insertion order (first-sighting order), which is
 //     deterministic for a deterministic simulation.  Consumers that need a
 //     canonical order (serialization, digests, moment extraction) already
@@ -21,8 +25,10 @@
 //     and fatal rather than silently merged.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -43,13 +49,15 @@ class KernelArena {
   KernelArena(KernelArena&&) = default;
   KernelArena& operator=(KernelArena&&) = default;
   KernelArena(const KernelArena& o) { *this = o; }
+  /// Copies the live entries only, block by block.
   KernelArena& operator=(const KernelArena& o) {
     if (this == &o) return *this;
-    blocks_.clear();
-    blocks_.reserve(o.blocks_.size());
-    for (const auto& b : o.blocks_) {
-      blocks_.push_back(std::make_unique<value_type[]>(kBlockSize));
-      for (std::size_t i = 0; i < kBlockSize; ++i) blocks_.back()[i] = b[i];
+    clear();
+    for (std::size_t b = 0; b << kBlockShift < o.size_; ++b) {
+      blocks_.push_back(new_block());
+      const std::size_t n = std::min(kBlockSize, o.size_ - (b << kBlockShift));
+      for (std::size_t j = 0; j < n; ++j)
+        ::new (&blocks_[b][j].v) value_type(o.blocks_[b][j].v);
     }
     size_ = o.size_;
     index_ = o.index_;
@@ -65,10 +73,10 @@ class KernelArena {
   }
 
   value_type& entry(std::uint32_t i) {
-    return blocks_[i >> kBlockShift][i & kBlockMask];
+    return blocks_[i >> kBlockShift][i & kBlockMask].v;
   }
   const value_type& entry(std::uint32_t i) const {
-    return blocks_[i >> kBlockShift][i & kBlockMask];
+    return blocks_[i >> kBlockShift][i & kBlockMask].v;
   }
 
   /// Index of `key`, or npos.  Never inserts.
@@ -88,10 +96,10 @@ class KernelArena {
       CRITTER_CHECK(entry(i).first == key, "kernel hash collision");
       return {i, false};
     }
-    if (size_ == blocks_.size() * kBlockSize)
-      blocks_.push_back(std::make_unique<value_type[]>(kBlockSize));
+    if (size_ == blocks_.size() * kBlockSize) blocks_.push_back(new_block());
     const std::uint32_t i = static_cast<std::uint32_t>(size_++);
-    entry(i).first = key;
+    ::new (&blocks_[i >> kBlockShift][i & kBlockMask].v)
+        value_type(key, KernelStats{});
     slot = i + 1;
     return {i, true};
   }
@@ -173,7 +181,19 @@ class KernelArena {
   static constexpr std::uint32_t kBlockMask =
       static_cast<std::uint32_t>(kBlockSize - 1);
 
-  std::vector<std::unique_ptr<value_type[]>> blocks_;
+  // Entries are never destroyed one by one: a block is freed whole.
+  static_assert(std::is_trivially_destructible_v<value_type>);
+  /// Raw storage for one entry: the empty constructor leaves `v` unbuilt
+  /// until insert_index() or a copy constructs it in place.
+  union Slot {
+    Slot() {}
+    value_type v;
+  };
+  static std::unique_ptr<Slot[]> new_block() {
+    return std::make_unique<Slot[]>(kBlockSize);
+  }
+
+  std::vector<std::unique_ptr<Slot[]>> blocks_;
   std::size_t size_ = 0;
   /// key.hash() -> entry index + 1 (0 marks an empty FlatMap slot).
   util::FlatMap<std::uint64_t, std::uint32_t, util::IdentityHash> index_;

@@ -42,15 +42,20 @@ void PathMetrics::max_with(const PathMetrics& o) {
   for (int i = 0; i < kFields; ++i) a[i] = std::max(a[i], b[i]);
 }
 
-Store::Store(int nranks, Config cfg) : cfg_(cfg), ranks_(nranks) {
+Store::Store(int nranks, Config cfg) : ranks_(nranks) {
   CRITTER_CHECK(nranks >= 1, "store needs at least one rank");
-  // Only the eager policy ships aggregation entries; dropping the section
-  // otherwise shrinks every internal message (less profiling overhead).
-  if (cfg_.policy != Policy::EagerPropagation) cfg_.eager_capacity = 0;
+  configure(cfg);
   for (auto& rp : ranks_) {
     rp.table.init_world(nranks);
     rp.pair_chan.assign(nranks, 0);
   }
+}
+
+void Store::configure(Config cfg) {
+  cfg_ = cfg;
+  // Only the eager policy ships aggregation entries; dropping the section
+  // otherwise shrinks every internal message (less profiling overhead).
+  if (cfg_.policy != Policy::EagerPropagation) cfg_.eager_capacity = 0;
 }
 
 void Store::new_epoch() {

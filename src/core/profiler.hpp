@@ -168,6 +168,9 @@ class Store {
 
   Config& config() { return cfg_; }
   const Config& config() const { return cfg_; }
+  /// Replace the profiler settings, as the constructor takes them; the
+  /// statistics are untouched.
+  void configure(Config cfg);
   int nranks() const { return static_cast<int>(ranks_.size()); }
   RankProfiler& rank(int r) { return ranks_.at(r); }
 

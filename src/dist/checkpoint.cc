@@ -59,14 +59,31 @@ void write_totals_entries(WireWriter& w,
   }
 }
 
+/// A log frame's header: the record's length, then its checksum64.
+constexpr std::size_t kLogHeader = 16;
+
+/// Fill the log frame header at the front of `framed` from the record after
+/// it.
+void fill_log_header(std::string& framed) {
+  const std::uint64_t len = framed.size() - kLogHeader;
+  const std::uint64_t sum =
+      util::checksum64(framed.data() + kLogHeader, framed.size() - kLogHeader);
+  std::memcpy(framed.data(), &len, 8);
+  std::memcpy(framed.data() + 8, &sum, 8);
+}
+
 /// The one record writer.  `r` supplies the cursors, skips, batches and
 /// totals: a JournalRecord's own, or a whole ShardCheckpoint written as the
-/// record that extends nothing.
+/// record that extends nothing.  The record follows `head` bytes left for a
+/// log frame's header, and the buffer is sized once for the payload fields
+/// and a slot's checksum trailer, so neither envelope copies the record
+/// again.
 template <class R>
 std::string write_record(std::int64_t base_seq, const R& r,
                          const std::string& full, const std::string& mark,
-                         const std::string& own) {
+                         const std::string& own, std::size_t head = 0) {
   WireWriter w;
+  w.out.assign(head, '\0');
   w.raw(kRecordMagic, sizeof kRecordMagic);
   w.i64(base_seq);
   w.i64(r.seq);
@@ -89,6 +106,10 @@ std::string write_record(std::int64_t base_seq, const R& r,
   }
   write_totals_entries(w, r.totals);
   w.u8(r.has_exchange_state ? 1 : 0);
+  const std::size_t blobs =
+      8 + full.size() +
+      (r.has_exchange_state ? 16 + mark.size() + own.size() : 0);
+  w.out.reserve(w.out.size() + blobs + sizeof(std::uint64_t));
   write_blob(w, full);
   if (r.has_exchange_state) {
     write_blob(w, mark);
@@ -290,12 +311,10 @@ std::string_view open_slot(std::string_view slot) {
 
 std::string frame_log_record(const std::string& payload) {
   std::string out;
-  out.reserve(payload.size() + 16);
-  const std::uint64_t len = payload.size();
-  const std::uint64_t sum = util::checksum64(payload.data(), payload.size());
-  out.append(reinterpret_cast<const char*>(&len), 8);
-  out.append(reinterpret_cast<const char*>(&sum), 8);
+  out.reserve(kLogHeader + payload.size());
+  out.assign(kLogHeader, '\0');
   out.append(payload);
+  fill_log_header(out);
   return out;
 }
 
@@ -472,13 +491,14 @@ void SessionJournal::record(Step step,
   // durable record and the next record is a full slot.
   force_full_ = true;
   if (!full_slot) {
-    // Written from the step's bytes in place: no payload is copied into
-    // the record first.
-    write(false, frame_log_record(write_record(
-                     rec.base_seq, rec,
-                     log_field(step.full_bytes, state_.full_bytes),
-                     log_field(step.mark_bytes, state_.mark_bytes),
-                     log_field(step.own_bytes, state_.own_bytes))));
+    // Written from the step's bytes in place, after the frame header it
+    // then fills: each payload is copied once, into the framed record.
+    std::string framed = write_record(
+        rec.base_seq, rec, log_field(step.full_bytes, state_.full_bytes),
+        log_field(step.mark_bytes, state_.mark_bytes),
+        log_field(step.own_bytes, state_.own_bytes), kLogHeader);
+    fill_log_header(framed);
+    write(false, framed);
     advance(state_, rec);
     swap_payloads();
   } else {

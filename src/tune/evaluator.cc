@@ -18,11 +18,37 @@ sim::Machine make_machine(const Study& study, double comp_noise,
   return m;
 }
 
+Config reference_config() {
+  Config c;
+  c.mode = ExecMode::Model;
+  c.selective = false;
+  return c;
+}
+
 }  // namespace
+
+void StorePool::GiveBack::operator()(Store* s) const {
+  const std::lock_guard<std::mutex> lock(pool->mu_);
+  pool->free_.emplace_back(s);
+}
+
+StorePool::Lease StorePool::take(const Config& cfg) {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!free_.empty()) {
+      Lease s(free_.back().release(), GiveBack{this});
+      free_.pop_back();
+      s->configure(cfg);
+      return s;
+    }
+  }
+  return Lease(new Store(nranks_, cfg), GiveBack{this});
+}
 
 Evaluator::Evaluator(const Study& study, const TuneOptions& opt)
     : study_(study), opt_(opt),
-      machine_(make_machine(study, opt.comp_noise, opt.comm_noise)) {}
+      machine_(make_machine(study, opt.comp_noise, opt.comm_noise)),
+      stores_(study.nranks) {}
 
 std::uint64_t Evaluator::salts_per_config() const {
   return (opt_.policy == Policy::AprioriPropagation ? 1 : 0) + 1 +
@@ -51,14 +77,13 @@ Report Evaluator::one_run(Store& store, const Configuration& cfg,
 Report Evaluator::full_reference(const Configuration& cfg,
                                  std::uint64_t salt) const {
   // Fully instrumented (so critical-path metrics exist) but against a
-  // throwaway store, so its samples do not leak into the policy's
-  // statistics.  Its critical-path exec_time is the application time along
-  // the critical path, free of profiling overhead.
-  Config ref_cfg;
-  ref_cfg.mode = ExecMode::Model;
-  ref_cfg.selective = false;
-  Store ref_store(study_.nranks, ref_cfg);
-  return one_run(ref_store, cfg, salt);
+  // pooled store, reset so that nothing it ran before reaches this run,
+  // and never against the sweep's statistics, so its samples do not leak
+  // into the policy's.  Its critical-path exec_time is the application
+  // time along the critical path, free of profiling overhead.
+  const StorePool::Lease store = stores_.take(reference_config());
+  store->reset_statistics();
+  return one_run(*store, cfg, salt);
 }
 
 ConfigOutcome Evaluator::evaluate(Store& store, int index, ConfigTotals* tot,

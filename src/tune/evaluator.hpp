@@ -5,8 +5,8 @@
 //   * a-priori propagation first runs the configuration once fully
 //     instrumented to record critical-path kernel counts (charged to the
 //     tuning time, as in the paper);
-//   * one uninstrumented-equivalent full execution against a throwaway
-//     store is the error reference (not charged);
+//   * one uninstrumented-equivalent full execution against a freshly
+//     reset store is the error reference (not charged);
 //   * up to `samples` selective executions follow (charged; a strategy may
 //     lower the per-batch budget via EvalControl::samples_override).
 //
@@ -26,6 +26,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "tune/tuner.hpp"
@@ -53,6 +55,31 @@ struct EvalChain {
   bool pruned = false;  ///< the CI discard stopped the samples early
 };
 
+/// The study's profiler stores: a mutex-guarded free list, so a study
+/// builds one Store per task running at once instead of one per
+/// configuration.  take() hands a store out as it was given back, only
+/// reconfigured: the caller resets its statistics (reset_statistics(), or
+/// restore() of a shared snapshot) before use, which DESIGN §5 shows is
+/// exactly a fresh store.  The lease gives it back; the pool frees its
+/// stores with itself.
+class StorePool {
+ public:
+  explicit StorePool(int nranks) : nranks_(nranks) {}
+
+  struct GiveBack {
+    StorePool* pool;
+    void operator()(Store* s) const;
+  };
+  using Lease = std::unique_ptr<Store, GiveBack>;
+
+  Lease take(const Config& cfg);
+
+ private:
+  const int nranks_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Store>> free_;
+};
+
 class Evaluator {
  public:
   Evaluator(const Study& study, const TuneOptions& opt);
@@ -78,9 +105,9 @@ class Evaluator {
 
   /// Fill `slot` with configuration `index`'s error reference unless it is
   /// already filled (`Report::p > 0`).  The reference is a pure function
-  /// of (configuration, salt) and touches no shared store, so a slot kept
-  /// across evaluations lets successive-halving re-evaluations reuse it
-  /// instead of re-simulating.
+  /// of (configuration, salt): it runs on a pooled store reset first, never
+  /// on the sweep's statistics, so a slot kept across evaluations lets
+  /// successive-halving re-evaluations reuse it instead of re-simulating.
   void reference(int index, Report& slot) const;
 
   /// Score a chain against its reference and accumulate into `tot`, in
@@ -89,10 +116,15 @@ class Evaluator {
   ConfigOutcome finish(int index, const EvalChain& chain,
                        const Report& full, ConfigTotals* tot) const;
 
-  /// One fully-instrumented, non-selective execution against a throwaway
-  /// store: the error reference of evaluate() and the Fig. 3 measurement
-  /// behind measure_config().
+  /// One fully-instrumented, non-selective execution against a pooled
+  /// store reset by reset_statistics(): the error reference of evaluate()
+  /// and the Fig. 3 measurement behind measure_config().  Safe to call
+  /// concurrently.
   Report full_reference(const Configuration& cfg, std::uint64_t salt) const;
+
+  /// The study's store pool, which the references and the parallel
+  /// sweeps' chains share.
+  StorePool& stores() const { return stores_; }
 
  private:
   Report one_run(Store& store, const Configuration& cfg,
@@ -101,6 +133,7 @@ class Evaluator {
   const Study& study_;
   const TuneOptions& opt_;
   sim::Machine machine_;
+  mutable StorePool stores_;
 };
 
 }  // namespace critter::tune

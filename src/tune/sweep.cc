@@ -166,21 +166,19 @@ void SweepDriver::run_batch(const std::vector<int>& batch,
       evaluator_.reference(batch[k - n], ref_cache_[batch[k - n]]);
       return;
     }
-    // Isolated: each chain owns an independent store (identical to a
-    // freshly reset one: reset_statistics clears exactly the state a new
-    // store lacks), so configurations evaluate concurrently yet
-    // bit-identically to the serial sweep.  Shared: the store is restored
-    // from the shared snapshot, so the chain and its statistics delta are
-    // pure functions of (base, index, salts, ctl) and scheduling cannot
-    // leak into the outcome.
-    Store store(study_.nranks, pc);
-    if (shared) {
-      store.restore(base_);
-      if (reset_) store.reset_statistics();
-    }
-    chains[k] = evaluator_.chain(store, batch[k], ctl);
+    // Each chain runs on a pooled store of its own.  Isolated: the store
+    // is reset, which is exactly a fresh store (DESIGN §5), so
+    // configurations evaluate concurrently yet bit-identically to the
+    // serial sweep.  Shared: the store is restored from the shared
+    // snapshot, so the chain and its statistics delta are pure functions
+    // of (base, index, salts, ctl), and neither scheduling nor the store's
+    // previous chain can leak into the outcome.
+    const StorePool::Lease store = evaluator_.stores().take(pc);
+    if (shared) store->restore(base_);
+    if (!shared || reset_) store->reset_statistics();
+    chains[k] = evaluator_.chain(*store, batch[k], ctl);
     if (!shared) return;
-    deltas[k] = store.diff(base_);
+    deltas[k] = store->diff(base_);
     if (reset_) {
       // Per-configuration statistics die with the configuration; only the
       // state that outlives reset_statistics() — channels and the

@@ -11,9 +11,9 @@
 //                       proposing the next configuration.
 //   ParallelIsolated  — statistics reset per configuration and no policy
 //                       state crosses configurations, so each worker task
-//                       owns an independent store; results are bit-identical
-//                       to the serial sweep (salts are analytic, totals
-//                       reduce in configuration order).
+//                       runs on a store of its own, reset first; results
+//                       are bit-identical to the serial sweep (salts are
+//                       analytic, totals reduce in configuration order).
 //   BatchShared       — statistics *are* shared across configurations
 //                       (eager propagation, persistent-stats sweeps,
 //                       extrapolation).  Workers evaluate a deterministic

@@ -393,6 +393,8 @@ TEST(SubprocessFailure, WorkerCrashMidSweepAbortsFleetWithDiagnosis) {
     EXPECT_NE(what.find("shard worker 1"), std::string::npos) << what;
     EXPECT_NE(what.find("42"), std::string::npos) << what;
     EXPECT_NE(what.find("run directory kept"), std::string::npos) << what;
+    const auto at = what.find("kept at ");
+    if (at != std::string::npos) core::remove_dir_tree(what.substr(at + 8));
   }
 }
 
@@ -407,6 +409,8 @@ TEST(SubprocessFailure, CleanExitWithoutResultIsAMissingSnapshotError) {
     const std::string what = e.what();
     EXPECT_NE(what.find("shard worker 0"), std::string::npos) << what;
     EXPECT_NE(what.find("result"), std::string::npos) << what;
+    const auto at = what.find("kept at ");
+    if (at != std::string::npos) core::remove_dir_tree(what.substr(at + 8));
   }
 }
 

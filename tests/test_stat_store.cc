@@ -1,7 +1,7 @@
-// Statistics-lifecycle subsystem (core/stat_store): deterministic merge,
-// exact merge inverse (diff), snapshot/restore round-trips on a profiler
-// Store, and versioned binary serialization round-trips including SizeModel
-// state.
+// Statistics-lifecycle subsystem (core/stat_store): the kernel arena that
+// holds K, deterministic merge, exact merge inverse (diff), snapshot/restore
+// round-trips on a profiler Store, and versioned binary serialization
+// round-trips including SizeModel state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,7 +66,125 @@ core::StatSnapshot sweep_snapshot(Policy policy, bool extrapolate) {
   return r.stats;
 }
 
+/// Every field of two KernelStats, compared exactly.
+void expect_same_stats(const core::KernelStats& a, const core::KernelStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.n, b.n) << what;
+  EXPECT_EQ(a.mean, b.mean) << what;
+  EXPECT_EQ(a.m2, b.m2) << what;
+  EXPECT_EQ(a.invocations_this_epoch, b.invocations_this_epoch) << what;
+  EXPECT_EQ(a.executions_this_epoch, b.executions_this_epoch) << what;
+  EXPECT_EQ(a.total_invocations, b.total_invocations) << what;
+  EXPECT_EQ(a.total_executions, b.total_executions) << what;
+  EXPECT_EQ(a.agg_hash, b.agg_hash) << what;
+  EXPECT_EQ(a.global_steady, b.global_steady) << what;
+  EXPECT_EQ(a.extrapolation_observed, b.extrapolation_observed) << what;
+  EXPECT_EQ(a.registered, b.registered) << what;
+}
+
+/// An arena of `n` kernels whose statistics differ per kernel.
+core::KernelArena make_arena(int n, int salt) {
+  core::KernelArena a;
+  for (int i = 0; i < n; ++i) {
+    core::KernelStats& ks = a[key_of(i % 7, i + salt, 1)];
+    ks = samples({1.0 + i, 2.0 + salt});
+    ks.agg_hash = static_cast<std::uint64_t>(i) * 31 + 1;
+  }
+  return a;
+}
+
+/// Same size, same keys and statistics, in the same (insertion) order.
+void expect_same_arena(const core::KernelArena& a, const core::KernelArena& b) {
+  ASSERT_EQ(a.size(), b.size());
+  auto ib = b.begin();
+  for (auto ia = a.begin(); ia != a.end(); ++ia, ++ib) {
+    EXPECT_EQ(ia->first, ib->first);
+    expect_same_stats(ia->second, ib->second, ia->first.to_string());
+  }
+}
+
 }  // namespace
+
+TEST(KernelArena, ReferencesSurviveInsertsAcrossBlocks) {
+  // Entries are built in place on insert into blocks of 256 that never
+  // move: 600 inserts after the first cross two block boundaries.
+  core::KernelArena a;
+  const core::KernelKey first = key_of(0, 1, 1);
+  core::KernelStats& ks = a[first];
+  ks = samples({1.5, 2.5, 4.0});
+  const core::KernelStats before = ks;
+  const core::KernelArena::value_type* entry = &a.entry(a.find_index(first));
+  for (int i = 0; i < 600; ++i) {
+    const auto [idx, inserted] = a.insert_index(key_of(1, i, 2));
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(idx, static_cast<std::uint32_t>(i + 1));
+  }
+  ASSERT_EQ(a.size(), 601u);
+  EXPECT_EQ(&a.entry(0), entry);
+  EXPECT_EQ(&a.at(first), &ks);
+  EXPECT_EQ(entry->first, first);
+  expect_same_stats(ks, before, "first entry");
+  // The new entries start from default statistics.
+  expect_same_stats(a.at(key_of(1, 599, 2)), core::KernelStats{}, "last");
+}
+
+TEST(KernelArena, CopyHoldsTheLiveEntriesAndIsIndependent) {
+  const core::KernelArena src = make_arena(300, 5);
+  core::KernelArena copy(src);
+  expect_same_arena(copy, src);
+  for (const auto& [key, stats] : src)
+    EXPECT_EQ(copy.find_index(key), src.find_index(key));
+
+  // Growing or changing the copy leaves the source as it was.
+  const core::KernelArena pristine = make_arena(300, 5);
+  copy[key_of(6, 9999, 3)].add_sample(7.0);
+  copy.at(src.begin()->first).add_sample(100.0);
+  EXPECT_EQ(copy.size(), 301u);
+  EXPECT_EQ(src.find_index(key_of(6, 9999, 3)), core::KernelArena::npos);
+  expect_same_arena(src, pristine);
+
+  // Assigning into a larger arena leaves it holding only the source's
+  // entries.
+  core::KernelArena big = make_arena(700, 1);
+  const core::KernelKey only_in_big = big.entry(650).first;
+  big = src;
+  expect_same_arena(big, src);
+  EXPECT_EQ(big.find_index(only_in_big), core::KernelArena::npos);
+}
+
+TEST(KernelArena, ClearedThenReinsertedKeysStartFromZeroedStats) {
+  core::KernelArena a = make_arena(20, 3);
+  const core::KernelKey k = a.entry(4).first;
+  a.clear();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.begin(), a.end());
+  EXPECT_EQ(a.find_index(k), core::KernelArena::npos);
+  // Nothing from before the clear shows through: the re-inserted key, and
+  // a new key at a reused index, both read as default statistics.
+  expect_same_stats(a[k], core::KernelStats{}, "re-inserted");
+  expect_same_stats(a[key_of(2, 77, 77)], core::KernelStats{}, "new");
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(a.entry(0).first, k);
+}
+
+TEST(KernelArena, SelfAssignmentAndEmptyCopies) {
+  core::KernelArena a = make_arena(260, 2);
+  const core::KernelArena& alias = a;
+  a = alias;
+  expect_same_arena(a, make_arena(260, 2));
+
+  const core::KernelArena empty;
+  core::KernelArena copy(empty);
+  EXPECT_TRUE(copy.empty());
+  EXPECT_EQ(copy.begin(), copy.end());
+  a = empty;
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.find_index(key_of(0, 2, 1)), core::KernelArena::npos);
+  // Both still take inserts.
+  copy[key_of(0, 1, 1)].add_sample(1.0);
+  a[key_of(0, 1, 1)].add_sample(1.0);
+  expect_same_arena(a, copy);
+}
 
 TEST(KernelStats, UnmergeIsExactInverseOfMerge) {
   const core::KernelStats a = samples({1.0, 2.0, 3.5, 0.25});

@@ -1,7 +1,8 @@
 // Determinism contract of the engine and the thread-pooled sweep: repeated
-// runs are bit-identical, and a parallel run_study reproduces the serial
-// sweep exactly (same noise salts, independent per-configuration stores,
-// ordered reduction of totals).
+// runs are bit-identical, a reference does not depend on what its pooled
+// store ran before, and a parallel run_study reproduces the serial sweep
+// exactly (same noise salts, a store reset per configuration, ordered
+// reduction of totals).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "tune/evaluator.hpp"
 #include "tune/tuner.hpp"
 #include "util/thread_pool.hpp"
 
@@ -33,7 +35,54 @@ bool reports_equal(const critter::Report& a, const critter::Report& b) {
          a.skipped == b.skipped;
 }
 
+/// Every field of two reports, compared exactly.
+void expect_same_report(const critter::Report& a, const critter::Report& b,
+                        const std::string& what) {
+  for (int f = 0; f < critter::PathMetrics::kFields; ++f) {
+    EXPECT_EQ(a.critical.as_array()[f], b.critical.as_array()[f])
+        << what << ": critical field " << f;
+    EXPECT_EQ(a.volavg.as_array()[f], b.volavg.as_array()[f])
+        << what << ": volavg field " << f;
+  }
+  EXPECT_EQ(a.wall_time, b.wall_time) << what;
+  EXPECT_EQ(a.max_kernel_comp_time, b.max_kernel_comp_time) << what;
+  EXPECT_EQ(a.max_modeled_comp_time, b.max_modeled_comp_time) << what;
+  EXPECT_EQ(a.overhead_time, b.overhead_time) << what;
+  EXPECT_EQ(a.executed, b.executed) << what;
+  EXPECT_EQ(a.skipped, b.skipped) << what;
+  EXPECT_EQ(a.p, b.p) << what;
+}
+
 }  // namespace
+
+TEST(Determinism, ReferenceDoesNotDependOnWhatItsStoreRanBefore) {
+  // An Evaluator runs its references on pooled stores, reset before each
+  // run.  References for i, j, i on one Evaluator, where j runs a
+  // different grid (processor grid where the study varies it, block or
+  // tile grid otherwise), must each equal a fresh Evaluator's.
+  struct Case {
+    tune::Study study;
+    int i, j;
+  };
+  const Case cases[] = {
+      {tune::capital_cholesky_study(false), 0, 14},  // b 24 -> 384
+      {tune::slate_cholesky_study(false), 0, 19},    // tile 128 -> 416
+      {tune::candmc_qr_study(false), 0, 5},          // grid 16x4 -> 32x2
+      {tune::slate_qr_study(false), 0, 21},          // grid 16x4 -> 8x8
+  };
+  tune::TuneOptions opt;
+  for (const Case& c : cases) {
+    const tune::Evaluator ev(c.study, opt);
+    for (const int idx : {c.i, c.j, c.i}) {
+      const tune::Configuration& cfg = c.study.configs.at(idx);
+      const critter::Report reused = ev.full_reference(cfg, 42);
+      const critter::Report fresh =
+          tune::Evaluator(c.study, opt).full_reference(cfg, 42);
+      expect_same_report(reused, fresh,
+                         c.study.name + " config " + std::to_string(idx));
+    }
+  }
+}
 
 TEST(Determinism, RepeatedMeasureConfigIsBitIdentical) {
   const auto study = small_study(3);
