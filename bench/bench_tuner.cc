@@ -1,14 +1,18 @@
-// Tuner sweep throughput: configurations/second on the SLATE-Cholesky
-// study for the three sweep modes —
+// Tuner sweep throughput on the SLATE-Cholesky study: configurations/second
+// through the paths whose same-run ratios CI gates (batch_shared_vs_serial,
+// daemon_vs_serial, checkpoint_overhead), plus the surrogate's
+// configs-to-best —
 //
-//   serial               one store, configurations in sequence (PR-1
-//                        behavior for every shared-statistics sweep);
-//   isolated-parallel    reset_per_config sweep on a worker pool
-//                        (bit-identical to its serial counterpart);
+//   serial                one store, configurations in sequence;
 //   batch-shared-parallel the statistics-lifecycle path: workers evaluate
-//                        batches against a shared snapshot and merge deltas
-//                        at a barrier (eager/persistent/extrapolate sweeps
-//                        no longer fall back to serial).
+//                         batches against a shared snapshot and merge
+//                         deltas at a barrier;
+//   sharded               the in-process and subprocess executors, the
+//                         latter with and without per-batch checkpointing;
+//   daemon                the ask/tell service with one client.
+//
+// bench_e2e measures the isolated-parallel and batch-shared deployments end
+// to end, with host calibration and a correctness gate.
 //
 // Emits a human-readable table and the BENCH_*.json perf-trajectory shape:
 //
@@ -114,32 +118,14 @@ int main(int argc, char** argv) {
   //    forced onto before the batch-shared path existed.
   const SweepStat serial = sweep_rate(study, shared, t, "serial_shared");
 
-  // 2. Isolated-parallel sweep (statistics reset per configuration).
-  tune::TuneOptions isolated = shared;
-  isolated.reset_per_config = true;
-  isolated.workers = workers;
-  const SweepStat iso = sweep_rate(study, isolated, t, "isolated_parallel");
-
-  // 3. Batch-shared sweep at one worker: identical results to (4) by the
-  //    determinism contract, so (4)/(3) isolates the parallelization gain
-  //    from the batch-semantics difference against (1).
+  // 2. Batch-shared parallel sweep: shared statistics, deterministic at
+  //    this batch size for any worker count.
   tune::TuneOptions batched = shared;
   batched.batch = workers;
-  batched.workers = 1;
-  const SweepStat bs1 = sweep_rate(study, batched, t, "batch_shared_serial");
-
-  // 4. Batch-shared parallel sweep: shared statistics, deterministic at
-  //    this batch size for any worker count.
   batched.workers = workers;
   const SweepStat bsp = sweep_rate(study, batched, t, "batch_shared_parallel");
 
-  // 5. The same path carrying the eager policy (the sweep the paper gains
-  //    most from, previously hard-serialized).
-  tune::TuneOptions eager = batched;
-  eager.policy = critter::Policy::EagerPropagation;
-  sweep_rate(study, eager, t, "batch_shared_eager");
-
-  // 6./7. Sharded shared-statistics sweeps through the distributed
+  // 3./4. Sharded shared-statistics sweeps through the distributed
   //    executors: the in-process fold vs one worker process per shard
   //    (fork/exec + run-directory snapshot exchange included), exchanging
   //    deltas every other batch.  On a 1-core host the subprocess ratio
@@ -159,8 +145,8 @@ int main(int argc, char** argv) {
                    static_cast<double>(shard_sub.exchange_rounds),
                "bytes");
 
-  // 7b. The subprocess sweep again with per-batch checkpointing — the most
-  //    aggressive fault-tolerance setting, so (7)/(7b) bounds the price of
+  // 4b. The subprocess sweep again with per-batch checkpointing — the most
+  //    aggressive fault-tolerance setting, so (4)/(4b) bounds the price of
   //    crash recoverability (serialize + checksum + atomic publish every
   //    batch).  Same results by the resume contract (DESIGN.md §10).
   dist::SubprocessOptions ckpt_opts;
@@ -170,7 +156,7 @@ int main(int argc, char** argv) {
                                             subproc_ckpt, 2, t,
                                             "sharded_subprocess_ckpt");
 
-  // 7c. The tuner daemon (DESIGN.md §12): the identical shared sweep
+  // 5. The tuner daemon (DESIGN.md §12): the identical shared sweep
   //    through the ask/tell service — an in-process daemon journaling every
   //    tell (one increment carrying the tell's patch, a full checkpoint
   //    slot every 17th record), one TCP client mirroring the evaluation.
@@ -215,7 +201,7 @@ int main(int argc, char** argv) {
   }
   critter::core::remove_dir_tree(daemon_dir);
 
-  // 8. Model-based search: configs-to-best.  Against a statistically
+  // 6. Model-based search: configs-to-best.  Against a statistically
   //    isolated sweep (outcomes independent of evaluation order, so "the
   //    exhaustive best" is the same configuration for every strategy), how
   //    many evaluations does the surrogate need before it first evaluates
@@ -257,10 +243,8 @@ int main(int argc, char** argv) {
          util::Table::num(ei_evals / std::max(ei_secs, 1e-9), 2)});
 
   t.print();
-  std::printf("\nbatch-shared parallel: %.2fx vs serial, %.2fx vs same-semantics"
-              " serial; isolated parallel: %.2fx vs serial\n",
-              bsp.rate / serial.rate, bsp.rate / bs1.rate,
-              iso.rate / serial.rate);
+  std::printf("\nbatch-shared parallel: %.2fx vs serial\n",
+              bsp.rate / serial.rate);
   if (found)
     std::printf("surrogate-ei: reached the exhaustive best (config %d) after "
                 "%d/%d evaluations — %.2fx fewer configs than the exhaustive "
@@ -293,11 +277,6 @@ int main(int argc, char** argv) {
               std::max(shard_ckpt.secs - shard_sub.secs, 0.0));
 
   g_json.ratio("batch_shared_vs_serial", "batch_shared_parallel_configs_per_sec",
-               "serial_shared_configs_per_sec");
-  g_json.ratio("batch_parallel_vs_batch_serial",
-               "batch_shared_parallel_configs_per_sec",
-               "batch_shared_serial_configs_per_sec");
-  g_json.ratio("isolated_vs_serial", "isolated_parallel_configs_per_sec",
                "serial_shared_configs_per_sec");
   g_json.ratio("subprocess_vs_in_process_sharded",
                "sharded_subprocess_configs_per_sec",

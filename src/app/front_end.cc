@@ -43,10 +43,9 @@ Deployment parse_deployment(const util::Options& flags, Pin pin) {
   s.count = flag_int(flags, "shards", 1);
   if (s.count <= 1) return Local{};
   s.executor = flags.get("executor", "subprocess");
-  CRITTER_CHECK(s.executor == "subprocess" || s.executor == "socket" ||
-                    s.executor == "in-process",
+  CRITTER_CHECK(s.executor == "subprocess" || s.executor == "in-process",
                 "unknown shard executor '" + s.executor +
-                    "' (known: subprocess, socket, in-process)");
+                    "' (known: subprocess, in-process)");
   s.exchange.every = flag_int(flags, "exchange-every", 0);
   s.exchange.strict = flags.get_int("exchange-strict", 1) != 0;
   s.fault.max_retries = flag_int(flags, "max-retries", 0);
@@ -62,7 +61,6 @@ tune::TuneResult run_shards(const Invocation& inv, const Shards& s) {
   }
   dist::SubprocessOptions sopts;
   sopts.fault = s.fault;
-  if (s.executor == "socket") sopts.transport = "socket";
   dist::SubprocessExecutor exec(std::move(sopts));
   return dist::run_sharded(inv.study, inv.options, s.count, exec, s.exchange);
 }
@@ -199,7 +197,7 @@ std::string usage(const Program& p) {
        << ")  --workers=N  --batch=N\n  --prior=FILE"
        << (p.pin == Pin::None ? "  --save-stats=FILE\n" : "\n");
   if (p.pin == Pin::None)
-    os << "shards: --shards=N --executor=subprocess|socket|in-process "
+    os << "shards: --shards=N --executor=subprocess|in-process "
           "--exchange-every=B\n"
           "        --exchange-strict=0|1 --max-retries=N "
           "--checkpoint-every=B\n"

@@ -8,10 +8,10 @@
 //           dist::run_sharded.  --executor=subprocess (the default: one
 //           worker process per shard, re-execing the binary via
 //           --shard-worker and exchanging StatSnapshot files through a run
-//           directory), socket (the same fleet sharing its artifacts over
-//           TCP) or in-process (thread-parallel shards).  --exchange-every=B
-//           makes shards trade statistics deltas every B batches mid-sweep
-//           instead of only merging at the end.  Subprocess fleets are
+//           directory, the only thing the workers share) or in-process
+//           (thread-parallel shards).  --exchange-every=B makes shards trade
+//           statistics deltas every B batches mid-sweep instead of only
+//           merging at the end.  Subprocess fleets are
 //           fault-tolerant: --max-retries=N relaunches a crashed or stalled
 //           worker up to N times, --checkpoint-every=B makes workers publish
 //           a recovery checkpoint every B batches so a relaunch resumes

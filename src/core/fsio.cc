@@ -173,6 +173,13 @@ std::string read_published(const std::string& dir, const std::string& name) {
   return payload;
 }
 
+void unpublish(const std::string& dir, const std::string& name) {
+  for (const std::string& path :
+       {dir + "/" + manifest_name(name), dir + "/" + name})
+    CRITTER_CHECK(::unlink(path.c_str()) == 0 || errno == ENOENT,
+                  "unlink failed for " + path + ": " + std::strerror(errno));
+}
+
 void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }

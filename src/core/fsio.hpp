@@ -1,9 +1,7 @@
 // Filesystem primitives and the atomic-publish protocol, shared by every
-// layer that persists or exchanges artifacts (dist run directories, the net
-// blob store, the serve daemon's session journals).
-//
-// Extracted from src/dist/protocol.* so the network and daemon layers reuse
-// one implementation of the two-step publish instead of re-implementing it:
+// layer that persists or exchanges artifacts (dist run directories and the
+// serve daemon's session journals), so both use one implementation of the
+// two-step publish:
 //
 //   1. the payload is written to `<name>.tmp` and renamed to `<name>`;
 //   2. a manifest `<name>.ok` (payload byte count + util::checksum64 under
@@ -37,6 +35,9 @@ void write_file_atomic(const std::string& path, const std::string& content);
 /// Append to the end of `path`, creating it if absent.  The increment-log
 /// primitive: an interrupted append can tear only the new tail, which the
 /// framed-record scan rejects — the existing prefix stays trustworthy.
+/// Returns once the bytes reach the page cache (nothing here syncs), so an
+/// appended record survives the death of its process (kill -9) but not a
+/// host crash or power loss.
 void append_file(const std::string& path, const std::string& content);
 /// mkdir, existing directory OK; parents must exist.
 void make_dir(const std::string& path);
@@ -49,8 +50,8 @@ std::string make_temp_dir(const std::string& prefix);
 void remove_dir_tree(const std::string& path);
 
 /// Render the publish manifest for a payload (the size/checksum stamp readers
-/// verify).  One implementation so the file protocol, the net blob store,
-/// and any future transport agree byte-for-byte on what "published" means.
+/// verify).  One implementation, so every writer and reader agrees
+/// byte-for-byte on what "published" means.
 std::string publish_manifest(const std::string& payload);
 /// Verify `payload` against a manifest produced by publish_manifest();
 /// throws with a "stale manifest" message naming `what` on any mismatch.
@@ -67,6 +68,12 @@ bool published(const std::string& dir, const std::string& name);
 /// Throws with "missing"/"stale manifest" in the message when the payload
 /// is absent, short, or does not hash to the manifest's declared value.
 std::string read_published(const std::string& dir, const std::string& name);
+/// Remove `dir/name` and its manifest, manifest first (publish reversed): a
+/// reader polling published() stops seeing the artifact before its payload
+/// can go missing under it.  An absent file counts as already gone, so
+/// unpublishing twice, or a plain file with no manifest, is fine — the
+/// exchange-mailbox GC (DESIGN.md §13.2) relies on that.
+void unpublish(const std::string& dir, const std::string& name);
 
 void sleep_ms(int ms);
 double monotonic_s();

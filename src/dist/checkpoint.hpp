@@ -146,7 +146,10 @@ std::vector<std::string> scan_log_records(const std::string& blob);
 
 /// The durable journal of one tuning session (DESIGN.md §10, §11): a full
 /// checkpoint slot, then up to kIncrementsPerFull records appended to the
-/// log, then a full slot in the other slot, and so on.  Two owners use it —
+/// log, then a full slot in the other slot, and so on.  Durable means that
+/// a record survives the death of its process (kill -9), not a host crash
+/// or power loss: writes reach the page cache and nothing syncs them (the
+/// cost is in DESIGN.md §12.5).  Two owners use it —
 /// a shard worker (with exchange state) and a tuner-daemon session
 /// (without) — and each only says what a record adds.  The journal holds the
 /// one copy of the journaled state and makes every durable decision: full

@@ -126,7 +126,7 @@ tune::TuneResult run_sharded(const tune::Study& study,
     out.evaluated_configs += r.evaluated;
     out.exchange_rounds += r.exchange_rounds;
     out.exchange_bytes += r.exchange_bytes;
-    out.exchange_skips += r.exchange_skips;
+    out.exchange_skips += r.recovery.exchange_skips;
     // Phase times sum across shards: total CPU seconds per phase, the
     // attribution the examples print (not elapsed wall time).
     out.phases.ask += r.phases.ask;
@@ -134,16 +134,8 @@ tune::TuneResult run_sharded(const tune::Study& study,
     out.phases.tell += r.phases.tell;
     out.phases.exchange += r.phases.exchange;
     out.phases.checkpoint += r.phases.checkpoint;
-    tune::ShardRecovery rec;
-    rec.shard = sr.index;
-    rec.retries = r.retries;
-    rec.recovered = r.recovered;
-    rec.degraded = r.degraded;
-    rec.exchange_skips = r.exchange_skips;
-    rec.checkpoints = r.checkpoints;
-    rec.resumed_batches = r.resumed_batches;
-    rec.last_failure = r.failure;
-    out.shard_recovery.push_back(std::move(rec));
+    out.shard_recovery.push_back(r.recovery);
+    out.shard_recovery.back().shard = sr.index;
     if (first_shard) {
       out.mode = r.mode;
       out.strategy = r.strategy;

@@ -11,7 +11,8 @@
 //   SubprocessExecutor  — one worker process per shard (a re-exec of the
 //                         current binary through the --shard-worker entry
 //                         point), exchanging versioned StatSnapshot files
-//                         through a run directory (core/fsio.hpp).
+//                         through a run directory (core/fsio.hpp), the one
+//                         thing the shard processes share.
 //
 // Periodic mid-sweep exchange (ExchangePolicy::every > 0): after every N
 // strategy batches a shard publishes the statistics delta it grew since its
@@ -124,20 +125,16 @@ struct ShardResult {
   /// worker loop).
   tune::PhaseTimes phases;
   core::StatSnapshot stats;
-
-  // --- fault-recovery record (subprocess executor; zero elsewhere) ---
-  int retries = 0;          ///< relaunches this shard consumed
-  bool recovered = false;   ///< completed after >= 1 relaunch
-  bool degraded = false;    ///< completed by the launcher's in-process fallback
-  int exchange_skips = 0;   ///< non-strict exchange rounds skipped
-  int checkpoints = 0;      ///< checkpoints the final worker attempt published
-  int resumed_batches = 0;  ///< batches replayed from the resume checkpoint
+  /// The shard's fault-recovery record, which run_sharded() copies into
+  /// TuneResult::shard_recovery under the range's index (`shard` is not
+  /// set here).  Its exchange skips and resume count come from the shard
+  /// session; the rest only the subprocess executor fills.
+  tune::ShardRecovery recovery;
   /// Exchange payload bytes the final worker attempt moved through the
-  /// store (published deltas + live peer reads; DESIGN.md §13.2): the
+  /// mailbox (published deltas + live peer reads; DESIGN.md §13.2): the
   /// bench harness divides by exchange_rounds for
   /// bytes_per_exchange_round.
   std::int64_t exchange_bytes = 0;
-  std::string failure;      ///< last classified failure, empty if none
 };
 
 /// Transport-agnostic shard execution: run every range as an independent
@@ -191,14 +188,6 @@ struct SubprocessOptions {
   /// ("<shard>:<mode>[:<arg>[:<times>]]", DESIGN.md §10), which every
   /// worker and relaunch inherits.
   FaultPolicy fault;
-  /// How the fleet shares its coordination artifacts (DESIGN.md §12.2):
-  /// "dir" (default) — the run directory, byte-identical to the historical
-  /// file protocol; "socket" — an in-memory store served over TCP from the
-  /// launcher (net::BlobServer), with workers connecting per --connect and
-  /// per-op deadlines mapped from the FaultPolicy phases.  Results are
-  /// bit-identical across transports; worker-local checkpoints and logs
-  /// stay in the run directory either way.
-  std::string transport;
 };
 
 /// One OS process per shard: the distributed-memory execution the paper

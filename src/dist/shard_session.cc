@@ -156,8 +156,8 @@ ShardResult ShardSession::result() const {
   out.stats = exchanging() ? own_ : r.stats;
   out.phases = r.phases;
   out.exchange_rounds = rounds_;
-  out.exchange_skips = skips_;
-  out.resumed_batches = resumed_batches_;
+  out.recovery.exchange_skips = skips_;
+  out.recovery.resumed_batches = resumed_batches_;
   return out;
 }
 

@@ -35,7 +35,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -53,8 +52,6 @@
 #include "dist/manifest.hpp"
 #include "dist/shard_session.hpp"
 #include "dist/wire.hpp"
-#include "net/blob.hpp"
-#include "net/socket.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -86,9 +83,9 @@ std::string serialize_result(const ShardResult& r) {
   w.str(r.fallback_reason);
   w.i32(r.evaluated);
   w.i32(r.exchange_rounds);
-  w.i32(r.exchange_skips);
-  w.i32(r.checkpoints);
-  w.i32(r.resumed_batches);
+  w.i32(r.recovery.exchange_skips);
+  w.i32(r.recovery.checkpoints);
+  w.i32(r.recovery.resumed_batches);
   w.i64(r.exchange_bytes);
   w.f64(r.phases.ask);
   w.f64(r.phases.evaluate);
@@ -133,9 +130,9 @@ ShardResult parse_result(const std::string& payload, const tune::Study& study,
   out.fallback_reason = r.str();
   out.evaluated = r.i32();
   out.exchange_rounds = r.i32();
-  out.exchange_skips = r.i32();
-  out.checkpoints = r.i32();
-  out.resumed_batches = r.i32();
+  out.recovery.exchange_skips = r.i32();
+  out.recovery.checkpoints = r.i32();
+  out.recovery.resumed_batches = r.i32();
   out.exchange_bytes = r.i64();
   out.phases.ask = r.f64();
   out.phases.evaluate = r.f64();
@@ -176,7 +173,8 @@ std::string done_name(int shard) {
 }
 /// Fold-progress marker for mailbox GC: "rounds=<n>" = this shard has
 /// completed n full fold rounds, i.e. consumed every peer's round-(n-1)
-/// delta.  Plain put (monotonic counter; readers tolerate absence).
+/// delta.  Plain atomic write (monotonic counter; readers tolerate
+/// absence).
 std::string progress_name(int shard) {
   std::string n = "s";
   n += std::to_string(shard);
@@ -250,14 +248,6 @@ bool fault_fires(const std::string& shard_dir, const FaultSpec& f) {
 struct WorkerArgs {
   std::string run_dir;
   int shard = -1;
-  /// "host:port" of the launcher's blob server; empty = the run directory
-  /// itself is the shared store (the historical file transport).
-  std::string connect;
-  /// Per-op deadlines for the socket transport, mapped from the launcher's
-  /// FaultPolicy phases (connect/handshake from startup_deadline_s, every
-  /// steady-state request from progress_deadline_s).
-  double connect_deadline_s = 60.0;
-  double op_deadline_s = 300.0;
 };
 
 WorkerArgs parse_worker_args(int argc, char** argv) {
@@ -267,11 +257,6 @@ WorkerArgs parse_worker_args(int argc, char** argv) {
     if (arg.rfind("--shard-dir=", 0) == 0) a.run_dir = arg.substr(12);
     if (arg.rfind("--shard-index=", 0) == 0)
       a.shard = std::atoi(arg.c_str() + 14);
-    if (arg.rfind("--connect=", 0) == 0) a.connect = arg.substr(10);
-    if (arg.rfind("--connect-deadline=", 0) == 0)
-      a.connect_deadline_s = std::strtod(arg.c_str() + 19, nullptr);
-    if (arg.rfind("--op-deadline=", 0) == 0)
-      a.op_deadline_s = std::strtod(arg.c_str() + 14, nullptr);
   }
   CRITTER_CHECK(!a.run_dir.empty() && a.shard >= 0,
                 "--shard-worker needs --shard-dir=DIR and --shard-index=N");
@@ -291,27 +276,26 @@ void worker_signal_handler(int) { g_worker_terminate = 1; }
 /// in diagnostics from a crash.
 constexpr int kTerminatedExit = 40;
 
-void check_not_aborted(net::Store& store) {
+void check_not_aborted(const std::string& run_dir) {
   // The abort marker goes through the same atomic publish protocol as
   // every other run artifact, so a poll never observes a half-written
   // reason.
-  if (!store.published("abort")) return;
+  if (!core::published(run_dir, "abort")) return;
   std::string why;
   try {
-    why = store.read_published("abort");
+    why = core::read_published(run_dir, "abort");
   } catch (...) {
   }
   CRITTER_CHECK(false, "run aborted by launcher: " + why);
 }
 
-/// Per-shard liveness blob: an atomically rewritten monotone counter.  The
+/// Per-shard liveness file: an atomically rewritten monotone counter.  The
 /// launcher's stall detector only reads whether the content *changed*, so
 /// pid + counter make every write (and every relaunch) distinct.  Beats are
 /// best-effort — a worker must never die because its heartbeat write
 /// failed.
 struct Heartbeat {
-  net::Store* store = nullptr;
-  std::string key;
+  std::string path;
   std::uint64_t n = 0;
   void beat(int batches) {
     // Line 1 is the liveness counter plus the current execution phase (the
@@ -324,7 +308,7 @@ struct Heartbeat {
                     " phase=" + obs::current_phase() + "\n" +
                     "metrics: " + obs::metrics_compact() + "\n";
     try {
-      store->put(key, s);
+      core::write_file_atomic(path, s);
     } catch (...) {
     }
   }
@@ -351,16 +335,17 @@ int marker_rounds(const std::string& marker) {
 /// deadline.  Beats `hb` while waiting so a legitimately-waiting worker is
 /// never stall-killed.  A zero deadline is checkpoint replay's read: every
 /// delta the original session absorbed is still published.
-PeerWait await_peer_delta(net::Store& store, int p, int round,
+PeerWait await_peer_delta(const std::string& run_dir, int p, int round,
                           double deadline_s, bool strict, Heartbeat& hb,
                           int batches) {
+  const std::string exchange_dir = run_dir + "/exchange";
   const double deadline = core::monotonic_s() + deadline_s;
   int polls = 0;
   while (true) {
-    if (store.published("exchange/" + delta_name(p, round))) {
+    if (core::published(exchange_dir, delta_name(p, round))) {
       try {
         const std::string payload =
-            store.read_published("exchange/" + delta_name(p, round));
+            core::read_published(exchange_dir, delta_name(p, round));
         // Empty payload: the peer session has no shared statistics to
         // trade (isolated mode) — a published, verifiable nothing.
         if (payload.empty()) return {};
@@ -371,16 +356,16 @@ PeerWait await_peer_delta(net::Store& store, int p, int round,
         return {true, {}};
       }
     }
-    if (store.published("exchange/" + done_name(p))) {
+    if (core::published(exchange_dir, done_name(p))) {
       const int rounds =
-          marker_rounds(store.read_published("exchange/" + done_name(p)));
+          marker_rounds(core::read_published(exchange_dir, done_name(p)));
       CRITTER_CHECK(rounds >= 0,
                     "stale done marker from shard " + std::to_string(p));
       // The peer publishes every delta before its done marker, so a
       // visible marker with rounds <= round proves no delta is coming.
       if (rounds <= round) return {};
     }
-    check_not_aborted(store);
+    check_not_aborted(run_dir);
     if (core::monotonic_s() >= deadline) {
       CRITTER_CHECK(!strict, "timed out waiting for shard " +
                                  std::to_string(p) + "'s round-" +
@@ -397,33 +382,26 @@ int worker_body(const WorkerArgs& args) {
   // fleet timeline then has one stable process row per shard no matter how
   // many relaunches the shard took.
   obs::trace_set_pid(args.shard);
-  // The shared store: every cross-process artifact (manifest, snapshots,
-  // exchange mailbox, abort marker, heartbeats, results) goes through it.
-  // Worker-local state — checkpoints, logs, fault counters — stays on
-  // local disk either way.
-  std::unique_ptr<net::Store> store_owner;
-  if (args.connect.empty()) {
-    store_owner = std::make_unique<net::DirStore>(args.run_dir);
-  } else {
-    const net::Address addr = net::parse_address(args.connect);
-    store_owner = std::make_unique<net::BlobClient>(
-        addr.host, addr.port, args.connect_deadline_s, args.op_deadline_s);
-  }
-  net::Store& store = *store_owner;
+  // Every cross-process artifact — manifest, snapshots, exchange mailbox,
+  // abort marker, heartbeat, result — lives in the run directory the
+  // launcher created, as do this shard's journal, log and fault counters.
+  const std::string& run_dir = args.run_dir;
+  const std::string exchange_dir = run_dir + "/exchange";
+  const std::string shard_dir = run_dir + "/shard" + std::to_string(args.shard);
 
-  const Manifest m = parse_manifest(store.get("run.txt"));
+  const Manifest m = parse_manifest(core::read_file(run_dir + "/run.txt"));
   const tune::Study study = rebuild_study(m);
   tune::TuneOptions opt = rebuild_options(m);
   const ShardRange range = shard_range_of(m, args.shard);
   core::StatSnapshot warm;
   if (manifest_int(m, "warm_start") != 0) {
-    const std::string payload = store.read_published("warm.snap");
+    const std::string payload = core::read_published(run_dir, "warm.snap");
     warm = core::StatSnapshot::from_string(payload);
     opt.warm_start = &warm;
   }
   core::StatSnapshot prior;
   if (manifest_int(m, "prior_snap") != 0) {
-    const std::string payload = store.read_published("prior.snap");
+    const std::string payload = core::read_published(run_dir, "prior.snap");
     prior = core::StatSnapshot::from_string(payload);
     opt.prior = &prior;
   }
@@ -432,12 +410,9 @@ int worker_body(const WorkerArgs& args) {
   const bool strict = manifest_int(m, "exchange_strict") != 0;
   const int ckpt_every = static_cast<int>(manifest_int(m, "checkpoint_every"));
   const double exchange_deadline_s = manifest_double(m, "exchange_deadline_s");
-  const std::string shard_dir =
-      args.run_dir + "/shard" + std::to_string(args.shard);
-  const std::string shard_key = "shard" + std::to_string(args.shard);
   const FaultSpec fault = shard_fault(args.shard);
 
-  Heartbeat hb{&store, shard_key + "/heartbeat"};
+  Heartbeat hb{shard_dir + "/heartbeat"};
   if (fault.mode == "crash-on-start" && fault_fires(shard_dir, fault))
     ::_exit(41);
   obs::set_phase("resume");
@@ -455,7 +430,7 @@ int worker_body(const WorkerArgs& args) {
     resumed = ss->resume(
         journal,
         [&](int p, int round) {
-          return await_peer_delta(store, p, round, /*deadline_s=*/0.0,
+          return await_peer_delta(run_dir, p, round, /*deadline_s=*/0.0,
                                   /*strict=*/true, hb, ss->batches())
               .snap;
         },
@@ -517,7 +492,7 @@ int worker_body(const WorkerArgs& args) {
       if (payload.empty()) payload = "x";
       payload[0] = static_cast<char>(payload[0] ^ 0x5a);
     }
-    store.publish("exchange/" + delta_name(range.index, round), payload);
+    core::publish_file(exchange_dir, delta_name(range.index, round), payload);
     exchange_bytes += static_cast<std::int64_t>(payload.size());
     // Flow id (shard << 16) | round: the publish starts the flow, every
     // peer that absorbs this round's delta finishes it — the merged
@@ -528,7 +503,7 @@ int worker_body(const WorkerArgs& args) {
             static_cast<std::uint64_t>(round));
     for (int p = 0; ss->reads_peers() && p < nshards; ++p) {
       if (p == range.index) continue;
-      PeerWait peer = await_peer_delta(store, p, round, exchange_deadline_s,
+      PeerWait peer = await_peer_delta(run_dir, p, round, exchange_deadline_s,
                                        strict, hb, ss->batches());
       if (peer.skipped) {
         ss->skip(p);
@@ -552,20 +527,21 @@ int worker_body(const WorkerArgs& args) {
     // peer has provably consumed (their progress counters are past that
     // round).  An unreadable or absent peer marker counts as no progress
     // — GC waits rather than guesses.
-    store.put("exchange/" + progress_name(range.index),
-              "rounds=" + std::to_string(ss->rounds()) + "\n");
+    core::write_file_atomic(exchange_dir + "/" + progress_name(range.index),
+                            "rounds=" + std::to_string(ss->rounds()) + "\n");
     int folded = ss->rounds();  ///< rounds every peer has folded in
     for (int p = 0; p < nshards && folded > gc_next; ++p) {
       if (p == range.index) continue;
       int rounds = -1;
       try {
-        rounds = marker_rounds(store.get("exchange/" + progress_name(p)));
+        rounds = marker_rounds(
+            core::read_file(exchange_dir + "/" + progress_name(p)));
       } catch (...) {
       }
       folded = std::min(folded, rounds);
     }
     for (; gc_next < folded; ++gc_next)
-      store.remove("exchange/" + delta_name(range.index, gc_next));
+      core::unpublish(exchange_dir, delta_name(range.index, gc_next));
   };
 
   int checkpoints_taken = 0;
@@ -616,7 +592,7 @@ int worker_body(const WorkerArgs& args) {
       }
       return kTerminatedExit;
     }
-    check_not_aborted(store);
+    check_not_aborted(run_dir);
     bool stepped;
     {
       const double t0 = core::monotonic_s();
@@ -644,12 +620,12 @@ int worker_body(const WorkerArgs& args) {
     // Trailing partial round: publish so peers still sweeping see it; a
     // finished shard reads no more peers.
     if (ss->round_due()) exchange_round();
-    store.publish("exchange/" + done_name(range.index),
-                  "rounds=" + std::to_string(ss->rounds()) + "\n");
+    core::publish_file(exchange_dir, done_name(range.index),
+                       "rounds=" + std::to_string(ss->rounds()) + "\n");
   }
 
   ShardResult result = ss->result();
-  result.checkpoints = checkpoints_taken;
+  result.recovery.checkpoints = checkpoints_taken;
   result.exchange_bytes = exchange_bytes;
   // ask/evaluate/tell arrived via the Tuner's own phase clock; the worker
   // loop owns the exchange and checkpoint time.
@@ -662,7 +638,7 @@ int worker_body(const WorkerArgs& args) {
   // launcher merges shard traces as soon as every result is in hand, so
   // the publish is the ordering barrier that makes the file visible.
   obs::trace_flush_env();
-  store.publish(shard_key + "/result.bin", serialize_result(result));
+  core::publish_file(shard_dir, "result.bin", serialize_result(result));
   return 0;
 }
 
@@ -678,46 +654,32 @@ std::string self_binary() {
 }
 
 pid_t spawn_worker(const std::string& binary, const std::string& run_dir,
-                   int shard, const std::string& connect,
-                   const FaultPolicy& fault) {
+                   int shard) {
   // Re-point the worker's tracing at a per-shard file; the launcher merges
-  // them into one fleet timeline after the run.  The env assignment is
-  // built before fork so the child only calls putenv — no allocation
-  // between fork and execv (the launcher may be running server threads).
+  // them into one fleet timeline after the run.  Every string the child
+  // needs is built before fork, so the child allocates nothing between
+  // fork and execv (the launcher's process may run other threads).
+  const std::string shard_dir = run_dir + "/shard" + std::to_string(shard);
   std::string trace_env;
   if (obs::trace_enabled())
-    trace_env = "CRITTER_TRACE=" + run_dir + "/shard" +
-                std::to_string(shard) + "/trace.json";
+    trace_env = "CRITTER_TRACE=" + shard_dir + "/trace.json";
+  const std::string log = shard_dir + "/log.txt";
+  const std::string dir_arg = "--shard-dir=" + run_dir;
+  const std::string idx_arg = "--shard-index=" + std::to_string(shard);
+  const char* const argv[] = {binary.c_str(), "--shard-worker",
+                              dir_arg.c_str(), idx_arg.c_str(), nullptr};
   const pid_t pid = ::fork();
   CRITTER_CHECK(pid >= 0, "fork failed for shard worker");
   if (pid > 0) return pid;
   if (!trace_env.empty()) ::putenv(const_cast<char*>(trace_env.data()));
   // Child: capture output, then become the worker.
-  const std::string log =
-      run_dir + "/shard" + std::to_string(shard) + "/log.txt";
   const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0666);
   if (fd >= 0) {
     ::dup2(fd, 1);
     ::dup2(fd, 2);
     ::close(fd);
   }
-  const std::string dir_arg = "--shard-dir=" + run_dir;
-  const std::string idx_arg = "--shard-index=" + std::to_string(shard);
-  std::vector<const char*> argv = {binary.c_str(), "--shard-worker",
-                                   dir_arg.c_str(), idx_arg.c_str()};
-  // Socket transport: point the worker at the launcher's blob server, with
-  // per-op deadlines mapped from the FaultPolicy phases.
-  std::string conn_arg, cdl_arg, odl_arg;
-  if (!connect.empty()) {
-    conn_arg = "--connect=" + connect;
-    cdl_arg = "--connect-deadline=" + hex_double(fault.startup_deadline_s);
-    odl_arg = "--op-deadline=" + hex_double(fault.progress_deadline_s);
-    argv.push_back(conn_arg.c_str());
-    argv.push_back(cdl_arg.c_str());
-    argv.push_back(odl_arg.c_str());
-  }
-  argv.push_back(nullptr);
-  ::execv(binary.c_str(), const_cast<char* const*>(argv.data()));
+  ::execv(binary.c_str(), const_cast<char* const*>(argv));
   obs::log_error("execv %s failed: %s", binary.c_str(), std::strerror(errno));
   ::_exit(127);
 }
@@ -797,24 +759,20 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
                                    const ExchangePolicy& exchange,
                                    const FaultPolicy& fault,
                                    const std::string& binary,
-                                   const std::string& run_dir,
-                                   net::Store& store,
-                                   const std::string& connect) {
+                                   const std::string& run_dir) {
   const bool exchanging = exchange.every > 0 && shards.size() > 1;
+  const std::string exchange_dir = run_dir + "/exchange";
   std::vector<Child> fleet(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) fleet[i].range = shards[i];
 
   const auto shard_dir_of = [&](const Child& c) {
     return run_dir + "/shard" + std::to_string(c.range.index);
   };
-  const auto shard_key_of = [&](const Child& c) {
-    return "shard" + std::to_string(c.range.index);
-  };
   const auto spawn = [&](Child& c) {
     // A stale error file from a previous attempt must not masquerade as
     // this attempt's diagnosis.
     ::remove((shard_dir_of(c) + "/error.txt").c_str());
-    c.pid = spawn_worker(binary, run_dir, c.range.index, connect, fault);
+    c.pid = spawn_worker(binary, run_dir, c.range.index);
     c.running = true;
     ++c.attempts;
     c.launched_at = core::monotonic_s();
@@ -834,7 +792,7 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
     return false;
   };
   const auto abort_fleet = [&](const std::string& failure) {
-    store.publish("abort", failure + "\n");
+    core::publish_file(run_dir, "abort", failure + "\n");
     const double grace_deadline = core::monotonic_s() + 10.0;
     while (any_running() && core::monotonic_s() < grace_deadline) {
       poll_exits();
@@ -849,11 +807,11 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
     CRITTER_CHECK(false, failure + " — run directory kept at " + run_dir);
   };
   const auto try_finish = [&](Child& c) {
-    if (!store.published(shard_key_of(c) + "/result.bin")) return false;
+    if (!core::published(shard_dir_of(c), "result.bin")) return false;
     try {
-      c.result =
-          parse_result(store.read_published(shard_key_of(c) + "/result.bin"),
-                       study, c.range);
+      c.result = parse_result(core::read_published(shard_dir_of(c),
+                                                   "result.bin"),
+                              study, c.range);
     } catch (const std::exception&) {
       return false;
     }
@@ -878,9 +836,9 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
       // Tell waiting peers no more deltas are coming from this shard, so
       // non-strict rounds skip it immediately instead of waiting out the
       // exchange deadline every round.
-      if (exchanging &&
-          !store.published("exchange/" + done_name(c.range.index)))
-        store.publish("exchange/" + done_name(c.range.index), "rounds=0\n");
+      const std::string done = done_name(c.range.index);
+      if (exchanging && !core::published(exchange_dir, done))
+        core::publish_file(exchange_dir, done, "rounds=0\n");
       return;
     }
     std::string failure = "shard worker " + std::to_string(c.range.index) +
@@ -924,8 +882,8 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
       // heartbeat advances.
       std::string beat;
       try {
-        if (store.exists(shard_key_of(c) + "/heartbeat"))
-          beat = store.get(shard_key_of(c) + "/heartbeat");
+        const std::string heartbeat = shard_dir_of(c) + "/heartbeat";
+        if (core::file_exists(heartbeat)) beat = core::read_file(heartbeat);
       } catch (...) {
       }
       if (!beat.empty() && beat != c.beat) {
@@ -959,10 +917,11 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
   std::vector<ShardResult> results;
   results.reserve(fleet.size());
   for (Child& c : fleet) {
-    c.result.retries = c.attempts - 1;
-    c.result.recovered = c.done && c.attempts > 1;
-    c.result.degraded = c.degraded;
-    c.result.failure = c.last_failure;
+    tune::ShardRecovery& rec = c.result.recovery;
+    rec.retries = c.attempts - 1;
+    rec.recovered = c.done && c.attempts > 1;
+    rec.degraded = c.degraded;
+    rec.last_failure = c.last_failure;
     results.push_back(std::move(c.result));
   }
   return results;
@@ -996,41 +955,22 @@ std::vector<ShardResult> SubprocessExecutor::run(
                       " already holds a run manifest (stale run "
                       "directory?) — point --run-dir at a fresh one");
   }
-  core::make_dir(run_dir + "/exchange");
+  const std::string exchange_dir = run_dir + "/exchange";
+  core::make_dir(exchange_dir);
   for (const ShardRange& s : shards)
     core::make_dir(run_dir + "/shard" + std::to_string(s.index));
 
-  // The shared store the fleet coordinates through.  File transport: the
-  // run directory itself (byte-identical to the historical layout).
-  // Socket transport: an in-memory store served over TCP from this
-  // process; workers get --connect and never touch the shared files (the
-  // run directory still holds their local checkpoints and logs).
-  std::unique_ptr<net::Store> store;
-  std::unique_ptr<net::BlobServer> server;
-  std::string connect;
-  if (opts_.transport == "socket") {
-    store = std::make_unique<net::MemStore>();
-    server = std::make_unique<net::BlobServer>(*store);
-    connect = "127.0.0.1:" + std::to_string(server->port());
-  } else {
-    CRITTER_CHECK(opts_.transport.empty() || opts_.transport == "dir",
-                  "unknown subprocess transport '" + opts_.transport +
-                      "' (known: dir, socket)");
-    store = std::make_unique<net::DirStore>(run_dir);
-  }
-
   if (opt.warm_start != nullptr && !opt.warm_start->empty())
-    store->publish("warm.snap", opt.warm_start->to_string());
+    core::publish_file(run_dir, "warm.snap", opt.warm_start->to_string());
   if (opt.prior != nullptr && !opt.prior->empty())
-    store->publish("prior.snap", opt.prior->to_string());
+    core::publish_file(run_dir, "prior.snap", opt.prior->to_string());
   const bool warm = opt.warm_start != nullptr && !opt.warm_start->empty();
-  store->put("run.txt",
-             build_run_manifest(study, paper_scale, opt, shards, exchange,
-                                opts_.fault, warm));
+  core::write_file_atomic(run_dir + "/run.txt",
+                          build_run_manifest(study, paper_scale, opt, shards,
+                                             exchange, opts_.fault, warm));
 
-  const std::vector<ShardResult> results =
-      run_fleet(study, opt, shards, exchange, opts_.fault, binary, run_dir,
-                *store, connect);
+  const std::vector<ShardResult> results = run_fleet(
+      study, opt, shards, exchange, opts_.fault, binary, run_dir);
 
   // Fleet timeline (DESIGN.md §14): each worker wrote a per-shard trace
   // (pid = shard index) before publishing its result; merge them with the
@@ -1067,12 +1007,11 @@ std::vector<ShardResult> SubprocessExecutor::run(
   if (exchange.every > 0 && shards.size() > 1) {
     for (const ShardResult& r : results) {
       for (int j = 0; j < r.exchange_rounds; ++j)
-        store->remove("exchange/" + delta_name(r.range.index, j));
-      store->remove("exchange/" + progress_name(r.range.index));
+        core::unpublish(exchange_dir, delta_name(r.range.index, j));
+      core::unpublish(exchange_dir, progress_name(r.range.index));
     }
   }
 
-  if (server) server->stop();
   if (temp_dir) core::remove_dir_tree(run_dir);
   return results;
 }

@@ -60,13 +60,6 @@ bool known_verb(std::uint32_t verb) {
     case kHello:
     case kOk:
     case kErr:
-    case kBlobPut:
-    case kBlobGet:
-    case kBlobExists:
-    case kBlobRemove:
-    case kBlobPublish:
-    case kBlobPublished:
-    case kBlobReadPublished:
     case kTuneOpen:
     case kTuneAsk:
     case kTuneTell:

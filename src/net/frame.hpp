@@ -35,21 +35,14 @@ inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
 /// Every verb any critter service speaks, in one table so the decode
 /// whitelist is the closed set (values are wire-stable; never renumber).
-/// Retired, never to be reused: 0x13 (blob append, which no store served)
-/// and 0x24 (tuner import, which no client sent).
+/// Retired, never to be reused: 0x10–0x17 (the blob store that once served
+/// shard fleets their run-directory artifacts over a socket) and 0x24
+/// (tuner import, which no client sent).
 enum Verb : std::uint32_t {
   // Handshake + generic replies, shared by all services.
   kHello = 0x01,
   kOk = 0x02,
   kErr = 0x03,
-  // Blob-store service (net/blob.hpp): the run-directory artifact surface.
-  kBlobPut = 0x10,
-  kBlobGet = 0x11,
-  kBlobExists = 0x12,
-  kBlobRemove = 0x14,
-  kBlobPublish = 0x15,
-  kBlobPublished = 0x16,
-  kBlobReadPublished = 0x17,
   // Tuner service (serve/protocol.hpp): ask/tell over the wire.
   kTuneOpen = 0x20,
   kTuneAsk = 0x21,

@@ -1,8 +1,7 @@
-// The frame service: the one server loop and the one client every critter
-// network service runs on (DESIGN.md §12.1).  A service is a name and a
-// request handler: the blob store (net/blob.hpp) adds nothing else, the
-// tuner daemon (serve/daemon.hpp) only a hook that runs when a connection
-// closes.
+// The frame service: the server loop and the client a critter network
+// service runs on (DESIGN.md §12.1).  A service is a name, a request
+// handler and an optional hook that runs when a connection closes; the
+// tuner daemon (serve/daemon.hpp) is the one service.
 //
 // A connection opens with a hello: the client sends kHello carrying the
 // service name, the server answers kOk, or kErr ("bad handshake") and
@@ -10,8 +9,7 @@
 // another.  After that every request is one frame and every reply one
 // frame: kOk with the handler's payload, or kErr carrying the text of the
 // exception the handler threw.  The client rethrows that text verbatim,
-// so a remote "stale manifest" or "cannot open ..." reads exactly like the
-// local failure.
+// so a remote failure reads exactly like the local one.
 #pragma once
 
 #include <atomic>

@@ -1,15 +1,14 @@
 // Blocking-socket layer of the network subsystem (DESIGN.md §12): a
 // listener and a connection with per-operation deadlines, nothing more.
-// Framing lives in net/frame.hpp, the one server and client in
-// net/service.hpp, services (the blob store, the tuner daemon) on top.
+// Framing lives in net/frame.hpp, the server and client in
+// net/service.hpp, the tuner daemon on top.
 //
 // Deadlines are relative seconds per call, enforced with poll() over
 // non-blocking descriptors — a slow or dead peer surfaces as a thrown
 // timeout naming the operation, never a hung process (mirroring the dist
-// layer's "throw, never hang" contract).  Callers map them from
-// dist::FaultPolicy phases: connect/handshake from `startup_deadline_s`,
-// steady-state request/response traffic from `progress_deadline_s`, and
-// waits for a peer's artifact from `exchange_deadline_s`.
+// layer's "throw, never hang" contract).  The tuner client takes its
+// connect and request deadlines from serve::ClientOptions, and the daemon
+// bounds every frame it reads or writes by its `op_deadline_s`.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +20,10 @@ namespace critter::net {
 /// Process-wide wire accounting: every byte send_all() pushes and
 /// recv_all()/recv_all_opt() drains, and every frame the frame codec
 /// (net/frame.hpp) completes, land in one set of atomic counters — the
-/// substrate for `tunectl status --wire`, the shard workers'
-/// exchange-byte reporting, and the bench harness's bytes_per_tell /
-/// bytes_per_exchange_round metrics (DESIGN.md §13.2).  Counters are
-/// monotonic within the process and cheap (relaxed atomics on the transfer
-/// path); reset_wire_counters() zeroes them for interval measurements.
+/// substrate for `tunectl status`'s client wire line (DESIGN.md §13.2).
+/// Counters are monotonic within the process and cheap (relaxed atomics on
+/// the transfer path); reset_wire_counters() zeroes them for interval
+/// measurements.
 struct WireCounters {
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;

@@ -33,8 +33,8 @@ namespace critter::serve {
 struct ClientOptions {
   std::string host = "127.0.0.1";
   int port = 0;
-  double connect_deadline_s = 10.0;  ///< FaultPolicy startup phase
-  double op_deadline_s = 120.0;      ///< FaultPolicy progress phase
+  double connect_deadline_s = 10.0;  ///< connect + hello
+  double op_deadline_s = 120.0;      ///< each request/reply pair
   /// Consecutive failed iterations before run() gives up.
   int max_reconnects = 8;
   double backoff_initial_s = 0.05;

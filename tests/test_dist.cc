@@ -206,26 +206,6 @@ TEST(Subprocess, PeriodicExchangeIsDeterministicAndMatchesInProcess) {
   expect_equal_results(a, c, "subprocess vs in-process exchange");
 }
 
-TEST(Subprocess, SocketTransportBitIdenticalToDirTransport) {
-  // Same worker loop, different shared store: coordinating the fleet
-  // through a TCP blob server instead of the run directory must not be
-  // observable in the result — mid-sweep exchange included.
-  const tune::Study study = subset(tune::slate_cholesky_study(false), 6);
-  const tune::TuneOptions opt = shared_options();
-  const dist::ExchangePolicy every1{1};
-  dist::SubprocessOptions dopts;
-  dopts.transport = "dir";
-  dist::SubprocessOptions sopts;
-  sopts.transport = "socket";
-  dist::SubprocessExecutor dir_exec(dopts);
-  dist::SubprocessExecutor sock_exec(sopts);
-  const tune::TuneResult a = dist::run_sharded(study, opt, 2, dir_exec, every1);
-  const tune::TuneResult b =
-      dist::run_sharded(study, opt, 2, sock_exec, every1);
-  EXPECT_GT(b.exchange_rounds, 0);
-  expect_equal_results(a, b, "dir vs socket transport");
-}
-
 TEST(Subprocess, ExchangeMailboxIsGarbageCollectedAfterTheRun) {
   // With the default fault policy (no retries, no checkpoints) resume
   // replay is impossible, so the manifest authorizes in-run delta GC and
@@ -237,7 +217,6 @@ TEST(Subprocess, ExchangeMailboxIsGarbageCollectedAfterTheRun) {
   const tune::TuneOptions opt = shared_options();
   dist::SubprocessOptions gopts;
   gopts.run_dir = core::make_temp_dir("critter-gc-test-");
-  gopts.transport = "dir";
   dist::SubprocessExecutor sub(gopts);
   const tune::TuneResult a =
       dist::run_sharded(study, opt, 2, sub, dist::ExchangePolicy{1});
@@ -458,6 +437,107 @@ TEST(Protocol, StaleAndMissingManifestsAreDetected) {
   core::publish_file(dir, "d.bin", "payload-bytes");
   core::write_file(dir + "/d.bin", "payload-bytez");
   EXPECT_THROW(core::read_published(dir, "d.bin"), std::runtime_error);
+
+  core::remove_dir_tree(dir);
+}
+
+namespace {
+
+/// Deterministic payload with NULs and high bytes.
+std::string binary_payload(std::size_t n) {
+  std::string p(n, '\0');
+  for (std::size_t i = 0; i < n; ++i)
+    p[i] = static_cast<char>((i * 37 + 11) & 0xFF);
+  return p;
+}
+
+/// `read` must throw a "stale manifest" error.
+template <class Read>
+void expect_stale(Read&& read, const std::string& what) {
+  try {
+    read();
+    ADD_FAILURE() << what << " read successfully";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stale manifest"), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(Protocol, RewritePublishAndUnpublishAsTheFleetDoes) {
+  // The calls a shard fleet makes on its run directory: plain atomic
+  // rewrites (run.txt, heartbeats, progress markers), two-step publishes
+  // (deltas, done markers, results, the abort marker) and the mailbox GC's
+  // unpublish.
+  const std::string dir = core::make_temp_dir("critter-proto-test-");
+  const std::string run = dir + "/run.txt";
+  EXPECT_FALSE(core::file_exists(run));
+  EXPECT_THROW(core::read_file(run), std::runtime_error);
+  core::write_file_atomic(run, "hello");
+  EXPECT_EQ(core::read_file(run), "hello");
+  core::write_file_atomic(run, "rewritten");
+  EXPECT_EQ(core::read_file(run), "rewritten");
+
+  core::make_dir(dir + "/exchange");
+  const std::string mailbox = dir + "/exchange";
+  const std::string payload = binary_payload(200);
+  EXPECT_FALSE(core::published(mailbox, "s0_r1.snap"));
+  EXPECT_THROW(core::read_published(mailbox, "s0_r1.snap"),
+               std::runtime_error);
+  core::publish_file(mailbox, "s0_r1.snap", payload);
+  EXPECT_TRUE(core::published(mailbox, "s0_r1.snap"));
+  EXPECT_EQ(core::read_published(mailbox, "s0_r1.snap"), payload);
+  // An empty publish is legal (isolated shards exchange empty deltas).
+  core::publish_file(mailbox, "s1_r1.snap", "");
+  EXPECT_TRUE(core::published(mailbox, "s1_r1.snap"));
+  EXPECT_EQ(core::read_published(mailbox, "s1_r1.snap"), "");
+
+  // Unpublish retires the manifest and the payload; an absent artifact is
+  // already gone, so a second unpublish, a never-published name and a
+  // plain file without a manifest are all fine.
+  core::unpublish(mailbox, "s0_r1.snap");
+  EXPECT_FALSE(core::published(mailbox, "s0_r1.snap"));
+  EXPECT_FALSE(core::file_exists(mailbox + "/s0_r1.snap"));
+  EXPECT_THROW(core::read_published(mailbox, "s0_r1.snap"),
+               std::runtime_error);
+  EXPECT_NO_THROW(core::unpublish(mailbox, "s0_r1.snap"));
+  EXPECT_NO_THROW(core::unpublish(mailbox, "never_there.snap"));
+  core::write_file_atomic(mailbox + "/s0.progress", "rounds=1\n");
+  core::unpublish(mailbox, "s0.progress");
+  EXPECT_FALSE(core::file_exists(mailbox + "/s0.progress"));
+  // The name is reusable: GC'd rounds do not poison names.
+  core::publish_file(mailbox, "s0_r1.snap", "again");
+  EXPECT_EQ(core::read_published(mailbox, "s0_r1.snap"), "again");
+
+  // The manifest goes first: when the payload cannot be removed (here it
+  // is a directory), the unpublish throws with the artifact no longer
+  // published, so no reader finds a manifest without its payload.
+  core::make_dir(mailbox + "/stuck.snap");
+  core::write_file(mailbox + "/stuck.snap.ok", core::publish_manifest("x"));
+  ASSERT_TRUE(core::published(mailbox, "stuck.snap"));
+  EXPECT_THROW(core::unpublish(mailbox, "stuck.snap"), std::runtime_error);
+  EXPECT_FALSE(core::published(mailbox, "stuck.snap"));
+
+  // A 2 MiB payload (a default-scale snapshot is already ~0.9 MB) travels
+  // whole through both write disciplines.
+  const std::string big = binary_payload(2u << 20);
+  core::write_file_atomic(dir + "/big.bin", big);
+  EXPECT_EQ(core::read_file(dir + "/big.bin"), big);
+  core::publish_file(mailbox, "big.snap", big);
+  EXPECT_EQ(core::read_published(mailbox, "big.snap"), big);
+
+  // A payload overwritten behind its manifest's back reads as a stale
+  // manifest, whether its size or only its checksum disagrees.
+  core::publish_file(dir, "delta.snap", payload);
+  core::write_file(dir + "/delta.snap", "corrupted body");
+  expect_stale([&] { core::read_published(dir, "delta.snap"); },
+               "shorter payload");
+  std::string flipped = payload;
+  flipped[7] = static_cast<char>(flipped[7] ^ 0x5a);
+  core::write_file(dir + "/delta.snap", flipped);
+  expect_stale([&] { core::read_published(dir, "delta.snap"); },
+               "same-size corrupt payload");
 
   core::remove_dir_tree(dir);
 }

@@ -1,25 +1,23 @@
 // Network subsystem: the frame codec (fuzzed the same way as the binary
 // snapshot format in test_stat_store.cc — every truncation point, every
-// flipped byte), the blob Store implementations (directory, in-memory, and
-// the framed client/server pair, which must agree on semantics and error
-// wording), the socket layer's deadline behavior (a dead or silent peer
-// throws, never hangs), the tuner protocol's decoders against forged
-// lengths and counts, and the servers' connection threads (a closed
-// connection keeps none).
+// flipped byte), the socket layer's deadline behavior (a dead or silent
+// peer throws, never hangs), the frame service (wire accounting, handler
+// errors carried verbatim, the hello check) on a test-local echo service,
+// the tuner protocol's decoders against forged lengths and counts, and the
+// daemon's connection threads (a closed connection keeps none).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fsio.hpp"
-#include "net/blob.hpp"
 #include "net/frame.hpp"
+#include "net/service.hpp"
 #include "net/socket.hpp"
 #include "serve/daemon.hpp"
 
@@ -45,12 +43,9 @@ std::string fuzz_payload(std::size_t n = 200) {
 
 TEST(Frame, RoundTripEveryVerbAndPayloadShape) {
   const std::vector<std::uint32_t> verbs = {
-      net::kHello,       net::kOk,           net::kErr,
-      net::kBlobPut,     net::kBlobGet,      net::kBlobExists,
-      net::kBlobRemove,  net::kBlobPublish,  net::kBlobPublished,
-      net::kBlobReadPublished,
-      net::kTuneOpen,    net::kTuneAsk,      net::kTuneTell,
-      net::kTuneExport,  net::kTuneStatus,   net::kTuneShutdown};
+      net::kHello,      net::kOk,         net::kErr,
+      net::kTuneOpen,   net::kTuneAsk,    net::kTuneTell,
+      net::kTuneExport, net::kTuneStatus, net::kTuneShutdown};
   for (std::uint32_t verb : verbs) {
     EXPECT_TRUE(net::known_verb(verb));
     for (const std::string& payload :
@@ -66,8 +61,10 @@ TEST(Frame, RoundTripEveryVerbAndPayloadShape) {
   }
   EXPECT_FALSE(net::known_verb(0));
   EXPECT_FALSE(net::known_verb(0x7F));
-  // Retired verbs stay unknown: blob append (0x13) and tuner import (0x24).
-  EXPECT_FALSE(net::known_verb(0x13));
+  // Retired verbs stay unknown: the blob store's 0x10–0x17 and tuner
+  // import (0x24).
+  for (std::uint32_t verb = 0x10; verb <= 0x17; ++verb)
+    EXPECT_FALSE(net::known_verb(verb)) << "verb " << verb;
   EXPECT_FALSE(net::known_verb(0x24));
 }
 
@@ -217,100 +214,39 @@ TEST(Socket, SilentPeerThrowsAtTheDeadlineInsteadOfHanging) {
 }
 
 // ---------------------------------------------------------------------------
-// Blob stores
+// Frame service
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// The Store contract, checked identically against every implementation:
-/// plain blobs, the two-step publish, and the failure wording.
-void exercise_store(net::Store& store, const std::string& what) {
-  EXPECT_FALSE(store.exists("run.txt")) << what;
-  EXPECT_THROW(store.get("run.txt"), std::runtime_error) << what;
-  store.put("run.txt", "hello");
-  EXPECT_TRUE(store.exists("run.txt")) << what;
-  EXPECT_EQ(store.get("run.txt"), "hello") << what;
-  store.put("run.txt", "rewritten");
-  EXPECT_EQ(store.get("run.txt"), "rewritten") << what;
+constexpr const char* kEchoService = "critter-echo-test/1";
 
-  const std::string payload = fuzz_payload();
-  EXPECT_FALSE(store.published("exchange/s0_r1.snap")) << what;
-  EXPECT_THROW(store.read_published("exchange/s0_r1.snap"),
-               std::runtime_error)
-      << what;
-  store.publish("exchange/s0_r1.snap", payload);
-  EXPECT_TRUE(store.published("exchange/s0_r1.snap")) << what;
-  EXPECT_EQ(store.read_published("exchange/s0_r1.snap"), payload) << what;
-  // An empty publish is legal (isolated shards exchange empty deltas).
-  store.publish("exchange/s1_r1.snap", "");
-  EXPECT_EQ(store.read_published("exchange/s1_r1.snap"), "") << what;
-
-  // remove retires published artifacts (manifest and payload) and plain
-  // blobs alike; removing an absent key is the idempotent no-op the
-  // exchange-mailbox GC leans on.
-  store.remove("exchange/s0_r1.snap");
-  EXPECT_FALSE(store.published("exchange/s0_r1.snap")) << what;
-  EXPECT_FALSE(store.exists("exchange/s0_r1.snap")) << what;
-  EXPECT_THROW(store.read_published("exchange/s0_r1.snap"),
-               std::runtime_error)
-      << what;
-  store.remove("exchange/s0_r1.snap");  // second remove: no-op, no throw
-  store.remove("never/was/there");
-  store.remove("run.txt");
-  EXPECT_FALSE(store.exists("run.txt")) << what;
-  // The key is reusable after removal — GC'd rounds do not poison names.
-  store.publish("exchange/s0_r1.snap", "again");
-  EXPECT_EQ(store.read_published("exchange/s0_r1.snap"), "again") << what;
-
-  // Content is bounded by the transport's frame, not by the key bound: a
-  // 2 MiB blob (a default-scale snapshot is already ~0.9 MB) travels whole.
-  const std::string big = fuzz_payload(2u << 20);
-  store.put("big.bin", big);
-  EXPECT_EQ(store.get("big.bin"), big) << what;
-  store.publish("exchange/big.snap", big);
-  EXPECT_EQ(store.read_published("exchange/big.snap"), big) << what;
-  store.remove("big.bin");
-  store.remove("exchange/big.snap");
-  store.put("run.txt", "rewritten");
+/// A test-local service: it answers a request with its payload, except
+/// that a payload "throw:<text>" makes the handler throw <text>.  Any
+/// known verb carries a request; the service gives them no meaning.
+std::string echo(const net::Frame& rq, std::uint64_t) {
+  if (rq.payload.rfind("throw:", 0) == 0)
+    throw std::runtime_error(rq.payload.substr(6));
+  return rq.payload;
 }
 
 }  // namespace
 
-TEST(Blob, DirMemAndSocketStoresShareOneContract) {
-  const std::string root = core::make_temp_dir("critter_blob_test");
-  net::DirStore dir(root);
-  exercise_store(dir, "DirStore");
-
-  net::MemStore mem;
-  exercise_store(mem, "MemStore");
-
-  net::MemStore backing;
-  net::BlobServer server(backing, 0);
-  net::BlobClient client("127.0.0.1", server.port(), 5.0, 5.0);
-  exercise_store(client, "BlobClient");
-  // The client and its backing store see one namespace.
-  EXPECT_EQ(backing.get("run.txt"), "rewritten");
-  backing.publish("from_server.snap", "xyz");
-  EXPECT_EQ(client.read_published("from_server.snap"), "xyz");
-  server.stop();
-  core::remove_dir_tree(root);
-}
-
-TEST(Blob, WireCountersMeterCompletedTransfers) {
+TEST(Service, WireCountersMeterCompletedTransfers) {
   // The process-wide wire accounting (DESIGN.md §13): both endpoints of
   // this loopback conversation live in this process, so every sent frame
   // is also received here and the counters must mirror exactly.
   net::reset_wire_counters();
-  net::MemStore backing;
-  net::BlobServer server(backing, 0);
+  net::Server server(0, kEchoService, echo);
   {
-    net::BlobClient client("127.0.0.1", server.port(), 5.0, 5.0);
-    client.put("metered", std::string(1000, 'x'));
-    EXPECT_EQ(client.get("metered"), std::string(1000, 'x'));
+    net::Client client("127.0.0.1", server.port(), kEchoService, 5.0, 5.0);
+    EXPECT_EQ(client.request(net::kTuneStatus, std::string(1000, 'x')),
+              std::string(1000, 'x'));
+    EXPECT_EQ(client.request(net::kTuneStatus, "y"), "y");
   }
   server.stop();
   const net::WireCounters wc = net::wire_counters();
-  // Handshake + put + get = three request/reply pairs minimum.
+  // Handshake + two requests = three request/reply pairs minimum.
   EXPECT_GE(wc.frames_sent, 6u);
   EXPECT_EQ(wc.frames_sent, wc.frames_received);
   EXPECT_EQ(wc.bytes_sent, wc.bytes_received);
@@ -320,57 +256,31 @@ TEST(Blob, WireCountersMeterCompletedTransfers) {
   EXPECT_EQ(net::wire_counters().frames_received, 0u);
 }
 
-TEST(Blob, CorruptedPublishedPayloadIsAStaleManifest) {
-  // Overwrite a published payload behind the manifest's back: the reader
-  // must report a stale manifest (size/checksum64 mismatch), exactly like the
-  // run-directory protocol — never return the corrupted bytes.
-  const std::string root = core::make_temp_dir("critter_blob_stale");
-  net::DirStore dir(root);
-  dir.publish("delta.snap", fuzz_payload());
-  core::write_file(root + "/delta.snap", "corrupted body");
-  try {
-    dir.read_published("delta.snap");
-    FAIL() << "stale payload read successfully";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("stale manifest"),
-              std::string::npos)
-        << e.what();
-  }
-  core::remove_dir_tree(root);
-}
-
-TEST(Blob, RemoteErrorsCarryTheStoreWordingAcrossTheWire) {
-  // A remote failure must read like the local one — the dist layer keys
-  // retry/degrade decisions off these messages.
-  net::MemStore backing;
-  net::BlobServer server(backing, 0);
-  net::BlobClient client("127.0.0.1", server.port(), 5.0, 5.0);
-  try {
-    client.get("absent.txt");
-    FAIL() << "missing blob read successfully";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("cannot open absent.txt"),
-              std::string::npos)
-        << e.what();
-  }
-  backing.publish("torn.snap", "payload");
-  backing.put("torn.snap", "other bytes");  // invalidates the manifest
-  try {
-    client.read_published("torn.snap");
-    FAIL() << "stale remote publish read successfully";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("stale manifest"),
-              std::string::npos)
-        << e.what();
+TEST(Service, HandlerErrorsCrossTheWireVerbatimAndTheConnectionSurvives) {
+  // A remote failure must read like the local one: the handler's exception
+  // text arrives as the client's exception text, unchanged, and the kErr
+  // reply ends the request, not the connection.
+  net::Server server(0, kEchoService, echo);
+  net::Client client("127.0.0.1", server.port(), kEchoService, 5.0, 5.0);
+  for (const std::string text :
+       {"cannot open absent.txt", "stale manifest torn.snap.ok: payload "
+                                  "checksum mismatch (torn or corrupt "
+                                  "publish)"}) {
+    try {
+      client.request(net::kTuneStatus, "throw:" + text);
+      ADD_FAILURE() << "a throwing handler's request succeeded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), text);
+    }
+    EXPECT_EQ(client.request(net::kTuneStatus, "still here"), "still here");
   }
   server.stop();
 }
 
-TEST(Blob, WrongServiceHandshakeIsRefused) {
-  // A tuner (or any non-blob) stream pointed at a blob server must be
-  // turned away at hello, before any verb is interpreted.
-  net::MemStore backing;
-  net::BlobServer server(backing, 0);
+TEST(Service, WrongServiceHandshakeIsRefused) {
+  // A stream meant for another service is turned away at hello, before any
+  // verb is interpreted, and a Client naming the wrong service throws.
+  net::Server server(0, kEchoService, echo);
   net::Connection conn =
       net::Connection::connect("127.0.0.1", server.port(), 5.0);
   net::send_frame(conn, net::kHello, "critter-tune/1", 5.0);
@@ -378,6 +288,13 @@ TEST(Blob, WrongServiceHandshakeIsRefused) {
   EXPECT_EQ(rp.verb, net::kErr);
   EXPECT_NE(rp.payload.find("bad handshake"), std::string::npos);
   conn.close();
+  try {
+    net::Client wrong("127.0.0.1", server.port(), "critter-tune/1", 5.0, 5.0);
+    ADD_FAILURE() << "a client of the wrong service was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad handshake"), std::string::npos)
+        << e.what();
+  }
   server.stop();
 }
 
@@ -500,52 +417,34 @@ int mapping_count() {
 }  // namespace
 
 TEST(Server, AClosedConnectionLeavesNothingBehind) {
-  // Both services, 200 sequential connections each: hello, one request,
+  // 200 sequential connections to the tuner daemon: hello, one request,
   // close.  A server that kept each finished connection's thread until it
   // stops would hold 200 stacks (two mappings each) here.
-  net::MemStore backing;
-  net::BlobServer blob(backing, 0);
   const std::string dir = core::make_temp_dir("critter_server_threads");
   serve::TunerDaemon daemon({dir});
-  struct Input {
-    const char* name;
-    std::function<void()> connect_once;
+  const auto connect_once = [&daemon] {
+    net::Connection conn =
+        net::Connection::connect("127.0.0.1", daemon.port(), 5.0);
+    net::send_frame(conn, net::kHello, serve::kTuneService, 5.0);
+    EXPECT_EQ(net::recv_frame(conn, 5.0).verb, net::kOk);
+    net::send_frame(conn, net::kTuneStatus, serve::encode_session_ref("none"),
+                    5.0);
+    EXPECT_EQ(net::recv_frame(conn, 5.0).verb, net::kErr);
   };
-  const Input inputs[] = {
-      {"blob server",
-       [&blob] {
-         net::BlobClient client("127.0.0.1", blob.port(), 5.0, 5.0);
-         EXPECT_FALSE(client.exists("run.txt"));
-       }},
-      {"tuner daemon",
-       [&daemon] {
-         net::Connection conn =
-             net::Connection::connect("127.0.0.1", daemon.port(), 5.0);
-         net::send_frame(conn, net::kHello, serve::kTuneService, 5.0);
-         EXPECT_EQ(net::recv_frame(conn, 5.0).verb, net::kOk);
-         net::send_frame(conn, net::kTuneStatus,
-                         serve::encode_session_ref("none"), 5.0);
-         EXPECT_EQ(net::recv_frame(conn, 5.0).verb, net::kErr);
-       }},
-  };
-  for (const Input& in : inputs) {
-    // The first few dozen threads map memory that later threads reuse:
-    // malloc arenas, and under TSan the traces it keeps of recently
-    // finished threads.  Connect that many first, so that only what a
-    // connection keeps is counted.
-    for (int i = 0; i < 50; ++i) in.connect_once();
-    const int before = mapping_count();
-    for (int i = 0; i < 200; ++i) in.connect_once();
-    const double deadline = core::monotonic_s() + 2.0;
-    int after = mapping_count();
-    while (after > before + 20 && core::monotonic_s() < deadline) {
-      core::sleep_ms(50);
-      after = mapping_count();
-    }
-    EXPECT_LE(after, before + 20)
-        << in.name << ": " << before << " mappings before the connections";
+  // The first few dozen threads map memory that later threads reuse:
+  // malloc arenas, and under TSan the traces it keeps of recently finished
+  // threads.  Connect that many first, so that only what a connection
+  // keeps is counted.
+  for (int i = 0; i < 50; ++i) connect_once();
+  const int before = mapping_count();
+  for (int i = 0; i < 200; ++i) connect_once();
+  const double deadline = core::monotonic_s() + 2.0;
+  int after = mapping_count();
+  while (after > before + 20 && core::monotonic_s() < deadline) {
+    core::sleep_ms(50);
+    after = mapping_count();
   }
-  blob.stop();
+  EXPECT_LE(after, before + 20) << before << " mappings before the connections";
   daemon.stop();
   core::remove_dir_tree(dir);
 }
